@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
+.PHONY: check vet build test race bench bench-short bench-check bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
 
-check: vet build gen-check test race bounds-check bench-short serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
+check: vet build gen-check test race bounds-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -57,23 +57,14 @@ bench:
 bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/... .
 
-# Machine-readable benchmarks for the repo's perf trajectory: the PR 2
-# metrics-engine suite (which since PR 6 includes the torus and cylinder
-# guest families on the 64³ shape), the PR 3 server-path handlers (cached
-# vs uncached /v1/embed via httptest), the PR 4 observability overhead
-# pairs (Measure vs MeasureTraced, cached handler vs tracing-off vs
-# ?debug=trace), the PR 5 batch-job end-to-end throughput (submit →
-# chunks → checkpoints → finish, reported as shapes/sec), the PR 7 plan
-# tiers (closed-form classifier, census-mode classification throughput,
-# artifact lookup, and the resolver-level closed_form / artifact / compute
-# split), and the PR 8 fabric dispatch scaling (coordinator chunk throughput
-# against 1/2/4 fixed-service-time peers — the peers=2/peers=1 chunks/sec
-# ratio is the 2-worker scaling factor), the PR 9 SSE fanout (events/sec
-# into 1/16/128 live subscribers) and the PR 9 loadtest mix (client-side
-# p50/p95/p99 + shed/error rates against a booted server, via the smoke
-# script in BENCH=1 mode); since PR 10 the embed suite also covers the
-# wirelength accumulator inside the fused pass (same 8 allocs/op budget);
-# see EXPERIMENTS.md for the recorded numbers.
+# The repo benchmark under bench/ is its own Go module, so the root build
+# and tests never compile it; vet and short-test it here so an API change
+# in the packages it drives cannot break it unnoticed.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Machine-readable benchmarks for the repo's perf trajectory, one row per
+# benchmark across the layers (see EXPERIMENTS.md for the recorded numbers).
 bench-json:
 	{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier|BenchmarkSSEFanout' -benchmem ./internal/server; \

@@ -87,6 +87,16 @@ import (
 	"repro/pkg/client"
 )
 
+// Connection limits of the API listener, so a client that trickles its
+// headers or parks an idle keep-alive connection cannot hold a slot
+// forever.  ReadTimeout and WriteTimeout stay unset on purpose: the job
+// /results, /events and /artifact streams stay open for a job's lifetime.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "metrics-engine workers per measurement (<1: GOMAXPROCS)")
@@ -253,7 +263,12 @@ func main() {
 		}()
 	}
 
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

@@ -77,7 +77,7 @@ func (e *Embedding) Expansion() float64 {
 func (e *Embedding) Minimal() bool { return e.N == e.Guest.MinCubeDim() }
 
 // Wraps reports whether the guest family has wraparound edges.
-func (e *Embedding) Wraps() bool { return guest.Get(e.Family).Wraps }
+func (e *Embedding) Wraps() bool { return guest.Get(e.Family).Wraps() }
 
 // eachGuestEdge iterates guest edges under the family's interpretation.
 func (e *Embedding) eachGuestEdge(fn func(mesh.Edge)) {

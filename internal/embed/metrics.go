@@ -152,20 +152,13 @@ func (e *Embedding) fusedPass(ctx context.Context, workers int, wantLoads bool) 
 
 // scanBlock tallies the edges generated by guest nodes [lo, hi) into st.
 //
-// The seed families dispatch through direct method calls so the visit
-// closure stays on the stack: escape analysis only trusts the "fn does not
-// escape" summary of a known callee, and the analysis is flow-insensitive,
-// so even one indirect registry call in a reachable branch would heap-spill
-// the closure for every family.  The branches call the exact enumerations
-// the registry registers — MeasureOnHost, which does go through the
-// registry, pins the agreement — and any family beyond the seed set takes
-// scanBlockGeneric at the cost of two allocations per block.
+// The tally is one closure handed to a statically known enumerator — the
+// shared grid enumeration for every grid family, the heap-order walk for
+// the tree — so escape analysis keeps it on the stack; an indirect call
+// through the registry's EachEdgeRange would move it to the heap.  A family
+// that is neither needs its own static arm here.
 func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 	n := e.N
-	// This closure body duplicates tallyEdge on purpose: routing it through
-	// the method would add one static call per edge (~8% on 64³), since the
-	// tally is too large to inline.  TestScanBlockGenericAgreesWithFused
-	// pins the copy against tallyEdge — keep the two in sync.
 	visit := func(ed mesh.Edge) {
 		var d int
 		var pinned cube.Path
@@ -205,82 +198,14 @@ func (e *Embedding) scanBlock(lo, hi int, st *edgeStats) {
 		st.axisSum[ed.Axis] += int64(d)
 		st.axisCnt[ed.Axis]++
 	}
-	switch e.Family {
-	case guest.Mesh:
-		e.Guest.EachEdgeRange(lo, hi, visit)
-	case guest.Torus:
-		e.Guest.EachTorusEdgeRange(lo, hi, visit)
-	case guest.Cylinder:
-		e.Guest.EachCylinderEdgeRange(lo, hi, visit)
-	case guest.Tree:
+	switch d := guest.Get(e.Family); {
+	case d.Grid:
+		e.Guest.EachEdgeRange(d.Wrap, lo, hi, visit)
+	case e.Family == guest.Tree:
 		e.Guest.EachTreeEdgeRange(lo, hi, visit)
 	default:
-		e.scanBlockGeneric(lo, hi, st)
+		panic("embed: no fused edge enumeration for guest family " + e.Family.String())
 	}
-}
-
-// scanBlockGeneric is the registry-dispatched fallback for families without
-// a monomorphic branch in scanBlock; the indirect call makes its closure
-// escape, which is why it is kept out of the seed families' path.  It
-// tallies into its own (heap-spilled) stats sharing the slice backings and
-// folds the scalars back, so st itself never flows into the indirect call
-// and stays on the caller's stack for the seed families.
-func (e *Embedding) scanBlockGeneric(lo, hi int, st *edgeStats) {
-	part := &edgeStats{axisSum: st.axisSum, axisCnt: st.axisCnt, loads: st.loads}
-	guest.Get(e.Family).EachEdgeRange(e.Guest, lo, hi, func(ed mesh.Edge) {
-		e.tallyEdge(ed, part)
-	})
-	st.edges += part.edges
-	st.dilSum += part.dilSum
-	if part.maxDil > st.maxDil {
-		st.maxDil = part.maxDil
-	}
-}
-
-// tallyEdge folds one guest edge into the fused tallies: its dilation, the
-// per-axis sums, and (when requested) the per-link loads along the realized
-// path — the pinned path if one exists, the e-cube route otherwise.  The
-// scanBlock closure inlines a copy of this body for the seed families (see
-// the comment there); TestScanBlockGenericAgreesWithFused keeps them honest.
-func (e *Embedding) tallyEdge(ed mesh.Edge, st *edgeStats) {
-	n := e.N
-	var d int
-	var pinned cube.Path
-	ok := false
-	if e.Paths != nil {
-		pinned, ok = e.Paths[Key(ed.U, ed.V)]
-	}
-	if ok {
-		d = pinned.Len()
-		if st.loads != nil {
-			for i := 1; i < len(pinned); i++ {
-				st.loads[cube.LinkIndex(cube.LinkBetween(pinned[i-1], pinned[i]), n)]++
-			}
-		}
-	} else {
-		cur := uint64(e.Map[ed.U])
-		diff := cur ^ uint64(e.Map[ed.V])
-		d = mathbits.OnesCount64(diff)
-		if st.loads != nil {
-			// Walk the e-cube route bit by bit: each differing bit is
-			// one link, whose lower endpoint is cur with that bit
-			// cleared.  No path or link values are materialized.
-			for diff != 0 {
-				bit := diff & -diff
-				l := cube.Link{Lo: cube.Node(cur &^ bit), Dim: mathbits.TrailingZeros64(bit)}
-				st.loads[cube.LinkIndex(l, n)]++
-				cur ^= bit
-				diff ^= bit
-			}
-		}
-	}
-	st.edges++
-	st.dilSum += int64(d)
-	if d > st.maxDil {
-		st.maxDil = d
-	}
-	st.axisSum[ed.Axis] += int64(d)
-	st.axisCnt[ed.Axis]++
 }
 
 // MeasureParallel computes all metrics with an explicit worker count

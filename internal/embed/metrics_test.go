@@ -10,8 +10,10 @@ import (
 )
 
 // referenceMeasure recomputes Metrics the way the pre-fusion implementation
-// did: one independent traversal per metric, paths materialized per edge.
-// It is the oracle the fused engine must match bit for bit.
+// did: paths materialized per edge, the edge set enumerated through the
+// guest registry.  It is the oracle the fused engine must match bit for
+// bit; the registry's edge sets are themselves checked against independent
+// product-graph constructions by the guest conformance suite.
 func referenceMeasure(e *Embedding) Metrics {
 	edges := 0
 	dilSum := 0
@@ -37,16 +39,7 @@ func referenceMeasure(e *Embedding) Metrics {
 			loads[cube.LinkIndex(l, e.N)]++
 		}
 	}
-	switch e.Family {
-	case guest.Torus:
-		e.Guest.EachTorusEdge(visit)
-	case guest.Cylinder:
-		e.Guest.EachCylinderEdge(visit)
-	case guest.Tree:
-		e.Guest.EachTreeEdge(visit)
-	default:
-		e.Guest.EachEdge(visit)
-	}
+	e.eachGuestEdge(visit)
 	m := Metrics{
 		Guest:      e.Guest.String(),
 		Family:     e.Family.String(),

@@ -1,8 +1,9 @@
 // Package graph provides an explicit undirected-graph representation with
 // constructors for the graph families of the paper — meshes, wraparound
-// meshes (tori), Boolean cubes, paths, rings and Cartesian products — plus
-// BFS utilities.  It backs the solver, the verifier's cross-checks and the
-// structural facts (e.g. Lemma 1) used by the torus embeddings.
+// meshes (tori), cylinders, Boolean cubes, paths, rings and Cartesian
+// products — plus BFS utilities.  It backs the solver, the verifier's
+// cross-checks, the guest edge-set oracle and the structural facts (e.g.
+// Lemma 1) used by the torus embeddings.
 package graph
 
 import (
@@ -109,17 +110,31 @@ func (g *Graph) Connected() bool {
 	return true
 }
 
-// Mesh returns the mesh graph of the given shape (no wraparound).
-func Mesh(s mesh.Shape) *Graph {
-	g := New(s.Nodes())
-	s.EachEdge(func(e mesh.Edge) { g.AddEdge(e.U, e.V) })
-	return g
-}
+// Mesh returns the mesh graph of the given shape (no wraparound): the
+// product of one path per axis.
+func Mesh(s mesh.Shape) *Graph { return grid(s, len(s)) }
 
-// Torus returns the wraparound-mesh graph of the given shape.
-func Torus(s mesh.Shape) *Graph {
-	g := New(s.Nodes())
-	s.EachTorusEdge(func(e mesh.Edge) { g.AddEdge(e.U, e.V) })
+// Torus returns the wraparound-mesh graph of the given shape: the product
+// of one ring per axis.
+func Torus(s mesh.Shape) *Graph { return grid(s, 0) }
+
+// Cylinder returns the graph of the given shape with only the last axis
+// wrapped: a path on every other axis times a ring.
+func Cylinder(s mesh.Shape) *Graph { return grid(s, len(s)-1) }
+
+// grid is the Cartesian product of one factor per axis, axis 0 varying
+// fastest as in mesh.Shape indexing: a ring on the axes from firstRing on,
+// a path below.  It shares no code with the mesh.Shape edge enumerations,
+// which is what lets tests use it as their oracle.
+func grid(s mesh.Shape, firstRing int) *Graph {
+	g := New(1)
+	for i, l := range s {
+		f := PathGraph(l)
+		if i >= firstRing {
+			f = Ring(l)
+		}
+		g = Product(g, f)
+	}
 	return g
 }
 

@@ -9,7 +9,7 @@ import (
 func TestMeshGraph(t *testing.T) {
 	s := mesh.Shape{3, 4}
 	g := Mesh(s)
-	if g.N != 12 || g.NumEdges() != s.Edges() {
+	if g.N != 12 || g.NumEdges() != s.Edges(mesh.NoWrap) {
 		t.Fatalf("N=%d edges=%d", g.N, g.NumEdges())
 	}
 	if !g.Connected() {

@@ -13,18 +13,19 @@
 //	tree      single-axis shape [2^h − 1], the heap-ordered complete
 //	          binary tree
 //
+// The first three are grids, products of paths and cycles that differ
+// only in which axes wrap.  That choice is made here and nowhere else: it
+// is the mesh.WrapSet each grid Desc carries.
+//
 // Each family's Desc bundles exactly what the layers above need: edge
 // count, the partitionable EachEdgeRange enumeration the parallel metrics
 // engine shards over, the canonical form under which plans and results are
-// cached, family-specific shape validation, and the strategy-applicability
-// gates the planner consults (Decomposable, Wraps).
+// cached, and family-specific shape validation.
 //
-// To add a family: define its edge enumeration on mesh.Shape (keeping the
-// EachEdgeRange partition contract — disjoint node ranges generate disjoint
-// edge sets), add a Family constant here, run `go generate ./internal/guest`,
-// and register a Desc in init.  The conformance suite in guest_test.go
-// picks every registered family up automatically; see DESIGN.md §4h for the
-// full walk-through.
+// To add a grid family, add a Family constant, run `go generate
+// ./internal/guest` and register grid(family, wrap, canonical) in init;
+// DESIGN.md §4h covers other families.  The conformance suite in
+// guest_test.go picks every registered family up automatically.
 package guest
 
 import (
@@ -45,16 +46,6 @@ const (
 	Cylinder
 	Tree
 )
-
-// Spec is a concrete guest graph: a family plus an axis-length shape.
-type Spec struct {
-	Family Family
-	Shape  mesh.Shape
-}
-
-// String renders "family:shape" ("mesh:" is kept for symmetry, callers
-// that want the historical bare form print the Shape directly).
-func (g Spec) String() string { return g.Family.String() + ":" + g.Shape.String() }
 
 // Desc describes one family to the layers above.  All function fields are
 // pure and safe for concurrent use; the enumeration field is called on the
@@ -81,15 +72,15 @@ type Desc struct {
 	// makes canonical-key result caching sound.
 	Canonical func(s mesh.Shape) (mesh.Shape, []int)
 
-	// Decomposable gates the graph-decomposition strategy pipeline
-	// (§3–5 of the paper): true only for families whose edges are exactly
-	// the mesh edges.
-	Decomposable bool
-
-	// Wraps reports whether the family has wraparound edges (used by the
-	// planner's ring constructions and by reporting).
-	Wraps bool
+	// Grid marks the families whose edges are those of the shape's grid
+	// with the axes in Wrap closed into cycles; hot loops enumerate them
+	// with a direct mesh.Shape.EachEdgeRange(Wrap, …) call.
+	Grid bool
+	Wrap mesh.WrapSet
 }
+
+// Wraps reports whether the family has wraparound edges.
+func (d Desc) Wraps() bool { return d.Grid && d.Wrap != mesh.NoWrap }
 
 // registry is indexed by Family.  It is populated in init and read-only
 // afterwards, so lookups need no locking.
@@ -171,31 +162,26 @@ func identityCanonical(s mesh.Shape) (mesh.Shape, []int) {
 	return s.Clone(), axmap
 }
 
+// grid describes the family whose edges are the grid edges of a shape with
+// the axes in wrap closed into cycles.
+func grid(f Family, wrap mesh.WrapSet, canonical func(mesh.Shape) (mesh.Shape, []int)) Desc {
+	return Desc{
+		Family:   f,
+		Validate: validateAny,
+		Edges:    func(s mesh.Shape) int { return s.Edges(wrap) },
+		EachEdgeRange: func(s mesh.Shape, lo, hi int, fn func(mesh.Edge)) {
+			s.EachEdgeRange(wrap, lo, hi, fn)
+		},
+		Canonical: canonical,
+		Grid:      true,
+		Wrap:      wrap,
+	}
+}
+
 func init() {
-	Register(Desc{
-		Family:        Mesh,
-		Validate:      validateAny,
-		Edges:         mesh.Shape.Edges,
-		EachEdgeRange: mesh.Shape.EachEdgeRange,
-		Canonical:     sortAll,
-		Decomposable:  true,
-	})
-	Register(Desc{
-		Family:        Torus,
-		Validate:      validateAny,
-		Edges:         mesh.Shape.TorusEdges,
-		EachEdgeRange: mesh.Shape.EachTorusEdgeRange,
-		Canonical:     sortAll,
-		Wraps:         true,
-	})
-	Register(Desc{
-		Family:        Cylinder,
-		Validate:      validateAny,
-		Edges:         mesh.Shape.CylinderEdges,
-		EachEdgeRange: mesh.Shape.EachCylinderEdgeRange,
-		Canonical:     sortPrefix,
-		Wraps:         true,
-	})
+	Register(grid(Mesh, mesh.NoWrap, sortAll))
+	Register(grid(Torus, mesh.WrapAll, sortAll))
+	Register(grid(Cylinder, 1, sortPrefix)) // path×…×path×cycle
 	Register(Desc{
 		Family:        Tree,
 		Validate:      validateTree,

@@ -1,9 +1,11 @@
 package guest
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/mesh"
 )
 
@@ -99,6 +101,75 @@ func TestConformancePartition(t *testing.T) {
 						t.Fatalf("%v %s split %v: edge sets differ at %d", d.Family, s, parts, i)
 					}
 				}
+			}
+		}
+	}
+}
+
+// oracleEdges lists a family's edges from a construction that shares no
+// code with the mesh enumerations: the grid families are Cartesian
+// products of one path or ring per axis (package graph), and the tree is
+// the heap rule — node i is adjacent to 2i+1 and 2i+2.  Pairs are (u, v)
+// with u < v, sorted.
+func oracleEdges(t *testing.T, f Family, s mesh.Shape) [][2]int {
+	var out [][2]int
+	add := func(u, v int) { out = append(out, [2]int{u, v}) }
+	switch f {
+	case Mesh:
+		graph.Mesh(s).EachEdge(add)
+	case Torus:
+		graph.Torus(s).EachEdge(add)
+	case Cylinder:
+		graph.Cylinder(s).EachEdge(add)
+	case Tree:
+		n := s.Nodes()
+		for i := 0; i < n; i++ {
+			for _, c := range []int{2*i + 1, 2*i + 2} {
+				if c < n {
+					add(i, c)
+				}
+			}
+		}
+	default:
+		t.Fatalf("%v has no independent edge oracle; add one here", f)
+	}
+	sortPairs(out)
+	return out
+}
+
+func sortPairs(p [][2]int) {
+	sort.Slice(p, func(i, j int) bool {
+		return p[i][0] < p[j][0] || p[i][0] == p[j][0] && p[i][1] < p[j][1]
+	})
+}
+
+// TestConformanceEdgesMatchOracle checks every family's EachEdgeRange
+// against its independent oracle as a multiset, so a dropped or duplicated
+// (wraparound) edge fails, and checks that every grid edge joins two nodes
+// that differ on exactly its Axis.  The fused metrics pass and the test
+// reference both enumerate through the same code, so this is what keeps
+// their shared edge set honest.
+func TestConformanceEdgesMatchOracle(t *testing.T) {
+	for _, d := range All() {
+		for _, s := range conformanceShapes(d.Family) {
+			var got [][2]int
+			d.EachEdgeRange(s, 0, s.Nodes(), func(e mesh.Edge) {
+				u, v := min(e.U, e.V), max(e.U, e.V)
+				got = append(got, [2]int{u, v})
+				if !d.Grid {
+					return
+				}
+				cu, cv := s.Coord(u), s.Coord(v)
+				for i := range cu {
+					if (cu[i] != cv[i]) != (i == e.Axis) {
+						t.Errorf("%v %s: edge %+v does not run along axis %d", d.Family, s, e, e.Axis)
+						return
+					}
+				}
+			})
+			sortPairs(got)
+			if want := oracleEdges(t, d.Family, s); !reflect.DeepEqual(got, want) {
+				t.Errorf("%v %s: enumeration\n  %v\nwant oracle\n  %v", d.Family, s, got, want)
 			}
 		}
 	}

@@ -2,61 +2,11 @@ package mesh
 
 import "sort"
 
-// Beyond the plain mesh and the all-axes wraparound torus, two further edge
-// interpretations of a Shape are defined here: the cylinder (wraparound on
-// the last axis only — the path×cycle products of Rajeshwari,
-// arXiv:2204.12079) and the complete binary tree (a single-axis shape
-// [2^h − 1] read as the heap-ordered tree).  All share the partitionable
-// EachEdgeRange idiom: the edges generated by disjoint node-index ranges
-// are disjoint and their union is the full edge set, which is what the
-// parallel metrics engine shards over.
-
-// CylinderEdges returns the number of edges when only the last axis wraps:
-// the mesh edges plus one ring-closing edge per line of the last axis
-// (none when that axis has length ≤ 2 — a length-2 ring coincides with the
-// mesh edge).
-func (s Shape) CylinderEdges() int {
-	total := s.Edges()
-	k := len(s) - 1
-	if s[k] > 2 {
-		line := 1
-		for j := 0; j < k; j++ {
-			line *= s[j]
-		}
-		total += line
-	}
-	return total
-}
-
-// EachCylinderEdge calls fn for every edge of the cylinder.
-func (s Shape) EachCylinderEdge(fn func(Edge)) {
-	s.EachCylinderEdgeRange(0, s.Nodes(), fn)
-}
-
-// EachCylinderEdgeRange is EachEdgeRange for the cylinder: wraparound on
-// the last axis only, with the wrap edge generated by its higher endpoint
-// exactly as in EachTorusEdgeRange, so disjoint index ranges generate
-// disjoint edge sets.
-func (s Shape) EachCylinderEdgeRange(lo, hi int, fn func(Edge)) {
-	coord := make([]int, len(s))
-	stride := make([]int, len(s))
-	st := 1
-	for i, l := range s {
-		stride[i] = st
-		st *= l
-	}
-	k := len(s) - 1
-	for idx := lo; idx < hi; idx++ {
-		s.CoordInto(idx, coord)
-		for i := range s {
-			if coord[i]+1 < s[i] {
-				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			} else if i == k && s[i] > 2 && coord[i] == s[i]-1 {
-				fn(Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
-			}
-		}
-	}
-}
+// Besides the grids of EachEdgeRange, a Shape has one further edge
+// interpretation: the complete binary tree, a single-axis shape [2^h − 1]
+// read as the heap-ordered tree.  It keeps the partitionable EachEdgeRange
+// idiom: the edges generated by disjoint node-index ranges are disjoint and
+// their union is the full edge set.
 
 // TreeNodes reports whether the single-axis shape holds a complete binary
 // tree: ℓ = 2^h − 1 for some h ≥ 1.
@@ -70,13 +20,6 @@ func (s Shape) TreeNodes() bool {
 
 // TreeEdges returns the edge count of the complete binary tree, |V| − 1.
 func (s Shape) TreeEdges() int { return s[0] - 1 }
-
-// EachTreeEdge calls fn for every edge of the heap-ordered complete binary
-// tree on the single-axis shape [2^h − 1]: node i is adjacent to its
-// children 2i+1 and 2i+2.
-func (s Shape) EachTreeEdge(fn func(Edge)) {
-	s.EachTreeEdgeRange(0, s.Nodes(), fn)
-}
 
 // EachTreeEdgeRange generates the child edges of the parents in [lo, hi).
 // Every edge has exactly one parent endpoint, so disjoint parent ranges

@@ -8,6 +8,7 @@ package mesh
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -79,44 +80,37 @@ func (s Shape) Nodes() int {
 	return n
 }
 
-// Edges returns the number of mesh edges without wraparound:
-// Σ_i (ℓi − 1) · Π_{j≠i} ℓj.
-func (s Shape) Edges() int {
+// WrapSet names the axes of a grid that wrap around — cycles instead of
+// paths — as a count of trailing axes: a shape's last w axes wrap.  Which
+// set each guest family uses is decided by package guest.
+type WrapSet int
+
+const (
+	NoWrap  WrapSet = 0           // the plain mesh: every axis is a path
+	WrapAll WrapSet = math.MaxInt // every axis is a cycle, whatever the arity
+)
+
+// first returns the lowest wrapped axis of a k-axis shape.
+func (w WrapSet) first(k int) int { return k - int(w) }
+
+// Edges returns the number of grid edges when the axes in wrap are cycles:
+// Σ_i e_i · Π_{j≠i} ℓj, where e_i is ℓi − 1 on a path axis and ℓi on a
+// cycle axis.  A cycle of length ≤ 2 adds no edge to its path (a length-2
+// ring's closing edge coincides with its one path edge).
+func (s Shape) Edges(wrap WrapSet) int {
+	first := wrap.first(len(s))
 	total := 0
 	for i := range s {
 		e := s[i] - 1
+		if i >= first && s[i] > 2 {
+			e++
+		}
 		for j := range s {
 			if j != i {
 				e *= s[j]
 			}
 		}
 		total += e
-	}
-	return total
-}
-
-// TorusEdges returns the number of edges with wraparound.  An axis of
-// length 1 contributes no ring edges and an axis of length 2 contributes a
-// single edge per line (the wraparound edge coincides with the mesh edge).
-func (s Shape) TorusEdges() int {
-	total := 0
-	for i := range s {
-		var per int
-		switch {
-		case s[i] <= 1:
-			per = 0
-		case s[i] == 2:
-			per = 1
-		default:
-			per = s[i]
-		}
-		line := 1
-		for j := range s {
-			if j != i {
-				line *= s[j]
-			}
-		}
-		total += per * line
 	}
 	return total
 }
@@ -240,14 +234,16 @@ type Edge struct {
 // EachEdge calls fn for every mesh edge (no wraparound), with U < V.
 // Iteration allocates one scratch coordinate vector.
 func (s Shape) EachEdge(fn func(Edge)) {
-	s.EachEdgeRange(0, s.Nodes(), fn)
+	s.EachEdgeRange(NoWrap, 0, s.Nodes(), fn)
 }
 
-// EachEdgeRange calls fn for the mesh edges generated by the node indices in
-// [lo, hi): the edges whose lower endpoint is one of those nodes.  A
-// partition of [0, Nodes()) therefore partitions the edge set, which is what
-// the parallel metrics engine shards over.
-func (s Shape) EachEdgeRange(lo, hi int, fn func(Edge)) {
+// EachEdgeRange calls fn for the edges of the grid with the axes in wrap
+// closed into cycles that are generated by the node indices in [lo, hi).
+// A path edge is generated by its lower endpoint and a wraparound edge by
+// its higher endpoint (the last hyperplane of its axis), so a partition of
+// [0, Nodes()) partitions the edge set, which is what the parallel metrics
+// engine shards over.  Edges(wrap) counts the full enumeration.
+func (s Shape) EachEdgeRange(wrap WrapSet, lo, hi int, fn func(Edge)) {
 	coord := make([]int, len(s))
 	stride := make([]int, len(s))
 	st := 1
@@ -255,40 +251,13 @@ func (s Shape) EachEdgeRange(lo, hi int, fn func(Edge)) {
 		stride[i] = st
 		st *= l
 	}
+	first := wrap.first(len(s))
 	for idx := lo; idx < hi; idx++ {
 		s.CoordInto(idx, coord)
 		for i := range s {
 			if coord[i]+1 < s[i] {
 				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			}
-		}
-	}
-}
-
-// EachTorusEdge calls fn for every edge of the wraparound mesh.  Ring edges
-// of an axis of length 2 are reported once (they coincide with mesh edges);
-// axes of length 1 have no edges.
-func (s Shape) EachTorusEdge(fn func(Edge)) {
-	s.EachTorusEdgeRange(0, s.Nodes(), fn)
-}
-
-// EachTorusEdgeRange is EachEdgeRange for the wraparound mesh.  A wraparound
-// edge is generated by its higher endpoint (the last hyperplane of its
-// axis), so disjoint index ranges again generate disjoint edge sets.
-func (s Shape) EachTorusEdgeRange(lo, hi int, fn func(Edge)) {
-	coord := make([]int, len(s))
-	stride := make([]int, len(s))
-	st := 1
-	for i, l := range s {
-		stride[i] = st
-		st *= l
-	}
-	for idx := lo; idx < hi; idx++ {
-		s.CoordInto(idx, coord)
-		for i := range s {
-			if coord[i]+1 < s[i] {
-				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			} else if s[i] > 2 && coord[i] == s[i]-1 {
+			} else if i >= first && s[i] > 2 {
 				// wraparound edge from the last to the first hyperplane
 				fn(Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
 			}

@@ -45,7 +45,7 @@ func TestNodesEdges(t *testing.T) {
 		if got := c.s.Nodes(); got != c.nodes {
 			t.Errorf("%v.Nodes() = %d, want %d", c.s, got, c.nodes)
 		}
-		if got := c.s.Edges(); got != c.edges {
+		if got := c.s.Edges(NoWrap); got != c.edges {
 			t.Errorf("%v.Edges() = %d, want %d", c.s, got, c.edges)
 		}
 	}
@@ -75,8 +75,8 @@ func TestEdgesMatchIteration(t *testing.T) {
 				t.Errorf("%v: edge %+v spans %d axes", s, e, diffAxes)
 			}
 		})
-		if count != s.Edges() {
-			t.Errorf("%v: iterated %d edges, Edges() = %d", s, count, s.Edges())
+		if count != s.Edges(NoWrap) {
+			t.Errorf("%v: iterated %d edges, Edges() = %d", s, count, s.Edges(NoWrap))
 		}
 	}
 }
@@ -97,11 +97,11 @@ func TestTorusEdges(t *testing.T) {
 		{Shape{2, 3}, 2*3 + 3}, // axis0 len2: 3 edges; axis1 len3: 2 rings of 3
 	}
 	for _, c := range cases {
-		if got := c.s.TorusEdges(); got != c.want {
-			t.Errorf("%v.TorusEdges() = %d, want %d", c.s, got, c.want)
+		if got := c.s.Edges(WrapAll); got != c.want {
+			t.Errorf("%v.Edges(WrapAll) = %d, want %d", c.s, got, c.want)
 		}
 		count := 0
-		c.s.EachTorusEdge(func(Edge) { count++ })
+		c.s.EachEdgeRange(WrapAll, 0, c.s.Nodes(), func(Edge) { count++ })
 		if count != c.want {
 			t.Errorf("%v: iterated %d torus edges, want %d", c.s, count, c.want)
 		}
@@ -112,7 +112,7 @@ func TestTorusEdgeValidity(t *testing.T) {
 	shapes := []Shape{{3}, {4}, {3, 4}, {2, 5}, {3, 3, 3}, {2, 2, 2}}
 	for _, s := range shapes {
 		seen := make(map[[2]int]bool)
-		s.EachTorusEdge(func(e Edge) {
+		s.EachEdgeRange(WrapAll, 0, s.Nodes(), func(e Edge) {
 			if e.U >= e.V {
 				t.Errorf("%v: unordered torus edge %+v", s, e)
 			}
@@ -291,21 +291,20 @@ func BenchmarkIndexCoord(b *testing.B) {
 }
 
 // collectEdges gathers edges from a range iteration for comparison.
-func collectEdges(s Shape, wrap bool, lo, hi int) []Edge {
+func collectEdges(s Shape, wrap WrapSet, lo, hi int) []Edge {
 	var out []Edge
-	fn := func(e Edge) { out = append(out, e) }
-	if wrap {
-		s.EachTorusEdgeRange(lo, hi, fn)
-	} else {
-		s.EachEdgeRange(lo, hi, fn)
-	}
+	s.EachEdgeRange(wrap, lo, hi, func(e Edge) { out = append(out, e) })
 	return out
 }
+
+// testWraps covers the plain mesh, the cylinder's last axis, a two-axis
+// suffix and the torus.
+var testWraps = []WrapSet{NoWrap, 1, 2, WrapAll}
 
 func TestEdgeRangePartition(t *testing.T) {
 	shapes := []Shape{{7}, {3, 5}, {4, 4}, {2, 3, 4}, {5, 1, 3}, {2, 2, 2, 2}}
 	for _, s := range shapes {
-		for _, wrap := range []bool{false, true} {
+		for _, wrap := range testWraps {
 			full := collectEdges(s, wrap, 0, s.Nodes())
 			// Any partition of the node range must reproduce the full edge
 			// sequence block by block.
@@ -330,10 +329,15 @@ func TestEdgeRangePartition(t *testing.T) {
 
 func TestEdgeRangeCountsMatchFormulas(t *testing.T) {
 	s := Shape{3, 4, 5}
-	if got := len(collectEdges(s, false, 0, s.Nodes())); got != s.Edges() {
-		t.Errorf("mesh edges %d, want %d", got, s.Edges())
+	want := map[WrapSet]int{
+		NoWrap:  2*20 + 3*15 + 4*12,
+		1:       2*20 + 3*15 + 5*12, // cylinder: 12 rings of 5 on the last axis
+		2:       2*20 + 4*15 + 5*12,
+		WrapAll: 3*20 + 4*15 + 5*12,
 	}
-	if got := len(collectEdges(s, true, 0, s.Nodes())); got != s.TorusEdges() {
-		t.Errorf("torus edges %d, want %d", got, s.TorusEdges())
+	for _, wrap := range testWraps {
+		if got := len(collectEdges(s, wrap, 0, s.Nodes())); got != s.Edges(wrap) || got != want[wrap] {
+			t.Errorf("wrap=%v: enumerated %d edges, Edges says %d, want %d", wrap, got, s.Edges(wrap), want[wrap])
+		}
 	}
 }

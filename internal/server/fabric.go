@@ -52,7 +52,7 @@ func (s *Server) handleChunkExecute(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.ChunkRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
 	}
@@ -87,7 +87,7 @@ func (s *Server) handlePeersJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.PeerJoinRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
 	}

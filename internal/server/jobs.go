@@ -32,7 +32,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.JobSubmitRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
 	}

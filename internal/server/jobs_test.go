@@ -219,6 +219,41 @@ func TestJobsCancelOverHTTP(t *testing.T) {
 	}
 }
 
+// TestOversizedBody413 sends bodies one byte over the 1 MiB cap to
+// /v1/plan and /v1/jobs: both a whole JSON object padded with whitespace
+// (which a reader that stops at the object would accept) and an object cut
+// off by the cap (which a truncating reader would call unexpected EOF) must
+// be a 413 with the bad_request envelope naming the limit.  A body of
+// exactly 1 MiB is still served.
+func TestOversizedBody413(t *testing.T) {
+	_, h := newJobServer(t, jobs.Config{})
+	const limit = 1 << 20
+	pad := func(obj string, n int) string { return obj + strings.Repeat(" ", n-len(obj)) }
+	cut := func(prefix string, n int) string { return prefix + strings.Repeat("x", n-len(prefix)) }
+	valid := map[string]string{
+		"/v1/plan": `{"shape":"4x4"}`,
+		"/v1/jobs": `{"kind":"census","census":{"max_n":4}}`,
+	}
+	for path, obj := range valid {
+		for name, body := range map[string]string{
+			"padded":    pad(obj, limit+1),
+			"truncated": cut(`{"kind":"`, limit+1),
+		} {
+			rec := doReq(t, h, http.MethodPost, path, body, nil)
+			env := decodeEnvelope(t, rec, http.StatusRequestEntityTooLarge, api.CodeBadRequest)
+			if !strings.Contains(env.Error.Message, "1 MiB") {
+				t.Errorf("%s %s: message %q does not name the 1 MiB limit", path, name, env.Error.Message)
+			}
+		}
+	}
+	if rec := doReq(t, h, http.MethodPost, "/v1/plan", pad(valid["/v1/plan"], limit), nil); rec.Code != http.StatusOK {
+		t.Fatalf("1 MiB body: %d %s", rec.Code, rec.Body.String())
+	}
+	if rec := doReq(t, h, http.MethodPost, "/v1/jobs", pad(valid["/v1/jobs"], limit), nil); rec.Code != http.StatusAccepted {
+		t.Fatalf("1 MiB job body: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestJobsErrorEnvelopes drives every jobs failure path and asserts the
 // typed envelope — bad body (400), validation (400), not found (404),
 // queue full (429 + Retry-After), and no manager attached (503).

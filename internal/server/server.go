@@ -44,6 +44,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -443,7 +444,7 @@ func (s *Server) lookup(ctx context.Context, key string, compute func(ctx contex
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
 	}
@@ -515,7 +516,7 @@ func planResult(p *core.Plan) *cachedResult {
 
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	var req EmbedRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
 	}
@@ -639,7 +640,7 @@ func relabelMap(e *embed.Embedding, want mesh.Shape) []uint64 {
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req CompareRequest
-	if err := decodeBody(r.Body, &req); err != nil {
+	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
 	}
@@ -736,16 +737,31 @@ func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mes
 	return &cachedResult{compare: resp}, nil
 }
 
+// maxBodyBytes caps a request body; a larger one is answered 413.
+const maxBodyBytes = 1 << 20
+
 // decodeBody parses a JSON request body, rejecting trailing garbage and
-// unknown fields so schema typos fail loudly.
-func decodeBody(r io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r, 1<<20))
+// unknown fields so schema typos fail loudly.  The rest of the body is
+// drained through the size cap even when the decoder stopped early, so a
+// body over maxBodyBytes is a 413 whatever its first MiB holds.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return errBadRequest("bad request body: %v", err)
+	err := dec.Decode(v)
+	if err == nil && dec.More() {
+		err = errors.New("trailing data")
 	}
-	if dec.More() {
-		return errBadRequest("bad request body: trailing data")
+	_, drainErr := io.Copy(io.Discard, body)
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) || errors.As(drainErr, &tooLarge) {
+		return &apiError{
+			status: http.StatusRequestEntityTooLarge, code: api.CodeBadRequest,
+			msg: "request body exceeds the 1 MiB limit",
+		}
+	}
+	if err != nil {
+		return errBadRequest("bad request body: %v", err)
 	}
 	return nil
 }

@@ -85,7 +85,7 @@ func TestStencilGrayOptimal(t *testing.T) {
 	if stats.MaxHops != 1 || stats.Makespan != 1 || stats.MaxLink != 1 {
 		t.Errorf("Gray stencil: %+v", stats)
 	}
-	if stats.Messages != 2*(mesh.Shape{8, 8}).Edges() {
+	if stats.Messages != 2*(mesh.Shape{8, 8}).Edges(mesh.NoWrap) {
 		t.Errorf("message count %d", stats.Messages)
 	}
 }
