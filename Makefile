@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-check bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check loadtest-smoke
+.PHONY: check vet build test race bench bench-short bench-check bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check
 
-check: vet build gen-check test race bounds-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check loadtest-smoke
+check: vet build gen-check test race bounds-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -58,22 +58,25 @@ bench-short:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/... .
 
 # The repo benchmark under bench/ is its own Go module, so the root build
-# and tests never compile it; vet and short-test it here so an API change
-# in the packages it drives cannot break it unnoticed.
+# and tests never compile it; vet and test it here so an API change in the
+# packages it drives cannot break it unnoticed.  Its TestSmoke is also the
+# end-to-end load gate: it boots embedserver and checks every answer of
+# every workload.  -count=1 because the test cache cannot see the
+# embedserver build TestSmoke execs.
 bench-check:
-	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	cd bench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 # Machine-readable benchmarks for the repo's perf trajectory, one row per
-# benchmark across the layers (see EXPERIMENTS.md for the recorded numbers).
+# benchmark across the layers, as JSON on stdout:
+# `make bench-json > BENCH_PRn.json` (see EXPERIMENTS.md for the numbers).
 bench-json:
-	{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
+	@{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier|BenchmarkSSEFanout' -benchmem ./internal/server; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem ./internal/jobs; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassify' -benchmem ./internal/core; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' ./internal/fabric; \
-	  $(GO) test -run '^$$' -bench . -benchmem ./internal/artifact; \
-	  BENCH=1 sh scripts/loadtest_smoke.sh; } \
-	  | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+	  $(GO) test -run '^$$' -bench . -benchmem ./internal/artifact; } \
+	  | $(GO) run ./cmd/benchjson
 
 # Build embedserver, boot it on a random port, hit /healthz and /v1/embed,
 # and check it drains cleanly on SIGTERM.
@@ -118,12 +121,6 @@ dash:
 # the same change.
 dash-check:
 	$(GO) run ./cmd/dashgen -check deploy/grafana/dashboards
-
-# Replayable seeded traffic mix against a booted server: plan/embed/compare
-# plus a batch job, asserting zero errors and benchjson-parseable
-# percentile rows.
-loadtest-smoke:
-	sh scripts/loadtest_smoke.sh
 
 figures:
 	$(GO) run ./cmd/figures

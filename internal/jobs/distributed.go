@@ -6,10 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strconv"
-	"time"
 
 	"repro/internal/artifact"
 	"repro/internal/core"
@@ -22,8 +19,8 @@ import (
 // distRunner extends kindRunner with the two halves of distributed
 // execution.  Every job kind implements it: the worker side packages one
 // chunk portably, the coordinator side folds shipped chunks back in index
-// order.  The single-node chunk loop is untouched — a distributed run is
-// the same runner driven by a fabric.Dispatch instead of a for loop, which
+// order.  A distributed run is the same runner driven by a fabric.Dispatch
+// instead of the local loop, committing through the same resultLog, which
 // is why the two produce byte-identical streams.
 type distRunner interface {
 	kindRunner
@@ -219,127 +216,34 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 	return hi - lo, nil
 }
 
-// runBodyDistributed is runBody's distributed twin: the same checkpoint
-// restore and truncate-to-offset replay discipline, but chunks execute on
-// fabric peers and arrive through a Dispatch that folds them strictly in
-// index order on this goroutine — so the result stream, checkpoints, and
-// final aggregate are byte-identical to the single-node chunk loop.
-func (m *Manager) runBodyDistributed(ctx context.Context, j *job, r distRunner, pool *fabric.Pool) error {
-	f, err := os.OpenFile(filepath.Join(j.dir, resultsFile), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-
-	total := r.chunks()
-	next, offset, shapes, retries := 0, int64(0), uint64(0), 0
-	if ck, err := readCheckpoint(j.dir); err == nil && ck != nil &&
-		ck.Version == api.JobSchemaVersion && ck.JobID == j.id {
-		if err := r.restore(ck.Agg); err == nil {
-			next, offset, shapes, retries = ck.NextChunk, ck.Offset, ck.Shapes, ck.Retries
-		} else {
-			m.log.Warn("jobs: checkpoint aggregate rejected; restarting job from scratch",
-				"job", j.id, "err", err)
-		}
-	}
-	if err := f.Truncate(offset); err != nil {
-		return err
-	}
-	if _, err := f.Seek(offset, 0); err != nil {
-		return err
-	}
-
-	d := fabric.NewDispatch(pool, j.req, total)
-	j.mu.Lock()
-	j.chunksDone, j.chunksTotal = next, total
-	j.shapes, j.retries, j.committed = shapes, retries, offset
-	j.dispatch = d
-	j.mu.Unlock()
+// runBodyDistributed is the fabric chunk source: chunks execute on the
+// pool's peers and arrive through a Dispatch that folds them strictly in
+// index order on this goroutine, each committed through the same log as
+// the local loop's.  Its checkpoints also record which peer each in-flight
+// chunk was on.
+func (m *Manager) runBodyDistributed(ctx context.Context, l *resultLog, r distRunner) error {
+	d := fabric.NewDispatch(m.cfg.Fabric, l.j.req, l.total)
+	l.j.mu.Lock()
+	l.j.dispatch = d
+	l.j.mu.Unlock()
 	defer func() {
-		j.mu.Lock()
-		j.dispatch = nil
-		j.mu.Unlock()
+		l.j.mu.Lock()
+		l.j.dispatch = nil
+		l.j.mu.Unlock()
 	}()
-
-	runStart := time.Now()
-	chunksAtStart, shapesAtStart := next, shapes
-	lastCkpt := next
-	folded := next
 	var buf bytes.Buffer
-	foldFn := func(res *api.ChunkResult) error {
+	err := d.Run(ctx, l.next, func(res *api.ChunkResult) error {
 		buf.Reset()
 		n, err := r.fold(res, &buf)
 		if err != nil {
 			return err
 		}
-		if _, err := f.Write(buf.Bytes()); err != nil {
-			return err
-		}
-		written := int64(buf.Len())
-		offset += written
-		shapes += n
-		folded = res.Chunk + 1
-		m.chunksDone.Add(1)
-		m.shapesDone.Add(n)
-		m.resultBytes.Add(written)
-
-		elapsed := time.Since(runStart).Seconds()
-		j.mu.Lock()
-		j.chunksDone = folded
-		j.shapes = shapes
-		j.committed = offset
-		j.retries = retries
-		if elapsed > 0 {
-			j.shapesPerSec = float64(shapes-shapesAtStart) / elapsed
-			perChunk := elapsed / float64(folded-chunksAtStart)
-			j.etaMS = int64(perChunk * float64(total-folded) * 1000)
-		}
-		j.mu.Unlock()
-
-		if hook := m.cfg.afterChunk; hook != nil {
-			if err := hook(j.id, res.Chunk); err != nil {
-				return err
-			}
-		}
-		if folded < total && folded-lastCkpt >= m.cfg.CheckpointEvery {
-			if err := m.writeCheckpointOwners(f, j, r, folded, offset, shapes, retries, d.Owners()); err != nil {
-				return err
-			}
-			lastCkpt = folded
-			m.persistStatus(j)
-		}
-		return nil
+		return l.commit(buf.Bytes(), n, d.Owners)
+	})
+	// errAbandoned is the test hook's simulated kill: no further disk writes.
+	if err != nil && !errors.Is(err, errAbandoned) && ctx.Err() != nil {
+		_ = l.checkpoint(nil) // best effort, as in runBody
+		return ctx.Err()
 	}
-	if err := d.Run(ctx, next, foldFn); err != nil {
-		if errors.Is(err, errAbandoned) {
-			return err // test hook: simulate a kill — no further disk writes
-		}
-		if ctx.Err() != nil {
-			m.writeCheckpointOwners(f, j, r, folded, offset, shapes, retries, nil)
-			return ctx.Err()
-		}
-		return err
-	}
-
-	// Same finish tail as runBody: checkpoint at (total, pre-finish
-	// offset), then the finish records.
-	if err := m.writeCheckpointOwners(f, j, r, total, offset, shapes, retries, nil); err != nil {
-		return err
-	}
-	buf.Reset()
-	if err := r.finish(&buf, shapes); err != nil {
-		return err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	offset += int64(buf.Len())
-	m.resultBytes.Add(int64(buf.Len()))
-	j.mu.Lock()
-	j.committed = offset
-	j.mu.Unlock()
-	return nil
+	return err
 }

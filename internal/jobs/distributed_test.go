@@ -6,8 +6,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -490,5 +492,147 @@ func TestDistributedStatusShowsFabric(t *testing.T) {
 	}
 	if fin.Fabric != nil {
 		t.Error("terminal status still carries a fabric block")
+	}
+}
+
+// TestResumeRestartsFromDamagedState: a run that cannot trust its resume
+// point — the results file lost bytes the checkpoint covers, or the
+// checkpoint is not JSON — must warn and regenerate from chunk 0, ending
+// with the uninterrupted single-node bytes, on either chunk source.
+// Truncating "up" to the checkpoint offset would instead zero-extend the
+// file and serve NUL bytes as rows.
+func TestResumeRestartsFromDamagedState(t *testing.T) {
+	_, want := runToCompletion(t, censusReq(4))
+	damages := []struct {
+		name string
+		tear func(t *testing.T, jobDir string)
+	}{
+		{"results truncated below offset", func(t *testing.T, jobDir string) {
+			ck, err := readCheckpoint(jobDir)
+			if err != nil || ck == nil || ck.Offset == 0 {
+				t.Fatalf("no checkpoint with committed bytes to tear: %+v, %v", ck, err)
+			}
+			if err := os.Truncate(filepath.Join(jobDir, resultsFile), ck.Offset/2); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"checkpoint not JSON", func(t *testing.T, jobDir string) {
+			if err := os.WriteFile(filepath.Join(jobDir, checkpointFile), []byte("{\"next_chunk\": 6,"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, source := range []string{"local", "distributed"} {
+		for _, dmg := range damages {
+			t.Run(source+"/"+dmg.name, func(t *testing.T) {
+				dir := t.TempDir()
+				req := censusReq(4)
+				cfg := testConfig(dir)
+				if source == "distributed" {
+					req = distributed(req)
+					cfg.Fabric = distPool(t, 2)
+				}
+				abandoned := make(chan struct{})
+				cfg.afterChunk = func(id string, chunk int) error {
+					if chunk == 7 {
+						close(abandoned)
+						return errAbandoned
+					}
+					return nil
+				}
+				m1, err := Open(cfg)
+				if err != nil {
+					t.Fatalf("Open: %v", err)
+				}
+				st, err := m1.Submit(req)
+				if err != nil {
+					t.Fatalf("Submit: %v", err)
+				}
+				<-abandoned
+				closeManager(t, m1)
+				dmg.tear(t, filepath.Join(dir, st.ID))
+
+				var logs bytes.Buffer
+				cfg2 := testConfig(dir)
+				cfg2.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+				if source == "distributed" {
+					cfg2.Fabric = distPool(t, 2)
+				}
+				m2, err := Open(cfg2)
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				fin := waitTerminal(t, m2, st.ID)
+				closeManager(t, m2)
+				if fin.State != api.JobDone {
+					t.Fatalf("resumed job ended %s (error %q)", fin.State, fin.Error)
+				}
+				if got := resultsBytes(t, dir, st.ID); !bytes.Equal(got, want) {
+					t.Fatalf("resumed stream differs from single-node (%d vs %d bytes, %d NULs)",
+						len(got), len(want), bytes.Count(got, []byte{0}))
+				}
+				if !strings.Contains(logs.String(), "restarting job from scratch") {
+					t.Errorf("no restart warning logged:\n%s", logs.String())
+				}
+			})
+		}
+	}
+}
+
+// TestResumeAcrossAlternatingSources: one job's checkpoints are written by
+// the fabric, then the local loop, then resumed by the fabric again — each
+// leg abandoned mid-run — and the stream is still the single-node bytes.
+func TestResumeAcrossAlternatingSources(t *testing.T) {
+	_, want := runToCompletion(t, censusReq(4))
+
+	dir := t.TempDir()
+	// leg opens a manager over dir with pool (nil: the local loop) and, when
+	// abandonAt >= 0, abandons the run after that chunk.
+	leg := func(pool *fabric.Pool, abandonAt int) (*Manager, <-chan struct{}) {
+		t.Helper()
+		abandoned := make(chan struct{})
+		cfg := testConfig(dir)
+		cfg.Fabric = pool
+		cfg.afterChunk = func(id string, chunk int) error {
+			if chunk == abandonAt {
+				close(abandoned)
+				return errAbandoned
+			}
+			return nil
+		}
+		m, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return m, abandoned
+	}
+
+	m1, abandoned := leg(distPool(t, 2), 4)
+	st, err := m1.Submit(distributed(censusReq(4)))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-abandoned
+	closeManager(t, m1)
+
+	m2, abandoned := leg(nil, 10)
+	<-abandoned
+	closeManager(t, m2)
+	if ck, err := readCheckpoint(filepath.Join(dir, st.ID)); err != nil || ck == nil || ck.NextChunk != 9 {
+		t.Fatalf("local leg left checkpoint %+v (%v), want next_chunk 9", ck, err)
+	}
+
+	m3, _ := leg(distPool(t, 3), -1)
+	defer closeManager(t, m3)
+	fin := waitTerminal(t, m3, st.ID)
+	if fin.State != api.JobDone {
+		t.Fatalf("job ended %s (error %q)", fin.State, fin.Error)
+	}
+	if fin.Resumed != 2 {
+		t.Errorf("Resumed = %d, want 2", fin.Resumed)
+	}
+	if got := resultsBytes(t, dir, st.ID); !bytes.Equal(got, want) {
+		t.Fatalf("stream resumed across alternating sources differs from single-node (%d vs %d bytes)",
+			len(got), len(want))
 	}
 }

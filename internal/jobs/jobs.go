@@ -15,8 +15,8 @@
 // client are committed in the sense that any future replay reproduces them
 // exactly, so a client can resume a broken stream by byte offset.
 //
-// Failure isolation: a panicking chunk is recovered, retried up to the
-// configured budget, and fails only its own job; the manager, its other
+// Failure isolation: a panicking chunk is recovered, retried up to
+// retryLimit times, and fails only its own job; the manager, its other
 // jobs, and the serving path stay up.
 package jobs
 
@@ -68,6 +68,15 @@ var (
 	errAbandoned = errors.New("jobs: run abandoned (test hook)")
 )
 
+const (
+	// maxWorkers caps the per-chunk parallelism a request may ask for, on
+	// a job's own node and on the fabric workers that run its chunks.
+	maxWorkers = 32
+	// retryLimit is how many times a panicked chunk is retried before its
+	// job fails.
+	retryLimit = 2
+)
+
 // Config parameterizes a Manager.
 type Config struct {
 	// DataDir is the root of the on-disk job state (required).
@@ -82,15 +91,9 @@ type Config struct {
 	// DefaultWorkers is the per-chunk parallelism when a request does not
 	// set workers (< 1 means GOMAXPROCS).
 	DefaultWorkers int
-	// MaxWorkers caps the per-chunk parallelism a request may ask for.
-	// Default 32.
-	MaxWorkers int
 	// CheckpointEvery is the number of chunks between checkpoints.  Default
 	// 8.  A kill loses at most that much progress — never correctness.
 	CheckpointEvery int
-	// RetryLimit is how many times a panicked chunk is retried before the
-	// job fails.  Default 2.
-	RetryLimit int
 	// Planner, when set, is shared with the plansweep jobs (the server
 	// passes its own so job planning warms the same plan cache).
 	Planner *core.Planner
@@ -121,16 +124,8 @@ func (c *Config) withDefaults() Config {
 	if cfg.Runners < 1 {
 		cfg.Runners = 1
 	}
-	if cfg.MaxWorkers < 1 {
-		cfg.MaxWorkers = 32
-	}
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 8
-	}
-	if cfg.RetryLimit < 0 {
-		cfg.RetryLimit = 0
-	} else if cfg.RetryLimit == 0 {
-		cfg.RetryLimit = 2
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
@@ -331,7 +326,7 @@ func (m *Manager) restore() ([]*job, error) {
 // Submit validates the request, persists a queued job and enqueues it.
 // The reply is the job's initial status (its id above all).
 func (m *Manager) Submit(req api.JobSubmitRequest) (api.JobStatus, error) {
-	if _, err := buildRunner(&req, m.workersFor(&req), m.cfg.Planner, ""); err != nil {
+	if _, err := buildRunner(&req, workersFor(&req, m.cfg.DefaultWorkers), m.cfg.Planner, ""); err != nil {
 		return api.JobStatus{}, err
 	}
 	if req.Distributed && m.cfg.Fabric == nil {
@@ -382,15 +377,14 @@ func (m *Manager) forget(id string) {
 	}
 }
 
-func (m *Manager) workersFor(req *api.JobSubmitRequest) int {
+// workersFor is a job's per-chunk parallelism: the request's own, else
+// def (< 1 means GOMAXPROCS), capped at maxWorkers.
+func workersFor(req *api.JobSubmitRequest, def int) int {
 	w := req.Workers
 	if w < 1 {
-		w = m.cfg.DefaultWorkers
+		w = def
 	}
-	if w > m.cfg.MaxWorkers {
-		w = m.cfg.MaxWorkers
-	}
-	return w
+	return min(w, maxWorkers)
 }
 
 // Status returns a job's current status.
@@ -597,7 +591,7 @@ func (m *Manager) runJob(j *job) {
 	if hook := m.cfg.beforeRun; hook != nil {
 		hook(j.id)
 	}
-	runner, err := buildRunner(&j.req, m.workersFor(&j.req), m.cfg.Planner, j.dir)
+	runner, err := buildRunner(&j.req, workersFor(&j.req, m.cfg.DefaultWorkers), m.cfg.Planner, j.dir)
 	if err != nil {
 		m.finalize(j, api.JobFailed, err)
 		return
@@ -627,14 +621,7 @@ func (m *Manager) runJob(j *job) {
 		span.SetAttr("job", j.id)
 		span.SetAttr("kind", string(j.kind))
 	}
-	if dr, ok := runner.(distRunner); ok && j.req.Distributed && m.cfg.Fabric != nil {
-		err = m.runBodyDistributed(jctx, j, dr, m.cfg.Fabric)
-	} else {
-		// Local chunk loop — also the fallback when a distributed job is
-		// resumed on a server without a pool (the streams are identical
-		// either way, so the resume stays byte-exact).
-		err = m.runBody(jctx, j, runner)
-	}
+	err = m.run(jctx, j, runner)
 	j.mu.Lock()
 	j.cancelRun = nil
 	j.mu.Unlock()
@@ -689,141 +676,243 @@ func (m *Manager) finalize(j *job, state api.JobState, err error) {
 	}
 }
 
-// runBody executes the chunk loop: restore from checkpoint, run remaining
-// chunks in order, append records, checkpoint periodically, then append the
-// finish records.  On a dying context it writes a final checkpoint so the
-// resume point is the last completed chunk.
-func (m *Manager) runBody(ctx context.Context, j *job, r kindRunner) error {
-	f, err := os.OpenFile(filepath.Join(j.dir, resultsFile), os.O_CREATE|os.O_RDWR, 0o644)
+// run commits j's chunks from one chunk source into its result log, then
+// appends the finish records.  A distributed job runs on the fabric when a
+// pool is configured; otherwise — including a distributed job resumed on a
+// server without one — the local loop runs it.  Both sources commit
+// through the same log, so the stream is the same bytes either way.
+func (m *Manager) run(ctx context.Context, j *job, r kindRunner) error {
+	l, err := m.openLog(j, r)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	defer l.f.Close()
+	if dr, ok := r.(distRunner); ok && j.req.Distributed && m.cfg.Fabric != nil {
+		err = m.runBodyDistributed(ctx, l, dr)
+	} else {
+		err = m.runBody(ctx, l)
+	}
+	if err != nil {
+		return err
+	}
+	return l.finish()
+}
 
-	total := r.chunks()
-	next, offset, shapes, retries := 0, int64(0), uint64(0), 0
-	if ck, err := readCheckpoint(j.dir); err == nil && ck != nil &&
-		ck.Version == api.JobSchemaVersion && ck.JobID == j.id {
-		if err := r.restore(ck.Agg); err == nil {
-			next, offset, shapes, retries = ck.NextChunk, ck.Offset, ck.Shapes, ck.Retries
-		} else {
+// resultLog is one run's commit state: the job's results file and the
+// resume point committed to it.  Chunks are committed strictly in index
+// order, whichever source produced them.
+type resultLog struct {
+	m *Manager
+	j *job
+	r kindRunner
+	f *os.File
+
+	total    int
+	next     int   // first uncommitted chunk
+	offset   int64 // committed stream length
+	shapes   uint64
+	retries  int
+	lastCkpt int
+
+	// Where this run started: throughput and ETA reflect this run only, so
+	// pre-kill progress does not inflate a resumed job's live rate.
+	start       time.Time
+	startNext   int
+	startShapes uint64
+}
+
+// openLog opens j's results file, restores the runner's aggregate and the
+// resume point from the checkpoint, and cuts the file back to the
+// checkpointed offset: bytes past it were written after the checkpoint and
+// will be regenerated identically.
+func (m *Manager) openLog(j *job, r kindRunner) (*resultLog, error) {
+	f, err := os.OpenFile(filepath.Join(j.dir, resultsFile), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	l := &resultLog{m: m, j: j, r: r, f: f, total: r.chunks()}
+	fi, err := f.Stat()
+	if err == nil {
+		if ck := m.resumePoint(j, r, fi.Size()); ck != nil {
+			l.next, l.offset, l.shapes, l.retries = ck.NextChunk, ck.Offset, ck.Shapes, ck.Retries
+		}
+		err = f.Truncate(l.offset)
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	l.lastCkpt, l.start, l.startNext, l.startShapes = l.next, time.Now(), l.next, l.shapes
+	j.mu.Lock()
+	j.chunksDone, j.chunksTotal = l.next, l.total
+	j.shapes, j.retries, j.committed = l.shapes, l.retries, l.offset
+	j.mu.Unlock()
+	return l, nil
+}
+
+// resumePoint restores r from j's checkpoint and returns it, or returns nil
+// to run from chunk 0 on r's fresh aggregate: when there is no checkpoint,
+// when it is unreadable, foreign or its aggregate is rejected, or when the
+// results file (size bytes) is shorter than its offset — truncating "up"
+// to the offset would zero-extend the file and serve NUL bytes as rows.
+func (m *Manager) resumePoint(j *job, r kindRunner, size int64) *checkpoint {
+	ck, err := readCheckpoint(j.dir)
+	switch {
+	case err != nil:
+		m.log.Warn("jobs: checkpoint unreadable; restarting job from scratch", "job", j.id, "err", err)
+	case ck == nil || ck.Version != api.JobSchemaVersion || ck.JobID != j.id:
+	case size < ck.Offset:
+		m.log.Warn("jobs: results file shorter than the checkpoint offset; restarting job from scratch",
+			"job", j.id, "size", size, "offset", ck.Offset)
+	default:
+		if err := r.restore(ck.Agg); err != nil {
 			m.log.Warn("jobs: checkpoint aggregate rejected; restarting job from scratch",
 				"job", j.id, "err", err)
+			return nil
 		}
+		return ck
 	}
-	// Drop any bytes past the resume point: they were written after the
-	// checkpoint and will be regenerated identically.
-	if err := f.Truncate(offset); err != nil {
+	return nil
+}
+
+// commit appends the next chunk's records and advances the commit state:
+// the manager's lifetime counters, the job's progress and ETA, the
+// afterChunk hook, and a checkpoint every CheckpointEvery chunks.  owners,
+// passed by the fabric source only, supplies the checkpoint's in-flight
+// chunk map.
+func (l *resultLog) commit(rows []byte, n uint64, owners func() map[string]string) error {
+	if _, err := l.f.Write(rows); err != nil {
 		return err
 	}
-	if _, err := f.Seek(offset, 0); err != nil {
-		return err
-	}
+	m, j, chunk := l.m, l.j, l.next
+	l.next++
+	l.offset += int64(len(rows))
+	l.shapes += n
+	m.chunksDone.Add(1)
+	m.shapesDone.Add(n)
+	m.resultBytes.Add(int64(len(rows)))
+
+	elapsed := time.Since(l.start).Seconds()
 	j.mu.Lock()
-	j.chunksDone, j.chunksTotal = next, total
-	j.shapes, j.retries, j.committed = shapes, retries, offset
+	j.chunksDone, j.shapes, j.committed, j.retries = l.next, l.shapes, l.offset, l.retries
+	if elapsed > 0 {
+		j.shapesPerSec = float64(l.shapes-l.startShapes) / elapsed
+		perChunk := elapsed / float64(l.next-l.startNext)
+		j.etaMS = int64(perChunk * float64(l.total-l.next) * 1000)
+	}
 	j.mu.Unlock()
 
-	runStart := time.Now()
-	chunksAtStart, shapesAtStart := next, shapes
-	lastCkpt := next
-	var buf bytes.Buffer
-	for chunk := next; chunk < total; chunk++ {
-		if ctx.Err() != nil {
-			m.writeCheckpoint(f, j, r, chunk, offset, shapes, retries)
-			return ctx.Err()
+	if hook := m.cfg.afterChunk; hook != nil {
+		if err := hook(j.id, chunk); err != nil {
+			return err
 		}
-		n, err := m.runChunk(ctx, j, r, chunk, &buf, &retries)
+	}
+	if l.next < l.total && l.next-l.lastCkpt >= m.cfg.CheckpointEvery {
+		var o map[string]string
+		if owners != nil {
+			o = owners()
+		}
+		if err := l.checkpoint(o); err != nil {
+			return err
+		}
+		l.lastCkpt = l.next
+		m.persistStatus(j)
+	}
+	return nil
+}
+
+// checkpoint syncs the results file and atomically replaces the checkpoint
+// with the current resume point.  Ordering matters: the data covered by
+// Offset must be durable before a checkpoint referencing it exists.
+// owners is a distributed run's in-flight chunk → peer map.
+func (l *resultLog) checkpoint(owners map[string]string) error {
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	agg, err := l.r.snapshot()
+	if err != nil {
+		return err
+	}
+	return writeJSONAtomic(filepath.Join(l.j.dir, checkpointFile), checkpoint{
+		Version: api.JobSchemaVersion, JobID: l.j.id,
+		NextChunk: l.next, Offset: l.offset, Shapes: l.shapes, Retries: l.retries, Agg: agg,
+		Owners: owners,
+	})
+}
+
+// finish checkpoints at (total, pre-finish offset), then appends and syncs
+// the finish records.  A crash between here and the terminal status
+// persist replays zero chunks and re-appends the finish records onto an
+// identical prefix.
+func (l *resultLog) finish() error {
+	if err := l.checkpoint(nil); err != nil {
+		return err
+	}
+	var buf bytes.Buffer
+	if err := l.r.finish(&buf, l.shapes); err != nil {
+		return err
+	}
+	if _, err := l.f.Write(buf.Bytes()); err != nil {
+		return err
+	}
+	if err := l.f.Sync(); err != nil {
+		return err
+	}
+	l.offset += int64(buf.Len())
+	l.m.resultBytes.Add(int64(buf.Len()))
+	l.j.mu.Lock()
+	l.j.committed = l.offset
+	l.j.mu.Unlock()
+	return nil
+}
+
+// runBody is the local chunk source: it runs the uncommitted chunks in
+// index order on this node and commits each.  On a dying context it
+// checkpoints, so the resume point is the last committed chunk.
+func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
+	var buf bytes.Buffer
+	for chunk := l.next; chunk < l.total; chunk++ {
+		var n uint64
+		err := ctx.Err()
+		if err == nil {
+			n, err = m.runChunk(ctx, l, chunk, &buf)
+		}
 		if err != nil {
 			if ctx.Err() != nil {
-				m.writeCheckpoint(f, j, r, chunk, offset, shapes, retries)
+				// Best effort: if it fails, the previous checkpoint still
+				// resumes byte-identically, only from an earlier chunk.
+				_ = l.checkpoint(nil)
 				return ctx.Err()
 			}
 			return err
 		}
-		if _, err := f.Write(buf.Bytes()); err != nil {
+		if err := l.commit(buf.Bytes(), n, nil); err != nil {
 			return err
 		}
-		written := int64(buf.Len())
-		offset += written
-		shapes += n
-		m.chunksDone.Add(1)
-		m.shapesDone.Add(n)
-		m.resultBytes.Add(written)
-
-		elapsed := time.Since(runStart).Seconds()
-		j.mu.Lock()
-		j.chunksDone = chunk + 1
-		j.shapes = shapes
-		j.committed = offset
-		j.retries = retries
-		if elapsed > 0 {
-			// Throughput and ETA reflect this run only: a resumed job should
-			// not let pre-kill progress inflate its live rate.
-			j.shapesPerSec = float64(shapes-shapesAtStart) / elapsed
-			perChunk := elapsed / float64(chunk+1-chunksAtStart)
-			j.etaMS = int64(perChunk * float64(total-chunk-1) * 1000)
-		}
-		j.mu.Unlock()
-
-		if hook := m.cfg.afterChunk; hook != nil {
-			if err := hook(j.id, chunk); err != nil {
-				return err
-			}
-		}
-		if chunk+1 < total && chunk+1-lastCkpt >= m.cfg.CheckpointEvery {
-			if err := m.writeCheckpoint(f, j, r, chunk+1, offset, shapes, retries); err != nil {
-				return err
-			}
-			lastCkpt = chunk + 1
-			m.persistStatus(j)
-		}
 	}
-
-	// Checkpoint at (total, pre-finish offset): a crash between here and the
-	// terminal status persist replays zero chunks and re-appends the finish
-	// records onto an identical prefix.
-	if err := m.writeCheckpoint(f, j, r, total, offset, shapes, retries); err != nil {
-		return err
-	}
-	buf.Reset()
-	if err := r.finish(&buf, shapes); err != nil {
-		return err
-	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	offset += int64(buf.Len())
-	m.resultBytes.Add(int64(buf.Len()))
-	j.mu.Lock()
-	j.committed = offset
-	j.mu.Unlock()
 	return nil
 }
 
 // runChunk executes one chunk with panic isolation and bounded retry.  The
 // buffer is reset per attempt; the runner's aggregate is untouched by a
 // failed attempt (see kindRunner), so a retry starts from a clean slate.
-func (m *Manager) runChunk(ctx context.Context, j *job, r kindRunner, chunk int, buf *bytes.Buffer, retries *int) (uint64, error) {
+func (m *Manager) runChunk(ctx context.Context, l *resultLog, chunk int, buf *bytes.Buffer) (uint64, error) {
 	for attempt := 0; ; attempt++ {
 		buf.Reset()
-		n, err := m.attemptChunk(ctx, j, r, chunk, attempt, buf)
+		n, err := m.attemptChunk(ctx, l.j, l.r, chunk, attempt, buf)
 		if err == nil {
 			return n, nil
 		}
 		if ctx.Err() != nil {
 			return 0, ctx.Err()
 		}
-		if attempt >= m.cfg.RetryLimit {
+		if attempt >= retryLimit {
 			return 0, fmt.Errorf("jobs: chunk %d failed after %d attempts: %w", chunk, attempt+1, err)
 		}
-		*retries++
+		l.retries++
 		m.retriesTot.Add(1)
 		m.log.Warn("jobs: chunk attempt failed; retrying",
-			"job", j.id, "chunk", chunk, "attempt", attempt+1, "err", err)
+			"job", l.j.id, "chunk", chunk, "attempt", attempt+1, "err", err)
 	}
 }
 
@@ -841,32 +930,6 @@ func (m *Manager) attemptChunk(ctx context.Context, j *job, r kindRunner, chunk,
 		hook(j.id, chunk, attempt)
 	}
 	return r.runChunk(cctx, chunk, buf)
-}
-
-// writeCheckpoint syncs the result stream and atomically replaces the
-// checkpoint file.  Ordering matters: the data covered by Offset must be
-// durable before a checkpoint referencing it exists.
-func (m *Manager) writeCheckpoint(f *os.File, j *job, r kindRunner, next int, offset int64, shapes uint64, retries int) error {
-	return m.writeCheckpointOwners(f, j, r, next, offset, shapes, retries, nil)
-}
-
-// writeCheckpointOwners is writeCheckpoint plus the distributed run's
-// per-chunk ownership snapshot (chunks in flight on peers at checkpoint
-// time).
-func (m *Manager) writeCheckpointOwners(f *os.File, j *job, r kindRunner, next int, offset int64, shapes uint64, retries int, owners map[string]string) error {
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	agg, err := r.snapshot()
-	if err != nil {
-		return err
-	}
-	ck := checkpoint{
-		Version: api.JobSchemaVersion, JobID: j.id,
-		NextChunk: next, Offset: offset, Shapes: shapes, Retries: retries, Agg: agg,
-		Owners: owners,
-	}
-	return writeJSONAtomic(filepath.Join(j.dir, checkpointFile), ck)
 }
 
 func (m *Manager) persistStatus(j *job) {

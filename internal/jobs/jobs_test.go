@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,13 +329,16 @@ func TestPanicRetry(t *testing.T) {
 	}
 }
 
+// TestPanicExhaustsRetriesFailsJob: a chunk that panics on every attempt
+// fails its job after retryLimit retries, and only its job.
 func TestPanicExhaustsRetriesFailsJob(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.RetryLimit = 1
+	var attempts atomic.Int32
 	cfg.beforeAttempt = func(id string, chunk, attempt int) {
 		// Break only the first submission; the follow-up job must run clean.
 		if strings.HasSuffix(id, "-000001") && chunk == 1 {
+			attempts.Add(1)
 			panic("always broken")
 		}
 	}
@@ -353,6 +357,9 @@ func TestPanicExhaustsRetriesFailsJob(t *testing.T) {
 	}
 	if !bytes.Contains([]byte(fin.Error), []byte("always broken")) {
 		t.Errorf("error %q does not surface the panic", fin.Error)
+	}
+	if got := attempts.Load(); got != retryLimit+1 {
+		t.Errorf("chunk ran %d attempts, want %d (retryLimit %d + 1)", got, retryLimit+1, retryLimit)
 	}
 	// The manager must survive: a fresh job on the same manager succeeds.
 	st2, err := m.Submit(epsilonReq(2))

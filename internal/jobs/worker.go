@@ -32,14 +32,7 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 	if planner == nil {
 		planner = core.NewPlanner(core.DefaultOptions)
 	}
-	workers := req.Job.Workers
-	if workers < 1 {
-		workers = defaultWorkers
-	}
-	if workers > 32 { // the Manager's default MaxWorkers cap
-		workers = 32
-	}
-	r, err := buildRunner(&req.Job, workers, planner, "")
+	r, err := buildRunner(&req.Job, workersFor(&req.Job, defaultWorkers), planner, "")
 	if err != nil {
 		return nil, err
 	}
