@@ -71,7 +71,7 @@ bench-check:
 # `make bench-json > BENCH_PRn.json` (see EXPERIMENTS.md for the numbers).
 bench-json:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier|BenchmarkSSEFanout' -benchmem ./internal/server; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier' -benchmem ./internal/server; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem ./internal/jobs; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkClassify' -benchmem ./internal/core; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' ./internal/fabric; \

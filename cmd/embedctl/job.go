@@ -288,10 +288,11 @@ func digestResults(r io.Reader, w io.Writer) error {
 }
 
 // jobEvents follows the SSE event stream, writing row payloads to stdout as
-// NDJSON (byte-identical to `job results` from the same offset) and progress
-// lines to stderr.  If the server drops the stream mid-job — slow-client
-// eviction, restart — it reconnects with the last row's id, so the stdout
-// stream stays gapless and duplicate-free.
+// NDJSON and progress lines to stderr; `-from B` prints exactly what `job
+// results -offset B` does, even for a B inside a line.  If the connection
+// drops mid-job — a server restart, a dropped connection — it reconnects
+// with the last row's id, so the stdout stream stays gapless and
+// duplicate-free.
 func jobEvents(ctx context.Context, args []string) {
 	fs := flag.NewFlagSet("job events", flag.ExitOnError)
 	addr := fs.String("addr", "http://127.0.0.1:8080", "embedserver base URL")

@@ -161,9 +161,8 @@ func Definitions() []Dashboard {
 				q(`rate(embedserver_jobs_result_bytes_total[5m])`, "committed")),
 			ts("SSE subscribers", "Live /v1/jobs/{id}/events subscribers.", "short",
 				q(`embedserver_sse_subscribers`, "subscribers")),
-			ts("SSE delivery and drops", "Events fanned out per second, and slow clients evicted (a drop is a client that stopped reading, never a stalled job).", "ops",
-				q(`rate(embedserver_sse_events_total[5m])`, "events/s"),
-				q(`rate(embedserver_sse_dropped_total[5m])`, "drops/s")),
+			ts("SSE delivery", "Events written to subscribers per second.", "ops",
+				q(`rate(embedserver_sse_events_total[5m])`, "events/s")),
 		}),
 	}
 

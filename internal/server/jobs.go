@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -112,9 +113,89 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, path)
 }
 
-// resultsPollInterval paces the long-poll loop in handleJobResults.  A
-// variable, not a constant, so tests can tighten it.
-var resultsPollInterval = 150 * time.Millisecond
+// resultsPollInterval paces followResults.
+const resultsPollInterval = 150 * time.Millisecond
+
+// openStream is the prelude of both result streams (/results and /events).
+// raw is the client's resume offset, named what in the 400 it draws when
+// malformed; an offset past the committed length is a 400 too.  It opens the
+// results file, which a queued job does not have yet (f is then nil).  When
+// ok is false the request has been answered.
+func (s *Server) openStream(w http.ResponseWriter, r *http.Request, raw, what string) (f *os.File, offset int64, ok bool) {
+	if !s.jobsManager(w, r) {
+		return nil, 0, false
+	}
+	info, err := s.jobs.Results(r.PathValue("id"))
+	if err != nil {
+		respondErr(w, r, jobsError(err))
+		return nil, 0, false
+	}
+	if raw != "" {
+		offset, err = strconv.ParseInt(raw, 10, 64)
+		if err != nil || offset < 0 {
+			respondErr(w, r, errBadRequest("bad %s %q", what, raw))
+			return nil, 0, false
+		}
+	}
+	if offset > info.Committed {
+		respondErr(w, r, errBadRequest("offset %d is past the committed stream length %d", offset, info.Committed))
+		return nil, 0, false
+	}
+	f, err = os.Open(info.Path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		respondErr(w, r, err)
+		return nil, 0, false
+	}
+	return f, offset, true
+}
+
+// followResults follows job id's result stream from offset on behalf of one
+// request, taking ownership of f (nil until the file exists).  Every
+// resultsPollInterval it hands tick the newly committed span [cur,
+// Committed), possibly empty; the next span starts where this one ends.  A
+// span is whole NDJSON lines, because the runner commits whole chunks (only
+// a mid-line offset makes the first span start mid-line).  It returns
+// nil once the job is terminal and every committed byte has been handed
+// over, or early with the request's cancellation, tick's error, or the
+// manager's error for an evicted job.
+//
+// The job runner never waits on a follower: a follower only reads bytes the
+// runner has already committed, and a slow client blocks only its own
+// handler's writes.
+func (s *Server) followResults(ctx context.Context, id string, f *os.File, offset int64, tick func(span io.Reader) error) error {
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
+	cur := offset
+	for {
+		info, err := s.jobs.Results(id)
+		if err != nil {
+			return err
+		}
+		if f == nil {
+			f, _ = os.Open(info.Path)
+		}
+		end := cur
+		if f != nil {
+			end = info.Committed
+		}
+		// With f still nil the span is empty, so it never reads from f.
+		if err := tick(io.NewSectionReader(f, cur, end-cur)); err != nil {
+			return err
+		}
+		cur = end
+		if info.State.Terminal() && cur >= info.Committed {
+			return nil
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(resultsPollInterval):
+		}
+	}
+}
 
 // handleJobResults streams a job's committed NDJSON results from the given
 // Last-Event-Offset (default zero) and keeps following the file until the
@@ -125,75 +206,23 @@ var resultsPollInterval = 150 * time.Millisecond
 // see exactly the missing suffix — the stream is deterministic, so offsets
 // remain valid across server crashes.
 func (s *Server) handleJobResults(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
+	f, offset, ok := s.openStream(w, r, r.Header.Get(api.ResultsOffsetHeader), api.ResultsOffsetHeader+" header")
+	if !ok {
 		return
-	}
-	info, err := s.jobs.Results(r.PathValue("id"))
-	if err != nil {
-		respondErr(w, r, jobsError(err))
-		return
-	}
-	offset := int64(0)
-	if h := r.Header.Get(api.ResultsOffsetHeader); h != "" {
-		offset, err = strconv.ParseInt(h, 10, 64)
-		if err != nil || offset < 0 {
-			respondErr(w, r, errBadRequest("bad %s header %q", api.ResultsOffsetHeader, h))
-			return
-		}
-	}
-	if offset > info.Committed {
-		respondErr(w, r, errBadRequest("offset %d is past the committed stream length %d", offset, info.Committed))
-		return
-	}
-	f, err := os.Open(info.Path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			// Queued job that has not produced its results file yet: an
-			// empty stream is correct, follow it below once it appears.
-			f = nil
-		} else {
-			respondErr(w, r, err)
-			return
-		}
-	}
-	if f != nil {
-		defer f.Close()
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set(api.ResultsOffsetHeader, strconv.FormatInt(offset, 10))
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	cur := offset
-	for {
-		info, err = s.jobs.Results(r.PathValue("id"))
-		if err != nil {
-			return // job evicted mid-stream; the client sees a truncated body
+	// A client that goes away or a job evicted mid-stream both just end the
+	// body; the client resumes from the bytes it holds.
+	_ = s.followResults(r.Context(), r.PathValue("id"), f, offset, func(span io.Reader) error {
+		if _, err := io.Copy(w, span); err != nil {
+			return err
 		}
-		if f == nil {
-			f, err = os.Open(info.Path)
-			if err != nil {
-				f = nil
-			} else {
-				defer f.Close()
-			}
+		if flusher != nil {
+			flusher.Flush()
 		}
-		if f != nil && info.Committed > cur {
-			n, err := io.Copy(w, io.NewSectionReader(f, cur, info.Committed-cur))
-			cur += n
-			if err != nil {
-				return // client went away
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		if info.State.Terminal() && cur >= info.Committed {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-time.After(resultsPollInterval):
-		}
-	}
+		return nil
+	})
 }

@@ -19,7 +19,7 @@ import (
 
 // newJobServer wires a Server to a fresh job manager over a temp data dir
 // and registers manager shutdown with the test's cleanup.
-func newJobServer(t *testing.T, jcfg jobs.Config) (*Server, http.Handler) {
+func newJobServer(t testing.TB, jcfg jobs.Config) (*Server, http.Handler) {
 	t.Helper()
 	s := New(Config{})
 	jcfg.DataDir = t.TempDir()
@@ -38,7 +38,7 @@ func newJobServer(t *testing.T, jcfg jobs.Config) (*Server, http.Handler) {
 	return s, s.Handler()
 }
 
-func doReq(t *testing.T, h http.Handler, method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
+func doReq(t testing.TB, h http.Handler, method, path, body string, hdr map[string]string) *httptest.ResponseRecorder {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -73,7 +73,7 @@ func decodeEnvelope(t *testing.T, rec *httptest.ResponseRecorder, status int, co
 	return env
 }
 
-func submitJob(t *testing.T, h http.Handler, body string) api.JobStatus {
+func submitJob(t testing.TB, h http.Handler, body string) api.JobStatus {
 	t.Helper()
 	rec := doReq(t, h, http.MethodPost, "/v1/jobs", body, nil)
 	if rec.Code != http.StatusAccepted {
@@ -89,7 +89,7 @@ func submitJob(t *testing.T, h http.Handler, body string) api.JobStatus {
 	return st
 }
 
-func waitJobDone(t *testing.T, h http.Handler, id string) api.JobStatus {
+func waitJobDone(t testing.TB, h http.Handler, id string) api.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {

@@ -114,6 +114,10 @@ type metrics struct {
 	// achieved metrics provably meet the lower bounds.
 	certTotal   atomic.Uint64
 	certOptimal atomic.Uint64
+	// Live job-event streams (see sse.go): open subscribers, and events
+	// written to them.
+	sseSubscribers atomic.Int64
+	sseEvents      atomic.Uint64
 }
 
 func newMetrics() *metrics {
@@ -230,7 +234,6 @@ var metricFamilyNames = []string{
 	"embedserver_result_cache_hits_total",
 	"embedserver_result_cache_misses_total",
 	"embedserver_shed_total",
-	"embedserver_sse_dropped_total",
 	"embedserver_sse_events_total",
 	"embedserver_sse_subscribers",
 	"go_gc_pause_total_seconds",

@@ -150,13 +150,12 @@ type Server struct {
 	jobs     *jobs.Manager      // nil until AttachJobs; jobs endpoints 503 without it
 	artifact *artifact.Artifact // nil until AttachArtifact; L1 plan tier (see tiers.go)
 	pool     *fabric.Pool       // nil until AttachFabric; peer endpoints 503 without it
-	sse      *sseHub            // live job-event fanout (see sse.go)
 }
 
 // New returns a Server with cfg's zero fields defaulted.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
 		planner: core.NewPlanner(cfg.Opts),
 		cache:   newLRUCache(cfg.CacheSize),
@@ -164,8 +163,6 @@ func New(cfg Config) *Server {
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		m:       newMetrics(),
 	}
-	s.sse = newSSEHub(s)
-	return s
 }
 
 // Planner exposes the server's planner so the job manager can share it (a
@@ -828,9 +825,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	gauges = append(gauges,
-		gauge{name: "embedserver_sse_subscribers", help: "Live SSE job-event subscribers.", kind: "gauge", value: float64(s.sse.subscribers.Load())},
-		gauge{name: "embedserver_sse_events_total", help: "SSE events delivered to subscriber buffers.", kind: "counter", value: float64(s.sse.events.Load())},
-		gauge{name: "embedserver_sse_dropped_total", help: "SSE subscribers dropped for falling behind (slow clients).", kind: "counter", value: float64(s.sse.dropped.Load())},
+		gauge{name: "embedserver_sse_subscribers", help: "Live SSE job-event subscribers.", kind: "gauge", value: float64(s.m.sseSubscribers.Load())},
+		gauge{name: "embedserver_sse_events_total", help: "SSE events written to subscribers.", kind: "counter", value: float64(s.m.sseEvents.Load())},
 	)
 	gauges = append(gauges, runtimeGauges()...)
 	gauges = append(gauges, buildInfoGauge())

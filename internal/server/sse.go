@@ -1,329 +1,56 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"strconv"
-	"sync"
-	"sync/atomic"
-	"time"
 )
 
 // Server-sent-events live job streaming: GET /v1/jobs/{id}/events is the SSE
 // twin of the NDJSON results endpoint, built on the same committed-offset
-// protocol.
+// protocol and the same per-request follower (followResults).
 //
 // Event framing: each committed NDJSON result line becomes one "row" event
 // whose data is the line without its trailing newline and whose SSE id is
 // the byte offset just PAST that line in the result stream.  So the
 // concatenation of row payloads, each followed by "\n", is byte-identical to
-// the results download — and a client reconnecting with Last-Event-ID
-// resumes exactly, because committed offsets are replay-stable across
-// coordinator restarts.  "progress", "fabric" and "done" events interleave
-// with the rows but carry no id, so they never perturb resume offsets.
-//
-// Fanout: one follower goroutine per job (started by the first subscriber,
-// exiting with the last) polls the manager at resultsPollInterval and
-// broadcasts to per-subscriber buffered channels.  A subscriber whose buffer
-// is full is dropped on the spot — counted on /metrics, never blocking the
-// feed, and certainly never the job runner, which does not know the hub
-// exists.  A dropped client reconnects with its Last-Event-ID and misses
-// nothing.
+// the results download from the same offset — and a client reconnecting with
+// Last-Event-ID resumes exactly, because committed offsets are replay-stable
+// across coordinator restarts.  "progress", "fabric" and "done" events
+// interleave with the rows but carry no id, so they never perturb resume
+// offsets.
 
-// sseSubBuffer bounds each subscriber's event backlog.  At the default poll
-// interval a healthy client drains a handful of events per tick; hundreds of
-// queued events means the client has stalled for many seconds.
-const sseSubBuffer = 256
-
-// sseEvent is one server-sent event.  id is the result-stream byte offset
-// after this row for "row" events, -1 for the id-less kinds.
-type sseEvent struct {
-	typ  string // row | progress | fabric | done
-	id   int64
-	data []byte
-}
-
-// sseSub is one subscriber's endpoint handle.
-type sseSub struct {
-	ch chan sseEvent
-	// frontier is the feed's row frontier at subscribe time: every row at or
-	// past it will arrive on ch, everything before it is caught up from the
-	// file.
-	frontier int64
-	// dropped is set (by the feed goroutine, before closing ch) when the
-	// subscriber was evicted for falling behind.
-	dropped atomic.Bool
-}
-
-// sseHub fans job events out to SSE subscribers.  All membership state is
-// guarded by one mutex — subscribe/unsubscribe and feed teardown are rare
-// next to broadcasts, which only hold it long enough to snapshot.
-type sseHub struct {
-	s *Server
-
-	mu    sync.Mutex
-	feeds map[string]*sseFeed
-
-	subscribers atomic.Int64
-	events      atomic.Uint64
-	dropped     atomic.Uint64
-}
-
-func newSSEHub(s *Server) *sseHub {
-	return &sseHub{s: s, feeds: make(map[string]*sseFeed)}
-}
-
-// sseFeed is the per-job follower: one goroutine tailing the job's committed
-// results and status on behalf of every subscriber.
-type sseFeed struct {
-	hub *sseHub
-	id  string
-
-	// Guarded by hub.mu:
-	subs     map[*sseSub]struct{}
-	frontier int64 // result bytes already broadcast as row events
-
-	// Owned by the run goroutine:
-	lastProgress []byte
-	lastFabric   []byte
-}
-
-// subscribe registers a new subscriber for a job, starting the feed if it is
-// the first.  The returned sub's frontier tells the caller how far to catch
-// up from the file before reading the channel.
-func (h *sseHub) subscribe(id string) *sseSub {
-	sub := &sseSub{ch: make(chan sseEvent, sseSubBuffer)}
-	h.mu.Lock()
-	f := h.feeds[id]
-	if f == nil {
-		f = &sseFeed{hub: h, id: id, subs: make(map[*sseSub]struct{})}
-		h.feeds[id] = f
-		go f.run()
-	}
-	f.subs[sub] = struct{}{}
-	sub.frontier = f.frontier
-	h.mu.Unlock()
-	h.subscribers.Add(1)
-	return sub
-}
-
-// unsubscribe removes a subscriber (handler exit).  The channel is never
-// closed here — only the feed goroutine closes channels — so an in-flight
-// broadcast can still complete its non-blocking send harmlessly.
-func (h *sseHub) unsubscribe(id string, sub *sseSub) {
-	h.mu.Lock()
-	f := h.feeds[id]
-	ok := false
-	if f != nil {
-		_, ok = f.subs[sub]
-		delete(f.subs, sub)
-	}
-	h.mu.Unlock()
-	if ok {
-		h.subscribers.Add(-1)
-	}
-}
-
-// broadcast delivers one event to every current subscriber, evicting any
-// whose buffer is full.  Row events advance the feed's frontier first, so a
-// concurrent subscriber either sees the new frontier (and catches up from
-// the file) or is in the snapshot (and gets the event) — never neither.
-func (f *sseFeed) broadcast(ev sseEvent) {
-	h := f.hub
-	h.mu.Lock()
-	if ev.typ == "row" {
-		f.frontier = ev.id
-	}
-	subs := make([]*sseSub, 0, len(f.subs))
-	for s := range f.subs {
-		subs = append(subs, s)
-	}
-	h.mu.Unlock()
-	for _, s := range subs {
-		select {
-		case s.ch <- ev:
-			h.events.Add(1)
-		default:
-			f.drop(s)
-		}
-	}
-}
-
-// drop evicts one slow subscriber.  Runs only on the feed goroutine, which
-// is also the only closer of channels, so send/close never race.
-func (f *sseFeed) drop(s *sseSub) {
-	h := f.hub
-	h.mu.Lock()
-	_, ok := f.subs[s]
-	delete(f.subs, s)
-	h.mu.Unlock()
-	if ok {
-		s.dropped.Store(true)
-		close(s.ch)
-		h.dropped.Add(1)
-		h.subscribers.Add(-1)
-	}
-}
-
-// finish broadcasts an optional final event, then closes every subscriber
-// channel and removes the feed.
-func (f *sseFeed) finish(ev *sseEvent) {
-	if ev != nil {
-		f.broadcast(*ev)
-	}
-	h := f.hub
-	h.mu.Lock()
-	delete(h.feeds, f.id)
-	subs := make([]*sseSub, 0, len(f.subs))
-	for s := range f.subs {
-		subs = append(subs, s)
-	}
-	f.subs = map[*sseSub]struct{}{}
-	h.mu.Unlock()
-	for _, s := range subs {
-		close(s.ch)
-	}
-	h.subscribers.Add(-int64(len(subs)))
-}
-
-// sseReadChunk bounds how many result bytes one poll iteration reads, so a
-// huge checkpoint flush cannot stall progress events behind a single read.
-const sseReadChunk = 1 << 20
-
-// run is the follower loop: tail committed rows, diff status into progress /
-// fabric events, and finish with a "done" event when the job is terminal and
-// fully streamed.  Exits when the job disappears or the last subscriber
-// leaves.
-func (f *sseFeed) run() {
-	h := f.hub
-	var file *os.File
-	defer func() {
-		if file != nil {
-			file.Close()
-		}
-	}()
-	for {
-		info, err := h.s.jobs.Results(f.id)
-		if err != nil {
-			f.finish(nil) // evicted or unknown; subscribers see the stream end
-			return
-		}
-		if file == nil {
-			// Queued jobs have no results file yet; keep trying.
-			file, _ = os.Open(info.Path)
-		}
-		for file != nil && info.Committed > f.rowFrontier() {
-			base := f.rowFrontier()
-			n := info.Committed - base
-			if n > sseReadChunk {
-				n = sseReadChunk
-			}
-			buf := make([]byte, n)
-			m, err := file.ReadAt(buf, base)
-			if err != nil && err != io.EOF {
-				break
-			}
-			buf = buf[:m]
-			// Emit only complete lines; committed offsets are chunk-aligned
-			// and chunks are whole NDJSON lines, so a partial tail can only
-			// come from the bounded read above.
-			emitted := false
-			for {
-				i := bytes.IndexByte(buf, '\n')
-				if i < 0 {
-					break
-				}
-				f.broadcast(sseEvent{typ: "row", id: base + int64(i) + 1, data: buf[:i:i]})
-				buf = buf[i+1:]
-				base += int64(i) + 1
-				emitted = true
-			}
-			if !emitted {
-				break
-			}
-		}
-		st, stErr := h.s.jobs.Status(f.id)
-		if stErr == nil {
-			if b, err := json.Marshal(st); err == nil && !bytes.Equal(b, f.lastProgress) {
-				f.lastProgress = b
-				f.broadcast(sseEvent{typ: "progress", id: -1, data: b})
-			}
-			if st.Fabric != nil {
-				if b, err := json.Marshal(st.Fabric); err == nil && !bytes.Equal(b, f.lastFabric) {
-					f.lastFabric = b
-					f.broadcast(sseEvent{typ: "fabric", id: -1, data: b})
-				}
-			}
-			if st.State.Terminal() && f.rowFrontier() >= info.Committed {
-				f.finish(&sseEvent{typ: "done", id: -1, data: f.lastProgress})
-				return
-			}
-		}
-		// Last one out turns off the light: no subscribers, no feed.
-		h.mu.Lock()
-		if len(f.subs) == 0 {
-			delete(h.feeds, f.id)
-			h.mu.Unlock()
-			return
-		}
-		h.mu.Unlock()
-		time.Sleep(resultsPollInterval)
-	}
-}
-
-func (f *sseFeed) rowFrontier() int64 {
-	f.hub.mu.Lock()
-	defer f.hub.mu.Unlock()
-	return f.frontier
-}
-
-// writeSSE renders one event in text/event-stream framing.
-func writeSSE(w io.Writer, ev sseEvent) error {
+// writeSSE renders one event in text/event-stream framing; id < 0 omits the
+// id line.
+func (s *Server) writeSSE(w io.Writer, typ string, id int64, data []byte) error {
 	var err error
-	if ev.id >= 0 {
-		_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", ev.typ, ev.id, ev.data)
+	if id >= 0 {
+		_, err = fmt.Fprintf(w, "event: %s\nid: %d\ndata: %s\n\n", typ, id, data)
 	} else {
-		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.typ, ev.data)
+		_, err = fmt.Fprintf(w, "event: %s\ndata: %s\n\n", typ, data)
+	}
+	if err == nil {
+		s.m.sseEvents.Add(1)
 	}
 	return err
 }
 
 // handleJobEvents streams a job live over SSE.  Resume: the Last-Event-ID
-// header (or ?offset=) is a result-stream byte offset; rows before it are
-// skipped, rows from it on are replayed from the committed file, then the
-// stream goes live.  ?rows=off suppresses row events for pure progress
-// watching (embedctl job watch).  Registered outside instrument for the same
-// reason as the results stream: it follows the job for its whole life.
+// header (or ?offset=) is a result-stream byte offset; rows start exactly
+// there, replayed from the committed file and then followed live.
+// ?rows=off suppresses row events for pure progress watching (embedctl job
+// watch).  Registered outside instrument for the same reason as the results
+// stream: it follows the job for its whole life.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
+	raw, what := r.Header.Get("Last-Event-ID"), "Last-Event-ID"
+	if raw == "" {
+		raw, what = r.URL.Query().Get("offset"), "offset"
 	}
-	id := r.PathValue("id")
-	info, err := s.jobs.Results(id)
-	if err != nil {
-		respondErr(w, r, jobsError(err))
-		return
-	}
-	offset := int64(0)
-	if h := r.Header.Get("Last-Event-ID"); h != "" {
-		offset, err = strconv.ParseInt(h, 10, 64)
-		if err != nil || offset < 0 {
-			respondErr(w, r, errBadRequest("bad Last-Event-ID %q", h))
-			return
-		}
-	} else if q := r.URL.Query().Get("offset"); q != "" {
-		offset, err = strconv.ParseInt(q, 10, 64)
-		if err != nil || offset < 0 {
-			respondErr(w, r, errBadRequest("bad offset %q", q))
-			return
-		}
-	}
-	if offset > info.Committed {
-		respondErr(w, r, errBadRequest("offset %d is past the committed stream length %d", offset, info.Committed))
+	f, offset, ok := s.openStream(w, r, raw, what)
+	if !ok {
 		return
 	}
 	rows := r.URL.Query().Get("rows") != "off"
@@ -333,63 +60,54 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	s.m.sseSubscribers.Add(1)
+	defer s.m.sseSubscribers.Add(-1)
 
-	sub := s.sse.subscribe(id)
-	defer s.sse.unsubscribe(id, sub)
-
-	// Catch up rows in [offset, feed frontier) straight from the file; the
-	// channel carries everything at or past the frontier.
+	id := r.PathValue("id")
 	cur := offset
-	if rows && sub.frontier > cur {
-		if f, err := os.Open(info.Path); err == nil {
-			rd := io.NewSectionReader(f, cur, sub.frontier-cur)
-			br := make([]byte, 0, 64<<10)
-			tmp := make([]byte, 64<<10)
+	br := bufio.NewReader(nil)
+	var lastProgress, lastFabric []byte
+	err := s.followResults(r.Context(), id, f, offset, func(span io.Reader) error {
+		if rows {
+			br.Reset(span)
 			for {
-				n, rerr := rd.Read(tmp)
-				br = append(br, tmp[:n]...)
-				for {
-					i := bytes.IndexByte(br, '\n')
-					if i < 0 {
-						break
-					}
-					if werr := writeSSE(w, sseEvent{typ: "row", id: cur + int64(i) + 1, data: br[:i]}); werr != nil {
-						f.Close()
-						return
-					}
-					br = br[i+1:]
-					cur += int64(i) + 1
-				}
-				if rerr != nil {
+				// Spans end on a newline, so EOF leaves no partial line.
+				line, err := br.ReadBytes('\n')
+				if err == io.EOF {
 					break
 				}
+				if err != nil {
+					return err
+				}
+				cur += int64(len(line))
+				if err := s.writeSSE(w, "row", cur, line[:len(line)-1]); err != nil {
+					return err
+				}
 			}
-			f.Close()
+		}
+		if st, err := s.jobs.Status(id); err == nil {
+			if b, err := json.Marshal(st); err == nil && !bytes.Equal(b, lastProgress) {
+				lastProgress = b
+				if err := s.writeSSE(w, "progress", -1, b); err != nil {
+					return err
+				}
+			}
+			if st.Fabric != nil {
+				if b, err := json.Marshal(st.Fabric); err == nil && !bytes.Equal(b, lastFabric) {
+					lastFabric = b
+					if err := s.writeSSE(w, "fabric", -1, b); err != nil {
+						return err
+					}
+				}
+			}
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case ev, ok := <-sub.ch:
-			if !ok {
-				return // feed finished, or we were dropped as a slow client
-			}
-			if ev.typ == "row" {
-				if !rows || ev.id <= cur {
-					continue // already served during catch-up
-				}
-				cur = ev.id
-			}
-			if err := writeSSE(w, ev); err != nil {
-				return
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
+		return nil
+	})
+	if err == nil {
+		// The job is terminal, so the last progress is its final status.
+		_ = s.writeSSE(w, "done", -1, lastProgress)
 	}
 }

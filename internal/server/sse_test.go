@@ -2,14 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
+	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -231,112 +230,122 @@ func TestSSEResumeAcrossRestart(t *testing.T) {
 	decodeEnvelope(t, rec, http.StatusBadRequest, api.CodeBadRequest)
 }
 
-// TestSSESlowSubscriberDropped: a subscriber that stops draining is evicted
-// once its buffer fills — the broadcast never blocks — and the eviction is
-// visible on /metrics.
-func TestSSESlowSubscriberDropped(t *testing.T) {
-	s := New(Config{})
-	hub := s.sse
-	f := &sseFeed{hub: hub, id: "stalled", subs: make(map[*sseSub]struct{})}
-	sub := &sseSub{ch: make(chan sseEvent, sseSubBuffer)}
-	hub.mu.Lock()
-	hub.feeds[f.id] = f
-	f.subs[sub] = struct{}{}
-	hub.mu.Unlock()
-	hub.subscribers.Add(1)
+// TestSSEFollowsBigJobOnOneConnection: a plansweep chunk commits a whole
+// first axis of rows at once, so one poll can reveal thousands of rows.  A
+// live subscriber must still follow the job to its done event on one
+// connection, with rows byte-identical to the results download, while a
+// second subscriber of the same job never reads its stream at all.
+func TestSSEFollowsBigJobOnOneConnection(t *testing.T) {
+	s, _ := newJobServer(t, jobs.Config{})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	get := func(ctx context.Context, path string) *http.Response {
+		t.Helper()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, resp.StatusCode)
+		}
+		return resp
+	}
 
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < sseSubBuffer+8; i++ {
-			f.broadcast(sseEvent{typ: "progress", id: -1, data: []byte("{}")})
-		}
+	resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+		strings.NewReader(`{"kind":"plansweep","plansweep":{"dims":3,"max_axis":40,"max_nodes":65536}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st api.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %v", resp.StatusCode, err)
+	}
+
+	stalledCtx, stall := context.WithCancel(ctx)
+	stalled := get(stalledCtx, "/v1/jobs/"+st.ID+"/events")
+	defer func() {
+		stall()
+		stalled.Body.Close()
 	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("broadcast blocked on a stalled subscriber")
+
+	live := get(ctx, "/v1/jobs/"+st.ID+"/events")
+	body, err := io.ReadAll(live.Body)
+	live.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sub.dropped.Load() {
-		t.Fatal("stalled subscriber was not marked dropped")
+	evs := parseSSE(t, string(body))
+	if len(evs) == 0 {
+		t.Fatal("empty event stream")
 	}
-	closed := false
-	timeout := time.After(5 * time.Second)
-	for !closed {
-		select {
-		case _, ok := <-sub.ch:
-			closed = !ok
-		case <-timeout:
-			t.Fatal("dropped subscriber's channel was not closed")
-		}
+	if last := evs[len(evs)-1]; last.typ != "done" || !strings.Contains(last.data, `"done"`) {
+		t.Fatalf("stream ended with %s %q after %d events, want done", last.typ, last.data, len(evs))
 	}
-	if got := hub.dropped.Load(); got != 1 {
-		t.Fatalf("hub.dropped = %d, want 1", got)
+	_, got := sseRows(t, evs, 0)
+
+	results := get(ctx, "/v1/jobs/"+st.ID+"/results")
+	want, err := io.ReadAll(results.Body)
+	results.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := hub.subscribers.Load(); got != 0 {
-		t.Fatalf("hub.subscribers = %d, want 0 after drop", got)
+	if got != string(want) {
+		t.Fatalf("rows differ from the results download (%d vs %d bytes)", len(got), len(want))
 	}
-	samples := parseExposition(t, scrape(t, s))
-	if v := samples["embedserver_sse_dropped_total"]; v != 1 {
-		t.Fatalf("embedserver_sse_dropped_total = %v, want 1", v)
-	}
-	hub.mu.Lock()
-	delete(hub.feeds, f.id)
-	hub.mu.Unlock()
 }
 
-// BenchmarkSSEFanout measures broadcast-to-drain throughput at several
-// fanout widths; the derived events/s metric lands in BENCH_PR9.json via
-// make bench-json.  A catch-up barrier every half-buffer keeps the drainers
-// within the subscriber buffer, so the number measures delivery to live
-// clients rather than the cost of evicting everyone and broadcasting into an
-// empty map.
-func BenchmarkSSEFanout(b *testing.B) {
-	for _, subs := range []int{1, 16, 128} {
-		b.Run("subs="+strconv.Itoa(subs), func(b *testing.B) {
-			s := New(Config{})
-			hub := s.sse
-			f := &sseFeed{hub: hub, id: "bench", subs: make(map[*sseSub]struct{})}
-			hub.mu.Lock()
-			hub.feeds[f.id] = f
-			hub.mu.Unlock()
-			var delivered atomic.Int64
-			var drained sync.WaitGroup
-			for i := 0; i < subs; i++ {
-				sub := &sseSub{ch: make(chan sseEvent, sseSubBuffer)}
-				hub.mu.Lock()
-				f.subs[sub] = struct{}{}
-				hub.mu.Unlock()
-				hub.subscribers.Add(1)
-				drained.Add(1)
-				go func() {
-					defer drained.Done()
-					for range sub.ch {
-						delivered.Add(1)
-					}
-				}()
-			}
-			row := []byte(`{"shape":"4x4x4","plan":"bench"}`)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				f.broadcast(sseEvent{typ: "row", id: int64(i+1) * int64(len(row)+1), data: row})
-				if (i+1)%(sseSubBuffer/2) == 0 {
-					target := int64(i+1) * int64(subs)
-					for delivered.Load() < target {
-						runtime.Gosched()
-					}
-				}
-			}
-			for delivered.Load() < int64(b.N)*int64(subs) {
-				runtime.Gosched()
-			}
-			b.StopTimer()
-			f.finish(nil)
-			drained.Wait()
-			if n := hub.dropped.Load(); n != 0 {
-				b.Fatalf("%d subscribers dropped during a paced benchmark", n)
-			}
-			b.ReportMetric(float64(delivered.Load())/b.Elapsed().Seconds(), "events/s")
-		})
+// FuzzJobStreamOffset sends each input as the resume offset of both result
+// streams of one finished job: Last-Event-ID on /events, Last-Event-Offset
+// on /results.  Both answer 200 or a 400 envelope, never a 5xx.  On a 200
+// the rows start exactly at the offset, even one inside a line: each row id
+// is the offset just past its payload, the payloads concatenate to the
+// /results body, and the stream ends with done.
+func FuzzJobStreamOffset(f *testing.F) {
+	_, h := newJobServer(f, jobs.Config{})
+	st := submitJob(f, h, `{"kind":"census","census":{"max_n":3}}`)
+	if fin := waitJobDone(f, h, st.ID); fin.State != api.JobDone {
+		f.Fatalf("job ended %s", fin.State)
 	}
+	full := doReq(f, h, http.MethodGet, "/v1/jobs/"+st.ID+"/results", "", nil).Body.String()
+	committed := int64(len(full))
+	for _, seed := range []string{
+		"", "0", "5",
+		strconv.Itoa(strings.IndexByte(full, '\n') + 1),
+		strconv.FormatInt(committed, 10),
+		strconv.FormatInt(committed+1, 10),
+		"-1", "x", "9223372036854775807",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		events := doReq(t, h, http.MethodGet, "/v1/jobs/"+st.ID+"/events", "", map[string]string{"Last-Event-ID": raw})
+		results := doReq(t, h, http.MethodGet, "/v1/jobs/"+st.ID+"/results", "", map[string]string{api.ResultsOffsetHeader: raw})
+		if events.Code != http.StatusOK || results.Code != http.StatusOK {
+			decodeEnvelope(t, events, http.StatusBadRequest, api.CodeBadRequest)
+			decodeEnvelope(t, results, http.StatusBadRequest, api.CodeBadRequest)
+			return
+		}
+		offset := int64(0)
+		if raw != "" {
+			var err error
+			if offset, err = strconv.ParseInt(raw, 10, 64); err != nil {
+				t.Fatalf("offset %q answered 200: %v", raw, err)
+			}
+		}
+		evs := parseSSE(t, events.Body.String())
+		if len(evs) == 0 || evs[len(evs)-1].typ != "done" {
+			t.Fatalf("offset %q: stream does not end with done", raw)
+		}
+		if _, rows := sseRows(t, evs, offset); rows != results.Body.String() {
+			t.Fatalf("offset %q: rows differ from the results body (%d vs %d bytes)", raw, len(rows), results.Body.Len())
+		}
+	})
 }

@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strconv"
 	"strings"
@@ -148,19 +149,12 @@ func decodeError(resp *http.Response, body []byte) *api.Error {
 	return &api.Error{Code: code, Message: msg}
 }
 
-// do runs one API call with the retry policy and decodes a 2xx body into
-// out (which may be nil to discard it).  body, when non-nil, is re-encoded
-// per attempt — requests must stay resubmittable for retry to be sound,
-// which the retried codes guarantee (the server rejected without side
-// effects, or the call is idempotent).
-func (c *Client) do(ctx context.Context, method, path string, hdr http.Header, body, out any) error {
-	var payload []byte
-	if body != nil {
-		var err error
-		if payload, err = json.Marshal(body); err != nil {
-			return fmt.Errorf("client: encode request: %w", err)
-		}
-	}
+// send runs one request under the retry policy and returns the first 2xx
+// response, whose body the caller must close.  payload, when non-nil, is a
+// JSON body resent on every attempt — requests must stay resubmittable for
+// retry to be sound, which the retried codes guarantee (the server rejected
+// without side effects, or the call is idempotent).
+func (c *Client) send(ctx context.Context, method, path string, hdr http.Header, payload []byte) (*http.Response, error) {
 	delay := c.backoff
 	for attempt := 0; ; attempt++ {
 		var rd io.Reader
@@ -169,66 +163,72 @@ func (c *Client) do(ctx context.Context, method, path string, hdr http.Header, b
 		}
 		req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 		if err != nil {
-			return err
+			return nil, err
 		}
+		maps.Copy(req.Header, hdr)
 		if payload != nil {
 			req.Header.Set("Content-Type", "application/json")
-		}
-		for k, vs := range hdr {
-			for _, v := range vs {
-				req.Header.Add(k, v)
-			}
 		}
 		if c.secret != "" {
 			req.Header.Set(api.FabricSecretHeader, c.secret)
 		}
 		resp, err := c.http.Do(req)
-		if err != nil {
-			// Transient dial failures (refused/reset) back off and retry
-			// like a 429; anything else — including ctx causes — returns
-			// unmasked.
-			if attempt >= c.retries || !transientDial(err) {
-				return err
-			}
-			if serr := c.sleep(ctx, delay); serr != nil {
-				return err
-			}
-			delay *= 2
-			continue
-		}
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
-		if resp.StatusCode >= 200 && resp.StatusCode < 300 {
-			if rerr != nil {
-				return rerr
-			}
-			if out == nil {
-				return nil
-			}
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("client: decode %s response: %w", path, err)
-			}
-			return nil
-		}
-		apiErr := decodeError(resp, data)
-		if attempt >= c.retries || !retryable(apiErr) {
-			return apiErr
+		if err == nil && resp.StatusCode >= 200 && resp.StatusCode < 300 {
+			return resp, nil
 		}
 		wait := delay
-		if hint := time.Duration(apiErr.RetryAfterMS) * time.Millisecond; hint > wait {
-			wait = hint
+		if err == nil {
+			data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+			resp.Body.Close()
+			apiErr := decodeError(resp, data)
+			if !retryable(apiErr) {
+				return nil, apiErr
+			}
+			if hint := time.Duration(apiErr.RetryAfterMS) * time.Millisecond; hint > wait {
+				wait = hint
+			}
+			err = apiErr
+		} else if !transientDial(err) {
+			// Anything but a refused or reset dial — including a ctx
+			// cause — returns unmasked.
+			return nil, err
 		}
-		if err := c.sleep(ctx, wait); err != nil {
-			return apiErr // the context died while backing off; report the API failure
+		// A context that dies while backing off reports the last failure.
+		if attempt >= c.retries || c.sleep(ctx, wait) != nil {
+			return nil, err
 		}
 		delay *= 2
 	}
 }
 
+// do runs one JSON API call through send and decodes the 2xx body into out.
+func (c *Client) do(ctx context.Context, method, path string, body, out any) error {
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			return fmt.Errorf("client: encode request: %w", err)
+		}
+	}
+	resp, err := c.send(ctx, method, path, nil, payload)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		return fmt.Errorf("client: decode %s response: %w", path, err)
+	}
+	return nil
+}
+
 // Healthz checks service liveness.
 func (c *Client) Healthz(ctx context.Context) (*api.HealthzResponse, error) {
 	var out api.HealthzResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -237,7 +237,7 @@ func (c *Client) Healthz(ctx context.Context) (*api.HealthzResponse, error) {
 // Plan plans a shape without building the embedding.
 func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanResponse, error) {
 	var out api.PlanResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/plan", nil, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/plan", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -246,7 +246,7 @@ func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanRespon
 // Embed plans, builds and measures one embedding.
 func (c *Client) Embed(ctx context.Context, req api.EmbedRequest) (*api.EmbedResponse, error) {
 	var out api.EmbedResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/embed", nil, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/embed", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -255,7 +255,7 @@ func (c *Client) Embed(ctx context.Context, req api.EmbedRequest) (*api.EmbedRes
 // Compare measures one shape under every applicable technique.
 func (c *Client) Compare(ctx context.Context, req api.CompareRequest) (*api.CompareResponse, error) {
 	var out api.CompareResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/compare", nil, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/compare", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -266,7 +266,7 @@ func (c *Client) Compare(ctx context.Context, req api.CompareRequest) (*api.Comp
 // guarantees a rejected submit had no side effects.
 func (c *Client) SubmitJob(ctx context.Context, req api.JobSubmitRequest) (*api.JobStatus, error) {
 	var out api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", nil, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -275,7 +275,7 @@ func (c *Client) SubmitJob(ctx context.Context, req api.JobSubmitRequest) (*api.
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 	var out api.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -284,7 +284,7 @@ func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
 // Jobs lists every job the server knows, in creation order.
 func (c *Client) Jobs(ctx context.Context) ([]api.JobStatus, error) {
 	var out api.JobListResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs", nil, &out); err != nil {
 		return nil, err
 	}
 	return out.Jobs, nil
@@ -293,7 +293,7 @@ func (c *Client) Jobs(ctx context.Context) ([]api.JobStatus, error) {
 // CancelJob cancels a job and returns its resulting status.
 func (c *Client) CancelJob(ctx context.Context, id string) (*api.JobStatus, error) {
 	var out api.JobStatus
-	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -305,44 +305,15 @@ func (c *Client) CancelJob(ctx context.Context, id string) (*api.JobStatus, erro
 // connection drops.  The caller must Close the reader; to resume after a
 // drop, pass the total byte count consumed so far as the new offset.
 func (c *Client) JobResults(ctx context.Context, id string, offset int64) (io.ReadCloser, error) {
-	delay := c.backoff
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/results", nil)
-		if err != nil {
-			return nil, err
-		}
-		if offset > 0 {
-			req.Header.Set(api.ResultsOffsetHeader, strconv.FormatInt(offset, 10))
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			if attempt >= c.retries || !transientDial(err) {
-				return nil, err
-			}
-			if serr := c.sleep(ctx, delay); serr != nil {
-				return nil, err
-			}
-			delay *= 2
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			return resp.Body, nil
-		}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		apiErr := decodeError(resp, data)
-		if attempt >= c.retries || !retryable(apiErr) {
-			return nil, apiErr
-		}
-		wait := delay
-		if hint := time.Duration(apiErr.RetryAfterMS) * time.Millisecond; hint > wait {
-			wait = hint
-		}
-		if err := c.sleep(ctx, wait); err != nil {
-			return nil, apiErr
-		}
-		delay *= 2
+	hdr := http.Header{}
+	if offset > 0 {
+		hdr.Set(api.ResultsOffsetHeader, strconv.FormatInt(offset, 10))
 	}
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/results", hdr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Body, nil
 }
 
 // JobArtifact opens the plan-census artifact of a finished plancensus job
@@ -351,20 +322,11 @@ func (c *Client) JobResults(ctx context.Context, id string, offset int64) (io.Re
 // without retrying — poll with WatchJob first, or back off on the error's
 // RetryAfterMS.  The caller must Close the reader.
 func (c *Client) JobArtifact(ctx context.Context, id string) (io.ReadCloser, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/artifact", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/artifact", nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode == http.StatusOK {
-		return resp.Body, nil
-	}
-	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	return nil, decodeError(resp, data)
+	return resp.Body, nil
 }
 
 // ExecuteChunk runs exactly one chunk of a job spec on this server (the
@@ -375,7 +337,7 @@ func (c *Client) JobArtifact(ctx context.Context, id string) (io.ReadCloser, err
 // policy (429/503 and transient dial failures) applies safely.
 func (c *Client) ExecuteChunk(ctx context.Context, req api.ChunkRequest) (*api.ChunkResult, error) {
 	var out api.ChunkResult
-	if err := c.do(ctx, http.MethodPost, "/v1/internal/chunks", nil, req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/internal/chunks", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -385,7 +347,7 @@ func (c *Client) ExecuteChunk(ctx context.Context, req api.ChunkRequest) (*api.C
 // dispatch counters (GET /v1/peers).
 func (c *Client) Peers(ctx context.Context) (*api.PeersResponse, error) {
 	var out api.PeersResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/peers", nil, nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/peers", nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -396,7 +358,7 @@ func (c *Client) Peers(ctx context.Context) (*api.PeersResponse, error) {
 // secret; joining an already-known address re-dials it.
 func (c *Client) JoinPeer(ctx context.Context, addr string) (*api.PeersResponse, error) {
 	var out api.PeersResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/peers", nil, api.PeerJoinRequest{Addr: addr}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/peers", api.PeerJoinRequest{Addr: addr}, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -406,11 +368,7 @@ func (c *Client) JoinPeer(ctx context.Context, addr string) (*api.PeersResponse,
 // callers (embedctl bench) diff counters like embedserver_plan_tier_*_total
 // across a run.
 func (c *Client) RawMetrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, nil)
 	if err != nil {
 		return "", err
 	}
@@ -418,9 +376,6 @@ func (c *Client) RawMetrics(ctx context.Context) (string, error) {
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
 		return "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return "", decodeError(resp, data)
 	}
 	return string(data), nil
 }

@@ -47,52 +47,22 @@ type EventStream struct {
 // JobEvents opens the live event stream for a job from the given result
 // byte offset (0 for the beginning).  With rows=false the server omits row
 // events — the cheap mode for progress watching.  The stream ends (Next
-// returns io.EOF) after the "done" event, or earlier if the server drops a
-// slow consumer; resume by reconnecting from LastRowID.
+// returns io.EOF) after the "done" event, or earlier if the connection drops
+// (a server restart); resume by reconnecting from LastRowID.
 func (c *Client) JobEvents(ctx context.Context, id string, offset int64, rows bool) (*EventStream, error) {
 	path := "/v1/jobs/" + id + "/events"
 	if !rows {
 		path += "?rows=off"
 	}
-	delay := c.backoff
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Accept", "text/event-stream")
-		if offset > 0 {
-			req.Header.Set("Last-Event-ID", strconv.FormatInt(offset, 10))
-		}
-		resp, err := c.http.Do(req)
-		if err != nil {
-			if attempt >= c.retries || !transientDial(err) {
-				return nil, err
-			}
-			if serr := c.sleep(ctx, delay); serr != nil {
-				return nil, err
-			}
-			delay *= 2
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			return &EventStream{body: resp.Body, br: bufio.NewReader(resp.Body), lastRow: offset}, nil
-		}
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		resp.Body.Close()
-		apiErr := decodeError(resp, data)
-		if attempt >= c.retries || !retryable(apiErr) {
-			return nil, apiErr
-		}
-		wait := delay
-		if hint := time.Duration(apiErr.RetryAfterMS) * time.Millisecond; hint > wait {
-			wait = hint
-		}
-		if err := c.sleep(ctx, wait); err != nil {
-			return nil, apiErr
-		}
-		delay *= 2
+	hdr := http.Header{"Accept": {"text/event-stream"}}
+	if offset > 0 {
+		hdr.Set("Last-Event-ID", strconv.FormatInt(offset, 10))
 	}
+	resp, err := c.send(ctx, http.MethodGet, path, hdr, nil)
+	if err != nil {
+		return nil, err
+	}
+	return &EventStream{body: resp.Body, br: bufio.NewReader(resp.Body), lastRow: offset}, nil
 }
 
 // Next returns the next event.  io.EOF means the server closed the stream —
@@ -194,11 +164,7 @@ func (c *Client) WatchJobLive(ctx context.Context, id string, interval time.Dura
 // root, covering coordinator and worker spans for a distributed run).  409
 // not_ready until the run has written one.
 func (c *Client) JobTrace(ctx context.Context, id string) (json.RawMessage, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/jobs/"+id+"/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -206,9 +172,6 @@ func (c *Client) JobTrace(ctx context.Context, id string) (json.RawMessage, erro
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
 		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, decodeError(resp, data)
 	}
 	return json.RawMessage(data), nil
 }

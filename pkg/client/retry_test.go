@@ -1,18 +1,25 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"sync"
 	"syscall"
 	"testing"
+	"time"
+
+	"repro/pkg/api"
 )
 
-// flakyTransport fails the first `fails` round trips with err, then
-// delegates to the real transport.  http.Client wraps the error in a
-// *url.Error, which errors.Is unwraps — exactly what a refused dial to a
-// restarting peer looks like.
+// flakyTransport fails the first `fails` round trips, then delegates to the
+// real transport.  A failing round trip returns err — http.Client wraps it
+// in a *url.Error, which errors.Is unwraps, exactly what a refused dial to a
+// restarting peer looks like — or, with err nil, a 503 unavailable envelope
+// with Retry-After: 1.
 type flakyTransport struct {
 	inner http.RoundTripper
 	err   error
@@ -28,7 +35,20 @@ func (f *flakyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	n := f.calls
 	f.mu.Unlock()
 	if n <= f.fails {
-		return nil, f.err
+		if f.err != nil {
+			return nil, f.err
+		}
+		body, _ := json.Marshal(api.ErrorResponse{
+			Version: api.Version,
+			Error:   &api.Error{Code: api.CodeUnavailable, Message: "draining"},
+		})
+		return &http.Response{
+			StatusCode: http.StatusServiceUnavailable,
+			Status:     "503 Service Unavailable",
+			Header:     http.Header{"Retry-After": {"1"}},
+			Body:       io.NopCloser(bytes.NewReader(body)),
+			Request:    req,
+		}, nil
 	}
 	return f.inner.RoundTrip(req)
 }
@@ -108,5 +128,92 @@ func TestCancelledDialNotRetried(t *testing.T) {
 	}
 	if got := ft.count(); got > 1 {
 		t.Fatalf("round trips = %d, want at most 1 (no retry)", got)
+	}
+}
+
+// TestStreamsRetried: the stream openers and the plain GETs share the retry
+// loop of every other call.  A refused dial and then a 503 with Retry-After
+// are both retried, the second wait honours the hint, and the third round
+// trip succeeds.
+func TestStreamsRetried(t *testing.T) {
+	c, _ := newTestClient(t)
+	ctx := context.Background()
+	id := submitCensus(t, c)
+	if st, err := c.WatchJob(ctx, id, time.Millisecond, nil); err != nil || st.State != api.JobDone {
+		t.Fatalf("watch: %+v, %v", st, err)
+	}
+	rc, err := c.JobResults(ctx, id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		read func(c *Client) ([]byte, error)
+		want []byte // nil: any body
+	}{
+		{"JobResults", func(c *Client) ([]byte, error) {
+			rc, err := c.JobResults(ctx, id, 0)
+			if err != nil {
+				return nil, err
+			}
+			defer rc.Close()
+			return io.ReadAll(rc)
+		}, results},
+		{"JobEvents", func(c *Client) ([]byte, error) {
+			s, err := c.JobEvents(ctx, id, 0, true)
+			if err != nil {
+				return nil, err
+			}
+			defer s.Close()
+			var rows []byte
+			for {
+				ev, err := s.Next()
+				if err == io.EOF {
+					return rows, nil
+				}
+				if err != nil {
+					return nil, err
+				}
+				if ev.Type == "row" {
+					rows = append(append(rows, ev.Data...), '\n')
+				}
+			}
+		}, results},
+		{"RawMetrics", func(c *Client) ([]byte, error) {
+			m, err := c.RawMetrics(ctx)
+			return []byte(m), err
+		}, nil},
+	} {
+		ft := &flakyTransport{
+			inner: &flakyTransport{inner: http.DefaultTransport, fails: 1},
+			err:   syscall.ECONNREFUSED,
+			fails: 1,
+		}
+		flaky := New(c.base, WithBackoff(10*time.Millisecond))
+		flaky.http = &http.Client{Transport: ft}
+		var slept []time.Duration
+		flaky.sleep = func(ctx context.Context, d time.Duration) error {
+			slept = append(slept, d)
+			return nil
+		}
+		got, err := tc.read(flaky)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.want != nil && !bytes.Equal(got, tc.want) {
+			t.Fatalf("%s: stream differs from the results download (%d vs %d bytes)", tc.name, len(got), len(tc.want))
+		}
+		if n := ft.count(); n != 3 {
+			t.Fatalf("%s: round trips = %d, want 3 (refused, 503, ok)", tc.name, n)
+		}
+		if len(slept) != 2 || slept[0] != 10*time.Millisecond || slept[1] != time.Second {
+			t.Fatalf("%s: slept %v, want [10ms 1s]", tc.name, slept)
+		}
 	}
 }

@@ -10,6 +10,10 @@
 # Last-Event-ID after the restart, and the concatenation of everything it
 # streamed must be byte-identical to the NDJSON results download — the
 # offset-resume contract of GET /v1/jobs/{id}/events.
+#
+# A second live subscriber follows a plansweep, whose chunk commits reveal
+# thousands of rows at once: it must finish with the job on one connection,
+# again byte-identical to the results download.
 # Backs `make jobs-smoke` (part of `make check`).
 set -eu
 
@@ -104,7 +108,22 @@ cmp -s "$tmp/sse.ndjson" "$tmp/resumed.ndjson" || {
     exit 1
 }
 
+# A plansweep chunk commits a whole first axis of rows, so one poll can
+# reveal thousands of rows to a live subscriber at once.
+"$tmp/embedctl" job submit -addr "http://$addr" -kind plansweep -dims 3 -max-axis 40 -max-nodes 65536 >"$tmp/sweep.json"
+sweep_id="$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$tmp/sweep.json" | head -n 1)"
+[ -n "$sweep_id" ] || { echo "jobs-smoke: no plansweep id in $(cat "$tmp/sweep.json")"; exit 1; }
+timeout 30 "$tmp/embedctl" job events -addr "http://$addr" "$sweep_id" >"$tmp/sweep.sse.ndjson" 2>/dev/null || {
+    echo "jobs-smoke: live SSE subscriber of the plansweep did not finish within 30 s"
+    exit 1
+}
+"$tmp/embedctl" job results -addr "http://$addr" "$sweep_id" >"$tmp/sweep.ndjson"
+cmp -s "$tmp/sweep.sse.ndjson" "$tmp/sweep.ndjson" || {
+    echo "jobs-smoke: plansweep SSE stream differs from the results download"
+    exit 1
+}
+
 kill -TERM "$pid"
 wait "$pid" || { echo "jobs-smoke: server exited non-zero:"; cat "$tmp/log"; exit 1; }
 pid=""
-echo "jobs-smoke: ok (killed mid-run, resumed byte-identical: $(wc -c <"$tmp/resumed.ndjson") bytes)"
+echo "jobs-smoke: ok (killed mid-run, resumed byte-identical: $(wc -c <"$tmp/resumed.ndjson") bytes; plansweep followed live: $(wc -c <"$tmp/sweep.ndjson") bytes)"
