@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet build test race bench bench-short bench-check bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check
+.PHONY: check fmt-check vet build test race bench bench-short bench-check bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check
 
-check: vet build gen-check test race bounds-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
+check: fmt-check vet build gen-check test race bounds-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -127,3 +127,7 @@ figures:
 
 fmt:
 	gofmt -l -w .
+
+# Fail when a Go file is not gofmt-clean; `make fmt` rewrites them.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; echo "fmt-check: run make fmt"; exit 1; }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/manyone"
 	"repro/internal/mesh"
 	"repro/internal/reshape"
+	"repro/pkg/api"
 )
 
 func usage() {
@@ -155,21 +156,22 @@ func cmdPlan(args []string) {
 	fmt.Printf("minimal cube: %d dimensions (%d nodes)\n", s.MinCubeDim(), 1<<uint(s.MinCubeDim()))
 	fmt.Printf("plan:         %s\n", p)
 	fmt.Printf("paper method: %d\n", p.Method)
+	dil := -1
 	if p.Dilation == core.DilationUnknown {
 		fmt.Printf("dilation:     no a-priori bound (snake fallback; build to measure)\n")
 	} else {
+		dil = p.Dilation
 		fmt.Printf("dilation:     ≤ %d guaranteed by construction\n", p.Dilation)
 	}
-	b, gap, opt := core.PlanCertificate(fam, s, p)
-	fmt.Printf("lower bounds: dilation ≥ %d, wirelength ≥ %d, congestion ≥ %d (in a %d-cube)\n",
-		b.Dilation, b.Wirelength, b.Congestion, p.CubeDim)
+	c := bounds.PlanCertificate(fam, s, p.CubeDim, dil)
+	printLowerBounds(c)
 	switch {
-	case opt:
+	case c.Optimal:
 		fmt.Printf("certificate:  dilation-optimal (gap 0: the bound meets the floor)\n")
-	case gap < 0:
+	case c.DilationGap < 0:
 		fmt.Printf("certificate:  dilation gap unknown (no a-priori bound; embed to measure)\n")
 	default:
-		fmt.Printf("certificate:  dilation gap ≤ %d over the floor\n", gap)
+		fmt.Printf("certificate:  dilation gap ≤ %d over the floor\n", c.DilationGap)
 	}
 }
 
@@ -295,37 +297,25 @@ func cmdCompare(args []string) {
 			row.Technique, row.Dilation, row.AvgDilation, row.Wirelength, row.Congestion, row.CubeDim, row.Minimal)
 	}
 
-	// Certify the comparison as a whole at the minimal cube: the best any
-	// minimal-cube technique achieved on each measure, against the floors
-	// of internal/bounds.  The snake rewrap always reaches the minimal
-	// cube, so at least one row qualifies.
-	nmin := s.MinCubeDim()
-	bestDil, bestCong := -1, -1
-	var bestWL int64 = -1
-	for _, row := range rows {
-		if row.CubeDim != nmin {
-			continue
-		}
-		if bestDil < 0 {
-			bestDil, bestWL, bestCong = row.Dilation, row.Wirelength, row.Congestion
-			continue
-		}
-		bestDil = min(bestDil, row.Dilation)
-		bestWL = min(bestWL, row.Wirelength)
-		bestCong = min(bestCong, row.Congestion)
+	// Certify the comparison as a whole at the minimal cube, against the
+	// floors of internal/bounds.  The snake rewrap always reaches the
+	// minimal cube, so at least one row qualifies.
+	certRows := make([]api.CompareRow, len(rows))
+	for i, row := range rows {
+		certRows[i].Metrics = api.Metrics{CubeDim: row.CubeDim, Dilation: row.Dilation, Wirelength: row.Wirelength, Congestion: row.Congestion}
 	}
-	if bestDil < 0 {
+	c, ok := bounds.CompareCertificate(guest.Mesh, s, certRows)
+	if !ok {
 		return
 	}
-	b := bounds.For(guest.Mesh, s, nmin)
+	lb := c.LowerBounds
 	fmt.Printf("lower bounds (in the minimal %d-cube): dilation ≥ %d, wirelength ≥ %d, congestion ≥ %d\n",
-		nmin, b.Dilation, b.Wirelength, b.Congestion)
-	gap := int64(bestDil-b.Dilation) + (bestWL - b.Wirelength) + int64(bestCong-b.Congestion)
-	if gap == 0 {
+		c.CubeDim, lb.Dilation, lb.Wirelength, lb.Congestion)
+	if c.Optimal {
 		fmt.Printf("certificate: best minimal-cube technique is optimal on all three measures\n")
 	} else {
 		fmt.Printf("certificate: gap_to_optimal=%d (dilation +%d, wirelength +%d, congestion +%d)\n",
-			gap, bestDil-b.Dilation, bestWL-b.Wirelength, bestCong-b.Congestion)
+			c.GapToOptimal, c.DilationGap, c.WirelengthGap, c.CongestionGap)
 	}
 }
 
@@ -333,14 +323,19 @@ func cmdCompare(args []string) {
 // measured metrics: every gap is evaluable against the floors of
 // internal/bounds at the embedding's cube.
 func printMeasuredCertificate(fam guest.Family, s mesh.Shape, m embed.Metrics) {
-	b := bounds.For(fam, s, m.CubeDim)
-	fmt.Printf("lower bounds: dilation ≥ %d, wirelength ≥ %d, congestion ≥ %d (in a %d-cube)\n",
-		b.Dilation, b.Wirelength, b.Congestion, m.CubeDim)
-	gap := int64(m.Dilation-b.Dilation) + (m.Wirelength - b.Wirelength) + int64(m.Congestion-b.Congestion)
-	if gap == 0 {
+	c := bounds.MeasuredCertificate(fam, s, api.Metrics(m))
+	printLowerBounds(c)
+	if c.Optimal {
 		fmt.Printf("certificate:  optimal (dilation, wirelength and congestion all meet their floors)\n")
 	} else {
 		fmt.Printf("certificate:  gap_to_optimal=%d (dilation +%d, wirelength +%d, congestion +%d)\n",
-			gap, m.Dilation-b.Dilation, m.Wirelength-b.Wirelength, m.Congestion-b.Congestion)
+			c.GapToOptimal, c.DilationGap, c.WirelengthGap, c.CongestionGap)
 	}
+}
+
+// printLowerBounds prints the certificate's floors in its cube.
+func printLowerBounds(c api.Certificate) {
+	lb := c.LowerBounds
+	fmt.Printf("lower bounds: dilation ≥ %d, wirelength ≥ %d, congestion ≥ %d (in a %d-cube)\n",
+		lb.Dilation, lb.Wirelength, lb.Congestion, c.CubeDim)
 }

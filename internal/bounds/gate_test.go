@@ -95,11 +95,16 @@ func TestPlannerAchievesKnownOptimal(t *testing.T) {
 			t.Errorf("%s %s: plan: %v", kc.family, kc.shape, err)
 			continue
 		}
-		b, gap, opt := core.PlanCertificate(kc.family, kc.shape, p)
-		if !opt || gap != 0 {
-			t.Errorf("%s %s: plan certificate gap = %d (optimal=%v), want 0 — strategy regressed a known-optimal shape (plan %s)",
-				kc.family, kc.shape, gap, opt, p)
+		dil := p.Dilation
+		if dil == core.DilationUnknown {
+			dil = -1
 		}
+		c := bounds.PlanCertificate(kc.family, kc.shape, p.CubeDim, dil)
+		if !c.Optimal || c.DilationGap != 0 {
+			t.Errorf("%s %s: plan certificate gap = %d (optimal=%v), want 0 — strategy regressed a known-optimal shape (plan %s)",
+				kc.family, kc.shape, c.DilationGap, c.Optimal, p)
+		}
+		b := c.LowerBounds
 		em := p.Build()
 		if err := em.Verify(); err != nil {
 			t.Errorf("%s %s: %v", kc.family, kc.shape, err)

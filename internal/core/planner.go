@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -64,30 +63,6 @@ func cacheKey(canon mesh.Shape, foldDepth int, fp string) string {
 		f = "|f1|"
 	}
 	return canon.String() + f + fp
-}
-
-// CanonicalShape returns the axis-sorted (ascending, stable) copy of s and
-// the axis map: axmap[j] is the position in s of canonical axis j.  It is
-// the key function of the plan cache, exported so higher layers (the HTTP
-// server's result cache) can share entries across axis permutations the way
-// the planner does.
-func CanonicalShape(s mesh.Shape) (mesh.Shape, []int) {
-	return canonicalShape(s)
-}
-
-// canonicalShape returns the axis-sorted (ascending, stable) copy of s and
-// the axis map: axmap[j] is the position in s of canonical axis j.
-func canonicalShape(s mesh.Shape) (mesh.Shape, []int) {
-	axmap := make([]int, len(s))
-	for i := range axmap {
-		axmap[i] = i
-	}
-	sort.SliceStable(axmap, func(a, b int) bool { return s[axmap[a]] < s[axmap[b]] })
-	canon := make(mesh.Shape, len(s))
-	for j, i := range axmap {
-		canon[j] = s[i]
-	}
-	return canon, axmap
 }
 
 // permuteShape sends canonical axis j back to original position axmap[j].
@@ -164,7 +139,7 @@ func permuteEmbedding(e *embed.Embedding, axmap []int) *embed.Embedding {
 // planCanonical plans via the canonical axis order, consulting the cache
 // when one is attached, and maps the result back to the caller's order.
 func (pc *planContext) planCanonical(s mesh.Shape, foldDepth int) *Plan {
-	canon, axmap := canonicalShape(s)
+	canon, axmap := s.SortCanonical()
 	var key string
 	if pc.cache != nil {
 		key = cacheKey(canon, foldDepth, pc.fp)

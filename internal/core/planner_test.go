@@ -288,17 +288,18 @@ func TestRegistryStrategyNames(t *testing.T) {
 	}
 }
 
-// TestCanonicalShape: axmap round-trips shapes through permuteShape.
+// TestCanonicalShape: the plan cache's key function, mesh.Shape.SortCanonical,
+// sorts the axes and its axmap round-trips shapes through permuteShape.
 func TestCanonicalShape(t *testing.T) {
 	for _, s := range []mesh.Shape{{5, 3}, {7, 9, 2}, {5, 5, 10}, {1, 4, 1, 3}} {
-		canon, axmap := canonicalShape(s)
+		canon, axmap := s.SortCanonical()
 		for j := 1; j < len(canon); j++ {
 			if canon[j-1] > canon[j] {
 				t.Fatalf("%v: canonical %v not sorted", s, canon)
 			}
 		}
 		if back := permuteShape(canon, axmap); !back.Equal(s) {
-			t.Errorf("%v: permuteShape(canonicalShape) = %v", s, back)
+			t.Errorf("%v: permuteShape(SortCanonical) = %v", s, back)
 		}
 	}
 }

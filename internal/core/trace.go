@@ -98,7 +98,7 @@ func (tr *planTracer) cur() *tracedNode        { return tr.nodes[len(tr.nodes)-1
 
 // push opens a provenance node for a shape the recursion is about to plan.
 func (tr *planTracer) push(s mesh.Shape) {
-	canon, _ := canonicalShape(s)
+	canon, _ := s.SortCanonical()
 	pt := &PlanTrace{Shape: s.String(), Canonical: canon.String()}
 	if len(tr.nodes) > 0 {
 		top := tr.cur()

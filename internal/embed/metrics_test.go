@@ -141,6 +141,31 @@ func TestMeasureParallelLargeMesh(t *testing.T) {
 	}
 }
 
+// TestMeasureAllocs is the allocation gate of the untraced fused pass: a
+// serial Measure and a two-worker MeasureParallel above
+// parallelEdgeThreshold must stay within their allocation budgets, which
+// do not grow with the mesh (DESIGN §4d).  testing.AllocsPerRun pins
+// GOMAXPROCS to 1, so the parallel case names its worker count.
+func TestMeasureAllocs(t *testing.T) {
+	serial := Gray(mesh.Shape{16, 16, 16})
+	parallel := Gray(mesh.Shape{24, 24, 24})
+	if parallel.NumGuestEdges() < parallelEdgeThreshold {
+		t.Fatal("parallel case below the parallel threshold")
+	}
+	for _, c := range []struct {
+		name   string
+		budget float64
+		run    func()
+	}{
+		{"16x16x16 Measure", 8, func() { serial.Measure() }},
+		{"24x24x24 MeasureParallel(2)", 17, func() { parallel.MeasureParallel(2) }},
+	} {
+		if got := testing.AllocsPerRun(20, c.run); got > c.budget {
+			t.Errorf("%s: %v allocs/op, budget %v", c.name, got, c.budget)
+		}
+	}
+}
+
 // TestPerMetricWrappersMatchMeasure pins the thin-wrapper contract: each
 // legacy per-metric method must agree with the fused Measure.
 func TestPerMetricWrappersMatchMeasure(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"strconv"
 
 	"repro/internal/artifact"
+	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/guest"
 	"repro/internal/mesh"
@@ -327,10 +328,11 @@ func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {
 		e := stats.RelExpansion(s[0], s[1], s[2])
 		rec.RelExpansion = e[:]
 	}
-	b, gap, opt := core.PlanCertificate(r.family, s, p)
-	rec.LowerBounds = &api.LowerBounds{Dilation: b.Dilation, Wirelength: b.Wirelength, Congestion: b.Congestion}
-	rec.GapToOptimal = gap
-	rec.Optimal = opt
+	c := bounds.PlanCertificate(r.family, s, p.CubeDim, dil)
+	lb := c.LowerBounds
+	rec.LowerBounds = &lb
+	rec.GapToOptimal = int(c.GapToOptimal)
+	rec.Optimal = c.Optimal
 	return rec
 }
 

@@ -1,125 +1,14 @@
 package server
 
-import (
-	"repro/internal/bounds"
-	"repro/internal/guest"
-	"repro/internal/mesh"
-	"repro/pkg/api"
-)
+import "repro/pkg/api"
 
-// This file assembles the api.Certificate served on /v1/plan, /v1/embed
-// and /v1/compare from the certified floors of internal/bounds.  The
-// bounds are permutation-consistent with each family's canonical form, so
-// certificates are computed in the caller's axis order and agree with the
-// cached canonical results.
-
-// countCert records a served certificate on the metrics registry and
-// passes it through.
-func (s *Server) countCert(c *api.Certificate) *api.Certificate {
-	if c != nil {
-		s.m.certTotal.Add(1)
-		if c.Optimal {
-			s.m.certOptimal.Add(1)
-		}
+// countCert records a served certificate — built by the rules in
+// internal/bounds — on the metrics registry and returns it for the
+// response.
+func (s *Server) countCert(c api.Certificate) *api.Certificate {
+	s.m.certTotal.Add(1)
+	if c.Optimal {
+		s.m.certOptimal.Add(1)
 	}
-	return c
-}
-
-// measuredCertificate certifies fully measured metrics: every gap is
-// known, and Optimal means the embedding provably cannot be improved on
-// any of the three measures in its cube.
-func measuredCertificate(fam guest.Family, sh mesh.Shape, m api.Metrics) *api.Certificate {
-	b := bounds.For(fam, sh, m.CubeDim)
-	c := &api.Certificate{
-		CubeDim: m.CubeDim,
-		LowerBounds: api.LowerBounds{
-			Dilation:   b.Dilation,
-			Wirelength: b.Wirelength,
-			Congestion: b.Congestion,
-		},
-		DilationGap:   m.Dilation - b.Dilation,
-		WirelengthGap: m.Wirelength - b.Wirelength,
-		CongestionGap: m.Congestion - b.Congestion,
-	}
-	c.GapToOptimal = int64(c.DilationGap) + c.WirelengthGap + int64(c.CongestionGap)
-	c.Optimal = c.GapToOptimal == 0
-	return c
-}
-
-// planCertificate certifies a plan before anything is built: only the
-// dilation gap is evaluable (from the construction's a-priori bound;
-// dilBound < 0 means the snake fallback carries none), wirelength and
-// congestion gaps are unknown (−1).  A zero dilation gap is sound without
-// routing — measured dilation is squeezed between the floor and the bound.
-func planCertificate(fam guest.Family, sh mesh.Shape, cubeDim, dilBound int) *api.Certificate {
-	b := bounds.For(fam, sh, cubeDim)
-	c := &api.Certificate{
-		CubeDim: cubeDim,
-		LowerBounds: api.LowerBounds{
-			Dilation:   b.Dilation,
-			Wirelength: b.Wirelength,
-			Congestion: b.Congestion,
-		},
-		WirelengthGap: -1,
-		CongestionGap: -1,
-	}
-	if b.Dilation == 0 {
-		// Edgeless guest: every metric measures zero, trivially optimal.
-		c.WirelengthGap, c.CongestionGap = 0, 0
-		c.Optimal = true
-		return c
-	}
-	if dilBound < 0 {
-		c.DilationGap = -1
-		c.GapToOptimal = -1
-		return c
-	}
-	c.DilationGap = dilBound - b.Dilation
-	c.GapToOptimal = int64(c.DilationGap)
-	c.Optimal = c.DilationGap == 0
-	return c
-}
-
-// compareCertificate certifies the comparison as a whole at the minimal
-// cube: each gap measures the best any minimal-cube technique achieved
-// against the floor (techniques in a larger cube — the Gray baseline on
-// non-Gray-minimal shapes — never weaken it).  The snake fallback always
-// reaches the minimal cube, so a minimal-cube row exists.
-func compareCertificate(fam guest.Family, sh mesh.Shape, rows []api.CompareRow) *api.Certificate {
-	nmin := sh.MinCubeDim()
-	var bestDil, bestCong int
-	var bestWL int64
-	found := false
-	for _, row := range rows {
-		if row.Metrics.CubeDim != nmin {
-			continue
-		}
-		m := row.Metrics
-		if !found {
-			bestDil, bestWL, bestCong = m.Dilation, m.Wirelength, m.Congestion
-			found = true
-			continue
-		}
-		bestDil = min(bestDil, m.Dilation)
-		bestWL = min(bestWL, m.Wirelength)
-		bestCong = min(bestCong, m.Congestion)
-	}
-	if !found {
-		return nil
-	}
-	b := bounds.For(fam, sh, nmin)
-	c := &api.Certificate{
-		CubeDim: nmin,
-		LowerBounds: api.LowerBounds{
-			Dilation:   b.Dilation,
-			Wirelength: b.Wirelength,
-			Congestion: b.Congestion,
-		},
-		DilationGap:   bestDil - b.Dilation,
-		WirelengthGap: bestWL - b.Wirelength,
-		CongestionGap: bestCong - b.Congestion,
-	}
-	c.GapToOptimal = int64(c.DilationGap) + c.WirelengthGap + int64(c.CongestionGap)
-	c.Optimal = c.GapToOptimal == 0
-	return c
+	return &c
 }

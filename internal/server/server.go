@@ -54,6 +54,7 @@ import (
 	"time"
 
 	"repro/internal/artifact"
+	"repro/internal/bounds"
 	"repro/internal/core"
 	"repro/internal/embed"
 	"repro/internal/fabric"
@@ -490,7 +491,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		Plan:          res.plan,
 		Method:        res.method,
 		DilationBound: res.dilBound,
-		Certificate:   s.countCert(planCertificate(fam, sh, res.cubeDim, res.dilBound)),
+		Certificate:   s.countCert(bounds.PlanCertificate(fam, sh, res.cubeDim, res.dilBound)),
 		Source:        source,
 	}
 	if meta != nil && meta.debug {
@@ -564,7 +565,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		Source:        source,
 	}
 	resp.Metrics.Guest = sh.String() // metrics are relabeling-invariant
-	resp.Certificate = s.countCert(measuredCertificate(fam, sh, resp.Metrics))
+	resp.Certificate = s.countCert(bounds.MeasuredCertificate(fam, sh, resp.Metrics))
 	if req.IncludeMap {
 		ser := res.emb.Serial()
 		if !sh.Equal(res.emb.Guest) {
@@ -670,7 +671,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	resp := *res.compare
 	resp.Shape = sh.String()
 	resp.Family = famEcho(fam)
-	resp.Certificate = s.countCert(compareCertificate(fam, sh, resp.Rows))
+	if c, ok := bounds.CompareCertificate(fam, sh, resp.Rows); ok {
+		resp.Certificate = s.countCert(c)
+	}
 	resp.Source = source
 	if meta != nil && meta.debug {
 		resp.Debug = &DebugInfo{

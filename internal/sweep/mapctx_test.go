@@ -45,7 +45,18 @@ func TestMapCtxTracedTree(t *testing.T) {
 	if len(out) != n || calls.Load() != n {
 		t.Fatalf("ran %d items (len %d), want %d", calls.Load(), len(out), n)
 	}
-	snap := root.Snapshot()
+	for _, ws := range checkPoolTree(t, root.Snapshot(), n, workers).Children {
+		if items := attr(ws, "items").(int64); int64(len(ws.Children)) != items {
+			t.Fatalf("worker %s: %d item spans for %d items", ws.Name, len(ws.Children), items)
+		}
+	}
+}
+
+// checkPoolTree checks the "sweep" span under snap: one finished span per
+// worker on distinct lanes, items and busy_ns on each with items summing to
+// n, and an imbalance ≥ 1 on the pool span.  It returns the pool span.
+func checkPoolTree(t *testing.T, snap *obs.SpanJSON, n, workers int) *obs.SpanJSON {
+	t.Helper()
 	pool := snap.Find("sweep")
 	if pool == nil {
 		t.Fatal("no sweep span")
@@ -60,41 +71,36 @@ func TestMapCtxTracedTree(t *testing.T) {
 			t.Fatalf("worker span %s unfinished", ws.Name)
 		}
 		lanes[ws.Lane] = true
-		var wItems, wBusy int64 = -1, -1
-		for _, a := range ws.Attrs {
-			switch a.Key {
-			case "items":
-				wItems = a.Value.(int64)
-			case "busy_ns":
-				wBusy = a.Value.(int64)
-			}
-		}
-		if wItems < 0 || wBusy < 0 {
+		wItems, wBusy := attr(ws, "items"), attr(ws, "busy_ns")
+		if wItems == nil || wBusy == nil {
 			t.Fatalf("worker span %s missing items/busy attrs: %+v", ws.Name, ws.Attrs)
 		}
-		items += wItems
-		if int64(len(ws.Children)) != wItems {
-			t.Fatalf("worker %s: %d item spans for %d items", ws.Name, len(ws.Children), wItems)
-		}
+		items += wItems.(int64)
 	}
-	if items != n {
+	if items != int64(n) {
 		t.Fatalf("worker items sum to %d, want %d", items, n)
 	}
 	if len(lanes) != workers {
 		t.Fatalf("lanes not distinct: %v", lanes)
 	}
-	hasImbalance := false
-	for _, a := range pool.Attrs {
-		if a.Key == "imbalance" {
-			hasImbalance = true
-			if v := a.Value.(float64); v < 1 {
-				t.Fatalf("imbalance = %v, want >= 1", v)
-			}
-		}
-	}
-	if !hasImbalance {
+	imb := attr(pool, "imbalance")
+	if imb == nil {
 		t.Fatalf("no imbalance summary on pool span: %+v", pool.Attrs)
 	}
+	if v := imb.(float64); v < 1 {
+		t.Fatalf("imbalance = %v, want >= 1", v)
+	}
+	return pool
+}
+
+// attr returns the value of s's attribute key, or nil.
+func attr(s *obs.SpanJSON, key string) any {
+	for _, a := range s.Attrs {
+		if a.Key == key {
+			return a.Value
+		}
+	}
+	return nil
 }
 
 func TestMapCtxPanicPropagates(t *testing.T) {

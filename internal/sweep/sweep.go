@@ -31,48 +31,7 @@ func Workers(requested int) int {
 // A panic in any fn is re-raised on the caller after the pool drains, so a
 // failing sweep fails loudly instead of deadlocking.
 func Map[R any](n, workers int, fn func(i int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	out := make([]R, n)
-	workers = min(Workers(workers), n)
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			out[i] = fn(i)
-		}
-		return out
-	}
-	var (
-		cursor   atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Bool
-		panicVal any
-		once     sync.Once
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicVal = r })
-					panicked.Store(true)
-				}
-			}()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n || panicked.Load() {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked.Load() {
-		panic(panicVal)
-	}
-	return out
+	return run(context.Background(), nil, n, workers, func(_ context.Context, i int) R { return fn(i) })
 }
 
 // MapCtx is Map with observability: when ctx carries an active obs span the
@@ -80,79 +39,10 @@ func Map[R any](n, workers int, fn func(i int) R) []R {
 // items processed, busy time (cumulative time inside fn) and a lane for the
 // Chrome export, plus an imbalance summary (max worker busy time over the
 // even-share average) on the pool span.  fn receives a context carrying its
-// worker's span, so work items can open their own child spans.
-//
-// When no span rides ctx — or the tracer is disabled — MapCtx delegates to
-// Map and the only cost is the closure adapting fn.  Results are indexed by
-// item exactly like Map, so output is independent of scheduling either way.
+// worker's span, so work items can open their own child spans; without a
+// span fn receives ctx itself.  ctx's cancellation does not stop the pool.
 func MapCtx[R any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) R) []R {
-	if n <= 0 {
-		return nil
-	}
-	sctx, pool := obs.Start(ctx, "sweep")
-	if pool == nil {
-		return Map(n, workers, func(i int) R { return fn(ctx, i) })
-	}
-	defer pool.End()
-	w := min(Workers(workers), n)
-	pool.SetAttr("items", n)
-	pool.SetAttr("workers", w)
-	out := make([]R, n)
-	busy := make([]int64, w)
-	items := make([]int64, w)
-	var (
-		cursor   atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Bool
-		panicVal any
-		once     sync.Once
-	)
-	for wi := 0; wi < w; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			wctx, ws := obs.Start(sctx, fmt.Sprintf("worker %d", wi))
-			ws.SetLane(wi + 1)
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicVal = r })
-					panicked.Store(true)
-				}
-				ws.SetAttr("items", items[wi])
-				ws.SetAttr("busy_ns", busy[wi])
-				ws.End()
-			}()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= n || panicked.Load() {
-					return
-				}
-				t0 := time.Now()
-				out[i] = fn(wctx, i)
-				busy[wi] += int64(time.Since(t0))
-				items[wi]++
-			}
-		}(wi)
-	}
-	wg.Wait()
-	var sum, maxBusy int64
-	minBusy := busy[0]
-	for _, b := range busy {
-		sum += b
-		maxBusy = max(maxBusy, b)
-		minBusy = min(minBusy, b)
-	}
-	pool.SetAttr("busy_total_ns", sum)
-	pool.SetAttr("busy_max_ns", maxBusy)
-	pool.SetAttr("busy_min_ns", minBusy)
-	if sum > 0 {
-		// 1.0 = perfectly even; w = one worker did everything.
-		pool.SetAttr("imbalance", float64(maxBusy)*float64(w)/float64(sum))
-	}
-	if panicked.Load() {
-		panic(panicVal)
-	}
-	return out
+	return run(ctx, nil, n, workers, fn)
 }
 
 // Fold maps fn across [0, n) in parallel and merges the results into acc
@@ -165,55 +55,16 @@ func Fold[A, R any](n, workers int, fn func(i int) R, acc A, merge func(A, R) A)
 	return acc
 }
 
-// FoldCtx is Fold with cooperative cancellation: workers stop pulling new
-// items once ctx is done, and the partial results are discarded — on
-// cancellation FoldCtx returns acc untouched along with ctx.Err(), so a
-// caller never observes a reduction over an incomplete item set.  A nil or
-// never-cancelled ctx makes FoldCtx behave exactly like Fold (same item
-// order, same deterministic merge).  Long-running shard loops (the batch-job
-// chunks) use this so a cancelled job stops within one item, not one chunk.
+// FoldCtx is Fold with cooperative cancellation and MapCtx's tracing:
+// workers stop pulling new items once ctx is done, and the partial results
+// are discarded — on cancellation FoldCtx returns acc untouched along with
+// ctx.Err(), so a caller never observes a reduction over an incomplete item
+// set.  A never-cancelled ctx makes FoldCtx behave exactly like Fold (same
+// item order, same deterministic merge); ctx must not be nil.  Long-running
+// shard loops (the batch-job chunks) use this so a cancelled job stops
+// within one item, not one chunk.
 func FoldCtx[A, R any](ctx context.Context, n, workers int, fn func(i int) R, acc A, merge func(A, R) A) (A, error) {
-	if n <= 0 {
-		return acc, ctx.Err()
-	}
-	out := make([]R, n)
-	workers = min(Workers(workers), n)
-	var (
-		cursor   atomic.Int64
-		wg       sync.WaitGroup
-		panicked atomic.Bool
-		panicVal any
-		once     sync.Once
-	)
-	done := ctx.Done()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { panicVal = r })
-					panicked.Store(true)
-				}
-			}()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				i := int(cursor.Add(1)) - 1
-				if i >= n || panicked.Load() {
-					return
-				}
-				out[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked.Load() {
-		panic(panicVal)
-	}
+	out := run(ctx, ctx.Done(), n, workers, func(_ context.Context, i int) R { return fn(i) })
 	if err := ctx.Err(); err != nil {
 		return acc, err
 	}
@@ -223,11 +74,110 @@ func FoldCtx[A, R any](ctx context.Context, n, workers int, fn func(i int) R, ac
 	return acc, nil
 }
 
-// Each runs fn(i) for every i in [0, n) for its side effects, with the same
-// pool semantics as Map.
-func Each(n, workers int, fn func(i int)) {
-	Map(n, workers, func(i int) struct{} {
-		fn(i)
-		return struct{}{}
-	})
+// tally is one worker's trace summary: items processed and time inside fn.
+type tally struct{ items, busy int64 }
+
+// run is the one pool body behind Map, MapCtx and FoldCtx.  Each worker
+// pulls item indices from an atomic cursor until the items run out, a
+// worker panics, or done (nil for never) closes; the caller's goroutine is
+// one of the workers, so a single-worker pool starts no goroutine.  A panic
+// in fn is re-raised on the caller once every worker has returned.  Under
+// an active obs span the pool records the "sweep" / "worker N" span tree
+// MapCtx documents.
+func run[R any](ctx context.Context, done <-chan struct{}, n, workers int, fn func(ctx context.Context, i int) R) []R {
+	if n <= 0 {
+		return nil
+	}
+	w := min(Workers(workers), n)
+	out := make([]R, n)
+	sctx, pool := obs.Start(ctx, "sweep")
+	var p struct {
+		wg       sync.WaitGroup
+		next     atomic.Int64 // worker index
+		cursor   atomic.Int64 // item index
+		panicked atomic.Bool
+		panicVal any
+		tallies  []tally // per worker; nil when untraced
+	}
+	if pool != nil {
+		p.tallies = make([]tally, w)
+	}
+	// The worker takes no arguments: `go work()` then needs no per-goroutine
+	// wrapper closure.
+	work := func() {
+		wi := int(p.next.Add(1)) - 1
+		wctx := sctx
+		var ws *obs.Span
+		if pool != nil {
+			wctx, ws = obs.Start(sctx, fmt.Sprintf("worker %d", wi))
+			ws.SetLane(wi + 1)
+		}
+		defer func() {
+			if r := recover(); r != nil && p.panicked.CompareAndSwap(false, true) {
+				p.panicVal = r
+			}
+			if ws != nil {
+				ws.SetAttr("items", p.tallies[wi].items)
+				ws.SetAttr("busy_ns", p.tallies[wi].busy)
+				ws.End()
+			}
+			p.wg.Done()
+		}()
+		for {
+			if done != nil {
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+			i := int(p.cursor.Add(1)) - 1
+			if i >= n || p.panicked.Load() {
+				return
+			}
+			if ws == nil {
+				out[i] = fn(wctx, i)
+				continue
+			}
+			t0 := time.Now()
+			out[i] = fn(wctx, i)
+			p.tallies[wi].busy += int64(time.Since(t0))
+			p.tallies[wi].items++
+		}
+	}
+	p.wg.Add(w)
+	for range w - 1 {
+		go work()
+	}
+	work()
+	p.wg.Wait()
+	if pool != nil {
+		summarize(pool, n, p.tallies)
+	}
+	if p.panicked.Load() {
+		panic(p.panicVal)
+	}
+	return out
+}
+
+// summarize records the pool's size and worker busy-time spread on its span
+// and ends it.
+func summarize(pool *obs.Span, n int, tallies []tally) {
+	pool.SetAttr("items", n)
+	pool.SetAttr("workers", len(tallies))
+	var sum, maxBusy int64
+	minBusy := tallies[0].busy
+	for _, t := range tallies {
+		sum += t.busy
+		maxBusy = max(maxBusy, t.busy)
+		minBusy = min(minBusy, t.busy)
+	}
+	pool.SetAttr("busy_total_ns", sum)
+	pool.SetAttr("busy_max_ns", maxBusy)
+	pool.SetAttr("busy_min_ns", minBusy)
+	if sum > 0 {
+		// 1.0 = perfectly even; w = one worker did everything.
+		pool.SetAttr("imbalance", float64(maxBusy)*float64(len(tallies))/float64(sum))
+	}
+	pool.End()
 }

@@ -77,10 +77,10 @@ func TestFold(t *testing.T) {
 	}
 }
 
-func TestEachCoversAllOnce(t *testing.T) {
+func TestMapCoversAllOnce(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int32
-	Each(n, 6, func(i int) { counts[i].Add(1) })
+	Map(n, 6, func(i int) struct{} { counts[i].Add(1); return struct{}{} })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("index %d visited %d times", i, c)
