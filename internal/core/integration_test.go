@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/graph"
 	"repro/internal/mesh"
 	"repro/internal/stats"
 )
@@ -171,24 +170,5 @@ func TestHighDimPlannerMatchesGroupingPredicate(t *testing.T) {
 		achieved, covered, missed)
 	if achieved < covered*9/10 {
 		t.Errorf("4-D constructive engine too weak: %d/%d", achieved, covered)
-	}
-}
-
-func TestDilationAgreesWithGraphBFS(t *testing.T) {
-	// Cross-check the Hamming-distance dilation against an independent
-	// BFS on the explicit hypercube graph.
-	for _, s := range []mesh.Shape{{3, 5}, {5, 6}, {3, 3, 3}} {
-		e := PlanShape(s, DefaultOptions).Build()
-		h := graph.Hypercube(e.N)
-		worst := 0
-		s.EachEdge(func(ed mesh.Edge) {
-			d := h.BFS(int(e.Map[ed.U]))[e.Map[ed.V]]
-			if d > worst {
-				worst = d
-			}
-		})
-		if worst != e.Dilation() {
-			t.Errorf("%v: BFS dilation %d != Hamming dilation %d", s, worst, e.Dilation())
-		}
 	}
 }

@@ -57,6 +57,8 @@ func Product(e1, e2 *embed.Embedding) *embed.Embedding {
 	gs := s1.Product(s2)
 
 	out := embed.New(gs, e1.N+e2.N)
+	routed := e1.Routes != nil || e2.Routes != nil
+	st, st1, st2 := strides(gs), strides(s1), strides(s2)
 	zc := make([]int, k)
 	xc := make([]int, k)
 	yc := make([]int, k)
@@ -69,109 +71,38 @@ func Product(e1, e2 *embed.Embedding) *embed.Embedding {
 				xc[i] = s1[i] - 1 - xc[i]
 			}
 		}
-		inner := e1.Map[s1.Index(xc)]
-		outer := e2.Map[s2.Index(yc)]
-		out.Map[z] = cube.Node(uint64(outer)<<uint(e1.N) | uint64(inner))
-	}
-
-	// Compose pinned paths when the factors carry them, so congestion
-	// guarantees transfer (Theorem 3's disjoint-copy argument).
-	if e1.Paths != nil || e2.Paths != nil {
-		out.Paths = make(map[embed.EdgeKey]cube.Path)
-		composePaths(out, e1, e2, s1, s2)
+		u1, u2 := s1.Index(xc), s2.Index(yc)
+		out.Map[z] = cube.Node(uint64(e2.Map[u2])<<uint(e1.N) | uint64(e1.Map[u1]))
+		// Carry the factors' route codes, so congestion guarantees
+		// transfer (Theorem 3's disjoint-copy argument): an inner edge
+		// reuses φ₁'s route inside the copy selected by φ₂(y), a seam edge
+		// reuses φ₂'s route with the inner codeword fixed.
+		for i := 0; routed && i < k; i++ {
+			switch {
+			case zc[i]+1 == gs[i]: // no edge along i leaves the last hyperplane
+			case zc[i]%s1[i]+1 < s1[i]: // inner edge, reflected on odd yᵢ
+				v1 := u1 + st1[i]
+				if yc[i]&1 == 1 {
+					v1 = u1 - st1[i]
+				}
+				embed.CopyRoute(out, z, z+st[i], e1, u1, v1, i)
+			default: // seam edge
+				embed.CopyRoute(out, z, z+st[i], e2, u2, u2+st2[i], i)
+			}
+		}
 	}
 	return out
 }
 
-// composePaths pins the host path of every product-guest edge whose factor
-// edge has a pinned path: inner edges lift φ₁'s path into the copy selected
-// by φ₂(y); seam edges lift φ₂'s path with the inner codeword fixed.
-func composePaths(out, e1, e2 *embed.Embedding, s1, s2 mesh.Shape) {
-	k := out.Guest.Dims()
-	zcU := make([]int, k)
-	zcV := make([]int, k)
-	xc := make([]int, k)
-	yc := make([]int, k)
-	xc2 := make([]int, k)
-	out.Guest.EachEdge(func(ed mesh.Edge) {
-		out.Guest.CoordInto(ed.U, zcU)
-		out.Guest.CoordInto(ed.V, zcV)
-		ax := ed.Axis
-		// Decompose the lower endpoint.
-		for i := 0; i < k; i++ {
-			xc[i] = zcU[i] % s1[i]
-			yc[i] = zcU[i] / s1[i]
-		}
-		vx := zcV[ax] % s1[ax]
-		vy := zcV[ax] / s1[ax]
-		if vy == yc[ax] {
-			// Inner (S1-type) edge: both endpoints in the same copy.
-			copy(xc2, xc)
-			xc2[ax] = vx
-			for i := 0; i < k; i++ {
-				if yc[i]&1 == 1 {
-					xc[i] = s1[i] - 1 - xc[i]
-					xc2[i] = s1[i] - 1 - xc2[i]
-				}
-			}
-			u1, v1 := s1.Index(xc), s1.Index(xc2)
-			p := factorPath(e1, u1, v1)
-			if p == nil {
-				return
-			}
-			prefix := uint64(e2.Map[s2.Index(yc)]) << uint(e1.N)
-			lift := make(cube.Path, len(p))
-			for i, node := range p {
-				lift[i] = cube.Node(prefix | uint64(node))
-			}
-			out.Paths[embed.Key(ed.U, ed.V)] = lift
-			// restore xc (unreflect) for next iteration is unnecessary:
-			// xc is recomputed per edge.
-		} else {
-			// Seam (S2-type) edge: y advances by one on axis ax; the inner
-			// codeword is shared (reflection makes the two sides agree).
-			for i := 0; i < k; i++ {
-				if yc[i]&1 == 1 {
-					xc[i] = s1[i] - 1 - xc[i]
-				}
-			}
-			innerBits := uint64(e1.Map[s1.Index(xc)])
-			u2 := s2.Index(yc)
-			yc[ax] = vy
-			v2 := s2.Index(yc)
-			p := factorPath(e2, u2, v2)
-			if p == nil {
-				return
-			}
-			lift := make(cube.Path, len(p))
-			for i, node := range p {
-				lift[i] = cube.Node(uint64(node)<<uint(e1.N) | innerBits)
-			}
-			out.Paths[embed.Key(ed.U, ed.V)] = lift
-		}
-	})
-}
-
-// factorPath returns the pinned path of a factor edge oriented from u to v,
-// or nil when the factor has no pinned path for it (the product edge then
-// falls back to e-cube routing, which also stays inside the copy).
-func factorPath(e *embed.Embedding, u, v int) cube.Path {
-	if e.Paths == nil {
-		return nil
+// strides returns the index stride of every axis of s.
+func strides(s mesh.Shape) []int {
+	out := make([]int, len(s))
+	st := 1
+	for i, l := range s {
+		out[i] = st
+		st *= l
 	}
-	p, ok := e.Paths[embed.Key(u, v)]
-	if !ok {
-		return nil
-	}
-	if len(p) > 0 && p[0] == e.Map[u] {
-		return p
-	}
-	// stored in the opposite orientation; reverse
-	r := make(cube.Path, len(p))
-	for i := range p {
-		r[i] = p[len(p)-1-i]
-	}
-	return r
+	return out
 }
 
 // SubMesh restricts an embedding to a smaller mesh contained in its guest
@@ -188,22 +119,17 @@ func SubMesh(e *embed.Embedding, target mesh.Shape) *embed.Embedding {
 		panic(fmt.Sprintf("core: %v is not contained in %v", target, e.Guest))
 	}
 	out := embed.New(tgt, e.N)
+	st, bst := strides(tgt), strides(big)
 	coord := make([]int, tgt.Dims())
 	for i := range out.Map {
 		tgt.CoordInto(i, coord)
-		out.Map[i] = e.Map[big.Index(coord)]
-	}
-	if e.Paths != nil {
-		out.Paths = make(map[embed.EdgeKey]cube.Path)
-		coordV := make([]int, tgt.Dims())
-		tgt.EachEdge(func(ed mesh.Edge) {
-			tgt.CoordInto(ed.U, coord)
-			tgt.CoordInto(ed.V, coordV)
-			k := embed.Key(big.Index(coord), big.Index(coordV))
-			if p, ok := e.Paths[k]; ok {
-				out.Paths[embed.Key(ed.U, ed.V)] = p
+		b := big.Index(coord)
+		out.Map[i] = e.Map[b]
+		for a := 0; e.Routes != nil && a < len(tgt); a++ {
+			if coord[a]+1 < tgt[a] {
+				embed.CopyRoute(out, i, i+st[a], e, b, b+bst[a], a)
 			}
-		})
+		}
 	}
 	return out
 }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cube"
+	"repro/internal/direct"
 	"repro/internal/embed"
 	"repro/internal/guest"
 	"repro/internal/mesh"
@@ -121,35 +123,88 @@ func TestProductCongestionWithPinnedPaths(t *testing.T) {
 	}
 }
 
-func TestProductPathsStayInCopies(t *testing.T) {
-	// With pinned factor paths, every product path must stay within one
-	// copy: inner-edge paths keep the high bits constant, seam paths keep
-	// the low bits constant.
-	f := solver.Find(mesh.Shape{3, 5}, solver.Options{MaxDilation: 2, Seed: 3})
-	if f == nil {
-		t.Skip("solver failed")
+// TestProductLiftsFactorRoutes checks Theorem 3's copies edge by edge: in
+// the product of every direct table and the solver's seed-3 3x5 with a
+// Gray factor of extent ≥ 2 on every axis (so odd outer coordinates reflect
+// the inner copy), each product edge's route is its factor edge's route
+// lifted into the copy.  The factor edge is found from the images alone:
+// an inner edge keeps the outer codeword, a seam edge the inner one.
+func TestProductLiftsFactorRoutes(t *testing.T) {
+	solved := solver.Find(mesh.Shape{3, 5}, solver.Options{MaxDilation: 2, Seed: 3})
+	if solved == nil {
+		t.Fatal("solver failed to find 3x5")
 	}
-	f.RealizeMinCongestion()
-	g := embed.Gray(mesh.Shape{2, 2})
-	p := Product(f, g)
-	if p.Paths == nil {
-		t.Fatal("expected composed paths")
+	solved.RealizeMinCongestion()
+	factors := []*embed.Embedding{solved}
+	for _, tab := range direct.Tables {
+		e, ok := direct.Embedding(tab.Shape)
+		if !ok {
+			t.Fatalf("no direct embedding of %v", tab.Shape)
+		}
+		factors = append(factors, e)
 	}
-	n1 := f.N
-	for k, path := range p.Paths {
-		loMask := uint64(1)<<uint(n1) - 1
-		hiSame, loSame := true, true
-		for _, node := range path {
-			if uint64(node)>>uint(n1) != uint64(path[0])>>uint(n1) {
-				hiSame = false
-			}
-			if uint64(node)&loMask != uint64(path[0])&loMask {
-				loSame = false
-			}
+	for _, f := range factors {
+		outer := make(mesh.Shape, f.Guest.Dims())
+		for i := range outer {
+			outer[i] = 2 + i%2
 		}
-		if !hiSame && !loSame {
-			t.Fatalf("path for edge %v leaves its copy: %v", k, path)
+		g := embed.Gray(outer)
+		p := Product(f, g)
+		if err := p.Verify(); err != nil {
+			t.Fatalf("%v ⊗ %v: %v", f.Guest, outer, err)
 		}
+		inner, outerInv := preimage(f), preimage(g)
+		mask := 1<<f.N - 1
+		p.Guest.EachEdge(func(ed mesh.Edge) {
+			a, b := int(p.Map[ed.U]), int(p.Map[ed.V])
+			var lift []int
+			if a&mask != b&mask { // inner edge: lift φ₁'s route by the outer codeword
+				for _, h := range oraclePath(f, inner[a&mask], inner[b&mask]) {
+					lift = append(lift, a&^mask|h)
+				}
+			} else { // seam edge: lift φ₂'s route beside the inner codeword
+				for _, h := range oraclePath(g, outerInv[a>>f.N], outerInv[b>>f.N]) {
+					lift = append(lift, h<<f.N|a&mask)
+				}
+			}
+			if got := oraclePath(p, ed.U, ed.V); !slices.Equal(fromLower(got), fromLower(lift)) {
+				t.Fatalf("%v ⊗ %v: edge (%d,%d): route %v, lifted factor route %v",
+					f.Guest, outer, ed.U, ed.V, got, lift)
+			}
+		})
+	}
+}
+
+// preimage inverts an injective node map.
+func preimage(e *embed.Embedding) map[int]int {
+	inv := make(map[int]int, len(e.Map))
+	for i, h := range e.Map {
+		inv[int(h)] = i
+	}
+	return inv
+}
+
+// TestSubMeshKeepsRoutes checks that a submesh of a pinned embedding routes
+// every edge as its parent does.
+func TestSubMeshKeepsRoutes(t *testing.T) {
+	for _, c := range []struct{ parent, sub mesh.Shape }{
+		{mesh.Shape{11, 11}, mesh.Shape{10, 9}},
+		{mesh.Shape{3, 3, 7}, mesh.Shape{2, 3, 5}},
+	} {
+		e, ok := direct.Embedding(c.parent)
+		if !ok || e.Routes == nil {
+			t.Fatalf("no pinned direct embedding of %v", c.parent)
+		}
+		sub := SubMesh(e, c.sub)
+		if err := sub.Verify(); err != nil {
+			t.Fatalf("%v in %v: %v", c.sub, c.parent, err)
+		}
+		c.sub.EachEdge(func(ed mesh.Edge) {
+			u, v := c.parent.Index(c.sub.Coord(ed.U)), c.parent.Index(c.sub.Coord(ed.V))
+			if got, want := oraclePath(sub, ed.U, ed.V), oraclePath(e, u, v); !slices.Equal(got, want) {
+				t.Fatalf("%v in %v: edge (%d,%d): route %v, parent route %v", c.sub, c.parent, ed.U, ed.V, got, want)
+			}
+		})
 	}
 }
 

@@ -25,36 +25,17 @@ import (
 // Map must be injective; many-to-one embeddings (Section 7 of the paper)
 // relax this and are validated with VerifyManyToOne.
 //
-// Paths, if non-nil, realizes guest edge e as an explicit cube path.  When a
-// guest edge has no entry, metrics fall back to e-cube (dimension-ordered)
-// shortest-path routing, which never changes the dilation (any realization
-// of an edge uses at least Dist hops; stored paths are validated to be
-// shortest unless AllowLongPaths is set).
+// Routes, if non-nil, pins the host path of guest edges with one route code
+// per edge slot (route.go).  An edge with code 0 takes e-cube
+// (dimension-ordered) shortest-path routing.  Every route is a shortest
+// path, so the dilation of an edge is the cube distance of its images
+// whatever its code.
 type Embedding struct {
 	Guest  mesh.Shape
 	Family guest.Family // edge interpretation of Guest (zero: mesh)
 	N      int          // host cube dimension
 	Map    []cube.Node
-
-	// Paths optionally pins the host path of selected guest edges,
-	// keyed by the canonical edge (U < V handled by EdgeKey).
-	Paths map[EdgeKey]cube.Path
-
-	// AllowLongPaths permits stored paths longer than the cube distance
-	// of their endpoints (used by the hierarchical embeddings of the
-	// summary section, where an edge is routed through removed nodes).
-	AllowLongPaths bool
-}
-
-// EdgeKey canonically identifies a guest edge by its dense endpoint indices.
-type EdgeKey struct{ U, V int }
-
-// Key returns the canonical key with U < V.
-func Key(u, v int) EdgeKey {
-	if u > v {
-		u, v = v, u
-	}
-	return EdgeKey{U: u, V: v}
+	Routes []uint8 // route code per edge slot; nil pins nothing
 }
 
 // New allocates an embedding of the guest shape into an n-cube with an
@@ -88,17 +69,6 @@ func (e *Embedding) eachGuestEdge(fn func(mesh.Edge)) {
 // interpretation.
 func (e *Embedding) NumGuestEdges() int {
 	return guest.Get(e.Family).Edges(e.Guest)
-}
-
-// EdgeDilation returns the dilation of one guest edge: the length of its
-// pinned path if any, else the cube distance of the endpoint images.
-func (e *Embedding) EdgeDilation(u, v int) int {
-	if e.Paths != nil {
-		if p, ok := e.Paths[Key(u, v)]; ok {
-			return p.Len()
-		}
-	}
-	return cube.Dist(e.Map[u], e.Map[v])
 }
 
 // Dilation returns the maximum edge dilation (Definition 2).  It is a thin
@@ -203,8 +173,7 @@ func (e *Embedding) OptimalLoadFactor() int {
 
 // Verify checks the structural invariants of a one-to-one embedding:
 // the guest shape is valid, every image is inside the cube, the map is
-// injective, and every pinned path is a valid cube walk joining the correct
-// images with length ≥ the cube distance (== unless AllowLongPaths).
+// injective, and the route codes are well formed (verifyRoutes).
 func (e *Embedding) Verify() error {
 	if err := e.verifyCommon(); err != nil {
 		return err
@@ -255,57 +224,22 @@ func (e *Embedding) verifyCommon() error {
 				e.Guest.Coord(i), h, e.N)
 		}
 	}
-	var bad error
-	if e.Paths != nil {
-		e.eachGuestEdge(func(ed mesh.Edge) {
-			if bad != nil {
-				return
-			}
-			p, ok := e.Paths[Key(ed.U, ed.V)]
-			if !ok {
-				return
-			}
-			if err := p.Validate(e.N); err != nil {
-				bad = fmt.Errorf("embed: edge (%d,%d): %v", ed.U, ed.V, err)
-				return
-			}
-			if len(p) == 0 || p[0] != e.Map[ed.U] || p[len(p)-1] != e.Map[ed.V] {
-				// also accept the reversed orientation
-				if len(p) == 0 || p[0] != e.Map[ed.V] || p[len(p)-1] != e.Map[ed.U] {
-					bad = fmt.Errorf("embed: edge (%d,%d): path endpoints do not match images", ed.U, ed.V)
-					return
-				}
-			}
-			d := cube.Dist(e.Map[ed.U], e.Map[ed.V])
-			if p.Len() < d || (!e.AllowLongPaths && p.Len() != d) {
-				bad = fmt.Errorf("embed: edge (%d,%d): path length %d vs distance %d", ed.U, ed.V, p.Len(), d)
-			}
-		})
-		// Reject paths for non-existent edges: they would silently skew
-		// congestion accounting.
-		valid := make(map[EdgeKey]bool, e.NumGuestEdges())
-		e.eachGuestEdge(func(ed mesh.Edge) { valid[Key(ed.U, ed.V)] = true })
-		for k := range e.Paths {
-			if !valid[k] {
-				return fmt.Errorf("embed: pinned path for non-edge (%d,%d)", k.U, k.V)
-			}
-		}
-	}
-	return bad
+	return e.verifyRoutes()
 }
 
-// RealizeMinCongestion pins, for every guest edge whose images are at
-// distance 2, the shortest path that currently has the lighter maximum link
-// load (greedy, deterministic order).  Distance-0/1 edges need no choice and
-// distance ≥ 3 edges keep e-cube routing.  This is how the congestion-2
-// figures of the direct embeddings are attained.
+// RealizeMinCongestion pins, for every unpinned guest edge whose images are
+// at distance 2..4, the shortest path that currently has the lighter maximum
+// link load (greedy, deterministic order; the first of cube.ShortestPaths
+// wins a tie).  Distance-0/1 edges need no choice and longer edges keep
+// e-cube routing.  This is how the congestion-2 figures of the direct
+// embeddings are attained.
 func (e *Embedding) RealizeMinCongestion() {
 	loads := make([]int, cube.NumLinks(e.N))
-	if e.Paths == nil {
-		e.Paths = make(map[EdgeKey]cube.Path)
+	if e.Routes == nil {
+		e.Routes = make([]uint8, e.numSlots())
 	}
 	// Links are accumulated by walking paths pairwise — no per-path link
-	// slices — and e-cube routes land in one reused scratch buffer.
+	// slices — and routes land in one reused scratch buffer.
 	var route cube.Path
 	addPath := func(p cube.Path) {
 		for i := 1; i < len(p); i++ {
@@ -321,28 +255,22 @@ func (e *Embedding) RealizeMinCongestion() {
 		}
 		return w
 	}
+	dims, tree := e.Guest.Dims(), e.Family == guest.Tree
 	e.eachGuestEdge(func(ed mesh.Edge) {
-		key := Key(ed.U, ed.V)
-		if p, pinned := e.Paths[key]; pinned {
-			addPath(p)
-			return
-		}
+		s := slot(ed, dims, tree)
 		a, b := e.Map[ed.U], e.Map[ed.V]
-		d := cube.Dist(a, b)
-		if d <= 1 || d > 4 {
-			route = cube.RouteInto(route[:0], a, b)
-			addPath(route)
-			return
-		}
-		best := cube.Path(nil)
-		bestW := int(^uint(0) >> 1)
-		for _, p := range cube.ShortestPaths(a, b) {
-			if w := worst(p); w < bestW {
-				best, bestW = p, w
+		if d := cube.Dist(a, b); e.Routes[s] == 0 && d >= 2 && d <= maxRouteDist {
+			best := cube.Path(nil)
+			bestW := int(^uint(0) >> 1)
+			for _, p := range cube.ShortestPaths(a, b) {
+				if w := worst(p); w < bestW {
+					best, bestW = p, w
+				}
 			}
+			e.Routes[s] = routeCode(best)
 		}
-		e.Paths[key] = best
-		addPath(best)
+		route = routeInto(route[:0], a, b, e.Routes[s])
+		addPath(route)
 	})
 }
 

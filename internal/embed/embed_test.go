@@ -2,6 +2,7 @@ package embed
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,48 +121,69 @@ func TestVerifyCatchesOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPinnedPathValidation(t *testing.T) {
-	e := New(mesh.Shape{2}, 2)
-	e.Map[0], e.Map[1] = 0, 3
-	e.Paths = map[EdgeKey]cube.Path{Key(0, 1): {0, 1, 3}}
-	if err := e.Verify(); err != nil {
-		t.Errorf("valid pinned path rejected: %v", err)
-	}
-	if e.EdgeDilation(0, 1) != 2 {
-		t.Errorf("dilation via path = %d", e.EdgeDilation(0, 1))
-	}
-	// wrong endpoints
-	e.Paths[Key(0, 1)] = cube.Path{0, 1}
-	if err := e.Verify(); err == nil {
-		t.Error("path with wrong endpoint accepted")
-	}
-	// broken walk
-	e.Paths[Key(0, 1)] = cube.Path{0, 3}
-	if err := e.Verify(); err == nil {
-		t.Error("non-walk path accepted")
-	}
-	// longer than distance without AllowLongPaths
-	e.Paths[Key(0, 1)] = cube.Path{0, 1, 0, 1, 3}
-	if err := e.Verify(); err == nil {
-		t.Error("over-long path accepted")
-	}
-	e.AllowLongPaths = true
-	if err := e.Verify(); err != nil {
-		t.Errorf("AllowLongPaths should accept it: %v", err)
-	}
-	// path for a non-edge
-	e.Paths = map[EdgeKey]cube.Path{Key(5, 7): {0, 1}}
-	if err := e.Verify(); err == nil {
-		t.Error("path for non-edge accepted")
+// TestRouteCodeRoundTrip pins the route-code contract on every shortest
+// path at distance 2..4 between nodes of the 5-cube, in both orientations:
+// the code is nonzero and valid, it does not depend on the orientation, the
+// d! paths get d! distinct codes, and each decodes back to its path.
+func TestRouteCodeRoundTrip(t *testing.T) {
+	for a := cube.Node(0); a < 32; a++ {
+		for b := cube.Node(0); b < 32; b++ {
+			d := cube.Dist(a, b)
+			if d < 2 || d > maxRouteDist {
+				continue
+			}
+			seen := make(map[uint8]bool)
+			for _, p := range cube.ShortestPaths(a, b) {
+				rev := slices.Clone(p)
+				slices.Reverse(rev)
+				c := routeCode(p)
+				if c == 0 || !validCode(c, d) || routeCode(rev) != c {
+					t.Fatalf("%v: code %#02x, reversed %#02x", p, c, routeCode(rev))
+				}
+				if seen[c] {
+					t.Fatalf("%v: code %#02x names two paths", p, c)
+				}
+				seen[c] = true
+				want := p
+				if a > b {
+					want = rev // decoding walks from the lower image
+				}
+				for _, got := range []cube.Path{routeInto(nil, a, b, c), routeInto(nil, b, a, c)} {
+					if !slices.Equal(got, want) {
+						t.Fatalf("code %#02x decodes to %v, want %v", c, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
-func TestReversedPathAccepted(t *testing.T) {
-	e := New(mesh.Shape{2}, 2)
-	e.Map[0], e.Map[1] = 0, 3
-	e.Paths = map[EdgeKey]cube.Path{Key(0, 1): {3, 2, 0}}
-	if err := e.Verify(); err != nil {
-		t.Errorf("reversed path rejected: %v", err)
+// TestVerifyRejectsBadRoutes checks each way a route vector can be
+// malformed.  A code can only flip its own edge's differing bits, so wrong
+// endpoints and broken walks cannot be written.
+func TestVerifyRejectsBadRoutes(t *testing.T) {
+	// A 3-node path: edge (0,1) at distance 2 in slot 0, edge (1,2) at
+	// distance 1 in slot 1, and slot 2 (node 2 is the last) has no edge.
+	e := New(mesh.Shape{3}, 2)
+	e.Map[0], e.Map[1], e.Map[2] = 0, 3, 2
+	for _, c := range []struct {
+		name   string
+		routes []uint8
+		ok     bool
+	}{
+		{"unpinned", []uint8{0, 0, 0}, true},
+		{"e-cube order pinned", []uint8{0b0100, 0, 0}, true},
+		{"other order pinned", []uint8{0b0001, 0, 0}, true},
+		{"code on a distance-1 edge", []uint8{0, 0b0100, 0}, false},
+		{"non-permutation", []uint8{0b0101, 0, 0}, false},
+		{"stray high bits", []uint8{0b1_0001, 0, 0}, false},
+		{"code on a non-edge slot", []uint8{0, 0, 0b0100}, false},
+		{"wrong-length vector", []uint8{0b0100, 0}, false},
+	} {
+		e.Routes = c.routes
+		if err := e.Verify(); (err == nil) != c.ok {
+			t.Errorf("%s: Verify() = %v", c.name, err)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 )
 
 // referenceMeasure recomputes Metrics the way the pre-fusion implementation
-// did: paths materialized per edge, the edge set enumerated through the
-// guest registry.  It is the oracle the fused engine must match bit for
+// did: paths materialized per edge from their route codes, the edge set
+// enumerated through the guest registry.  It is the oracle the fused engine must match bit for
 // bit; the registry's edge sets are themselves checked against independent
 // product-graph constructions by the guest conformance suite.
 func referenceMeasure(e *Embedding) Metrics {
@@ -20,20 +20,16 @@ func referenceMeasure(e *Embedding) Metrics {
 	maxDil := 0
 	loads := make([]int, cube.NumLinks(e.N))
 	visit := func(ed mesh.Edge) {
-		d := e.EdgeDilation(ed.U, ed.V)
+		var code uint8
+		if e.Routes != nil {
+			code = e.Routes[slot(ed, e.Guest.Dims(), e.Family == guest.Tree)]
+		}
+		p := routeInto(nil, e.Map[ed.U], e.Map[ed.V], code)
+		d := p.Len()
 		edges++
 		dilSum += d
 		if d > maxDil {
 			maxDil = d
-		}
-		var p cube.Path
-		if e.Paths != nil {
-			if pin, ok := e.Paths[Key(ed.U, ed.V)]; ok {
-				p = pin
-			}
-		}
-		if p == nil {
-			p = cube.Route(e.Map[ed.U], e.Map[ed.V])
 		}
 		for _, l := range p.Links() {
 			loads[cube.LinkIndex(l, e.N)]++
@@ -148,6 +144,7 @@ func TestMeasureParallelLargeMesh(t *testing.T) {
 // GOMAXPROCS to 1, so the parallel case names its worker count.
 func TestMeasureAllocs(t *testing.T) {
 	serial := Gray(mesh.Shape{16, 16, 16})
+	pinned := benchPinned()
 	parallel := Gray(mesh.Shape{24, 24, 24})
 	if parallel.NumGuestEdges() < parallelEdgeThreshold {
 		t.Fatal("parallel case below the parallel threshold")
@@ -158,6 +155,7 @@ func TestMeasureAllocs(t *testing.T) {
 		run    func()
 	}{
 		{"16x16x16 Measure", 8, func() { serial.Measure() }},
+		{"3x5x17 pinned Measure", 8, func() { pinned.Measure() }},
 		{"24x24x24 MeasureParallel(2)", 17, func() { parallel.MeasureParallel(2) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.run); got > c.budget {
@@ -220,7 +218,7 @@ func TestAxisAvgDilationFused(t *testing.T) {
 			sum, cnt := 0, 0
 			e.eachGuestEdge(func(ed mesh.Edge) {
 				if ed.Axis == axis {
-					sum += e.EdgeDilation(ed.U, ed.V)
+					sum += cube.Dist(e.Map[ed.U], e.Map[ed.V])
 					cnt++
 				}
 			})
@@ -241,8 +239,8 @@ func TestAxisAvgDilationFused(t *testing.T) {
 	}
 }
 
-// TestConcurrentMeasureSharedEmbedding hammers one shared Embedding (with a
-// pinned-path map, so concurrent map reads are exercised) from many
+// TestConcurrentMeasureSharedEmbedding hammers one shared Embedding (with
+// route codes, so concurrent reads of them are exercised) from many
 // goroutines; run under -race via the Makefile race target.
 func TestConcurrentMeasureSharedEmbedding(t *testing.T) {
 	e := benchPinned()

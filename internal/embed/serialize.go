@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -24,8 +25,8 @@ import (
 //	2 3 0 1 …            (host addresses in dense guest-index order,
 //	                      any whitespace/line structure)
 //
-// Pinned paths are not serialized; metrics that depend on a specific path
-// realization (congestion) are recomputed with e-cube routing after a load.
+// Route codes are not serialized; metrics that depend on them (congestion)
+// are recomputed with e-cube routing after a load.
 
 const formatHeader = "repro-embedding v1"
 
@@ -36,8 +37,8 @@ const formatHeader = "repro-embedding v1"
 const SchemaVersion = 1
 
 // Serial is the structured, versioned form of an embedding, the schema the
-// HTTP API serves.  It captures exactly what the text format does: pinned
-// paths are not serialized, and path-dependent metrics are recomputed with
+// HTTP API serves.  It captures exactly what the text format does: route
+// codes are not serialized, and route-dependent metrics are recomputed with
 // e-cube routing after FromSerial.
 type Serial struct {
 	Version int      `json:"version"`
@@ -84,6 +85,16 @@ func resolveFamily(name string, wrap bool) (guest.Family, error) {
 	return f, nil
 }
 
+// guestNodes returns the node count of a guest read from serialized input,
+// rejecting counts that overflow an int (Shape.Nodes would wrap).
+func guestNodes(gs mesh.Shape) (int, error) {
+	nodes, ok := gs.NodesWithin(math.MaxInt)
+	if !ok {
+		return 0, fmt.Errorf("embed: guest %s has too many nodes", gs)
+	}
+	return nodes, nil
+}
+
 // FromSerial rebuilds an embedding from its structured form and validates
 // it with VerifyManyToOne (the format stores many-to-one embeddings too, so
 // one-to-one validity stays the caller's decision, as with Read).
@@ -99,11 +110,15 @@ func FromSerial(s *Serial) (*Embedding, error) {
 	if err != nil {
 		return nil, err
 	}
+	nodes, err := guestNodes(gs)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.Map) != nodes {
+		return nil, fmt.Errorf("embed: map covers %d of %d guest nodes", len(s.Map), nodes)
+	}
 	e := New(gs, s.Cube)
 	e.Family = fam
-	if len(s.Map) != len(e.Map) {
-		return nil, fmt.Errorf("embed: map covers %d of %d guest nodes", len(s.Map), len(e.Map))
-	}
 	for i, h := range s.Map {
 		e.Map[i] = cube.Node(h)
 	}
@@ -214,24 +229,27 @@ func Read(r io.Reader) (*Embedding, error) {
 			if err != nil {
 				return nil, err
 			}
-			e := New(gs, n)
-			e.Family = fam
-			count := 0
-			for count < len(e.Map) {
+			nodes, err := guestNodes(gs)
+			if err != nil {
+				return nil, err
+			}
+			// Entries are appended as they parse, so the map grows with
+			// the input, never with the header's claim.
+			e := &Embedding{Guest: gs, Family: fam, N: n}
+			for len(e.Map) < nodes {
 				l, err := line()
 				if err != nil {
-					return nil, fmt.Errorf("embed: map truncated at %d of %d entries", count, len(e.Map))
+					return nil, fmt.Errorf("embed: map truncated at %d of %d entries", len(e.Map), nodes)
 				}
 				for _, f := range strings.Fields(l) {
-					if count >= len(e.Map) {
+					if len(e.Map) == nodes {
 						return nil, fmt.Errorf("embed: map has extra entries")
 					}
 					v, err := strconv.ParseUint(f, 10, 64)
 					if err != nil {
 						return nil, fmt.Errorf("embed: bad map entry %q", f)
 					}
-					e.Map[count] = cube.Node(v)
-					count++
+					e.Map = append(e.Map, cube.Node(v))
 				}
 			}
 			if err := e.VerifyManyToOne(); err != nil {

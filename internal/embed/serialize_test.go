@@ -2,6 +2,7 @@ package embed
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,4 +206,63 @@ func BenchmarkSerialize(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// oversizedSerials and oversizedTexts name guests whose node count exceeds
+// any allocation (2^48) or overflows an int to 0 (2^64), with a map that
+// cannot match.  Both readers must reject them without sizing a map from
+// the header.
+var (
+	oversizedSerials = []string{
+		`{"version":1,"guest":"65536x65536x65536","cube":4,"map":[0]}`,
+		`{"version":1,"guest":"4294967296x4294967296","cube":4,"map":[]}`,
+	}
+	oversizedTexts = []string{
+		"repro-embedding v1\nguest 65536x65536x65536\nwrap false\ncube 4\nmap\n0 1\n",
+		"repro-embedding v1\nguest 4294967296x4294967296\nwrap false\ncube 4\nmap\n",
+	}
+)
+
+// checkLoaded fails unless a loaded embedding has one map entry per guest
+// node, counted without overflow, and passes VerifyManyToOne.
+func checkLoaded(t *testing.T, e *Embedding) {
+	if nodes, ok := e.Guest.NodesWithin(math.MaxInt); !ok || nodes != len(e.Map) {
+		t.Fatalf("accepted guest %v with %d map entries", e.Guest, len(e.Map))
+	}
+	if err := e.VerifyManyToOne(); err != nil {
+		t.Fatalf("accepted an invalid embedding: %v", err)
+	}
+}
+
+func FuzzFromSerial(f *testing.F) {
+	for _, s := range oversizedSerials {
+		f.Add([]byte(s))
+	}
+	valid, _ := json.Marshal(Gray(mesh.Shape{3, 5}).Serial())
+	f.Add(valid)
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s Serial
+		if json.Unmarshal(body, &s) != nil {
+			return
+		}
+		if e, err := FromSerial(&s); err == nil {
+			checkLoaded(t, e)
+		}
+	})
+}
+
+func FuzzRead(f *testing.F) {
+	for _, s := range oversizedTexts {
+		f.Add(s)
+	}
+	var valid strings.Builder
+	if _, err := Gray(mesh.Shape{3, 5}).WriteTo(&valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.String())
+	f.Fuzz(func(t *testing.T, text string) {
+		if e, err := Read(strings.NewReader(text)); err == nil {
+			checkLoaded(t, e)
+		}
+	})
 }

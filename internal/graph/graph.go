@@ -1,9 +1,10 @@
 // Package graph provides an explicit undirected-graph representation with
 // constructors for the graph families of the paper — meshes, wraparound
 // meshes (tori), cylinders, Boolean cubes, paths, rings and Cartesian
-// products — plus BFS utilities.  It backs the solver, the verifier's
-// cross-checks, the guest edge-set oracle and the structural facts (e.g.
-// Lemma 1) used by the torus embeddings.
+// products — plus BFS utilities.  Only tests import it: it is the
+// independent oracle the guest edge enumerations and the fused metrics
+// pass are checked against, sharing no edge enumeration or routing code
+// with them.
 package graph
 
 import (

@@ -80,6 +80,20 @@ func (s Shape) Nodes() int {
 	return n
 }
 
+// NodesWithin returns the node count Π ℓi and true when the shape is valid
+// and the count is at most max, else 0 and false.  Unlike Nodes it cannot
+// overflow, so it is the size check for shapes read from untrusted input.
+func (s Shape) NodesWithin(max int) (int, bool) {
+	nodes := 1
+	for _, l := range s {
+		if l < 1 || nodes > max/l {
+			return 0, false
+		}
+		nodes *= l
+	}
+	return nodes, true
+}
+
 // WrapSet names the axes of a grid that wrap around — cycles instead of
 // paths — as a count of trailing axes: a shape's last w axes wrap.  Which
 // set each guest family uses is decided by package guest.

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -47,6 +48,29 @@ func TestNodesEdges(t *testing.T) {
 		}
 		if got := c.s.Edges(NoWrap); got != c.edges {
 			t.Errorf("%v.Edges() = %d, want %d", c.s, got, c.edges)
+		}
+	}
+}
+
+// TestNodesWithin checks the overflow-checked node count against Nodes on
+// small shapes, and that the bound, invalid axes and products past an int
+// are refused rather than wrapped.
+func TestNodesWithin(t *testing.T) {
+	for _, c := range []struct {
+		s     Shape
+		max   int
+		nodes int
+		ok    bool
+	}{
+		{Shape{5, 6, 7}, 210, 210, true},
+		{Shape{5, 6, 7}, 209, 0, false},
+		{Shape{1}, 1, 1, true},
+		{Shape{3, 0}, 100, 0, false},
+		{Shape{65536, 65536, 65536}, math.MaxInt, 1 << 48, true},
+		{Shape{1 << 32, 1 << 32}, math.MaxInt, 0, false}, // Nodes wraps to 0
+	} {
+		if n, ok := c.s.NodesWithin(c.max); n != c.nodes || ok != c.ok {
+			t.Errorf("%v.NodesWithin(%d) = %d, %v; want %d, %v", c.s, c.max, n, ok, c.nodes, c.ok)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bits"
+	"repro/internal/cube"
 	"repro/internal/embed"
 	"repro/internal/mesh"
 )
@@ -115,7 +116,7 @@ func TestAssembleMixedLayouts(t *testing.T) {
 	// with Gray base d = 1... the base 3x5 Gray has dilation 1).
 	maxDil := 0
 	check := func(u, v int) {
-		if d := e.EdgeDilation(u, v); d > maxDil {
+		if d := cube.Dist(e.Map[u], e.Map[v]); d > maxDil {
 			maxDil = d
 		}
 	}

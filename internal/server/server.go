@@ -337,12 +337,8 @@ func (s *Server) parseShapeField(shape string, maxNodes int) (mesh.Shape, error)
 	if err := sh.Validate(); err != nil {
 		return nil, errBadRequest("%v", err)
 	}
-	nodes := 1
-	for _, l := range sh {
-		if nodes > maxNodes/l {
-			return nil, errTooLarge("shape %s exceeds the %d-node limit", sh, maxNodes)
-		}
-		nodes *= l
+	if _, ok := sh.NodesWithin(maxNodes); !ok {
+		return nil, errTooLarge("shape %s exceeds the %d-node limit", sh, maxNodes)
 	}
 	return sh, nil
 }
