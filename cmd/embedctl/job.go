@@ -20,7 +20,7 @@ import (
 //
 //	embedctl job submit -kind census -max-n 9
 //	embedctl job status <id>
-//	embedctl job watch <id>            # live progress until terminal (SSE)
+//	embedctl job watch <id>            # polled progress until terminal
 //	embedctl job results <id>          # stream NDJSON to stdout (resumable)
 //	embedctl job events <id>           # live SSE rows to stdout (resumable)
 //	embedctl job cancel <id>
@@ -176,17 +176,16 @@ func jobSubmit(ctx context.Context, args []string) {
 		return
 	}
 	fmt.Fprintf(os.Stderr, "submitted %s\n", st.ID)
-	fin, err := c.WatchJobLive(ctx, st.ID, time.Second, watchLine)
+	fin, err := c.WatchJob(ctx, st.ID, time.Second, watchLine)
 	jobCheck(err)
 	fmt.Fprintln(os.Stderr)
 	printJSON(fin)
 }
 
-// jobWatch renders live progress from the SSE event stream (falling back to
-// polling inside WatchJobLive when the server predates /events).
+// jobWatch polls a job's status, rendering progress until it finishes.
 func jobWatch(ctx context.Context, args []string) {
 	jf := jobClient(args, 1)
-	fin, err := jf.c.WatchJobLive(ctx, jf.args[0], time.Second, watchLine)
+	fin, err := jf.c.WatchJob(ctx, jf.args[0], time.Second, watchLine)
 	jobCheck(err)
 	fmt.Fprintln(os.Stderr)
 	printJSON(fin)

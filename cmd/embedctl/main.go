@@ -55,9 +55,10 @@ func usage() {
                                         readable, schema of cmd/benchjson)
   embedctl job submit|status|watch|results|events|cancel|list
                                         drive batch-sweep jobs on a running
-                                        embedserver; watch/events stream live
-                                        SSE progress and result rows (run
-                                        "embedctl job" for the full flag list)
+                                        embedserver; watch polls progress,
+                                        events streams live SSE result rows
+                                        (run "embedctl job" for the full flag
+                                        list)
   embedctl peers [join]                 list a running embedserver's fabric
                                         peers, or register a worker with a
                                         coordinator (run "embedctl peers -h"

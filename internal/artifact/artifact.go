@@ -305,9 +305,10 @@ func (b *Builder) Add(s mesh.Shape, p *core.Plan) error {
 }
 
 // AddRec writes an already-normalized record for the next shape in rank
-// order — the replay path of a distributed plancensus fold, where the plan
-// was computed on a worker and shipped as a Rec.  Byte-for-byte equivalent
-// to Add of the plan it came from.
+// order — the replay path of a plancensus job's fold, where the plan was
+// computed by the chunk's execute (in process or on a fabric peer) and
+// carried as a plan entry.  Byte-for-byte equivalent to Add of the plan it
+// came from.
 func (b *Builder) AddRec(s mesh.Shape, rec Rec) error {
 	if err := CheckShape(s, b.hdr.Dims, b.hdr.MaxAxis); err != nil {
 		return err

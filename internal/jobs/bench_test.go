@@ -70,3 +70,19 @@ func BenchmarkPlanSweepJob(b *testing.B) {
 		PlanSweep: &api.PlanSweepParams{Dims: 3, MaxAxis: 16, MaxNodes: 4096},
 	}, 688) // |SortedShapes(3, 16, 4096)|
 }
+
+// BenchmarkPlanCensusJob builds a plancensus artifact whose last chunk
+// holds 3,003 shapes (dims 6, largest axis 11): every chunk's plan entries
+// are held between its execute and its fold.  The manager's planner is
+// cold only in the first iteration, so compare runs at one fixed
+// -benchtime Nx.
+func BenchmarkPlanCensusJob(b *testing.B) {
+	for _, fam := range []string{"mesh", "torus"} {
+		b.Run(fam, func(b *testing.B) {
+			benchJob(b, api.JobSubmitRequest{
+				Kind:       api.JobPlanCensus,
+				PlanCensus: &api.PlanCensusParams{Family: fam, Dims: 6, MaxAxis: 11},
+			}, 8008) // artifact.TotalRecords(6, 11)
+		})
+	}
+}

@@ -1,0 +1,282 @@
+package jobs
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"flag"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/stats"
+	"repro/pkg/api"
+)
+
+var update = flag.Bool("update", false, "rewrite the chunk-wire golden files")
+
+func plansweepTorusReq() api.JobSubmitRequest {
+	req := plansweepReq()
+	req.PlanSweep.Family = "torus"
+	return req
+}
+
+// chunkWireCases pin one chunk of every job kind.  Fabric peers of mixed
+// versions exchange exactly these bytes, so a change that moves them is a
+// wire break, not a refactor.
+var chunkWireCases = []struct {
+	name  string
+	req   api.JobSubmitRequest
+	chunk int
+}{
+	{"census_maxn4_chunk5", censusReq(4), 5},
+	{"epsilon_maxn3_chunk2", epsilonReq(3), 2},
+	{"plansweep_mesh_chunk4", plansweepReq(), 4},
+	{"plansweep_torus_chunk4", plansweepTorusReq(), 4},
+	{"plancensus_mesh_chunk5", plancensusReq(3, 6, ""), 5},
+}
+
+// encodeChunk renders a chunk result exactly as POST /v1/internal/chunks
+// writes it.
+func encodeChunk(t testing.TB, res *api.ChunkResult) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// newRunner builds a runner for req the way a job run does, with its data
+// directory under the test's temp dir.
+func newRunner(t testing.TB, req api.JobSubmitRequest) kindRunner {
+	t.Helper()
+	r, err := buildRunner(&req, 2, core.NewPlanner(core.DefaultOptions), t.TempDir())
+	if err != nil {
+		t.Fatalf("buildRunner: %v", err)
+	}
+	if c, ok := r.(runnerCloser); ok {
+		t.Cleanup(c.close)
+	}
+	return r
+}
+
+// executeChunk runs one chunk on r and stamps it like ExecuteChunk does.
+func executeChunk(t testing.TB, r kindRunner, chunk int) *api.ChunkResult {
+	t.Helper()
+	res, err := r.execute(context.Background(), chunk, new(bytes.Buffer))
+	if err != nil {
+		t.Fatalf("execute(%d): %v", chunk, err)
+	}
+	res.Version, res.Chunk = api.Version, chunk
+	return res
+}
+
+func snapshotOf(t testing.TB, r kindRunner) []byte {
+	t.Helper()
+	b, err := r.snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	return b
+}
+
+// TestChunkWire pins ExecuteChunk's bytes for every job kind against
+// goldens written before the local loop and the fabric shared one chunk
+// path, and checks that execute is blind to the running aggregate: a
+// runner that has folded chunks 0..k-1 executes chunk k to a fresh
+// runner's bytes, and the execute leaves its snapshot where it was.
+func TestChunkWire(t *testing.T) {
+	for _, tc := range chunkWireCases {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := ExecuteChunk(context.Background(),
+				api.ChunkRequest{Version: api.Version, Job: tc.req, Chunk: tc.chunk}, 2, nil)
+			if err != nil {
+				t.Fatalf("ExecuteChunk: %v", err)
+			}
+			fresh := encodeChunk(t, res)
+			path := filepath.Join("testdata", "chunk_"+tc.name+".json")
+			if *update {
+				if err := os.WriteFile(path, fresh, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("reading golden: %v", err)
+			}
+			if !bytes.Equal(fresh, want) {
+				t.Fatalf("ExecuteChunk bytes differ from %s:\n%s", path, fresh)
+			}
+
+			r := newRunner(t, tc.req)
+			var buf bytes.Buffer
+			for c := 0; c < tc.chunk; c++ {
+				if _, err := r.fold(executeChunk(t, r, c), &buf); err != nil {
+					t.Fatalf("fold(%d): %v", c, err)
+				}
+			}
+			before := snapshotOf(t, r)
+			if got := encodeChunk(t, executeChunk(t, r, tc.chunk)); !bytes.Equal(got, fresh) {
+				t.Fatalf("mid-job execute(%d) differs from a fresh runner's:\n%s", tc.chunk, got)
+			}
+			if after := snapshotOf(t, r); !bytes.Equal(after, before) {
+				t.Fatalf("execute moved the snapshot:\nbefore %s\nafter  %s", before, after)
+			}
+		})
+	}
+}
+
+// TestCensusAggCodec pins the census delta codec to encoding/json: the
+// encoder writes json.Marshal's bytes, and the decoder reads them back
+// compact or indented (as a fabric peer's response carries them) and
+// rejects anything outside that layout.
+func TestCensusAggCodec(t *testing.T) {
+	part := make([]stats.CensusTally, 4)
+	for i := range part {
+		for j := range part[i].Count {
+			part[i].Count[j] = uint64(i*10 + j)
+		}
+		part[i].Eps2, part[i].Total = uint64(i)*1e12, uint64(i)<<60
+	}
+	part[3].Total = math.MaxUint64
+	compact, err := json.Marshal(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendCensusAgg(nil, part); !bytes.Equal(got, compact) {
+		t.Fatalf("appendCensusAgg = %s\njson.Marshal   = %s", got, compact)
+	}
+	indented, err := json.MarshalIndent(part, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range [][]byte{compact, indented, append([]byte(" \t\r\n"), compact...)} {
+		got := make([]stats.CensusTally, len(part))
+		if err := parseCensusAgg(got, in); err != nil {
+			t.Fatalf("parseCensusAgg(%s): %v", in, err)
+		}
+		if !reflect.DeepEqual(got, part) {
+			t.Fatalf("parseCensusAgg(%s) = %v, want %v", in, got, part)
+		}
+	}
+	s := string(compact)
+	for _, bad := range []string{
+		"", "null", s[:len(s)-1], s + "]", s + " x",
+		strings.Replace(s, "18446744073709551615", "18446744073709551616", 1), // overflow
+		strings.Replace(s, "[0,1,", "[01,1,", 1),                              // leading zero
+		strings.Replace(s, "[0,1,", "[-0,1,", 1),
+		strings.Replace(s, "[0,1,", "[0.0,1,", 1),
+		strings.Replace(s, `"eps2"`, `"Eps2"`, 1),
+		strings.Replace(s, `"eps2"`, `"eps 2"`, 1),   // whitespace inside a key
+		`[{"count":[0,0,0,0,0],"eps2":0,"total":0}]`, // one bucket of four
+	} {
+		if err := parseCensusAgg(make([]stats.CensusTally, len(part)), []byte(bad)); err == nil {
+			t.Errorf("parseCensusAgg(%q) accepted", bad)
+		}
+	}
+}
+
+// foldKinds are the runners FuzzFold attacks, one per job kind.
+var foldKinds = []struct {
+	name string
+	req  api.JobSubmitRequest
+}{
+	{"census", censusReq(4)},
+	{"epsilon", epsilonReq(3)},
+	{"plansweep", plansweepReq()},
+	{"plancensus", plancensusReq(3, 6, "")},
+}
+
+// FuzzFold folds hostile peer results.  A fabric peer's ChunkResult is
+// input from outside the process, and every local chunk passes through
+// fold too.  For each kind, a runner that folded chunk 0 folds an
+// arbitrary result at chunk 1: it must fail or succeed, never panic.  A
+// failed fold must leave the snapshot byte-identical, and the genuine
+// chunk 1 must then fold to the bytes and snapshot of a clean run — the
+// retry a failed attempt gets.
+func FuzzFold(f *testing.F) {
+	type chunkPair struct {
+		first, second *api.ChunkResult
+		stream        []byte // fold output of the genuine second chunk
+		snap          []byte // snapshot after both genuine chunks
+	}
+	genuine := make([]chunkPair, len(foldKinds))
+	for i, k := range foldKinds {
+		r := newRunner(f, k.req)
+		p := chunkPair{first: executeChunk(f, r, 0), second: executeChunk(f, r, 1)}
+		var buf bytes.Buffer
+		for _, res := range []*api.ChunkResult{p.first, p.second} {
+			buf.Reset()
+			if _, err := r.fold(res, &buf); err != nil {
+				f.Fatalf("%s: genuine fold: %v", k.name, err)
+			}
+		}
+		p.stream, p.snap = bytes.Clone(buf.Bytes()), snapshotOf(f, r)
+		genuine[i] = p
+	}
+
+	plansJSON := func(plans []api.PlanEntry) []byte {
+		b, err := json.Marshal(plans)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	for _, p := range genuine {
+		res := p.second
+		f.Add(res.Shapes, res.Rows, []byte(res.Agg), plansJSON(res.Plans))
+	}
+	census, plancensus := genuine[0].second, genuine[3].second
+	f.Add(census.Shapes, census.Rows, []byte(census.Agg[:len(census.Agg)/2]), []byte(nil))
+	short, err := json.Marshal(make([]stats.CensusTally, 4))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(census.Shapes, census.Rows, short, []byte(nil))
+	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), plansJSON(plancensus.Plans[1:]))
+	edit := func(mut func(*api.PlanEntry)) []byte {
+		plans := append([]api.PlanEntry(nil), plancensus.Plans...)
+		mut(&plans[len(plans)-1])
+		return plansJSON(plans)
+	}
+	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), edit(func(p *api.PlanEntry) { p.Kind = "moebius" }))
+	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), edit(func(p *api.PlanEntry) { p.Dilation = 255 }))
+
+	f.Fuzz(func(t *testing.T, shapes uint64, rows, agg, plans []byte) {
+		hostile := api.ChunkResult{Version: api.Version, Chunk: 1, Shapes: shapes, Rows: rows, Agg: agg}
+		_ = json.Unmarshal(plans, &hostile.Plans) // undecodable plans stay nil
+		for i, k := range foldKinds {
+			r := newRunner(t, k.req)
+			var buf bytes.Buffer
+			if _, err := r.fold(genuine[i].first, &buf); err != nil {
+				t.Fatalf("%s: genuine chunk 0: %v", k.name, err)
+			}
+			before := snapshotOf(t, r)
+			res := hostile
+			buf.Reset()
+			if _, err := r.fold(&res, &buf); err == nil {
+				continue
+			}
+			if after := snapshotOf(t, r); !bytes.Equal(after, before) {
+				t.Fatalf("%s: failed fold moved the snapshot:\nbefore %s\nafter  %s", k.name, before, after)
+			}
+			buf.Reset()
+			if _, err := r.fold(genuine[i].second, &buf); err != nil {
+				t.Fatalf("%s: genuine chunk 1 after a failed fold: %v", k.name, err)
+			}
+			if !bytes.Equal(buf.Bytes(), genuine[i].stream) {
+				t.Fatalf("%s: retried chunk 1 folded to other bytes:\n%s", k.name, buf.Bytes())
+			}
+			if got := snapshotOf(t, r); !bytes.Equal(got, genuine[i].snap) {
+				t.Fatalf("%s: retried chunk 1 left snapshot %s, want %s", k.name, got, genuine[i].snap)
+			}
+		}
+	})
+}

@@ -679,16 +679,17 @@ func (m *Manager) finalize(j *job, state api.JobState, err error) {
 // run commits j's chunks from one chunk source into its result log, then
 // appends the finish records.  A distributed job runs on the fabric when a
 // pool is configured; otherwise — including a distributed job resumed on a
-// server without one — the local loop runs it.  Both sources commit
-// through the same log, so the stream is the same bytes either way.
+// server without one — the local loop runs it.  Both sources run every
+// chunk as execute → fold and commit through the same log, so the stream
+// is the same bytes either way.
 func (m *Manager) run(ctx context.Context, j *job, r kindRunner) error {
 	l, err := m.openLog(j, r)
 	if err != nil {
 		return err
 	}
 	defer l.f.Close()
-	if dr, ok := r.(distRunner); ok && j.req.Distributed && m.cfg.Fabric != nil {
-		err = m.runBodyDistributed(ctx, l, dr)
+	if j.req.Distributed && m.cfg.Fabric != nil {
+		err = m.runBodyDistributed(ctx, l)
 	} else {
 		err = m.runBody(ctx, l)
 	}
@@ -868,14 +869,15 @@ func (l *resultLog) finish() error {
 
 // runBody is the local chunk source: it runs the uncommitted chunks in
 // index order on this node and commits each.  On a dying context it
-// checkpoints, so the resume point is the last committed chunk.
+// checkpoints, so the resume point is the last committed chunk.  One rows
+// buffer and one stream buffer serve every chunk of the run.
 func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
-	var buf bytes.Buffer
+	var rows, buf bytes.Buffer
 	for chunk := l.next; chunk < l.total; chunk++ {
 		var n uint64
 		err := ctx.Err()
 		if err == nil {
-			n, err = m.runChunk(ctx, l, chunk, &buf)
+			n, err = m.retryChunk(ctx, l, chunk, &rows, &buf)
 		}
 		if err != nil {
 			if ctx.Err() != nil {
@@ -893,13 +895,14 @@ func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
 	return nil
 }
 
-// runChunk executes one chunk with panic isolation and bounded retry.  The
-// buffer is reset per attempt; the runner's aggregate is untouched by a
+// retryChunk runs one chunk with panic isolation and bounded retry.  The
+// buffers are reset per attempt; the runner's aggregate is untouched by a
 // failed attempt (see kindRunner), so a retry starts from a clean slate.
-func (m *Manager) runChunk(ctx context.Context, l *resultLog, chunk int, buf *bytes.Buffer) (uint64, error) {
+func (m *Manager) retryChunk(ctx context.Context, l *resultLog, chunk int, rows, buf *bytes.Buffer) (uint64, error) {
 	for attempt := 0; ; attempt++ {
+		rows.Reset()
 		buf.Reset()
-		n, err := m.attemptChunk(ctx, l.j, l.r, chunk, attempt, buf)
+		n, err := m.attemptChunk(ctx, l, chunk, attempt, rows, buf)
 		if err == nil {
 			return n, nil
 		}
@@ -916,7 +919,9 @@ func (m *Manager) runChunk(ctx context.Context, l *resultLog, chunk int, buf *by
 	}
 }
 
-func (m *Manager) attemptChunk(ctx context.Context, j *job, r kindRunner, chunk, attempt int, buf *bytes.Buffer) (n uint64, err error) {
+// attemptChunk is one attempt at a chunk: execute, then fold — the same
+// two halves a fabric peer and the coordinator split between them.
+func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt int, rows, buf *bytes.Buffer) (n uint64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -927,9 +932,14 @@ func (m *Manager) attemptChunk(ctx context.Context, j *job, r kindRunner, chunk,
 		defer span.End()
 	}
 	if hook := m.cfg.beforeAttempt; hook != nil {
-		hook(j.id, chunk, attempt)
+		hook(l.j.id, chunk, attempt)
 	}
-	return r.runChunk(cctx, chunk, buf)
+	res, err := l.r.execute(cctx, chunk, rows)
+	if err != nil {
+		return 0, err
+	}
+	res.Chunk = chunk
+	return l.r.fold(res, buf)
 }
 
 func (m *Manager) persistStatus(j *job) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -29,21 +30,28 @@ const (
 	maxSweepNodes = 1 << 22
 )
 
-// kindRunner is one job kind's execution engine.  The manager drives it
-// chunk by chunk: chunks execute sequentially in index order (parallelism
-// lives inside a chunk), which is what makes the record stream and the
-// running aggregate deterministic and therefore checkpointable.
-//
-// Implementations must mutate their running aggregate only after all
-// fallible work of the chunk has succeeded, so a panicked or cancelled
-// attempt leaves the aggregate exactly as it was and the chunk can be
-// retried or resumed without double counting.
+// kindRunner is one job kind's execution engine.  Every chunk, local or on
+// a fabric peer, takes one path: execute, then fold.  Chunks fold strictly
+// in index order (parallelism lives inside a chunk), which is what makes
+// the record stream and the running aggregate deterministic and therefore
+// checkpointable.
 type kindRunner interface {
 	// chunks returns the fixed number of chunks.
 	chunks() int
-	// runChunk appends the chunk's NDJSON records to buf and returns the
-	// number of shapes it processed.
-	runChunk(ctx context.Context, chunk int, buf *bytes.Buffer) (uint64, error)
+	// execute runs one chunk and returns it in portable form (see
+	// api.ChunkResult).  Row kinds append the chunk's NDJSON records to
+	// rows, a caller-owned buffer that Rows aliases, and carry the
+	// chunk's own aggregate delta in Agg, in the checkpoint encoding
+	// (census writes it into rows too, after the records);
+	// plancensus returns position-independent plan entries.  execute
+	// never reads or writes the running aggregate, so a fresh runner, a
+	// mid-job runner and a peer all return the same bytes for a chunk.
+	execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error)
+	// fold merges an executed chunk into the running aggregate, appends
+	// its stream bytes to buf and returns its shape count.  It validates
+	// before it mutates: a failed fold leaves the aggregate exactly as it
+	// was, so the chunk can be retried or resumed without double counting.
+	fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error)
 	// finish appends the final records (cumulative rows, summary) after the
 	// last chunk; shapes is the job-wide shape count.
 	finish(buf *bytes.Buffer, shapes uint64) error
@@ -144,15 +152,10 @@ func buildRunner(req *api.JobSubmitRequest, workers int, planner *core.Planner, 
 	}
 }
 
-// writeRecord appends one NDJSON line.
+// writeRecord appends one NDJSON line: the json.Marshal bytes of v and a
+// newline, encoded straight into buf.
 func writeRecord(buf *bytes.Buffer, v any) error {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	buf.Write(b)
-	buf.WriteByte('\n')
-	return nil
+	return json.NewEncoder(buf).Encode(v)
 }
 
 // censusRunner runs the Figure 2 coverage census.  One chunk per first axis
@@ -166,13 +169,19 @@ type censusRunner struct {
 
 func (r *censusRunner) chunks() int { return 1 << uint(r.maxN) }
 
-func (r *censusRunner) runChunk(ctx context.Context, chunk int, buf *bytes.Buffer) (uint64, error) {
+func (r *censusRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
 	a := chunk + 1
 	part, err := stats.CensusShard(ctx, a, r.maxN, r.workers)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	rec := api.CensusShardRecord{Type: api.RecordCensusShard, A: a}
+	k := 0
+	for _, t := range part {
+		if t.Total != 0 {
+			k++
+		}
+	}
+	rec := api.CensusShardRecord{Type: api.RecordCensusShard, A: a, Buckets: make([]api.CensusBucket, 0, k)}
 	var shapes uint64
 	for n, t := range part {
 		if t.Total == 0 {
@@ -181,12 +190,111 @@ func (r *censusRunner) runChunk(ctx context.Context, chunk int, buf *bytes.Buffe
 		rec.Buckets = append(rec.Buckets, api.CensusBucket{N: n, Count: t.Count, Eps2: t.Eps2, Total: t.Total})
 		shapes += t.Total
 	}
-	if err := writeRecord(buf, rec); err != nil {
-		return 0, err
+	if err := writeRecord(rows, rec); err != nil {
+		return nil, err
 	}
-	r.agg = stats.MergeCensusTallies(r.agg, part)
-	return shapes, nil
+	// The delta goes into rows after the record, so a reused rows buffer
+	// carries both without allocating.
+	n := rows.Len()
+	rows.Write(appendCensusAgg(rows.AvailableBuffer(), part))
+	b := rows.Bytes()
+	return &api.ChunkResult{Shapes: shapes, Rows: b[:n:n], Agg: b[n:]}, nil
 }
+
+func (r *censusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	var delta [maxCensusN + 1]stats.CensusTally
+	part := delta[:r.maxN+1]
+	if err := parseCensusAgg(part, res.Agg); err != nil {
+		return 0, fmt.Errorf("jobs: census chunk %d aggregate: %w", res.Chunk, err)
+	}
+	buf.Write(res.Rows)
+	// Element-wise integer addition of the chunk's delta — associative, so
+	// folding deltas in index order equals the sequential aggregate exactly.
+	r.agg = stats.MergeCensusTallies(r.agg, part)
+	return res.Shapes, nil
+}
+
+// appendCensusAgg appends part exactly as json.Marshal encodes it, which is
+// the checkpoint encoding of the census aggregate.
+func appendCensusAgg(dst []byte, part []stats.CensusTally) []byte {
+	dst = append(dst, '[')
+	for i, t := range part {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"count":[`...)
+		for j, c := range t.Count {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendUint(dst, c, 10)
+		}
+		dst = append(dst, `],"eps2":`...)
+		dst = strconv.AppendUint(dst, t.Eps2, 10)
+		dst = append(dst, `,"total":`...)
+		dst = strconv.AppendUint(dst, t.Total, 10)
+		dst = append(dst, '}')
+	}
+	return append(dst, ']')
+}
+
+// parseCensusAgg decodes a census delta into part, whose length is the
+// bucket count.  It reads the integers in order, then accepts the input
+// only if it is their appendCensusAgg encoding up to JSON whitespace
+// between tokens (a fabric peer's response carries the delta indented).
+// Every chunk folds a delta, and json.Unmarshal's per-call decode state
+// costs about ten allocations per chunk.
+func parseCensusAgg(part []stats.CensusTally, b []byte) error {
+	k := 0
+	for i := 0; i < len(b); {
+		switch c := b[i]; {
+		case c == '"': // a key; the comparison below checks it
+			j := bytes.IndexByte(b[i+1:], '"')
+			if j < 0 {
+				return errCensusDelta
+			}
+			i += j + 2
+		case c < '0' || c > '9':
+			i++
+		case k == 7*len(part): // seven integers per bucket
+			return errCensusDelta
+		default:
+			var v uint64 // an overflow wraps, and the comparison rejects it
+			for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+				v = v*10 + uint64(b[i]-'0')
+			}
+			t := &part[k/7]
+			switch f := k % 7; f {
+			case 5:
+				t.Eps2 = v
+			case 6:
+				t.Total = v
+			default:
+				t.Count[f] = v
+			}
+			k++
+		}
+	}
+	var scratch [2048]byte
+	want := appendCensusAgg(scratch[:0], part)
+	inKey := false
+	for _, c := range b {
+		if !inKey && (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
+			continue
+		}
+		if len(want) == 0 || want[0] != c {
+			return errCensusDelta
+		}
+		want = want[1:]
+		inKey = inKey != (c == '"')
+	}
+	if len(want) > 0 {
+		return errCensusDelta
+	}
+	return nil
+}
+
+var errCensusDelta = errors.New("not in the census delta layout")
 
 func (r *censusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 	rows := stats.CensusRows(r.maxN, r.agg)
@@ -232,20 +340,28 @@ type epsilonRunner struct {
 
 func (r *epsilonRunner) chunks() int { return r.maxN }
 
-func (r *epsilonRunner) runChunk(ctx context.Context, chunk int, buf *bytes.Buffer) (uint64, error) {
+func (r *epsilonRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
 	n := chunk + 1
 	d, err := stats.Figure2EpsilonCtx(ctx, n, r.workers)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	rec := api.EpsilonRowRecord{
 		Type: api.RecordEpsilonRow, N: n,
 		Eps1: d.Eps1, Eps2: d.Eps2, Eps4: d.Eps4, EpsWorse: d.EpsWorse,
 	}
-	if err := writeRecord(buf, rec); err != nil {
-		return 0, err
+	if err := writeRecord(rows, rec); err != nil {
+		return nil, err
 	}
-	return uint64(1) << uint(3*n), nil // ordered triples in the 2^n domain
+	// Shapes counts the ordered triples in the 2^n domain.
+	return &api.ChunkResult{Shapes: uint64(1) << uint(3*n), Rows: rows.Bytes()}, nil
+}
+
+// fold for epsilon is pure append: rows are independent, there is no
+// aggregate.
+func (r *epsilonRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	buf.Write(res.Rows)
+	return res.Shapes, nil
 }
 
 func (r *epsilonRunner) finish(buf *bytes.Buffer, shapes uint64) error {
@@ -274,38 +390,55 @@ type plansweepRunner struct {
 
 func (r *plansweepRunner) chunks() int { return r.params.MaxAxis }
 
-func (r *plansweepRunner) runChunk(ctx context.Context, chunk int, buf *bytes.Buffer) (uint64, error) {
+func (r *plansweepRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
 	p := r.params
 	shapes := core.FamilyShapesFrom(r.family, chunk+1, p.Dims, p.MaxAxis, p.MaxNodes)
-	if len(shapes) == 0 {
-		return 0, nil
-	}
 	recs, err := sweep.FoldCtx(ctx, len(shapes), r.workers,
 		func(i int) api.PlanRecord { return r.planRecord(shapes[i]) },
 		make([]api.PlanRecord, 0, len(shapes)),
 		func(acc []api.PlanRecord, rec api.PlanRecord) []api.PlanRecord { return append(acc, rec) })
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	for _, rec := range recs {
-		if err := writeRecord(buf, rec); err != nil {
-			return 0, err
+	// One encoder and pointer arguments: no allocation per record.
+	enc := json.NewEncoder(rows)
+	delta := plansweepAgg{Hist: map[string]uint64{}}
+	for i := range recs {
+		rec := &recs[i]
+		if err := enc.Encode(rec); err != nil {
+			return nil, err
 		}
-	}
-	for _, rec := range recs {
 		key := "unknown"
 		if rec.DilationBound >= 0 {
 			key = strconv.Itoa(rec.DilationBound)
 		}
-		r.hist[key]++
+		delta.Hist[key]++
 		if rec.Minimal {
-			r.minimal++
+			delta.Minimal++
 		}
 		if rec.Optimal {
-			r.optimal++
+			delta.Optimal++
 		}
 	}
-	return uint64(len(shapes)), nil
+	agg, err := json.Marshal(delta)
+	if err != nil {
+		return nil, err
+	}
+	return &api.ChunkResult{Shapes: uint64(len(shapes)), Rows: rows.Bytes(), Agg: agg}, nil
+}
+
+func (r *plansweepRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	var a plansweepAgg
+	if err := json.Unmarshal(res.Agg, &a); err != nil {
+		return 0, fmt.Errorf("jobs: plansweep chunk %d aggregate: %w", res.Chunk, err)
+	}
+	buf.Write(res.Rows)
+	for k, v := range a.Hist {
+		r.hist[k] += v
+	}
+	r.minimal += a.Minimal
+	r.optimal += a.Optimal
+	return res.Shapes, nil
 }
 
 func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {
@@ -422,39 +555,90 @@ func (r *plancensusRunner) ensureBuilder() error {
 	return nil
 }
 
-func (r *plancensusRunner) runChunk(ctx context.Context, chunk int, buf *bytes.Buffer) (uint64, error) {
-	if err := r.ensureBuilder(); err != nil {
-		return 0, err
-	}
+// execute for plancensus cannot return rows or artifact bytes — both embed
+// the cumulative string cursor, which depends on every earlier chunk.  It
+// returns one position-independent PlanEntry per shape in rank order
+// instead; fold replays them through the runner's builder, which assigns
+// the cursor and emits the chunk record.
+func (r *plancensusRunner) execute(ctx context.Context, chunk int, _ *bytes.Buffer) (*api.ChunkResult, error) {
 	c := chunk + 1
 	lo, hi := artifact.ChunkRange(r.params.Dims, c)
-	hist := map[string]uint64{}
-	var minimal uint64
-	var addErr error
+	plans := make([]api.PlanEntry, 0, hi-lo)
+	var planErr error
 	artifact.EachShapeWithMax(r.params.Dims, c, func(s mesh.Shape) {
-		if addErr != nil {
+		if planErr != nil {
 			return
 		}
 		if err := ctx.Err(); err != nil {
-			addErr = err
+			planErr = err
 			return
 		}
-		p := r.planner.PlanGuest(r.family, s)
-		if err := r.b.Add(s, p); err != nil {
-			addErr = err
+		rec := artifact.RecFromPlan(r.planner.PlanGuest(r.family, s))
+		plans = append(plans, api.PlanEntry{
+			Kind: rec.Kind.String(), Method: rec.Method, Dilation: rec.Dilation,
+			CubeDim: rec.CubeDim, Minimal: rec.Minimal, Plan: rec.Plan,
+		})
+	})
+	if planErr != nil {
+		return nil, planErr
+	}
+	if uint64(len(plans)) != hi-lo {
+		return nil, fmt.Errorf("jobs: plancensus chunk %d enumerated %d shapes, want %d",
+			c, len(plans), hi-lo)
+	}
+	return &api.ChunkResult{Shapes: hi - lo, Plans: plans}, nil
+}
+
+func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	if err := r.ensureBuilder(); err != nil {
+		return 0, err
+	}
+	c := res.Chunk + 1
+	lo, hi := artifact.ChunkRange(r.params.Dims, c)
+	if uint64(len(res.Plans)) != hi-lo {
+		return 0, fmt.Errorf("jobs: plancensus chunk %d carries %d plans, want %d",
+			c, len(res.Plans), hi-lo)
+	}
+	hist := map[string]uint64{}
+	var minimal uint64
+	i := 0
+	var foldErr error
+	artifact.EachShapeWithMax(r.params.Dims, c, func(s mesh.Shape) {
+		if foldErr != nil {
 			return
 		}
-		if p.Dilation == core.DilationUnknown {
+		if i >= len(res.Plans) {
+			foldErr = fmt.Errorf("jobs: plancensus chunk %d ran out of plans at rank %d", c, i)
+			return
+		}
+		pe := res.Plans[i]
+		i++
+		kind, err := core.ParseKind(pe.Kind)
+		if err != nil {
+			foldErr = fmt.Errorf("jobs: plancensus chunk %d: %w", c, err)
+			return
+		}
+		if err := r.b.AddRec(s, artifact.Rec{
+			Kind: kind, Method: pe.Method, Dilation: pe.Dilation,
+			CubeDim: pe.CubeDim, Minimal: pe.Minimal, Plan: pe.Plan,
+		}); err != nil {
+			foldErr = err
+			return
+		}
+		if pe.Dilation < 0 {
 			hist["unknown"]++
 		} else {
-			hist[strconv.Itoa(p.Dilation)]++
+			hist[strconv.Itoa(pe.Dilation)]++
 		}
-		if p.Minimal() {
+		if pe.Minimal {
 			minimal++
 		}
 	})
-	if addErr != nil {
-		return 0, addErr
+	// A torn replay (foldErr below) leaves the builder position drifted
+	// from the aggregate; ensureBuilder reopens it at the checkpointed
+	// position on the next attempt.
+	if foldErr != nil {
+		return 0, foldErr
 	}
 	if err := r.b.Flush(); err != nil {
 		return 0, err

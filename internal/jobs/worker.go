@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,10 +12,10 @@ import (
 )
 
 // ExecuteChunk executes exactly one chunk of a job spec and returns its
-// portable result — the compute half of the fabric's worker mode (POST
+// portable result — the execute half of the fabric's worker mode (POST
 // /v1/internal/chunks).  It needs no Manager: no data dir, no queue, no
 // checkpoints — a fresh runner is built, validated exactly like a
-// submission, and driven for the one chunk.  Determinism of the runners
+// submission, and executes the one chunk.  Determinism of the runners
 // makes re-execution free: the coordinator may send the same chunk to
 // several peers (requeue after a failure) and every copy returns the same
 // bytes.
@@ -36,10 +37,6 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 	if err != nil {
 		return nil, err
 	}
-	dr, ok := r.(distRunner)
-	if !ok {
-		return nil, fmt.Errorf("%w: kind %q cannot run distributed", ErrBadRequest, req.Job.Kind)
-	}
 	if req.Chunk < 0 || req.Chunk >= r.chunks() {
 		return nil, fmt.Errorf("%w: chunk %d out of range [0,%d)", ErrBadRequest, req.Chunk, r.chunks())
 	}
@@ -57,7 +54,7 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 		span.SetAttr("chunk", req.Chunk)
 		span.SetAttr("kind", string(req.Job.Kind))
 	}
-	out, err := dr.remote(ctx, req.Chunk)
+	out, err := r.execute(ctx, req.Chunk, new(bytes.Buffer))
 	span.End()
 	if err != nil {
 		return nil, err

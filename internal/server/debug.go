@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
+	"repro/internal/guest"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -20,7 +21,7 @@ import (
 // phases — queue-wait, cache-lookup, coalesce-wait, compute (with plan /
 // build / verify / measure below it) and encode — and the response gains a
 // "debug" block carrying the request ID, the span tree and, for endpoints
-// that exercise the planner, the full PlanTrace strategy provenance.
+// that plan a mesh, the full PlanTrace strategy provenance.
 //
 // Provenance is computed by a separate Planner.PlanTraced run: the normal
 // lookup path stays exactly as served (a cache hit is reported as a cache
@@ -97,9 +98,14 @@ func debugRequested(r *http.Request) bool {
 
 // debugProvenance runs the cache-bypassed planner provenance pass for a
 // debug request and marshals it for api.DebugInfo's raw PlanTrace slot.
-// Failures are swallowed: the shape already planned once on the serving
-// path, and a debug block without provenance beats a 500.
-func (s *Server) debugProvenance(ctx context.Context, sh mesh.Shape) json.RawMessage {
+// Only the mesh family gets one: Planner.PlanTraced plans meshes, so its
+// trace of a torus, cylinder or tree shape would describe a plan the server
+// did not serve.  Failures are swallowed: the shape already planned once on
+// the serving path, and a debug block without provenance beats a 500.
+func (s *Server) debugProvenance(ctx context.Context, fam guest.Family, sh mesh.Shape) json.RawMessage {
+	if fam != guest.Mesh {
+		return nil
+	}
 	_, pt, err := s.planner.PlanTraced(ctx, sh)
 	if err != nil {
 		return nil

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -168,6 +169,43 @@ func TestCompareDebugTrace(t *testing.T) {
 	spanNames(dbg["trace"].(map[string]any), names)
 	if !names["technique:gray"] || !names["technique:decomposition"] {
 		t.Errorf("per-technique spans missing (have %v)", names)
+	}
+}
+
+// TestDebugProvenanceMatchesServedPlan: a plan_trace must describe the
+// plan the response served.  Planner.PlanTraced plans meshes only, so a
+// torus, cylinder or tree response must omit the field rather than carry a
+// mesh trace of the same axes.
+func TestDebugProvenanceMatchesServedPlan(t *testing.T) {
+	srv := New(Config{})
+	for _, tc := range []struct{ family, shape string }{
+		{"mesh", "5x6x7"},
+		{"mesh", "7x6x5"},
+		{"torus", "6x10"},
+		{"cylinder", "5x6x7"},
+		{"tree", "15"},
+	} {
+		body := fmt.Sprintf(`{"shape":%q,"family":%q}`, tc.shape, tc.family)
+		embed := debugBody(t, srv, "/v1/embed?debug=trace", body, nil)
+		for _, ep := range []string{"/v1/plan", "/v1/embed", "/v1/compare"} {
+			m := embed
+			if ep != "/v1/embed" {
+				m = debugBody(t, srv, ep+"?debug=trace", body, nil)
+			}
+			// Compare serves no plan field; its decomposition row is the
+			// embed plan of the same guest.
+			want := embed["plan"]
+			if ep == "/v1/plan" {
+				want = m["plan"]
+			}
+			pt, ok := m["debug"].(map[string]any)["plan_trace"].(map[string]any)
+			switch {
+			case !ok && tc.family == "mesh":
+				t.Errorf("%s %s %s: mesh debug block has no plan_trace", ep, tc.family, tc.shape)
+			case ok && pt["plan"] != want:
+				t.Errorf("%s %s %s: plan_trace root plan %v, served %v", ep, tc.family, tc.shape, pt["plan"], want)
+			}
+		}
 	}
 }
 

@@ -493,7 +493,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if meta != nil && meta.debug {
 		resp.Debug = &DebugInfo{
 			RequestID: meta.id,
-			PlanTrace: s.debugProvenance(r.Context(), sh),
+			PlanTrace: s.debugProvenance(r.Context(), fam, sh),
 		}
 		s.finishDebug(r.Context(), resp.Debug, resp)
 	}
@@ -573,7 +573,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	if meta != nil && meta.debug {
 		resp.Debug = &DebugInfo{RequestID: meta.id}
 		if mode == "decomposition" {
-			resp.Debug.PlanTrace = s.debugProvenance(r.Context(), canon)
+			resp.Debug.PlanTrace = s.debugProvenance(r.Context(), fam, canon)
 		}
 		s.finishDebug(r.Context(), resp.Debug, resp)
 	}
@@ -674,7 +674,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	if meta != nil && meta.debug {
 		resp.Debug = &DebugInfo{
 			RequestID: meta.id,
-			PlanTrace: s.debugProvenance(r.Context(), canon),
+			PlanTrace: s.debugProvenance(r.Context(), fam, canon),
 		}
 		s.finishDebug(r.Context(), resp.Debug, resp)
 	}

@@ -16,6 +16,7 @@ type DebugInfo struct {
 	// marked unfinished; its duration is the elapsed time at snapshot.
 	Trace json.RawMessage `json:"trace,omitempty"`
 	// PlanTrace is the planner's strategy provenance (cache-bypassed), for
-	// endpoints that plan a decomposition.
+	// endpoints that plan a decomposition of a mesh.  Other families have
+	// no traced planner, so their debug blocks omit it.
 	PlanTrace json.RawMessage `json:"plan_trace,omitempty"`
 }

@@ -9,9 +9,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"time"
-
-	"repro/pkg/api"
 )
 
 // Live job streaming over server-sent events (GET /v1/jobs/{id}/events).
@@ -119,46 +116,6 @@ func (s *EventStream) LastRowID() int64 { return s.lastRow }
 
 // Close releases the connection.
 func (s *EventStream) Close() error { return s.body.Close() }
-
-// WatchJobLive follows a job's status over the SSE stream (rows omitted),
-// invoking fn on every progress update, and returns the terminal status.
-// If the stream cannot be opened or dies before the job finishes — an older
-// server, a proxy that buffers SSE — it degrades to the polling WatchJob
-// with the given interval.  fn may be nil.
-func (c *Client) WatchJobLive(ctx context.Context, id string, interval time.Duration, fn func(api.JobStatus)) (*api.JobStatus, error) {
-	s, err := c.JobEvents(ctx, id, 0, false)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, err
-		}
-		return c.WatchJob(ctx, id, interval, fn)
-	}
-	defer s.Close()
-	for {
-		ev, err := s.Next()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// Stream ended without a done event (drop, proxy reset):
-			// polling picks the watch back up.
-			return c.WatchJob(ctx, id, interval, fn)
-		}
-		switch ev.Type {
-		case "progress", "done":
-			var st api.JobStatus
-			if jerr := json.Unmarshal(ev.Data, &st); jerr != nil {
-				return nil, fmt.Errorf("client: decode %s event: %w", ev.Type, jerr)
-			}
-			if fn != nil {
-				fn(st)
-			}
-			if ev.Type == "done" || st.State.Terminal() {
-				return &st, nil
-			}
-		}
-	}
-}
 
 // JobTrace fetches a finished job's stitched span tree (the obs.SpanJSON
 // root, covering coordinator and worker spans for a distributed run).  409

@@ -4,8 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -120,64 +118,6 @@ func TestJobEventsStream(t *testing.T) {
 	}
 	if tail.String() != string(ndjson[mid:]) {
 		t.Fatalf("resumed rows differ from download suffix (%d vs %d bytes)", tail.Len(), len(ndjson)-int(mid))
-	}
-}
-
-// TestWatchJobLive follows a job over SSE and sees the terminal status.
-func TestWatchJobLive(t *testing.T) {
-	c, _ := newTestClient(t)
-	id := submitCensus(t, c)
-	var updates int
-	st, err := c.WatchJobLive(context.Background(), id, time.Millisecond, func(api.JobStatus) { updates++ })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != api.JobDone {
-		t.Fatalf("terminal state %s", st.State)
-	}
-	if updates == 0 {
-		t.Fatal("no status updates observed")
-	}
-}
-
-// TestWatchJobLiveFallback: when the events endpoint does not exist (older
-// server), WatchJobLive silently degrades to polling.
-func TestWatchJobLiveFallback(t *testing.T) {
-	c, _ := newTestClient(t)
-	id := submitCensus(t, c)
-	inner := c.http.Transport
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if strings.HasSuffix(r.URL.Path, "/events") {
-			http.NotFound(w, r)
-			return
-		}
-		r2, err := http.NewRequestWithContext(r.Context(), r.Method, c.base+r.URL.RequestURI(), r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		tr := inner
-		if tr == nil {
-			tr = http.DefaultTransport
-		}
-		resp, err := tr.RoundTrip(r2)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	}))
-	t.Cleanup(proxy.Close)
-	old := New(proxy.URL)
-	old.sleep = c.sleep
-	st, err := old.WatchJobLive(context.Background(), id, time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != api.JobDone {
-		t.Fatalf("terminal state %s", st.State)
 	}
 }
 
