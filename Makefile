@@ -69,13 +69,15 @@ bench-check:
 # Machine-readable benchmarks for the repo's perf trajectory, one row per
 # benchmark across the layers, as JSON on stdout:
 # `make bench-json > BENCH_PRn.json` (see EXPERIMENTS.md for the numbers).
+# Each benchmark runs 5 times; cmd/benchjson folds the samples into the
+# median, minimum and interquartile range of ns/op.
 bench-json:
-	@{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem ./internal/embed; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier' -benchmem ./internal/server; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem ./internal/jobs; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassify' -benchmem ./internal/core; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' ./internal/fabric; \
-	  $(GO) test -run '^$$' -bench . -benchmem ./internal/artifact; } \
+	@{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem -count 5 ./internal/embed; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier' -benchmem -count 5 ./internal/server; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem -count 5 ./internal/jobs; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassify|BenchmarkPlan3D|BenchmarkPlanWithFold' -benchmem -count 5 ./internal/core; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' -count 5 ./internal/fabric; \
+	  $(GO) test -run '^$$' -bench . -benchmem -count 5 ./internal/artifact; } \
 	  | $(GO) run ./cmd/benchjson
 
 # Build embedserver, boot it on a random port, hit /healthz and /v1/embed,

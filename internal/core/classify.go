@@ -19,7 +19,7 @@ import (
 // The claim contract is exact: for every (family, shape) ClassifyGuest
 // claims, the returned plan must be structurally identical to
 // PlanGuest(family, shape, opts) for every opts (the claimed strata never
-// consult the solver budget or the cost model).  TestClassifyParity
+// consult the solver budget).  TestClassifyParity
 // enforces this exhaustively.
 
 // ClassifyShape returns the closed-form plan for a mesh shape, or

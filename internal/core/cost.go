@@ -1,127 +1,43 @@
 package core
 
-import "strings"
+// preferenceOrder names better's order.  It is part of every planner
+// fingerprint, so plan-census artifacts stamped under it stay valid, and
+// provenance reasons quote it.
+const preferenceOrder = "lex(expansion,dilation,factors,congestion,depth)"
 
-// CostModel ranks competing candidate plans for the same shape.  Models must
-// be safe for concurrent use; a Planner shares one model across goroutines.
-type CostModel interface {
-	// Name identifies the model; it participates in the plan-cache key so
-	// plans chosen under different models never mix.
-	Name() string
-	// Compare returns a negative value when a is preferred over b, a
-	// positive value when b is preferred, and zero on a tie.  Both
-	// arguments are non-nil plans for the same shape.
-	Compare(a, b *Plan) int
-}
-
-// CostKey names one component of a lexicographic cost model.
-type CostKey int
-
-const (
-	// CostExpansion is the host cube dimension (minimal expansion first).
-	CostExpansion CostKey = iota
-	// CostDilation is the construction-guaranteed dilation bound.
-	CostDilation
-	// CostFactors is the number of product factors (flatter products and
-	// direct/submesh wrappers first).
-	CostFactors
-	// CostCongestion is the construction-guaranteed congestion bound.
-	CostCongestion
-	// CostDepth is the height of the plan tree.
-	CostDepth
-)
-
-func (k CostKey) String() string {
-	switch k {
-	case CostExpansion:
-		return "expansion"
-	case CostDilation:
-		return "dilation"
-	case CostFactors:
-		return "factors"
-	case CostCongestion:
-		return "congestion"
-	case CostDepth:
-		return "depth"
-	}
-	return "unknown"
-}
-
-func costValue(p *Plan, k CostKey) int {
-	switch k {
-	case CostExpansion:
-		return p.CubeDim
-	case CostDilation:
-		return p.Dilation
-	case CostFactors:
-		return len(p.Factors)
-	case CostCongestion:
-		return p.CongestionBound()
-	case CostDepth:
-		return p.Depth()
-	}
-	return 0
-}
-
-// LexCost compares plans lexicographically over a sequence of cost keys,
-// smaller values preferred.
-type LexCost struct {
-	keys []CostKey
-	name string
-}
-
-// NewLexCost builds a lexicographic cost model over the given keys in order.
-func NewLexCost(keys ...CostKey) *LexCost {
-	names := make([]string, len(keys))
-	for i, k := range keys {
-		names[i] = k.String()
-	}
-	return &LexCost{keys: append([]CostKey(nil), keys...),
-		name: "lex(" + strings.Join(names, ",") + ")"}
-}
-
-func (m *LexCost) Name() string { return m.name }
-
-func (m *LexCost) Compare(a, b *Plan) int {
-	for _, k := range m.keys {
-		if d := costValue(a, k) - costValue(b, k); d != 0 {
-			return d
-		}
-	}
-	return 0
-}
-
-// DefaultCostModel reproduces the planner's historical preference order —
-// minimal expansion, then lowest dilation bound, then fewest product factors
-// — refined with congestion bound and plan depth as further tie-breakers.
-var DefaultCostModel CostModel = NewLexCost(
-	CostExpansion, CostDilation, CostFactors, CostCongestion, CostDepth)
-
-// better picks the preferred of two candidate plans under the context's cost
-// model.  Either argument may be nil.  Ties are broken by plan kind and then
-// by the rendered plan string, making the preference a strict total order on
-// distinct plans: selection never depends on strategy evaluation order.
-func (pc *planContext) better(a, b *Plan) *Plan {
+// better picks the preferred of two candidate plans for the same shape.
+// Either argument may be nil.  The order is lexicographic, smaller values
+// preferred: host cube dimension (minimal expansion first), dilation
+// bound, number of product factors (flatter products and direct/submesh
+// wrappers first), congestion bound, and plan depth.  Ties are broken by
+// plan kind and then by the rendered plan string, making the preference a
+// strict total order on distinct plans: selection never depends on
+// strategy evaluation order.
+func better(a, b *Plan) *Plan {
 	if a == nil {
 		return b
 	}
 	if b == nil {
 		return a
 	}
-	if d := pc.cost.Compare(a, b); d != 0 {
-		if d < 0 {
-			return a
-		}
-		return b
+	d := a.CubeDim - b.CubeDim
+	if d == 0 {
+		d = a.Dilation - b.Dilation
 	}
-	if a.Kind != b.Kind {
-		if a.Kind < b.Kind {
-			return a
-		}
-		return b
+	if d == 0 {
+		d = len(a.Factors) - len(b.Factors)
 	}
-	if b.String() < a.String() {
-		return b
+	if d == 0 {
+		d = a.CongestionBound() - b.CongestionBound()
 	}
-	return a
+	if d == 0 {
+		d = a.Depth() - b.Depth()
+	}
+	if d == 0 {
+		d = int(a.Kind) - int(b.Kind)
+	}
+	if d < 0 || d == 0 && a.String() <= b.String() {
+		return a
+	}
+	return b
 }

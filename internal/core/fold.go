@@ -48,19 +48,11 @@ func unfold(fe *embed.Embedding, guest mesh.Shape, axis, a, b int) *embed.Embedd
 	return e
 }
 
-// FoldStrategy factors one axis ℓ = a·b into two axes and plans the folded
-// (k+1)-dimensional mesh; the guest is a subgraph of the folded mesh, so a
-// dilation-d folded plan yields a dilation-d guest embedding in the same
-// cube.  This lifts, e.g., 3x21 onto the 3x3x7 direct table — a case the
-// paper's §3.3 toolset classifies as an exception.
-type FoldStrategy struct{}
-
-func (FoldStrategy) Name() string { return StrategyFold.String() }
-
-func (FoldStrategy) Search(pc *planContext, s mesh.Shape, foldDepth int) *Plan {
-	return pc.planByFolding(s, foldDepth)
-}
-
+// planByFolding factors one axis ℓ = a·b into two axes and plans the
+// folded (k+1)-dimensional mesh; the guest is a subgraph of the folded
+// mesh, so a dilation-d folded plan yields a dilation-d guest embedding in
+// the same cube.  This lifts, e.g., 3x21 onto the 3x3x7 direct table — a
+// case the paper's §3.3 toolset classifies as an exception.
 func (pc *planContext) planByFolding(s mesh.Shape, depth int) *Plan {
 	if depth > 0 {
 		return nil // one fold per plan tree keeps the search bounded
@@ -104,7 +96,7 @@ func (pc *planContext) planByFolding(s mesh.Shape, depth int) *Plan {
 			cand := &Plan{Kind: KindFold, Shape: s.Clone(), CubeDim: target,
 				Dilation: child.Dilation, Child: child,
 				FoldAxis: axis, FoldA: pair[0], FoldB: pair[1]}
-			best = pc.better(best, cand)
+			best = better(best, cand)
 			if best.Dilation <= 2 {
 				return best
 			}

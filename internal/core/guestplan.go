@@ -211,7 +211,7 @@ func (pl *Planner) TryPlanGuest(f guest.Family, s mesh.Shape) (*Plan, error) {
 			return permutePlan(p, axmap), nil
 		}
 	}
-	p := planGuest(f, canon, pl.Options())
+	p := planGuest(f, canon, pl.pc.opts)
 	if pl.pc.cache != nil {
 		pl.pc.cache.put(key, p)
 	}

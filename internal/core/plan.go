@@ -270,16 +270,11 @@ type Options struct {
 	// many nodes when the structured methods fail (0 disables).  The
 	// search is deterministic (fixed seed) but costs time.
 	SolverBudget int
-	// SolverSeed seeds the optional solver search.
-	SolverSeed int64
-	// Cost ranks competing candidate plans; nil uses DefaultCostModel.
-	// See CostModel and NewLexCost for the available knobs.
-	Cost CostModel
 }
 
 // DefaultOptions enables a small solver budget: shapes up to 36 nodes are
 // searched directly when no structured plan applies.
-var DefaultOptions = Options{SolverBudget: 36, SolverSeed: 1}
+var DefaultOptions = Options{SolverBudget: 36}
 
 // PlanShape returns a minimal-expansion plan for the shape, choosing the
 // lowest guaranteed dilation among the applicable constructions: Gray

@@ -205,16 +205,8 @@ func (pl *Planner) CacheStats() CacheStats {
 	return pl.pc.cache.stats()
 }
 
-// Options returns the planner's options (with Cost resolved to the model
-// actually in use).
-func (pl *Planner) Options() Options {
-	o := pl.pc.opts
-	o.Cost = pl.pc.cost
-	return o
-}
-
 // Fingerprint returns the option fingerprint (solver budget, solver seed,
-// cost model) that keys this planner's cache entries.  Plan-census
+// preference order) that keys this planner's cache entries.  Plan-census
 // artifacts are stamped with it so a server can refuse to serve records
 // computed under different planner options.
 func (pl *Planner) Fingerprint() string { return pl.pc.fp }

@@ -215,53 +215,16 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
-// highDilationCost inverts the dilation preference — a deliberately bad
-// model proving Options.Cost actually steers selection while plans stay
-// valid and minimal.
-type highDilationCost struct{}
-
-func (highDilationCost) Name() string { return "high-dilation" }
-func (highDilationCost) Compare(a, b *Plan) int {
-	if a.CubeDim != b.CubeDim {
-		return a.CubeDim - b.CubeDim
-	}
-	return b.Dilation - a.Dilation
-}
-
-func TestCostModelInjectable(t *testing.T) {
-	opts := DefaultOptions
-	opts.Cost = highDilationCost{}
-	for _, s := range []mesh.Shape{{12, 20}, {5, 6, 7}, {3, 21}} {
-		p := PlanShape(s, opts)
-		if !p.Minimal() {
-			t.Errorf("%v: custom cost model broke minimality", s)
-		}
-		if err := p.Build().Verify(); err != nil {
-			t.Errorf("%v: %v", s, err)
-		}
-		pl := NewPlanner(opts)
-		if q := pl.Plan(s); !q.Minimal() {
-			t.Errorf("%v: planner with custom cost model broke minimality", s)
-		}
-	}
-	// A reordered lexicographic model is also accepted.
-	opts.Cost = NewLexCost(CostExpansion, CostDilation, CostDepth, CostFactors, CostCongestion)
-	if p := PlanShape(mesh.Shape{5, 6, 7}, opts); p.Dilation > 2 {
-		t.Errorf("reordered lex model lost the dilation-2 plan: %s", p)
-	}
-}
-
-// TestCostModelTotalOrder: better() is a strict total order — antisymmetric
+// TestBetterTotalOrder: better() is a strict total order — antisymmetric
 // on distinct plans regardless of argument order.
-func TestCostModelTotalOrder(t *testing.T) {
-	pc := newPlanContext(DefaultOptions, nil, false)
+func TestBetterTotalOrder(t *testing.T) {
 	var plans []*Plan
 	for _, s := range []mesh.Shape{{12, 20}, {5, 6}, {3, 21}, {7, 9}} {
 		plans = append(plans, PlanShape(s, DefaultOptions))
 	}
 	for _, a := range plans {
 		for _, b := range plans {
-			ab, ba := pc.better(a, b), pc.better(b, a)
+			ab, ba := better(a, b), better(b, a)
 			if a.String() != b.String() && ab != ba {
 				t.Errorf("better not antisymmetric on %s vs %s", a, b)
 			}
@@ -269,22 +232,23 @@ func TestCostModelTotalOrder(t *testing.T) {
 	}
 }
 
-func TestRegistryStrategyNames(t *testing.T) {
-	names := NewDefaultRegistry().StrategyNames()
-	want := map[string]bool{"direct": true, "factor": true, "extend": true,
-		"split2d": true, "fold": true, "solver": true, "pair+gray": true,
-		"split3d": true, "highdim": true}
-	got := map[string]bool{}
-	for _, n := range names {
-		if got[n] {
-			t.Errorf("duplicate strategy name %q", n)
+// TestPipelinesRunEveryStrategy: every StrategyID has a stage in some
+// pipeline, so search's switch has no dead case and every wire name can
+// show up in a trace.
+func TestPipelinesRunEveryStrategy(t *testing.T) {
+	run := map[StrategyID]bool{}
+	for _, pipe := range [][]stage{pipeline2D, pipeline3D, pipelineHighD} {
+		for _, st := range pipe {
+			run[st.id] = true
 		}
-		got[n] = true
 	}
-	for n := range want {
-		if !got[n] {
-			t.Errorf("registry missing strategy %q (have %v)", n, names)
+	for _, id := range StrategyIDValues() {
+		if !run[id] {
+			t.Errorf("no pipeline runs strategy %q", id)
 		}
+	}
+	if len(run) != len(StrategyIDValues()) {
+		t.Errorf("pipelines run %d strategies, want %d", len(run), len(StrategyIDValues()))
 	}
 }
 

@@ -6,21 +6,8 @@ import (
 	"repro/internal/mesh"
 )
 
-// Strategy is one named plan construction.  A strategy inspects a shape and
-// either returns a candidate minimal-expansion plan or nil; the pipeline
-// runner merges candidates under the context's cost model.  Strategies are
-// stateless — all tuning travels in the planContext.
-type Strategy interface {
-	// Name identifies the strategy in registries and diagnostics.
-	Name() string
-	// Search returns a candidate plan for the shape or nil.  foldDepth
-	// counts fold nodes already above this subtree (at most one fold per
-	// plan tree keeps the reflection argument of §3.3 valid).
-	Search(pc *planContext, s mesh.Shape, foldDepth int) *Plan
-}
-
-// stage wires a Strategy into a pipeline with optional gates replicating
-// the planner's historical short-circuits:
+// stage is one step of a strategy pipeline: the strategy it runs, with
+// optional gates replicating the planner's historical short-circuits:
 //
 //   - skip: don't run this strategy given the current best (e.g. the split
 //     and fold searches only run while no dilation-2 plan is in hand);
@@ -30,7 +17,7 @@ type Strategy interface {
 // The gate reasons are surfaced verbatim in PlanTrace provenance, so they
 // are written for the operator reading `embedctl explain`.
 type stage struct {
-	strat      Strategy
+	id         StrategyID
 	skip       func(best *Plan) bool
 	skipReason string
 	stop       func(best *Plan) bool
@@ -45,67 +32,70 @@ const (
 	reasonSettled = "a dilation-2 plan is already in hand"
 )
 
-// Registry holds the ordered strategy pipelines, one per active-axis class.
-// The default registry encodes the paper's method preferences; tests build
-// variants to ablate individual strategies.
-type Registry struct {
-	twoD   []stage // exactly two axes of length > 1
-	threeD []stage // exactly three axes of length > 1
-	highD  []stage // four or more axes of length > 1
-}
-
-// NewDefaultRegistry returns the standard strategy pipelines.
-func NewDefaultRegistry() *Registry {
-	return &Registry{
-		twoD: []stage{
-			{strat: DirectStrategy{}, stop: whenFound, stopReason: "a direct table hit is final"},
-			{strat: FactorStrategy{}},
-			{strat: ExtendStrategy{}},
-			{strat: Split2DStrategy{}, skip: whenSettled, skipReason: reasonSettled},
-			{strat: FoldStrategy{}, skip: whenSettled, skipReason: reasonSettled},
-			{strat: SolverStrategy{}, skip: whenFound, skipReason: reasonFound},
-		},
-		threeD: []stage{
-			{strat: PairGrayStrategy{}},
-			{strat: FactorStrategy{}, stop: whenSettled, stopReason: "dilation-2 factoring settles the pipeline"},
-			{strat: Split3DStrategy{}},
-			{strat: ExtendStrategy{}},
-			{strat: FoldStrategy{}, skip: whenSettled, skipReason: reasonSettled},
-			{strat: SolverStrategy{}, skip: whenFound, skipReason: reasonFound},
-		},
-		highD: []stage{
-			{strat: HighDimStrategy{}},
-		},
+// The strategy pipelines, one per active-axis class, encode the paper's
+// method preferences.
+var (
+	// pipeline2D plans shapes with exactly two axes of length > 1.
+	pipeline2D = []stage{
+		{id: StrategyDirect, stop: whenFound, stopReason: "a direct table hit is final"},
+		{id: StrategyFactor},
+		{id: StrategyExtend},
+		{id: StrategySplit2D, skip: whenSettled, skipReason: reasonSettled},
+		{id: StrategyFold, skip: whenSettled, skipReason: reasonSettled},
+		{id: StrategySolver, skip: whenFound, skipReason: reasonFound},
 	}
-}
-
-// StrategyNames lists the distinct strategies across all pipelines in
-// pipeline order (twoD, threeD, highD), without duplicates.
-func (r *Registry) StrategyNames() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, pipe := range [][]stage{r.twoD, r.threeD, r.highD} {
-		for _, st := range pipe {
-			if n := st.strat.Name(); !seen[n] {
-				seen[n] = true
-				out = append(out, n)
-			}
-		}
+	// pipeline3D plans shapes with exactly three axes of length > 1.
+	pipeline3D = []stage{
+		{id: StrategyPairGray},
+		{id: StrategyFactor, stop: whenSettled, stopReason: "dilation-2 factoring settles the pipeline"},
+		{id: StrategySplit3D},
+		{id: StrategyExtend},
+		{id: StrategyFold, skip: whenSettled, skipReason: reasonSettled},
+		{id: StrategySolver, skip: whenFound, skipReason: reasonFound},
 	}
-	return out
+	// pipelineHighD plans shapes with four or more axes of length > 1.
+	pipelineHighD = []stage{
+		{id: StrategyHighDim},
+	}
+)
+
+// search runs one strategy on the shape and returns its candidate plan, or
+// nil.  foldDepth counts fold nodes already above this subtree (at most
+// one fold per plan tree keeps the reflection argument of §3.3 valid).
+func (pc *planContext) search(id StrategyID, s mesh.Shape, foldDepth int) *Plan {
+	switch id {
+	case StrategyDirect:
+		return planDirect(s)
+	case StrategySolver:
+		return pc.planBySolver(s)
+	case StrategyFactor:
+		return pc.planByFactoring(s, 0)
+	case StrategyExtend:
+		return pc.planByExtension(s)
+	case StrategyHighDim:
+		return pc.planHighDim(s)
+	case StrategyPairGray:
+		return pc.planPairPlusGray(s, foldDepth)
+	case StrategySplit2D:
+		return pc.planBy2DSplit(s)
+	case StrategySplit3D:
+		return pc.planBySplit(s, foldDepth)
+	case StrategyFold:
+		return pc.planByFolding(s, foldDepth)
+	}
+	panic(fmt.Sprintf("core: no search for strategy %v", id))
 }
 
-var defaultRegistry = NewDefaultRegistry()
+// solverSeed seeds every solver search, so planning is deterministic.
+const solverSeed = 1
 
-// planContext carries one planning run's configuration: options, resolved
-// cost model, strategy registry, and (for Planner) the shared plan cache.
-// A context is immutable after construction and safe for concurrent use —
-// except for tr, which is only ever set on the private per-call copy a
-// PlanTraced run makes (see trace.go) and is nil on every shared context.
+// planContext carries one planning run's configuration: options and (for
+// Planner) the shared plan cache.  A context is immutable after
+// construction and safe for concurrent use — except for tr, which is only
+// ever set on the private per-call copy a PlanTraced run makes (see
+// trace.go) and is nil on every shared context.
 type planContext struct {
 	opts  Options
-	cost  CostModel
-	reg   *Registry
 	cache *planCache  // nil: no memoization
 	canon bool        // canonicalize axis order before searching
 	fp    string      // options fingerprint, part of every cache key
@@ -113,17 +103,11 @@ type planContext struct {
 }
 
 func newPlanContext(opts Options, cache *planCache, canon bool) *planContext {
-	cost := opts.Cost
-	if cost == nil {
-		cost = DefaultCostModel
-	}
 	return &planContext{
 		opts:  opts,
-		cost:  cost,
-		reg:   defaultRegistry,
 		cache: cache,
 		canon: canon,
-		fp:    fmt.Sprintf("b%d.s%d.%s", opts.SolverBudget, opts.SolverSeed, cost.Name()),
+		fp:    fmt.Sprintf("b%d.s%d.%s", opts.SolverBudget, solverSeed, preferenceOrder),
 	}
 }
 
@@ -132,12 +116,6 @@ func newPlanContext(opts Options, cache *planCache, canon bool) *planContext {
 // strategies planning sub-shapes, so canonicalization and caching apply at
 // every level of the tree.
 func (pc *planContext) planMinimalDepth(s mesh.Shape, foldDepth int) *Plan {
-	if pc.tr == nil {
-		if pc.canon {
-			return pc.planCanonical(s, foldDepth)
-		}
-		return pc.planDispatch(s, foldDepth)
-	}
 	pc.tr.push(s)
 	var p *Plan
 	if pc.canon {
@@ -164,31 +142,33 @@ func (pc *planContext) planDispatch(s mesh.Shape, foldDepth int) *Plan {
 			Dilation: 1, Method: 1}
 	case 2:
 		pc.tr.setPipeline("2d")
-		return pc.runPipeline(pc.reg.twoD, s, foldDepth)
+		return pc.runPipeline(pipeline2D, s, foldDepth)
 	case 3:
 		pc.tr.setPipeline("3d")
-		return pc.runPipeline(pc.reg.threeD, s, foldDepth)
+		return pc.runPipeline(pipeline3D, s, foldDepth)
 	default:
 		pc.tr.setPipeline("highd")
-		return pc.runPipeline(pc.reg.highD, s, foldDepth)
+		return pc.runPipeline(pipelineHighD, s, foldDepth)
 	}
 }
 
-// runPipeline folds the stages' candidates under the cost model, honoring
-// the per-stage skip/stop gates.
+// runPipeline merges the stages' candidates under better, honoring the
+// per-stage skip/stop gates.  A traced run records every attempt through
+// the tracer hooks, which do nothing on the untraced hot path.
 func (pc *planContext) runPipeline(stages []stage, s mesh.Shape, foldDepth int) *Plan {
-	if pc.tr != nil {
-		return pc.runPipelineTraced(stages, s, foldDepth)
-	}
 	var best *Plan
 	for _, st := range stages {
 		if st.skip != nil && st.skip(best) {
+			pc.tr.skipped(st)
 			continue
 		}
-		if cand := st.strat.Search(pc, s, foldDepth); cand != nil {
-			best = pc.better(best, cand)
-		}
+		pc.tr.try(st.id)
+		cand := pc.search(st.id, s, foldDepth)
+		merged := better(best, cand)
+		pc.tr.tried(st.id, cand, merged)
+		best = merged
 		if st.stop != nil && st.stop(best) {
+			pc.tr.stopped(st.stopReason)
 			break
 		}
 	}

@@ -6,14 +6,10 @@ import (
 	"repro/internal/solver"
 )
 
-// DirectStrategy matches the frozen direct tables (§3.3), possibly after
-// axis permutation and padding (handled by direct.Lookup).  A hit is final:
-// the registry stops the two-axis pipeline on it.
-type DirectStrategy struct{}
-
-func (DirectStrategy) Name() string { return StrategyDirect.String() }
-
-func (DirectStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
+// planDirect matches the frozen direct tables (§3.3), possibly after axis
+// permutation and padding (handled by direct.Lookup).  A hit is final: the
+// two-axis pipeline stops on it.
+func planDirect(s mesh.Shape) *Plan {
 	tab, _, ok := direct.Lookup(s)
 	if !ok {
 		return nil
@@ -22,24 +18,14 @@ func (DirectStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
 		Dilation: tab.Dilation, Method: 2}
 }
 
-// SolverStrategy runs the deterministic annealing solver on shapes within
-// the configured node budget.  Last resort: the registry skips it whenever
+// planBySolver runs the deterministic annealing solver on shapes within
+// the configured node budget.  Last resort: the pipelines skip it whenever
 // a structured plan exists.
-type SolverStrategy struct{}
-
-func (SolverStrategy) Name() string { return StrategySolver.String() }
-
-func (SolverStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
-	return pc.planBySolver(s)
-}
-
-// planBySolver runs the deterministic solver when the shape is within the
-// configured budget.
 func (pc *planContext) planBySolver(s mesh.Shape) *Plan {
 	if pc.opts.SolverBudget <= 0 || s.Nodes() > pc.opts.SolverBudget {
 		return nil
 	}
-	e := solver.Find(s, solver.Options{MaxDilation: 2, Seed: pc.opts.SolverSeed,
+	e := solver.Find(s, solver.Options{MaxDilation: 2, Seed: solverSeed,
 		Restarts: 6, Iterations: 150_000})
 	if e == nil {
 		return nil

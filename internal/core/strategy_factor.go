@@ -6,19 +6,10 @@ import (
 	"repro/internal/mesh"
 )
 
-// FactorStrategy decomposes s = t ∘ r where t matches a direct table and
-// the residual r is planned recursively (Gray, deeper factoring, or the
-// solver) — the paper's method 3 generalized to richer decompositions.
-type FactorStrategy struct{}
-
-func (FactorStrategy) Name() string { return StrategyFactor.String() }
-
-func (FactorStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
-	return pc.planByFactoring(s, 0)
-}
-
 // planByFactoring searches decompositions s = t ∘ r where t matches a
-// direct table and r is planned recursively.  depth caps the recursion.
+// direct table and the residual r is planned recursively (Gray, deeper
+// factoring, or the solver) — the paper's method 3 generalized to richer
+// decompositions.  depth caps the recursion.
 func (pc *planContext) planByFactoring(s mesh.Shape, depth int) *Plan {
 	if depth > 3 {
 		return nil
@@ -74,7 +65,7 @@ func (pc *planContext) planByFactoring(s mesh.Shape, depth int) *Plan {
 				Dilation: max(dplan.Dilation, rplan.Dilation),
 				Factors:  []*Plan{dplan, rplan},
 			}
-			best = pc.better(best, prod)
+			best = better(best, prod)
 		}
 	}
 	return best
@@ -114,19 +105,9 @@ func axisInjections(t, s mesh.Shape) [][]int {
 	return out
 }
 
-// ExtendStrategy grows one axis of s while ⌈|V|⌉₂ is unchanged, plans the
-// grown shape (Gray, direct, or factoring), and restricts to the guest via
-// a SubMesh node — the paper's extension step.
-type ExtendStrategy struct{}
-
-func (ExtendStrategy) Name() string { return StrategyExtend.String() }
-
-func (ExtendStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
-	return pc.planByExtension(s)
-}
-
-// planByExtension grows one axis of s while ⌈|V|⌉₂ is unchanged and plans
-// the grown shape by factoring; the result is wrapped in a SubMesh node.
+// planByExtension grows one axis of s while ⌈|V|⌉₂ is unchanged, plans
+// the grown shape (Gray, direct, or factoring), and restricts to the guest
+// via a SubMesh node — the paper's extension step.
 func (pc *planContext) planByExtension(s mesh.Shape) *Plan {
 	target := s.MinCubeDim()
 	total := uint64(1) << uint(target)
@@ -149,20 +130,20 @@ func (pc *planContext) planByExtension(s mesh.Shape) *Plan {
 				child := &Plan{Kind: KindGray, Shape: grown, CubeDim: target, Dilation: 1}
 				sub := &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
 					Dilation: 1, Super: grown, Child: child}
-				best = pc.better(best, sub)
+				best = better(best, sub)
 				continue
 			}
 			if _, _, ok := direct.Lookup(grown); ok {
 				child := &Plan{Kind: KindDirect, Shape: grown, CubeDim: target, Dilation: 2}
 				sub := &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
 					Dilation: 2, Super: grown, Child: child}
-				best = pc.better(best, sub)
+				best = better(best, sub)
 				continue
 			}
 			if p := pc.planByFactoring(grown, 1); p != nil && p.CubeDim == target {
 				sub := &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
 					Dilation: p.Dilation, Super: grown, Child: p}
-				best = pc.better(best, sub)
+				best = better(best, sub)
 			}
 		}
 	}

@@ -5,19 +5,11 @@ import (
 	"repro/internal/mesh"
 )
 
-// HighDimStrategy plans shapes with four or more axes of length > 1 (the
+// planHighDim plans shapes with four or more axes of length > 1 (the
 // strategy of Section 4.2): power-of-two axes are pulled into one Gray
 // factor — always free, since ⌈a·2^c⌉₂ = 2^c·⌈a⌉₂ — and the remaining axes
 // are planned recursively when three or fewer remain, or paired up
 // two-dimensionally otherwise.
-type HighDimStrategy struct{}
-
-func (HighDimStrategy) Name() string { return StrategyHighDim.String() }
-
-func (HighDimStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
-	return pc.planHighDim(s)
-}
-
 func (pc *planContext) planHighDim(s mesh.Shape) *Plan {
 	k := s.Dims()
 	var pow2Axes, oddAxes []int
@@ -71,9 +63,29 @@ func (pc *planContext) planHighDim(s mesh.Shape) *Plan {
 // planByPairing partitions the given axes into pairs (one axis may remain
 // single) and embeds each pair two-dimensionally; valid when the pairwise
 // ⌈·⌉₂ products multiply to the minimal cube.
+//
+// Many partial partitions reach the same search state: the same remaining
+// axes with the same cube dimensions used.  Only the state decides whether
+// a partition can still complete, so a state whose full search completed
+// none is recorded as dead and skipped on re-entry.  A search is cut short
+// only once a dilation-2 plan is in hand, so every state recorded dead was
+// searched in full, and the pruning never changes the plan.
 func (pc *planContext) planByPairing(s mesh.Shape, axes []int) *Plan {
 	k := s.Dims()
 	target := s.MinCubeDim()
+	// A state's remaining axes are a bit set over positions in axes.  The
+	// axes all have length ≥ 3, and a shape whose node count fits an int
+	// has at most 39 of them (3^40 > 2^63), so the set fits a uint64.
+	type state struct {
+		remaining uint64
+		dims      int
+	}
+	pos := make([]uint, k)
+	for i, a := range axes {
+		pos[a] = uint(i)
+	}
+	dead := make(map[state]bool)
+	partitions := 0
 	var best *Plan
 	var rec func(remaining []int, factors []*Plan, dims int)
 	rec = func(remaining []int, factors []*Plan, dims int) {
@@ -84,16 +96,25 @@ func (pc *planContext) planByPairing(s mesh.Shape, axes []int) *Plan {
 			if dims != target {
 				return
 			}
+			partitions++
 			fs := make([]*Plan, len(factors))
 			copy(fs, factors)
 			d := 0
 			for _, f := range fs {
 				d = max(d, f.Dilation)
 			}
-			best = pc.better(best, &Plan{Kind: KindProduct, Shape: s.Clone(),
+			best = better(best, &Plan{Kind: KindProduct, Shape: s.Clone(),
 				CubeDim: target, Dilation: d, Factors: fs, Method: 2})
 			return
 		}
+		st := state{dims: dims}
+		for _, a := range remaining {
+			st.remaining |= 1 << pos[a]
+		}
+		if dead[st] {
+			return
+		}
+		found := partitions
 		a := remaining[0]
 		// Pair a with each later axis.
 		for i := 1; i < len(remaining); i++ {
@@ -129,6 +150,9 @@ func (pc *planContext) planByPairing(s mesh.Shape, axes []int) *Plan {
 		if dims+gd <= target {
 			gp := &Plan{Kind: KindGray, Shape: singleShape, CubeDim: gd, Dilation: 1}
 			rec(remaining[1:], append(factors, gp), dims+gd)
+		}
+		if partitions == found {
+			dead[st] = true
 		}
 	}
 	rec(axes, nil, 0)

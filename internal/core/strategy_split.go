@@ -6,21 +6,12 @@ import (
 	"repro/internal/mesh"
 )
 
-// PairGrayStrategy implements method 2 for three-axis shapes: embed one
-// axis pair two-dimensionally and the remaining axis by a Gray code.
-type PairGrayStrategy struct{}
-
-func (PairGrayStrategy) Name() string { return StrategyPairGray.String() }
-
-func (PairGrayStrategy) Search(pc *planContext, s mesh.Shape, foldDepth int) *Plan {
-	return pc.planPairPlusGray(s, foldDepth)
-}
-
-// planPairPlusGray implements method 2: find an axis pair (i, j) with
-// ⌈ℓiℓj⌉₂ · ⌈ℓk⌉₂ == ⌈ℓ1ℓ2ℓ3⌉₂, embed the ℓi×ℓj mesh two-dimensionally and
-// the remaining axis by a Gray code.  Among valid pairs the one whose 2D
-// plan has the lowest guaranteed dilation wins, matching the paper's advice
-// to pick the two axes with the smallest ℓ/⌈ℓ⌉₂.
+// planPairPlusGray implements method 2 for three-axis shapes: find an axis
+// pair (i, j) with ⌈ℓiℓj⌉₂ · ⌈ℓk⌉₂ == ⌈ℓ1ℓ2ℓ3⌉₂, embed the ℓi×ℓj mesh
+// two-dimensionally and the remaining axis by a Gray code.  Among valid
+// pairs the one whose 2D plan has the lowest guaranteed dilation wins,
+// matching the paper's advice to pick the two axes with the smallest
+// ℓ/⌈ℓ⌉₂.
 func (pc *planContext) planPairPlusGray(s mesh.Shape, foldDepth int) *Plan {
 	axes := activeAxes(s)
 	if len(axes) != 3 {
@@ -53,24 +44,14 @@ func (pc *planContext) planPairPlusGray(s mesh.Shape, foldDepth int) *Plan {
 			Factors:  []*Plan{pairPlan, grayPlan},
 			Method:   2,
 		}
-		best = pc.better(best, prod)
+		best = better(best, prod)
 	}
 	return best
 }
 
-// Split2DStrategy is the 2D analogue of method 4: split one axis of a
-// two-axis shape as ℓ'·ℓ” and embed (ℓother × ℓ') ⊗ Gray(ℓ”),
+// planBy2DSplit is the 2D analogue of method 4: it splits one axis of a
+// two-active-axis shape as ℓ'·ℓ” and embeds (ℓa × ℓ') ⊗ Gray(ℓ”),
 // restricting to the guest at the end.
-type Split2DStrategy struct{}
-
-func (Split2DStrategy) Name() string { return StrategySplit2D.String() }
-
-func (Split2DStrategy) Search(pc *planContext, s mesh.Shape, _ int) *Plan {
-	return pc.planBy2DSplit(s)
-}
-
-// planBy2DSplit splits one axis of a two-active-axis shape as ℓ'·ℓ” and
-// embeds (ℓa × ℓ') ⊗ Gray(ℓ”), restricting to the guest at the end.
 // Example: 5x6 = (5x3) ⊗ (1x2) — the 3x5 direct table lifts to a
 // dilation-two minimal-expansion embedding of 5x6.
 func (pc *planContext) planBy2DSplit(s mesh.Shape) *Plan {
@@ -146,7 +127,7 @@ func (pc *planContext) planBy2DSplit(s mesh.Shape) *Plan {
 				cand = &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
 					Dilation: prod.Dilation, Super: super, Child: prod}
 			}
-			best = pc.better(best, cand)
+			best = better(best, cand)
 			if best.Dilation <= 2 {
 				return best
 			}
@@ -155,21 +136,11 @@ func (pc *planContext) planBy2DSplit(s mesh.Shape) *Plan {
 	return best
 }
 
-// Split3DStrategy implements method 4: split one axis as ℓ'·ℓ” ≥ ℓ and
-// embed the product of two two-dimensional meshes (Corollary 2),
-// restricting to the guest at the end.
-type Split3DStrategy struct{}
-
-func (Split3DStrategy) Name() string { return StrategySplit3D.String() }
-
-func (Split3DStrategy) Search(pc *planContext, s mesh.Shape, foldDepth int) *Plan {
-	return pc.planBySplit(s, foldDepth)
-}
-
-// planBySplit implements method 4: choose a split axis m and the remaining
-// axes a, b; find ℓ'·ℓ” ≥ ℓm with ⌈ℓa·ℓ'⌉₂ · ⌈ℓ”·ℓb⌉₂ == ⌈ℓ1ℓ2ℓ3⌉₂; embed
-// the product (ℓa × ℓ') ⊗ (ℓ” × ℓb) by Corollary 2 and restrict to the
-// guest.  Both factors are two-dimensional meshes.
+// planBySplit implements method 4: split one axis as ℓ'·ℓ” ≥ ℓ and embed
+// the product of two two-dimensional meshes (Corollary 2), restricting to
+// the guest at the end.  It chooses a split axis m and the remaining axes
+// a, b; finds ℓ'·ℓ” ≥ ℓm with ⌈ℓa·ℓ'⌉₂ · ⌈ℓ”·ℓb⌉₂ == ⌈ℓ1ℓ2ℓ3⌉₂; and embeds
+// the product (ℓa × ℓ') ⊗ (ℓ” × ℓb).
 func (pc *planContext) planBySplit(s mesh.Shape, foldDepth int) *Plan {
 	axes := activeAxes(s)
 	if len(axes) != 3 {
@@ -210,7 +181,7 @@ func (pc *planContext) planBySplit(s mesh.Shape, foldDepth int) *Plan {
 				cand = &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
 					Dilation: prod.Dilation, Super: super, Child: prod, Method: 4}
 			}
-			best = pc.better(best, cand)
+			best = better(best, cand)
 			if best.Dilation <= 2 {
 				return best
 			}

@@ -1,10 +1,10 @@
 package core
 
-// StrategyID enumerates the planner's registered strategies.  The wire
-// names — the strings Strategy.Name returns, the keys of provenance traces
-// and `embedctl explain` output — are generated from this constant block
-// (strategyid_enumgen.go), so adding a strategy means adding a constant
-// here and its Name method delegating to String.
+// StrategyID enumerates the planner's strategies.  The wire names — the
+// keys of provenance traces and `embedctl explain` output — are generated
+// from this constant block (strategyid_enumgen.go), so adding a strategy
+// means adding a constant here, a case in planContext.search and a stage
+// in a pipeline (see strategy.go).
 type StrategyID int
 
 const (

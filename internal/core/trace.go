@@ -24,10 +24,11 @@ import (
 type StrategyAttempt struct {
 	Strategy string `json:"strategy"`
 	// Status is "tried", "skipped" or "chosen" (chosen implies tried and
-	// won the cost-model comparison).
+	// won under the preference order).
 	Status string `json:"status"`
 	// Reason explains the status: the gate reason for skips, the
-	// cost-model outcome for tried candidates, "no candidate" for misses.
+	// preference-order outcome for tried candidates, "no candidate" for
+	// misses.
 	Reason string `json:"reason,omitempty"`
 	// Plan is the candidate construction, when the strategy produced one.
 	Plan     string `json:"plan,omitempty"`
@@ -69,11 +70,16 @@ func (pt *PlanTrace) Walk(f func(*PlanTrace)) {
 	}
 }
 
-// tracedNode is one open PlanTrace frame plus its obs span.
+// tracedNode is one open PlanTrace frame plus its obs span, and the state
+// of the pipeline running on it: the open attempt and the best so far.
 type tracedNode struct {
 	pt   *PlanTrace
 	span *obs.Span
 	t0   time.Time
+
+	attempt   *obs.Span // the open strategy attempt (between try and tried)
+	attemptT0 time.Time
+	best      int // index of the best attempt so far, -1: none
 }
 
 // planTracer accumulates the provenance tree and mirrors it into obs spans.
@@ -98,6 +104,9 @@ func (tr *planTracer) cur() *tracedNode        { return tr.nodes[len(tr.nodes)-1
 
 // push opens a provenance node for a shape the recursion is about to plan.
 func (tr *planTracer) push(s mesh.Shape) {
+	if tr == nil {
+		return
+	}
 	canon, _ := s.SortCanonical()
 	pt := &PlanTrace{Shape: s.String(), Canonical: canon.String()}
 	if len(tr.nodes) > 0 {
@@ -108,15 +117,23 @@ func (tr *planTracer) push(s mesh.Shape) {
 	}
 	ctx, span := obs.Start(tr.topCtx(), "plan "+canon.String())
 	tr.ctxs = append(tr.ctxs, ctx)
-	tr.nodes = append(tr.nodes, &tracedNode{pt: pt, span: span, t0: time.Now()})
+	tr.nodes = append(tr.nodes, &tracedNode{pt: pt, span: span, t0: time.Now(), best: -1})
 }
 
-// pop closes the current node with the plan the recursion settled on.
+// pop closes the current node with the plan the recursion settled on,
+// marking the pipeline's winning attempt as chosen.
 func (tr *planTracer) pop(p *Plan) {
+	if tr == nil {
+		return
+	}
 	node := tr.cur()
 	tr.nodes = tr.nodes[:len(tr.nodes)-1]
 	tr.ctxs = tr.ctxs[:len(tr.ctxs)-1]
 	node.pt.DurationNS = time.Since(node.t0).Nanoseconds()
+	if node.best >= 0 {
+		node.pt.Attempts[node.best].Status = "chosen"
+		node.pt.Chosen = node.pt.Attempts[node.best].Strategy
+	}
 	if p != nil {
 		node.pt.Plan = p.String()
 	} else if node.pt.Chosen == "" {
@@ -158,72 +175,82 @@ func attemptDilation(p *Plan) int {
 	return p.Dilation
 }
 
-// runPipelineTraced is runPipeline with provenance recording: one
-// StrategyAttempt (and one obs span) per stage, in pipeline order.
-func (pc *planContext) runPipelineTraced(stages []stage, s mesh.Shape, foldDepth int) *Plan {
-	tr := pc.tr
+// skipped records a stage its skip gate passed over.
+func (tr *planTracer) skipped(st stage) {
+	if tr == nil {
+		return
+	}
+	name := st.id.String()
+	_, sp := obs.Start(tr.topCtx(), "strategy:"+name)
+	sp.SetAttr("status", "skipped")
+	sp.SetAttr("reason", st.skipReason)
+	sp.End()
 	cur := tr.cur().pt
-	var best *Plan
-	bestIdx := -1
-	bestName := ""
-	for _, st := range stages {
-		name := st.strat.Name()
-		if st.skip != nil && st.skip(best) {
-			_, sp := obs.Start(tr.topCtx(), "strategy:"+name)
-			sp.SetAttr("status", "skipped")
-			sp.SetAttr("reason", st.skipReason)
-			sp.End()
-			cur.Attempts = append(cur.Attempts, StrategyAttempt{
-				Strategy: name, Status: "skipped", Reason: st.skipReason})
-			continue
-		}
-		actx, sp := obs.Start(tr.topCtx(), "strategy:"+name)
-		tr.ctxs = append(tr.ctxs, actx)
-		t0 := time.Now()
-		cand := st.strat.Search(pc, s, foldDepth)
-		a := StrategyAttempt{Strategy: name, Status: "tried",
-			DurationNS: time.Since(t0).Nanoseconds()}
-		tr.ctxs = tr.ctxs[:len(tr.ctxs)-1]
-		if cand == nil {
-			a.Reason = "no candidate"
-		} else {
-			a.Plan = cand.String()
-			a.CubeDim = cand.CubeDim
-			a.Dilation = attemptDilation(cand)
-			merged := pc.better(best, cand)
-			switch {
-			case best == nil:
-				a.Reason = "first candidate"
-			case merged == cand && merged != best:
-				a.Reason = "beats " + bestName + " under " + pc.cost.Name()
-			default:
-				a.Reason = "kept " + bestName + " under " + pc.cost.Name()
-			}
-			if merged == cand && merged != best || best == nil {
-				bestIdx = len(cur.Attempts)
-				bestName = name
-			}
-			best = merged
-			sp.SetAttr("plan", a.Plan)
-		}
-		sp.SetAttr("status", a.Status)
-		sp.SetAttr("reason", a.Reason)
-		sp.End()
-		cur.Attempts = append(cur.Attempts, a)
-		if st.stop != nil && st.stop(best) {
-			last := &cur.Attempts[len(cur.Attempts)-1]
-			last.Stopped = true
-			if st.stopReason != "" {
-				last.Reason += "; stopped pipeline: " + st.stopReason
-			}
-			break
-		}
+	cur.Attempts = append(cur.Attempts, StrategyAttempt{
+		Strategy: name, Status: "skipped", Reason: st.skipReason})
+}
+
+// try opens the attempt of a strategy about to search; the sub-shapes it
+// plans nest under the attempt's span.
+func (tr *planTracer) try(id StrategyID) {
+	if tr == nil {
+		return
 	}
-	if bestIdx >= 0 {
-		cur.Attempts[bestIdx].Status = "chosen"
-		cur.Chosen = bestName
+	cur := tr.cur()
+	ctx, sp := obs.Start(tr.topCtx(), "strategy:"+id.String())
+	tr.ctxs = append(tr.ctxs, ctx)
+	cur.attempt, cur.attemptT0 = sp, time.Now()
+}
+
+// tried closes the open attempt with the strategy's candidate (nil: none)
+// and merged, the pipeline's best plan after merging the candidate in
+// under the preference order.
+func (tr *planTracer) tried(id StrategyID, cand, merged *Plan) {
+	if tr == nil {
+		return
 	}
-	return best
+	tr.ctxs = tr.ctxs[:len(tr.ctxs)-1]
+	cur := tr.cur()
+	a := StrategyAttempt{Strategy: id.String(), Status: "tried",
+		DurationNS: time.Since(cur.attemptT0).Nanoseconds()}
+	sp := cur.attempt
+	if cand == nil {
+		a.Reason = "no candidate"
+	} else {
+		a.Plan = cand.String()
+		a.CubeDim = cand.CubeDim
+		a.Dilation = attemptDilation(cand)
+		switch {
+		case cur.best < 0:
+			a.Reason = "first candidate"
+		case merged == cand:
+			a.Reason = "beats " + cur.pt.Attempts[cur.best].Strategy + " under " + preferenceOrder
+		default:
+			a.Reason = "kept " + cur.pt.Attempts[cur.best].Strategy + " under " + preferenceOrder
+		}
+		if merged == cand {
+			cur.best = len(cur.pt.Attempts)
+		}
+		sp.SetAttr("plan", a.Plan)
+	}
+	sp.SetAttr("status", a.Status)
+	sp.SetAttr("reason", a.Reason)
+	sp.End()
+	cur.pt.Attempts = append(cur.pt.Attempts, a)
+}
+
+// stopped marks the last attempt as the one after which the pipeline's
+// stop gate fired.
+func (tr *planTracer) stopped(reason string) {
+	if tr == nil {
+		return
+	}
+	cur := tr.cur().pt
+	last := &cur.Attempts[len(cur.Attempts)-1]
+	last.Stopped = true
+	if reason != "" {
+		last.Reason += "; stopped pipeline: " + reason
+	}
 }
 
 // PlanTraced is Plan with full provenance: it returns the same plan as Plan

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/guest"
 	"repro/internal/mesh"
 	"repro/internal/obs"
 )
@@ -44,11 +45,21 @@ func flattenTrace(b *strings.Builder, pt *PlanTrace) {
 
 func TestPlanTracedMatchesPlan(t *testing.T) {
 	pl := NewPlanner(DefaultOptions)
+	var shapes []mesh.Shape
 	for _, spec := range []string{"5x6x7", "6x11x7", "3x3x23", "12x20", "3x5x17", "64x64x64", "7x1x1"} {
 		s, err := mesh.ParseShape(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shapes = append(shapes, s)
+	}
+	for _, g := range planDigestDomain() {
+		if g.f == guest.Mesh {
+			shapes = append(shapes, g.s)
+		}
+	}
+	for _, s := range shapes {
+		spec := s.String()
 		want := pl.Plan(s)
 		got, pt, err := pl.PlanTraced(context.Background(), s)
 		if err != nil {

@@ -54,7 +54,11 @@ func Lookup(s mesh.Shape) (t Table, perm []int, ok bool) {
 
 // matchPermutation finds a permutation p with s[i] == ref[p[i]] for all i,
 // using each axis of ref exactly once.  Shapes of different arity are
-// aligned by treating missing axes as length 1.
+// aligned by treating missing axes as length 1.  Equal lengths are
+// interchangeable, so giving each axis of s the first unused axis of ref
+// with its length finds a permutation exactly when the two length
+// multisets agree — no backtracking needed, which matters for shapes with
+// many axes of one length.
 func matchPermutation(s, ref mesh.Shape) ([]int, bool) {
 	k := len(s)
 	if len(ref) > k {
@@ -62,34 +66,21 @@ func matchPermutation(s, ref mesh.Shape) ([]int, bool) {
 		// happens for the tables here.
 		return nil, false
 	}
-	refPad := make(mesh.Shape, k)
-	copy(refPad, ref)
-	for i := len(ref); i < k; i++ {
-		refPad[i] = 1
-	}
+	refPad := padTo(ref, k)
 	used := make([]bool, k)
 	perm := make([]int, k)
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == k {
-			return true
+	for i, l := range s {
+		j := 0
+		for j < k && (used[j] || refPad[j] != l) {
+			j++
 		}
-		for j := 0; j < k; j++ {
-			if !used[j] && refPad[j] == s[i] {
-				used[j] = true
-				perm[i] = j
-				if rec(i + 1) {
-					return true
-				}
-				used[j] = false
-			}
+		if j == k {
+			return nil, false
 		}
-		return false
+		used[j] = true
+		perm[i] = j
 	}
-	if rec(0) {
-		return perm, true
-	}
-	return nil, false
+	return perm, true
 }
 
 // Embedding instantiates the direct embedding for the given shape (which

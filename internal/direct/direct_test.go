@@ -1,6 +1,7 @@
 package direct
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/mesh"
@@ -123,5 +124,78 @@ func BenchmarkDirectEmbedding(b *testing.B) {
 		if _, ok := Embedding(s); !ok {
 			b.Fatal("missing")
 		}
+	}
+}
+
+// matchPermutationBacktrack is the exhaustive reference for
+// matchPermutation: depth-first over every assignment of ref axes to s
+// axes, returning the first complete one.
+func matchPermutationBacktrack(s, ref mesh.Shape) ([]int, bool) {
+	k := len(s)
+	if len(ref) > k {
+		return nil, false
+	}
+	refPad := padTo(ref, k)
+	used := make([]bool, k)
+	perm := make([]int, k)
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == k {
+			return true
+		}
+		for j := 0; j < k; j++ {
+			if !used[j] && refPad[j] == s[i] {
+				used[j] = true
+				perm[i] = j
+				if rec(i + 1) {
+					return true
+				}
+				used[j] = false
+			}
+		}
+		return false
+	}
+	if rec(0) {
+		return perm, true
+	}
+	return nil, false
+}
+
+// TestMatchPermutationMatchesBacktracking: the greedy match returns the
+// backtracking search's first permutation, and fails exactly when it
+// fails, on every shape of at most six axes with lengths in {1, 3, 5, 7}
+// against every table.
+func TestMatchPermutationMatchesBacktracking(t *testing.T) {
+	lengths := []int{1, 3, 5, 7}
+	var shapes []mesh.Shape
+	var rec func(s mesh.Shape)
+	rec = func(s mesh.Shape) {
+		if len(s) > 0 {
+			shapes = append(shapes, s.Clone())
+		}
+		if len(s) == 6 {
+			return
+		}
+		for _, l := range lengths {
+			rec(append(s, l))
+		}
+	}
+	rec(nil)
+	matches := 0
+	for _, tab := range Tables {
+		for _, s := range shapes {
+			got, gok := matchPermutation(s, tab.Shape)
+			want, wok := matchPermutationBacktrack(s, tab.Shape)
+			if gok != wok || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%v vs table %v: greedy %v %v, backtracking %v %v",
+					s, tab.Shape, got, gok, want, wok)
+			}
+			if gok {
+				matches++
+			}
+		}
+	}
+	if matches == 0 {
+		t.Fatal("no shape matched any table")
 	}
 }

@@ -105,8 +105,6 @@ type Config struct {
 	// MaxNodes is the largest guest the API will embed; bigger shapes get
 	// 422 (default 1<<24).
 	MaxNodes int
-	// Opts are the planner options (zero value: core.DefaultOptions).
-	Opts core.Options
 	// Logger, when non-nil, receives one structured access-log record per
 	// API request (request ID, endpoint, shape, source, status, duration).
 	// nil disables logging entirely — the hot path then allocates nothing
@@ -132,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxNodes == 0 {
 		c.MaxNodes = 1 << 24
 	}
-	if c.Opts.SolverBudget == 0 && c.Opts.SolverSeed == 0 && c.Opts.Cost == nil {
-		c.Opts = core.DefaultOptions
-	}
 	return c
 }
 
@@ -158,7 +153,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
 		cfg:     cfg,
-		planner: core.NewPlanner(cfg.Opts),
+		planner: core.NewPlanner(core.DefaultOptions),
 		cache:   newLRUCache(cfg.CacheSize),
 		flights: newFlightGroup(),
 		sem:     make(chan struct{}, cfg.MaxInflight),

@@ -92,30 +92,6 @@ type Result struct {
 // CacheStats reports a Planner's plan-cache counters.
 type CacheStats = core.CacheStats
 
-// CostModel ranks competing candidate plans; see DefaultCostModel and
-// NewLexCost.
-type CostModel = core.CostModel
-
-// CostKey names one component of a lexicographic cost model.
-type CostKey = core.CostKey
-
-// The lexicographic cost-model components, in the default order.
-const (
-	CostExpansion  = core.CostExpansion
-	CostDilation   = core.CostDilation
-	CostFactors    = core.CostFactors
-	CostCongestion = core.CostCongestion
-	CostDepth      = core.CostDepth
-)
-
-// DefaultCostModel is the planner's standard plan preference: minimal
-// expansion, then dilation bound, factor count, congestion bound, depth.
-var DefaultCostModel = core.DefaultCostModel
-
-// NewLexCost builds a lexicographic cost model over the given keys, for
-// Options.Cost.
-func NewLexCost(keys ...CostKey) CostModel { return core.NewLexCost(keys...) }
-
 // Planner plans shapes through a shared, concurrency-safe plan cache keyed
 // by canonical (axis-sorted) shape: all permutations of a shape, and every
 // sub-shape the strategies revisit, share one cache entry.  One Planner may
