@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/mesh"
-	"repro/internal/obs"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
@@ -84,10 +83,7 @@ func cmdBench(args []string) {
 	// Tier and fabric counters before the run; deltas are reported at the
 	// end so the server-side split (L0 / closed-form / artifact / compute)
 	// and any distributed-chunk traffic are visible next to the client-side
-	// latencies.  The process-local obs counters reset here for the same
-	// reason: span counts in the summary are per-run deltas, not totals
-	// accumulated across repeated bench invocations of one process.
-	obs.ResetStats()
+	// latencies.
 	tiersBefore := fetchTierCounters(c)
 	fabricBefore := fetchFabricCounters(c)
 
@@ -287,24 +283,12 @@ type benchSummary struct {
 	CertOptimal uint64        `json:"certificates_optimal"`
 	OptimalRate float64       `json:"optimal_rate"`
 	Benchmarks  []benchResult `json:"benchmarks"`
-	// Obs reports this process's tracer counters for the run — per-run
-	// deltas thanks to the ResetStats at bench start, mirroring how the
-	// server-side tier counters are reported as deltas.
-	Obs benchObsStats `json:"obs"`
-}
-
-// benchObsStats is the per-run obs tracer delta.
-type benchObsStats struct {
-	Traces     uint64 `json:"traces"`
-	Spans      uint64 `json:"spans"`
-	OverheadNS int64  `json:"span_overhead_ns"`
 }
 
 func writeBenchJSON(cold, warm []time.Duration, elapsed time.Duration, errsCount int, family, mode string, shapes []string, certServed, certOptimal uint64) {
 	stat := func(name string, iters int, d time.Duration) benchResult {
 		return benchResult{Name: name, Iterations: int64(iters), NsPerOp: float64(d.Nanoseconds())}
 	}
-	st := obs.ReadStats()
 	var rate float64
 	if certServed > 0 {
 		rate = float64(certOptimal) / float64(certServed)
@@ -320,7 +304,6 @@ func writeBenchJSON(cold, warm []time.Duration, elapsed time.Duration, errsCount
 		CertServed:  certServed,
 		CertOptimal: certOptimal,
 		OptimalRate: rate,
-		Obs:         benchObsStats{Traces: st.Traces, Spans: st.Spans, OverheadNS: st.OverheadNS},
 		Benchmarks: []benchResult{
 			stat("cold/p50", len(cold), percentile(cold, 50)),
 			stat("warm/p50", len(warm), percentile(warm, 50)),

@@ -9,8 +9,8 @@
 //	embedctl embed -torus 6x10       # wraparound mesh (= -family torus)
 //	embedctl embed -family tree 127  # complete binary tree guest
 //	embedctl embed -gray 5x6x7       # Gray-code baseline
-//	embedctl embed -o map.txt 5x6x7  # save the embedding to a file
-//	embedctl verify map.txt          # reload and verify a saved embedding
+//	embedctl embed -o map.json 5x6x7 # save the embedding as JSON
+//	embedctl verify map.json         # reload and verify a saved embedding
 //	embedctl manyone -cube 5 19x19   # many-to-one per Corollary 5
 //	embedctl compare 12x20           # decomposition vs Gray vs reshaping
 //	embedctl sweep -dims 3 -max 16   # plan every sorted shape in a range
@@ -18,6 +18,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -35,11 +36,16 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   embedctl plan [-family F] <shape>     show the decomposition plan
-  embedctl embed [-family F|-gray|-torus] [-map] <shape>
+  embedctl embed [-family F|-gray|-torus] [-map] [-o file] <shape>
                                         build, verify and measure; F is the
                                         guest family (mesh, torus, cylinder,
-                                        tree; -torus = -family torus)
+                                        tree; -torus = -family torus); -o
+                                        saves the embedding as the JSON
+                                        object /v1/embed serves with
+                                        include_map
   embedctl verify <file>                reload and verify a saved embedding
+                                        (from embed -o, or the embedding
+                                        object of a /v1/embed response)
   embedctl manyone -cube <n> <shape>    many-to-one embedding (Corollary 5)
   embedctl compare <l1>x<l2>            reshaping-vs-decomposition table
   embedctl sweep [-family F] [-dims k] [-max L] [-nodes N] [-workers W]
@@ -182,7 +188,7 @@ func cmdEmbed(args []string) {
 	torus := fs.Bool("torus", false, "treat the shape as a wraparound mesh (= -family torus)")
 	family := fs.String("family", "", "guest family: mesh (default), torus, cylinder or tree")
 	dumpMap := fs.Bool("map", false, "print the full node map")
-	outFile := fs.String("o", "", "write the embedding to this file")
+	outFile := fs.String("o", "", "write the embedding to this file as JSON")
 	_ = fs.Parse(args)
 	fam := parseFamily(*family)
 	if *torus {
@@ -218,16 +224,11 @@ func cmdEmbed(args []string) {
 	fmt.Println(m)
 	printMeasuredCertificate(fam, s, m)
 	if *outFile != "" {
-		f, err := os.Create(*outFile)
+		data, err := json.Marshal(e.Serial())
+		if err == nil {
+			err = os.WriteFile(*outFile, append(data, '\n'), 0o644)
+		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "embedctl:", err)
-			os.Exit(1)
-		}
-		if _, err := e.WriteTo(f); err != nil {
-			fmt.Fprintln(os.Stderr, "embedctl:", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "embedctl:", err)
 			os.Exit(1)
 		}
@@ -246,13 +247,16 @@ func cmdVerify(args []string) {
 	if len(args) != 1 {
 		usage()
 	}
-	f, err := os.Open(args[0])
+	data, err := os.ReadFile(args[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "embedctl:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	e, err := embed.Read(f)
+	var s api.EmbeddingSerial
+	var e *embed.Embedding
+	if err = json.Unmarshal(data, &s); err == nil {
+		e, err = embed.FromSerial(&s)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "embedctl: INVALID:", err)
 		os.Exit(1)

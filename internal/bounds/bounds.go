@@ -150,7 +150,7 @@ func disjointOddCycles(f guest.Family, s mesh.Shape) int64 {
 
 // maxColorClass returns the size of the larger class of the guest's unique
 // 2-coloring.  Callers invoke it only for bipartite guests (no wrapped odd
-// axis); every registered family is connected, so the coloring — and the
+// axis); every guest family is connected, so the coloring — and the
 // obstruction maxColorClass > 2^(n-1) — is well defined.
 func maxColorClass(f guest.Family, s mesh.Shape) int64 {
 	if f == guest.Tree {

@@ -85,13 +85,12 @@ func TestPairsWithinSaturates(t *testing.T) {
 // classes, and the disjoint odd rings — from the materialized edge list,
 // on every shape with at most 64 nodes per family.
 func TestGraphParametersNaive(t *testing.T) {
-	for _, d := range guest.All() {
-		f := d.Family
+	for _, f := range guest.FamilyValues() {
 		for _, s := range shapesUpTo(f, 64) {
 			edges := edgeList(f, s)
 			m := s.Nodes()
-			if got := int64(len(edges)); got != int64(d.Edges(s)) {
-				t.Fatalf("%s %v: iterator edges %d != Edges() %d", f, s, got, d.Edges(s))
+			if got, want := len(edges), guest.Get(f).Edges(s); got != want {
+				t.Fatalf("%s %v: iterator edges %d != Edges() %d", f, s, got, want)
 			}
 
 			deg := make([]int, m)
@@ -268,8 +267,7 @@ func bruteOptimum(edges [][2]int, m, n int) (minDil int, minWL int64, minCong in
 // on this entire set; congestion is checked for soundness against the best
 // e-cube-routed map.
 func TestBoundsExhaustiveSmall(t *testing.T) {
-	for _, d := range guest.All() {
-		f := d.Family
+	for _, f := range guest.FamilyValues() {
 		for _, s := range shapesUpTo(f, 8) {
 			edges := edgeList(f, s)
 			if len(edges) == 0 {
@@ -298,13 +296,13 @@ func TestBoundsExhaustiveSmall(t *testing.T) {
 // TestBoundsMonotoneInCube checks that a roomier cube never raises a
 // bound: every criterion weakens as n grows.
 func TestBoundsMonotoneInCube(t *testing.T) {
-	for _, d := range guest.All() {
-		for _, s := range shapesUpTo(d.Family, 64) {
+	for _, f := range guest.FamilyValues() {
+		for _, s := range shapesUpTo(f, 64) {
 			n := s.MinCubeDim()
-			b0 := For(d.Family, s, n)
-			b1 := For(d.Family, s, n+1)
+			b0 := For(f, s, n)
+			b1 := For(f, s, n+1)
 			if b1.Dilation > b0.Dilation || b1.Wirelength > b0.Wirelength || b1.Congestion > b0.Congestion {
-				t.Fatalf("%s %v: bounds grew with cube: n=%d %+v, n+1 %+v", d.Family, s, n, b0, b1)
+				t.Fatalf("%s %v: bounds grew with cube: n=%d %+v, n+1 %+v", f, s, n, b0, b1)
 			}
 		}
 	}

@@ -8,30 +8,29 @@ import (
 
 // Closed-form plan classifier: the provably-trivial strata of the plan
 // space are decidable by pure arithmetic on ⌈log₂⌉s, with no embedding
-// construction and no strategy-pipeline run.  ClassifyGuest answers exactly
-// the shapes whose plan the full planner derives from an O(1) shortcut —
-// the Gray-minimal stratum (planDispatch), the all-power-of-two torus and
-// the power-of-two-ring cylinder (the Section 6 cyclic Gray codes), and
-// every complete binary tree (the inorder labeling) — and returns the very
-// plan tree the planner would build, so callers may substitute it for a
-// planner run wherever they hold a valid guest shape.
+// construction and no strategy-pipeline run.  The classifier is the
+// planner's first step — planGuest asks ClassifyGuest, and planDispatch
+// asks ClassifyShape at every recursion point — so each closed-form plan is
+// written here and nowhere else: the Gray-minimal stratum (Theorem 2), the
+// all-power-of-two torus and the power-of-two-ring cylinder (the Section 6
+// cyclic Gray codes), and every complete binary tree (the inorder
+// labeling).  The server asks it too, before its artifact and planner
+// tiers.
 //
-// The claim contract is exact: for every (family, shape) ClassifyGuest
-// claims, the returned plan must be structurally identical to
-// PlanGuest(family, shape, opts) for every opts (the claimed strata never
-// consult the solver budget).  TestClassifyParity
-// enforces this exhaustively.
+// The claimed strata never consult the solver budget, so for every
+// (family, shape) ClassifyGuest claims, PlanGuest(family, shape, opts)
+// returns the same plan for every opts.  TestClassifyParity checks this
+// exhaustively.
 
 // ClassifyShape returns the closed-form plan for a mesh shape, or
 // (nil, false) when the shape's plan genuinely needs the strategy
-// pipeline.  The shape must already be valid (see mesh.Shape.Validate);
-// the classifier performs no validation of its own.
+// pipeline.  Every path (at most one axis longer than 1) is Gray-minimal.
+// The shape must already be valid (see mesh.Shape.Validate); the
+// classifier performs no validation of its own.
 func ClassifyShape(s mesh.Shape) (*Plan, bool) {
 	if !s.GrayMinimal() {
 		return nil, false
 	}
-	// Mirrors planDispatch's gray-minimal shortcut, including the paths
-	// (≤ 1 active axis), which are always Gray-minimal.
 	return &Plan{Kind: KindGray, Shape: s.Clone(), CubeDim: s.MinCubeDim(),
 		Dilation: 1, Method: 1}, true
 }
@@ -45,8 +44,8 @@ func ClassifyGuest(f guest.Family, s mesh.Shape) (*Plan, bool) {
 	case guest.Mesh:
 		return ClassifyShape(s)
 	case guest.Torus:
-		// planTorus: the cyclic Gray code wins when every axis is a power
-		// of two (then Σ⌈log₂⌉ = ⌈log₂ Π⌉, so it is minimal too).
+		// The cyclic Gray code wins when every axis is a power of two
+		// (then Σ⌈log₂⌉ = ⌈log₂ Π⌉, so it is minimal too).
 		for _, l := range s {
 			if !bits.IsPow2(uint64(l)) {
 				return nil, false
@@ -55,10 +54,10 @@ func ClassifyGuest(f guest.Family, s mesh.Shape) (*Plan, bool) {
 		return &Plan{Kind: KindGray, Family: guest.Torus, Shape: s.Clone(),
 			CubeDim: s.GrayCubeDim(), Dilation: 1, Method: 1}, true
 	case guest.Cylinder:
-		// planCylinder: a wrapped axis of length ≤ 2 degenerates to a mesh
-		// edge (mesh pipeline, family stamped), so the mesh stratum
-		// applies; otherwise the cyclic Gray code closes the ring exactly
-		// when the last axis is a power of two, and wins when minimal.
+		// A wrapped axis of length ≤ 2 degenerates to a mesh edge (the
+		// mesh plan, family stamped), so the mesh stratum applies;
+		// otherwise the cyclic Gray code closes the ring exactly when the
+		// last axis is a power of two, and wins when minimal.
 		l := s[s.Dims()-1]
 		if l <= 2 {
 			p, ok := ClassifyShape(s)
@@ -74,8 +73,9 @@ func ClassifyGuest(f guest.Family, s mesh.Shape) (*Plan, bool) {
 		}
 		return nil, false
 	case guest.Tree:
-		// planTree: the inorder labeling is the plan for every complete
-		// binary tree — this family is answered closed-form in full.
+		// The inorder labeling is the plan for every complete binary tree:
+		// always minimal with dilation 2 (1-node trees have no edges,
+		// hence dilation 0).
 		d := 2
 		if s[0] == 1 {
 			d = 0

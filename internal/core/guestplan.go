@@ -10,11 +10,12 @@ import (
 
 // This file is the guest-family side of the planner: PlanGuest routes a
 // (family, shape) pair to the family's construction pipeline, reusing the
-// mesh planner for strip bases.  Mesh guests go through the usual strategy
-// pipelines; tori and cylinders through the Section 6 ring constructions
-// (KindRing over a planned base mesh, with the cyclic Gray code and snake
-// as the power-of-two shortcut and the fallback); trees through the inorder
-// labeling (KindTree, dilation 2, always minimal).
+// mesh planner for strip bases.  The closed-form classifier answers first
+// (classify.go): Gray-minimal meshes, power-of-two tori and cylinders (the
+// cyclic Gray code) and every tree (the inorder labeling).  The rest go
+// through the usual strategy pipelines (meshes) or the Section 6 ring
+// constructions (KindRing over a planned base mesh, with the snake as the
+// fallback).
 
 // PlanGuest plans an embedding of the guest (f, s) in the caller's axis
 // order with no memoization, the family analogue of PlanShape.  Sweeps
@@ -26,17 +27,19 @@ func PlanGuest(f guest.Family, s mesh.Shape, opts Options) (*Plan, error) {
 	return planGuest(f, s, opts), nil
 }
 
-// planGuest dispatches a validated guest to its family pipeline.
+// planGuest dispatches a validated guest to the classifier, then to its
+// family pipeline.
 func planGuest(f guest.Family, s mesh.Shape, opts Options) *Plan {
+	if p, ok := ClassifyGuest(f, s); ok {
+		return p
+	}
 	switch f {
 	case guest.Mesh:
 		return newPlanContext(opts, nil, false).planTop(s)
 	case guest.Torus:
-		return planTorus(s, opts)
+		return planRings(guest.Torus, s, opts)
 	case guest.Cylinder:
 		return planCylinder(s, opts)
-	case guest.Tree:
-		return planTree(s)
 	}
 	panic(fmt.Sprintf("core: no planner for guest family %v", f))
 }
@@ -130,55 +133,19 @@ func planRings(f guest.Family, s mesh.Shape, opts Options) *Plan {
 	return p
 }
 
-// planTorus reproduces the construction choice of the historical
-// wrap.Embed: cyclic Gray code when every axis is a power of two, else the
-// best of quartering/halving over a planned base mesh, else snake.
-func planTorus(s mesh.Shape, opts Options) *Plan {
-	allPow2 := true
-	for _, l := range s {
-		if !bits.IsPow2(uint64(l)) {
-			allPow2 = false
-			break
-		}
-	}
-	if allPow2 {
-		return &Plan{Kind: KindGray, Family: guest.Torus, Shape: s.Clone(),
-			CubeDim: s.GrayCubeDim(), Dilation: 1, Method: 1}
-	}
-	return planRings(guest.Torus, s, opts)
-}
-
-// planCylinder embeds the path×…×path×cycle products: the Gray code is
-// dilation one when the wrapped last axis has power-of-two length (the
-// cyclic code closes the ring), so it wins whenever it is minimal; shapes
-// of length ≤ 2 on the last axis are plain meshes and use the mesh
-// pipeline; everything else goes through the last-axis ring constructions.
+// planCylinder embeds the path×…×path×cycle products the classifier
+// leaves: shapes of length ≤ 2 on the last axis are plain meshes and use
+// the mesh pipeline; everything else goes through the last-axis ring
+// constructions.
 func planCylinder(s mesh.Shape, opts Options) *Plan {
-	k := s.Dims()
-	l := s[k-1]
-	if l <= 2 {
+	if s[s.Dims()-1] <= 2 {
 		// The ring edge coincides with (or is) a mesh edge: plan as a mesh
 		// and stamp the family.
 		p := newPlanContext(opts, nil, false).planTop(s)
 		p.Family = guest.Cylinder
 		return p
 	}
-	if bits.IsPow2(uint64(l)) && s.GrayMinimal() {
-		return &Plan{Kind: KindGray, Family: guest.Cylinder, Shape: s.Clone(),
-			CubeDim: s.GrayCubeDim(), Dilation: 1, Method: 1}
-	}
 	return planRings(guest.Cylinder, s, opts)
-}
-
-// planTree plans the complete binary tree: the inorder labeling is always
-// minimal with dilation 2 (1-node trees have no edges, hence dilation 0).
-func planTree(s mesh.Shape) *Plan {
-	d := 2
-	if s[0] == 1 {
-		d = 0
-	}
-	return &Plan{Kind: KindTree, Family: guest.Tree, Shape: s.Clone(),
-		CubeDim: s.MinCubeDim(), Dilation: d, Method: 5}
 }
 
 // PlanGuest is the caching counterpart of the package-level PlanGuest: the

@@ -112,23 +112,7 @@ func permutePlan(p *Plan, axmap []int) *Plan {
 // node maps transfer through the coordinate relabeling, and route codes
 // are re-realized deterministically on the permuted edge order.
 func permuteEmbedding(e *embed.Embedding, axmap []int) *embed.Embedding {
-	ns := permuteShape(e.Guest, axmap)
-	out := embed.New(ns, e.N)
-	out.Family = e.Family
-	k := ns.Dims()
-	oc := make([]int, k)
-	nc := make([]int, k)
-	for idx := range out.Map {
-		ns.CoordInto(idx, nc)
-		for j := 0; j < k; j++ {
-			pos := j
-			if j < len(axmap) {
-				pos = axmap[j]
-			}
-			oc[j] = nc[pos]
-		}
-		out.Map[idx] = e.Map[e.Guest.Index(oc)]
-	}
+	out := e.Relabel(permuteShape(e.Guest, axmap), axmap)
 	if e.Routes != nil {
 		out.RealizeMinCongestion()
 	}

@@ -127,19 +127,16 @@ func (pc *planContext) planMinimalDepth(s mesh.Shape, foldDepth int) *Plan {
 	return p
 }
 
-// planDispatch routes a shape to the pipeline for its active-axis count.
+// planDispatch answers a closed-form shape from the classifier and routes
+// the rest to the pipeline for their active-axis count.  A shape with at
+// most one active axis is always Gray-minimal, so it never reaches the
+// switch.
 func (pc *planContext) planDispatch(s mesh.Shape, foldDepth int) *Plan {
-	if s.GrayMinimal() {
+	if p, ok := ClassifyShape(s); ok {
 		pc.tr.shortcut("gray-minimal", "gray")
-		return &Plan{Kind: KindGray, Shape: s.Clone(), CubeDim: s.MinCubeDim(),
-			Dilation: 1, Method: 1}
+		return p
 	}
 	switch len(activeAxes(s)) {
-	case 0, 1:
-		// A path (or point) is always Gray-minimal; defensive.
-		pc.tr.shortcut("path", "gray")
-		return &Plan{Kind: KindGray, Shape: s.Clone(), CubeDim: s.GrayCubeDim(),
-			Dilation: 1, Method: 1}
 	case 2:
 		pc.tr.setPipeline("2d")
 		return pc.runPipeline(pipeline2D, s, foldDepth)

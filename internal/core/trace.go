@@ -47,7 +47,7 @@ type PlanTrace struct {
 	Shape     string `json:"shape"`
 	Canonical string `json:"canonical"`
 	// Pipeline names the strategy pipeline that ran: "2d", "3d", "highd",
-	// or the shortcut labels "gray-minimal" / "path".
+	// or the shortcut label "gray-minimal".
 	Pipeline string            `json:"pipeline"`
 	Attempts []StrategyAttempt `json:"attempts,omitempty"`
 	// Chosen is the winning strategy's name; "gray" for shortcut nodes,
@@ -157,7 +157,7 @@ func (tr *planTracer) setPipeline(name string) {
 }
 
 // shortcut records a node resolved without running any pipeline (the
-// Gray-minimal and path fast paths of planDispatch).
+// classifier's Gray-minimal answer in planDispatch).
 func (tr *planTracer) shortcut(pipeline, chosen string) {
 	if tr == nil {
 		return

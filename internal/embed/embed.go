@@ -16,7 +16,7 @@ import (
 
 // Embedding maps a guest graph into a Boolean N-cube.
 //
-// The guest is a (Family, Shape) pair from the guest-family registry: the
+// The guest is a (Family, Shape) pair named by package guest: the
 // Shape fixes the node set (dense indices, axis 0 fastest) and the Family
 // fixes the edge interpretation (mesh, torus, cylinder, tree, …).  The
 // zero Family is guest.Mesh, so plain mesh embeddings need no extra setup.
@@ -43,6 +43,27 @@ type Embedding struct {
 // mesh; constructors of other families set Family themselves.
 func New(s mesh.Shape, n int) *Embedding {
 	return &Embedding{Guest: s.Clone(), N: n, Map: make([]cube.Node, s.Nodes())}
+}
+
+// Relabel returns e read in another axis order: the guest to, whose axis
+// axmap[j] is axis j of e's guest (axes past len(axmap) keep their place).
+// Every node keeps its image, so dilation and wirelength are unchanged;
+// route codes are not carried over.
+func (e *Embedding) Relabel(to mesh.Shape, axmap []int) *Embedding {
+	out := New(to, e.N)
+	out.Family = e.Family
+	at, from := make([]int, to.Dims()), make([]int, to.Dims())
+	for idx := range out.Map {
+		to.CoordInto(idx, at)
+		for j := range from {
+			from[j] = at[j]
+			if j < len(axmap) {
+				from[j] = at[axmap[j]]
+			}
+		}
+		out.Map[idx] = e.Map[e.Guest.Index(from)]
+	}
+	return out
 }
 
 // HostNodes returns 2^N.

@@ -11,9 +11,9 @@ import (
 
 // referenceMeasure recomputes Metrics the way the pre-fusion implementation
 // did: paths materialized per edge from their route codes, the edge set
-// enumerated through the guest registry.  It is the oracle the fused engine must match bit for
-// bit; the registry's edge sets are themselves checked against independent
-// product-graph constructions by the guest conformance suite.
+// enumerated through package guest.  It is the oracle the fused engine must
+// match bit for bit; the guest edge sets are themselves checked against
+// independent product-graph constructions by the guest conformance suite.
 func referenceMeasure(e *Embedding) Metrics {
 	edges := 0
 	dilSum := 0

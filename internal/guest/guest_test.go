@@ -39,10 +39,11 @@ func collectRange(d Desc, s mesh.Shape, lo, hi int) []int {
 }
 
 // TestConformanceEdgeCount checks the edge-count identity for every
-// registered family: Edges(s) equals the number of edges the full
+// family: Edges(s) equals the number of edges the full
 // enumeration emits, and every emitted edge has in-range distinct endpoints.
 func TestConformanceEdgeCount(t *testing.T) {
-	for _, d := range All() {
+	for _, f := range FamilyValues() {
+		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			if err := Validate(d.Family, s); err != nil {
 				t.Fatalf("%v %s: shape invalid: %v", d.Family, s, err)
@@ -76,7 +77,8 @@ func TestConformanceEdgeCount(t *testing.T) {
 // several split points, the union of the edges of the parts equals the full
 // enumeration (disjointness falls out of the equal counts).
 func TestConformancePartition(t *testing.T) {
-	for _, d := range All() {
+	for _, f := range FamilyValues() {
+		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			n := s.Nodes()
 			full := collectRange(d, s, 0, n)
@@ -150,13 +152,14 @@ func sortPairs(p [][2]int) {
 // reference both enumerate through the same code, so this is what keeps
 // their shared edge set honest.
 func TestConformanceEdgesMatchOracle(t *testing.T) {
-	for _, d := range All() {
+	for _, f := range FamilyValues() {
+		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			var got [][2]int
 			d.EachEdgeRange(s, 0, s.Nodes(), func(e mesh.Edge) {
 				u, v := min(e.U, e.V), max(e.U, e.V)
 				got = append(got, [2]int{u, v})
-				if !d.Grid {
+				if !d.Grid() {
 					return
 				}
 				cu, cv := s.Coord(u), s.Coord(v)
@@ -179,7 +182,8 @@ func TestConformanceEdgesMatchOracle(t *testing.T) {
 // the axis map is a permutation reconstructing the original shape, the
 // canonical shape is a fixed point of Canonical, and it validates.
 func TestConformanceCanonical(t *testing.T) {
-	for _, d := range All() {
+	for _, f := range FamilyValues() {
+		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			canon, axmap := d.Canonical(s)
 			if len(canon) != len(s) || len(axmap) != len(s) {
@@ -217,7 +221,8 @@ func TestConformanceCanonical(t *testing.T) {
 // relabeling preserves the edge count — a cheap proxy for isomorphism that
 // catches families whose Canonical sorts an axis it should not.
 func TestConformanceEdgeCountInvariantUnderCanonical(t *testing.T) {
-	for _, d := range All() {
+	for _, f := range FamilyValues() {
+		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			canon, _ := d.Canonical(s)
 			if d.Edges(s) != d.Edges(canon) {
@@ -231,7 +236,8 @@ func TestConformanceEdgeCountInvariantUnderCanonical(t *testing.T) {
 // TestByName checks wire-name resolution including the empty-string default
 // and rejection of unknown names.
 func TestByName(t *testing.T) {
-	for _, d := range All() {
+	for _, f := range FamilyValues() {
+		d := Get(f)
 		got, err := ByName(d.Family.String())
 		if err != nil || got.Family != d.Family {
 			t.Errorf("ByName(%q) = %v, %v", d.Family.String(), got.Family, err)

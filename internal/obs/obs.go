@@ -66,16 +66,6 @@ func ReadStats() Stats {
 	}
 }
 
-// ResetStats zeroes the tracer counters.  Benchmark drivers (embedctl bench)
-// call it so ReadStats deltas are per-run, matching the server-side metric
-// deltas; the /metrics exposition never resets, so the two are only
-// comparable per run window.
-func ResetStats() {
-	spansStarted.Store(0)
-	tracesStarted.Store(0)
-	overheadNS.Store(0)
-}
-
 // Span identity for cross-process propagation: IDs are assigned lazily (only
 // spans that actually cross a process boundary pay for one) from a
 // per-process random prefix plus a counter, so coordinator- and

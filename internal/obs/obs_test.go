@@ -171,20 +171,6 @@ func TestStatsCounters(t *testing.T) {
 	})
 }
 
-func TestResetStats(t *testing.T) {
-	withEnabled(t, true, func() {
-		_, root := StartRoot(context.Background(), "root")
-		root.End()
-		if s := ReadStats(); s.Spans == 0 || s.Traces == 0 {
-			t.Fatalf("expected non-zero stats before reset: %+v", s)
-		}
-		ResetStats()
-		if s := ReadStats(); s.Spans != 0 || s.Traces != 0 || s.OverheadNS != 0 {
-			t.Fatalf("stats after reset = %+v, want zeros", s)
-		}
-	})
-}
-
 func TestSpanContext(t *testing.T) {
 	withEnabled(t, true, func() {
 		ctx, root := StartRoot(context.Background(), "root")

@@ -137,7 +137,7 @@ func TestEmbedCylinderAndTreeEndToEnd(t *testing.T) {
 		if resp.Metrics.Guest != tc.guest || resp.Metrics.CubeDim != tc.cubeDim || !resp.Metrics.Minimal {
 			t.Fatalf("%s metrics: %+v", tc.family, resp.Metrics)
 		}
-		e, err := embed.FromSerial((*embed.Serial)(resp.Embedding))
+		e, err := embed.FromSerial(resp.Embedding)
 		if err != nil {
 			t.Fatal(err)
 		}

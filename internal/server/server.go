@@ -83,10 +83,14 @@ type (
 	DebugInfo       = api.DebugInfo
 )
 
-// maxCompareNodes bounds the guests /v1/compare accepts: a compare builds
-// several embeddings and optionally simulates a stencil exchange, so it is
-// far more expensive per node than /v1/embed.
-const maxCompareNodes = 1 << 20
+// maxNodes bounds the guests /v1/plan and /v1/embed accept; bigger shapes
+// get 422.  maxCompareNodes bounds the guests /v1/compare accepts: a
+// compare builds several embeddings and optionally simulates a stencil
+// exchange, so it is far more expensive per node than /v1/embed.
+const (
+	maxNodes        = 1 << 24
+	maxCompareNodes = 1 << 20
+)
 
 // Config tunes a Server.  The zero value is usable: defaults are filled in
 // by New.
@@ -102,9 +106,6 @@ type Config struct {
 	MaxInflight int
 	// Timeout is the per-request deadline (default 30s).
 	Timeout time.Duration
-	// MaxNodes is the largest guest the API will embed; bigger shapes get
-	// 422 (default 1<<24).
-	MaxNodes int
 	// Logger, when non-nil, receives one structured access-log record per
 	// API request (request ID, endpoint, shape, source, status, duration).
 	// nil disables logging entirely — the hot path then allocates nothing
@@ -126,9 +127,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout == 0 {
 		c.Timeout = 30 * time.Second
-	}
-	if c.MaxNodes == 0 {
-		c.MaxNodes = 1 << 24
 	}
 	return c
 }
@@ -324,7 +322,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // parseShapeField validates a request shape: parse errors are 400 and
 // oversized guests are 422.  The node count is computed overflow-checked —
 // mesh.Shape.Nodes would wrap silently on absurd axes.
-func (s *Server) parseShapeField(shape string, maxNodes int) (mesh.Shape, error) {
+func parseShapeField(shape string, limit int) (mesh.Shape, error) {
 	sh, err := mesh.ParseShape(shape)
 	if err != nil {
 		return nil, errBadRequest("%v", err)
@@ -332,8 +330,8 @@ func (s *Server) parseShapeField(shape string, maxNodes int) (mesh.Shape, error)
 	if err := sh.Validate(); err != nil {
 		return nil, errBadRequest("%v", err)
 	}
-	if _, ok := sh.NodesWithin(maxNodes); !ok {
-		return nil, errTooLarge("shape %s exceeds the %d-node limit", sh, maxNodes)
+	if _, ok := sh.NodesWithin(limit); !ok {
+		return nil, errTooLarge("shape %s exceeds the %d-node limit", sh, limit)
 	}
 	return sh, nil
 }
@@ -442,7 +440,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, err)
 		return
 	}
-	sh, err := s.parseShapeField(req.Shape, s.cfg.MaxNodes)
+	sh, err := parseShapeField(req.Shape, maxNodes)
 	if err != nil {
 		respondErr(w, r, err)
 		return
@@ -519,7 +517,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, err)
 		return
 	}
-	sh, err := s.parseShapeField(req.Shape, s.cfg.MaxNodes)
+	sh, err := parseShapeField(req.Shape, maxNodes)
 	if err != nil {
 		respondErr(w, r, err)
 		return
@@ -558,12 +556,16 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	resp.Metrics.Guest = sh.String() // metrics are relabeling-invariant
 	resp.Certificate = s.countCert(bounds.MeasuredCertificate(fam, sh, resp.Metrics))
 	if req.IncludeMap {
-		ser := res.emb.Serial()
-		if !sh.Equal(res.emb.Guest) {
-			ser.Map = relabelMap(res.emb, sh)
+		e := res.emb
+		if !sh.Equal(e.Guest) {
+			// Serve the map in the requested axis order.  The axis map
+			// comes from the embedding's own family, whose canonical form
+			// may keep some axes in place (the cylinder's wrapped last
+			// axis, every tree axis).
+			_, axmap := guest.Get(e.Family).Canonical(sh)
+			e = e.Relabel(sh, axmap)
 		}
-		ser.Guest = sh.String()
-		resp.Embedding = (*api.EmbeddingSerial)(ser)
+		resp.Embedding = e.Serial()
 	}
 	if meta != nil && meta.debug {
 		resp.Debug = &DebugInfo{RequestID: meta.id}
@@ -607,26 +609,6 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 	return res, nil
 }
 
-// relabelMap permutes the canonical-order node map into the requested axis
-// order (a pure guest relabeling — images, and therefore all metrics, are
-// unchanged).  The axis map comes from the embedding's own family, whose
-// canonical form may keep some axes in place (the cylinder's wrapped last
-// axis, every tree axis).
-func relabelMap(e *embed.Embedding, want mesh.Shape) []uint64 {
-	_, axmap := guest.Get(e.Family).Canonical(want)
-	out := make([]uint64, len(e.Map))
-	cw := make([]int, want.Dims())
-	cc := make([]int, want.Dims())
-	for idx := range out {
-		want.CoordInto(idx, cw)
-		for j := range cc {
-			cc[j] = cw[axmap[j]]
-		}
-		out[idx] = uint64(e.Map[e.Guest.Index(cc)])
-	}
-	return out
-}
-
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	var req CompareRequest
 	if err := decodeBody(w, r, &req); err != nil {
@@ -638,7 +620,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, err)
 		return
 	}
-	sh, err := s.parseShapeField(req.Shape, min(s.cfg.MaxNodes, maxCompareNodes))
+	sh, err := parseShapeField(req.Shape, maxCompareNodes)
 	if err != nil {
 		respondErr(w, r, err)
 		return

@@ -76,7 +76,7 @@ func TestEmbedEndpointWithMap(t *testing.T) {
 	if resp.Embedding == nil {
 		t.Fatal("include_map: no embedding in response")
 	}
-	e, err := embed.FromSerial((*embed.Serial)(resp.Embedding))
+	e, err := embed.FromSerial(resp.Embedding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestEmbedPermutedHit(t *testing.T) {
 	if resp.Metrics.Guest != "7x6x5" || resp.Embedding.Guest != "7x6x5" {
 		t.Fatalf("guest not relabeled: %+v", resp.Metrics)
 	}
-	e, err := embed.FromSerial((*embed.Serial)(resp.Embedding))
+	e, err := embed.FromSerial(resp.Embedding)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,8 +212,8 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestOversizedShape422(t *testing.T) {
-	h := New(Config{MaxNodes: 1000}).Handler()
-	rec, _ := post(t, h, "/v1/embed", `{"shape":"11x10x10"}`)
+	h := New(Config{}).Handler()
+	rec, _ := post(t, h, "/v1/embed", `{"shape":"257x256x256"}`) // 2^24 + 2^16 nodes
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("oversized: %d %s", rec.Code, rec.Body.String())
 	}

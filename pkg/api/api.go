@@ -85,9 +85,15 @@ type Certificate struct {
 	Optimal       bool        `json:"optimal"`
 }
 
-// EmbeddingSerial is the serialized node map of an embedding (schema of
-// internal/embed.Serial, version 1): host cube dimension and one host node
-// per guest node in row-major guest order.
+// EmbeddingSchemaVersion is the version of EmbeddingSerial.  Readers
+// reject versions they do not know instead of misparsing them.
+const EmbeddingSchemaVersion = 1
+
+// EmbeddingSerial is the one serialization of an embedding: the
+// include_map object of /v1/embed and the file `embedctl embed -o` writes
+// and `embedctl verify` reads.  It holds the host cube dimension and one
+// host node per guest node in row-major guest order; Family is empty for a
+// mesh, and Wrap is the torus's legacy marker.
 type EmbeddingSerial struct {
 	Version int      `json:"version"`
 	Guest   string   `json:"guest"`
@@ -122,7 +128,7 @@ const ModeTorusDeprecation = `mode "torus" is deprecated: use "family": "torus" 
 // ("decomposition" or "gray"), and a deprecation note when the request
 // used a retired spelling.  Unknown modes and contradictory
 // family/mode pairs are errors; unknown family names are left to the
-// caller's family registry (only the known names participate in
+// caller's family lookup (only the known names participate in
 // normalization).
 func NormalizeFamily(family, mode string) (fam, normMode, deprecation string, err error) {
 	fam = family
@@ -151,7 +157,7 @@ func NormalizeFamily(family, mode string) (fam, normMode, deprecation string, er
 }
 
 // PlanRequest is the POST /v1/plan body.  Family selects the guest family
-// registered in the topology registry — "mesh" (the default when the field
+// — "mesh" (the default when the field
 // is empty or absent, so pre-family clients are unaffected), "torus",
 // "cylinder" (wraparound on the last axis only) or "tree" (shape 2^h−1
 // read as the complete binary tree).
