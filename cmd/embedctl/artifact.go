@@ -105,7 +105,7 @@ func artifactBuild(ctx context.Context, args []string) {
 	var done uint64
 	for c := 1; c <= *maxAxis; c++ {
 		artifact.EachShapeWithMax(*dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.PlanGuest(fam, s)); err != nil {
+			if err := b.Add(s, pl.PlanGuest(fam, s).Entry()); err != nil {
 				fmt.Fprintln(os.Stderr, "embedctl:", err)
 				os.Exit(1)
 			}
@@ -232,12 +232,7 @@ func artifactVerify(args []string) {
 				os.Exit(1)
 			}
 			p := pl.PlanGuest(desc.Family, s)
-			dil := p.Dilation
-			if dil == core.DilationUnknown {
-				dil = -1
-			}
-			if rec.Plan != p.String() || rec.Kind != p.Kind || rec.Method != p.Method ||
-				rec.CubeDim != p.CubeDim || rec.Dilation != dil || rec.Minimal != p.Minimal() {
+			if rec != p.Entry() {
 				mismatched++
 				fmt.Fprintf(os.Stderr, "MISMATCH %v: artifact %+v, planner %v\n", s, rec, p)
 			}

@@ -80,12 +80,10 @@ func cmdBench(args []string) {
 		return time.Since(start), nil
 	}
 
-	// Tier and fabric counters before the run; deltas are reported at the
-	// end so the server-side split (L0 / closed-form / artifact / compute)
-	// and any distributed-chunk traffic are visible next to the client-side
-	// latencies.
+	// Tier counters before the run; deltas are reported at the end so the
+	// server-side split (L0 / closed-form / artifact / compute) is visible
+	// next to the client-side latencies.
 	tiersBefore := fetchTierCounters(c)
-	fabricBefore := fetchFabricCounters(c)
 
 	// Cold phase: one serial request per shape, before any caching.
 	var cold []time.Duration
@@ -191,15 +189,6 @@ func cmdBench(args []string) {
 			fmt.Fprintf(human, "plan tiers (server-side deltas): %s\n", strings.Join(parts, " "))
 		}
 	}
-	if len(fabricBefore) > 0 {
-		if after := fetchFabricCounters(c); len(after) > 0 {
-			var parts []string
-			for _, t := range fabricCounterNames {
-				parts = append(parts, fmt.Sprintf("%s=%d", t, after[t]-fabricBefore[t]))
-			}
-			fmt.Fprintf(human, "fabric chunks (server-side deltas): %s\n", strings.Join(parts, " "))
-		}
-	}
 	if *jsonOut {
 		writeBenchJSON(cold, warm, elapsed, errsCount, *family, *mode, shapeList,
 			certTotal.Load(), certOptimal.Load())
@@ -222,32 +211,6 @@ func fetchTierCounters(c *client.Client) map[string]uint64 {
 	for _, line := range strings.Split(text, "\n") {
 		for _, t := range tierNames {
 			if v, ok := strings.CutPrefix(line, "embedserver_plan_tier_"+t+"_total "); ok {
-				var f float64
-				if _, err := fmt.Sscanf(v, "%g", &f); err == nil {
-					out[t] = uint64(f)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// fabricCounterNames are the distributed-fabric chunk counters of the
-// server's /metrics, in dispatch order.
-var fabricCounterNames = []string{"dispatched", "requeued", "folded"}
-
-// fetchFabricCounters scrapes the embedserver_fabric_chunks_*_total
-// counters.  An empty map means the server has no fabric pool attached (the
-// metric lines are absent); any scrape failure returns nil.
-func fetchFabricCounters(c *client.Client) map[string]uint64 {
-	text, err := c.RawMetrics(context.Background())
-	if err != nil {
-		return nil
-	}
-	out := make(map[string]uint64, len(fabricCounterNames))
-	for _, line := range strings.Split(text, "\n") {
-		for _, t := range fabricCounterNames {
-			if v, ok := strings.CutPrefix(line, "embedserver_fabric_chunks_"+t+"_total "); ok {
 				var f float64
 				if _, err := fmt.Sscanf(v, "%g", &f); err == nil {
 					out[t] = uint64(f)

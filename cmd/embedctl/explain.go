@@ -99,7 +99,6 @@ func cmdTrace(args []string) {
 	}
 	s := parseShape(fs.Args())
 
-	obs.SetEnabled(true)
 	ctx, root := obs.StartRoot(context.Background(), "embedctl "+s.String())
 	pl := core.NewPlanner(core.DefaultOptions)
 	p, _, err := pl.PlanTraced(ctx, s)

@@ -163,12 +163,11 @@ func cmdPlan(args []string) {
 	fmt.Printf("minimal cube: %d dimensions (%d nodes)\n", s.MinCubeDim(), 1<<uint(s.MinCubeDim()))
 	fmt.Printf("plan:         %s\n", p)
 	fmt.Printf("paper method: %d\n", p.Method)
-	dil := -1
-	if p.Dilation == core.DilationUnknown {
+	dil := p.DilationBound()
+	if dil < 0 {
 		fmt.Printf("dilation:     no a-priori bound (snake fallback; build to measure)\n")
 	} else {
-		dil = p.Dilation
-		fmt.Printf("dilation:     ≤ %d guaranteed by construction\n", p.Dilation)
+		fmt.Printf("dilation:     ≤ %d guaranteed by construction\n", dil)
 	}
 	c := bounds.PlanCertificate(fam, s, p.CubeDim, dil)
 	printLowerBounds(c)
@@ -247,16 +246,7 @@ func cmdVerify(args []string) {
 	if len(args) != 1 {
 		usage()
 	}
-	data, err := os.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
-	var s api.EmbeddingSerial
-	var e *embed.Embedding
-	if err = json.Unmarshal(data, &s); err == nil {
-		e, err = embed.FromSerial(&s)
-	}
+	e, err := readEmbedding(args[0])
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "embedctl: INVALID:", err)
 		os.Exit(1)
@@ -269,6 +259,29 @@ func cmdVerify(args []string) {
 		}
 	}
 	fmt.Printf("valid (one-to-one: %v)\n%s\n", oneToOne, e.Measure())
+}
+
+// readEmbedding loads an embedding file: the api.EmbeddingSerial object
+// embed -o writes and /v1/embed serves as its include_map "embedding"
+// member.  A whole saved /v1/embed response is refused by name — its
+// top-level API "version" would otherwise be misread as the embedding
+// schema version.
+func readEmbedding(path string) (*embed.Embedding, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var probe struct {
+		Embedding json.RawMessage `json:"embedding"`
+	}
+	if json.Unmarshal(data, &probe) == nil && probe.Embedding != nil {
+		return nil, fmt.Errorf("%s is a whole /v1/embed response; verify its \"embedding\" object (e.g. jq .embedding)", path)
+	}
+	var s api.EmbeddingSerial
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, err
+	}
+	return embed.FromSerial(&s)
 }
 
 func cmdManyOne(args []string) {
@@ -327,8 +340,8 @@ func cmdCompare(args []string) {
 // printMeasuredCertificate prints the optimality certificate for fully
 // measured metrics: every gap is evaluable against the floors of
 // internal/bounds at the embedding's cube.
-func printMeasuredCertificate(fam guest.Family, s mesh.Shape, m embed.Metrics) {
-	c := bounds.MeasuredCertificate(fam, s, api.Metrics(m))
+func printMeasuredCertificate(fam guest.Family, s mesh.Shape, m api.Metrics) {
+	c := bounds.MeasuredCertificate(fam, s, m)
 	printLowerBounds(c)
 	if c.Optimal {
 		fmt.Printf("certificate:  optimal (dilation, wirelength and congestion all meet their floors)\n")

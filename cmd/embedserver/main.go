@@ -16,8 +16,9 @@
 //	                                   net/http/pprof and expvar; kept off
 //	                                   the API listener so profiling is
 //	                                   never exposed by accident
-//	-tracing=false                     kill switch for the span tracer
-//	                                   behind ?debug=trace
+//
+// The span tracer behind ?debug=trace / X-Debug-Trace is always armed; a
+// request that does not ask for a trace allocates nothing for it.
 //
 // Plan tiers:
 //
@@ -81,7 +82,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/fabric/fabrichttp"
 	"repro/internal/jobs"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/pkg/api"
 	"repro/pkg/client"
@@ -108,7 +108,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "access-log encoding: text or json")
 	noLog := flag.Bool("no-log", false, "disable the structured access log")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener serving net/http/pprof and expvar (empty: off)")
-	tracing := flag.Bool("tracing", true, "enable the span tracer behind ?debug=trace / X-Debug-Trace")
 	planArtifact := flag.String("plan-artifact", "", "plan-census artifact file served as the O(1) L1 plan tier (build one with a plancensus job or embedctl artifact build)")
 	dataDir := flag.String("data-dir", "", "enable /v1/jobs, persisting job state and results under this directory (empty: jobs disabled)")
 	jobQueue := flag.Int("job-queue", 8, "bounded job submission queue; full submissions get 429")
@@ -121,8 +120,6 @@ func main() {
 	advertise := flag.String("advertise", "", "base URL peers should dial to reach this server")
 	fabricInflight := flag.Int("fabric-inflight", 2, "concurrently executing chunks per fabric peer")
 	flag.Parse()
-
-	obs.SetEnabled(*tracing)
 
 	var logger *slog.Logger
 	if !*noLog {

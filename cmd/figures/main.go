@@ -25,6 +25,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/stats"
 	"repro/internal/wrap"
+	"repro/pkg/api"
 )
 
 func main() {
@@ -241,7 +242,7 @@ func simnetExperiment(_, _ int) {
 	header("§1 motivation: stencil-exchange cost on the simulated cube network")
 	type entry struct {
 		name string
-		st   simnet.RoundStats
+		st   api.SimRoundStats
 		dim  int
 	}
 	for _, str := range []string{"12x20", "5x6x7", "21x9x5"} {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mesh"
+	"repro/pkg/api"
 )
 
 // On-disk layout (all integers little-endian):
@@ -132,70 +133,48 @@ func decodeHeader(b []byte) (*Header, error) {
 	return h, nil
 }
 
-// Rec is one decoded artifact record.
-type Rec struct {
-	Kind     core.Kind
-	Method   int
-	Dilation int // -1: no a-priori bound (mirrors the API encoding)
-	CubeDim  int
-	Minimal  bool
-	Plan     string
-}
-
-// DecodeRecord decodes the 16 fixed bytes of a record.  It validates only
-// record-local structure; section-relative bounds (strOff/strLen against
-// the string section) are the loader's job.  A non-present record returns
-// ok = false.
-func DecodeRecord(b []byte) (rec Rec, strOff uint64, strLen int, ok bool, err error) {
+// DecodeRecord decodes the 16 fixed bytes of a record into its plan entry;
+// the plan string lives in the string section, so Plan is left empty.  It
+// validates only record-local structure (a kind byte outside core.Kind is
+// corrupt); section-relative bounds (strOff/strLen against the string
+// section) are the loader's job.  A non-present record returns ok = false.
+func DecodeRecord(b []byte) (rec api.PlanEntry, strOff uint64, strLen int, ok bool, err error) {
 	if len(b) < RecordSize {
-		return Rec{}, 0, 0, false, fmt.Errorf("artifact: record truncated (%d bytes)", len(b))
+		return api.PlanEntry{}, 0, 0, false, fmt.Errorf("artifact: record truncated (%d bytes)", len(b))
 	}
 	flags := b[3]
 	if flags&^byte(recPresent|recMinimal) != 0 {
-		return Rec{}, 0, 0, false, fmt.Errorf("artifact: unknown record flags %#02x", flags)
+		return api.PlanEntry{}, 0, 0, false, fmt.Errorf("artifact: unknown record flags %#02x", flags)
 	}
 	if flags&recPresent == 0 {
-		return Rec{}, 0, 0, false, nil
+		return api.PlanEntry{}, 0, 0, false, nil
 	}
 	if b[5] != 0 || binary.LittleEndian.Uint32(b[12:16]) != 0 {
-		return Rec{}, 0, 0, false, fmt.Errorf("artifact: nonzero reserved record bytes")
+		return api.PlanEntry{}, 0, 0, false, fmt.Errorf("artifact: nonzero reserved record bytes")
 	}
-	rec = Rec{
-		Kind:    core.Kind(b[0]),
-		Method:  int(b[1]),
-		CubeDim: int(b[4]),
-		Minimal: flags&recMinimal != 0,
+	kind := core.Kind(b[0])
+	if !kind.IsValid() {
+		return api.PlanEntry{}, 0, 0, false, fmt.Errorf("artifact: unknown plan kind %d", b[0])
 	}
-	if b[2] == dilationNone {
-		rec.Dilation = -1
-	} else {
+	rec = api.PlanEntry{
+		Kind:     kind.String(),
+		Method:   int(b[1]),
+		Dilation: -1,
+		CubeDim:  int(b[4]),
+		Minimal:  flags&recMinimal != 0,
+	}
+	if b[2] != dilationNone {
 		rec.Dilation = int(b[2])
 	}
 	return rec, uint64(binary.LittleEndian.Uint32(b[8:12])), int(binary.LittleEndian.Uint16(b[6:8])), true, nil
 }
 
-// RecFromPlan normalizes a plan into its record form — the same
-// normalization Add has always applied before encoding: DilationUnknown
-// becomes -1, Minimal() is materialized, Plan is the serialized plan
-// string.  A Rec is position-independent (no string offsets), which is
-// what lets a distributed plancensus worker ship records for the
-// coordinator's builder to replay byte-identically.
-func RecFromPlan(p *core.Plan) Rec {
-	dil := p.Dilation
-	if dil == core.DilationUnknown {
-		dil = -1
-	}
-	return Rec{
-		Kind: p.Kind, Method: p.Method, Dilation: dil,
-		CubeDim: p.CubeDim, Minimal: p.Minimal(), Plan: p.String(),
-	}
-}
-
-// encodeRec renders a record into the 16 fixed record bytes.
-func encodeRec(rec Rec, strOff uint64, strLen int) ([]byte, error) {
+// encodeRec renders a plan entry into the 16 fixed record bytes.
+func encodeRec(rec api.PlanEntry, strOff uint64, strLen int) ([]byte, error) {
 	b := make([]byte, RecordSize)
-	if rec.Kind < 0 || int(rec.Kind) > 0xFF {
-		return nil, fmt.Errorf("artifact: plan kind %d out of range", rec.Kind)
+	kind, err := core.ParseKind(rec.Kind)
+	if err != nil {
+		return nil, fmt.Errorf("artifact: %w", err)
 	}
 	switch {
 	case rec.Dilation == -1:
@@ -217,7 +196,7 @@ func encodeRec(rec Rec, strOff uint64, strLen int) ([]byte, error) {
 	if strOff > 0xFFFFFFFF {
 		return nil, fmt.Errorf("artifact: string section exceeds 4 GiB")
 	}
-	b[0] = byte(rec.Kind)
+	b[0] = byte(kind)
 	b[1] = byte(rec.Method)
 	flags := byte(recPresent)
 	if rec.Minimal {
@@ -298,18 +277,12 @@ func openBuilder(path, family string, dims, maxAxis int, fingerprint string, nex
 // Pos returns the resume position after the records written so far.
 func (b *Builder) Pos() (nextRank, cursor uint64) { return b.next, b.cursor }
 
-// Add writes the plan record for the next shape in rank order.  The shape
-// must be the canonical shape of rank Pos() — the builder verifies it.
-func (b *Builder) Add(s mesh.Shape, p *core.Plan) error {
-	return b.AddRec(s, RecFromPlan(p))
-}
-
-// AddRec writes an already-normalized record for the next shape in rank
-// order — the replay path of a plancensus job's fold, where the plan was
-// computed by the chunk's execute (in process or on a fabric peer) and
-// carried as a plan entry.  Byte-for-byte equivalent to Add of the plan it
-// came from.
-func (b *Builder) AddRec(s mesh.Shape, rec Rec) error {
+// Add writes the plan record (core.Plan.Entry) for the next shape in rank
+// order.  The shape must be the canonical shape of rank Pos() — the
+// builder verifies it.  A record is position-independent, so a plancensus
+// fold replays entries computed in process or on a fabric peer
+// byte-identically.
+func (b *Builder) Add(s mesh.Shape, rec api.PlanEntry) error {
 	if err := CheckShape(s, b.hdr.Dims, b.hdr.MaxAxis); err != nil {
 		return err
 	}
@@ -471,33 +444,33 @@ func (a *Artifact) Covers(s mesh.Shape) bool {
 // Lookup returns the record for a canonical shape, or ok = false when the
 // shape is outside the artifact's domain (wrong arity, axis bound, or
 // non-canonical order).  Corrupt in-domain records return an error.
-func (a *Artifact) Lookup(s mesh.Shape) (Rec, bool, error) {
+func (a *Artifact) Lookup(s mesh.Shape) (api.PlanEntry, bool, error) {
 	if !a.Covers(s) {
-		return Rec{}, false, nil
+		return api.PlanEntry{}, false, nil
 	}
 	return a.At(Rank(s))
 }
 
 // At returns the record at a rank.
-func (a *Artifact) At(rank uint64) (Rec, bool, error) {
+func (a *Artifact) At(rank uint64) (api.PlanEntry, bool, error) {
 	if rank >= a.hdr.RecordCount {
-		return Rec{}, false, fmt.Errorf("artifact: rank %d beyond record count %d", rank, a.hdr.RecordCount)
+		return api.PlanEntry{}, false, fmt.Errorf("artifact: rank %d beyond record count %d", rank, a.hdr.RecordCount)
 	}
 	rb, err := a.data.slice(HeaderSize+rank*RecordSize, RecordSize)
 	if err != nil {
-		return Rec{}, false, err
+		return api.PlanEntry{}, false, err
 	}
 	rec, strOff, strLen, ok, err := DecodeRecord(rb)
 	if err != nil || !ok {
-		return Rec{}, false, err
+		return api.PlanEntry{}, false, err
 	}
 	if strOff+uint64(strLen) > a.hdr.StringBytes {
-		return Rec{}, false, fmt.Errorf("artifact: record %d string [%d,%d) beyond section size %d",
+		return api.PlanEntry{}, false, fmt.Errorf("artifact: record %d string [%d,%d) beyond section size %d",
 			rank, strOff, strOff+uint64(strLen), a.hdr.StringBytes)
 	}
 	sb, err := a.data.slice(HeaderSize+a.hdr.RecordCount*RecordSize+strOff, uint64(strLen))
 	if err != nil {
-		return Rec{}, false, err
+		return api.PlanEntry{}, false, err
 	}
 	rec.Plan = string(sb)
 	return rec, true, nil

@@ -23,7 +23,7 @@ func buildSmall(t *testing.T, dims, maxAxis int) string {
 	}
 	for c := 1; c <= maxAxis; c++ {
 		EachShapeWithMax(dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.Plan(s)); err != nil {
+			if err := b.Add(s, pl.Plan(s).Entry()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -102,7 +102,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 				if dil == core.DilationUnknown {
 					dil = -1
 				}
-				if rec.Plan != p.String() || rec.Kind != p.Kind || rec.Method != p.Method ||
+				if rec.Plan != p.String() || rec.Kind != p.Kind.String() || rec.Method != p.Method ||
 					rec.CubeDim != p.CubeDim || rec.Dilation != dil || rec.Minimal != p.Minimal() {
 					t.Fatalf("Lookup(%v) = %+v, planner says %v (dil %d method %d cube %d minimal %v)",
 						s, rec, p, dil, p.Method, p.CubeDim, p.Minimal())
@@ -132,7 +132,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 	stop := maxAxis / 2
 	for c := 1; c <= stop; c++ {
 		EachShapeWithMax(dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.Plan(s)); err != nil {
+			if err := b.Add(s, pl.Plan(s).Entry()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -150,7 +150,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 	}
 	for c := stop + 1; c <= maxAxis; c++ {
 		EachShapeWithMax(dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.Plan(s)); err != nil {
+			if err := b.Add(s, pl.Plan(s).Entry()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -269,7 +269,7 @@ func BenchmarkArtifactLookup(b *testing.B) {
 	for c := 1; c <= maxAxis; c++ {
 		EachShapeWithMax(dims, c, func(s mesh.Shape) {
 			shapes = append(shapes, s.Clone())
-			if err := bl.Add(s, pl.Plan(s)); err != nil {
+			if err := bl.Add(s, pl.Plan(s).Entry()); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -173,7 +173,7 @@ func (pl *Planner) TryPlanGuest(f guest.Family, s mesh.Shape) (*Plan, error) {
 	canon, axmap := guest.Get(f).Canonical(s)
 	var key string
 	if pl.pc.cache != nil {
-		key = "g|" + f.String() + "|" + cacheKey(canon, 0, pl.pc.fp)
+		key = "g|" + f.String() + "|" + cacheKey(canon, 0)
 		if p, ok := pl.pc.cache.get(key); ok {
 			return permutePlan(p, axmap), nil
 		}
@@ -186,8 +186,7 @@ func (pl *Planner) TryPlanGuest(f guest.Family, s mesh.Shape) (*Plan, error) {
 }
 
 // FamilyShapes lists every canonical guest shape of the family within the
-// bounds, the family analogue of SortedShapes: the concatenation of
-// FamilyShapesFrom over first = 1..maxAxis.
+// bounds: the concatenation of FamilyShapesFrom over first = 1..maxAxis.
 func FamilyShapes(f guest.Family, dims, maxAxis, maxNodes int) []mesh.Shape {
 	var out []mesh.Shape
 	for first := 1; first <= maxAxis; first++ {

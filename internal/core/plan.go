@@ -13,6 +13,7 @@ import (
 	"repro/internal/mesh"
 	"repro/internal/ring"
 	"repro/internal/stats"
+	"repro/pkg/api"
 )
 
 //go:generate go run repro/cmd/enumgen -type Kind,StrategyID
@@ -76,6 +77,24 @@ type Plan struct {
 
 // Minimal reports whether the plan uses the minimal cube for its shape.
 func (p *Plan) Minimal() bool { return p.CubeDim == p.Shape.MinCubeDim() }
+
+// DilationBound returns the served form of Dilation: the a-priori bound,
+// or −1 when the construction has none (DilationUnknown).
+func (p *Plan) DilationBound() int {
+	if p.Dilation == DilationUnknown {
+		return -1
+	}
+	return p.Dilation
+}
+
+// Entry returns the plan's record: the served, position-independent form
+// an artifact stores per shape and a plancensus chunk carries.
+func (p *Plan) Entry() api.PlanEntry {
+	return api.PlanEntry{
+		Kind: p.Kind.String(), Method: p.Method, Dilation: p.DilationBound(),
+		CubeDim: p.CubeDim, Minimal: p.Minimal(), Plan: p.String(),
+	}
+}
 
 // RelExpansion returns 2^CubeDim / ⌈|V|⌉₂, the relative expansion of §5
 // (1 when minimal).

@@ -16,10 +16,11 @@ type CacheStats struct {
 	Size   uint64
 }
 
-// planCache memoizes planDispatch results keyed by canonical shape, fold
-// context and options fingerprint.  Stored plans are never handed out
-// directly — every lookup returns a deep copy via permutePlan — so entries
-// stay immutable and safe to share across goroutines.
+// planCache memoizes planDispatch results keyed by canonical shape and fold
+// context.  Each Planner owns its cache and its options never change, so
+// the options fingerprint is not part of the key.  Stored plans are never
+// handed out directly — every lookup returns a deep copy via permutePlan —
+// so entries stay immutable and safe to share across goroutines.
 type planCache struct {
 	mu     sync.RWMutex
 	m      map[string]*Plan
@@ -57,12 +58,12 @@ func (c *planCache) stats() CacheStats {
 // cacheKey builds the lookup key for a canonical shape.  Fold depth is
 // clamped to one bit: strategies only distinguish "may still fold" from
 // "fold already spent", so deeper recursion shares entries.
-func cacheKey(canon mesh.Shape, foldDepth int, fp string) string {
-	f := "|f0|"
+func cacheKey(canon mesh.Shape, foldDepth int) string {
+	f := "|f0"
 	if foldDepth > 0 {
-		f = "|f1|"
+		f = "|f1"
 	}
-	return canon.String() + f + fp
+	return canon.String() + f
 }
 
 // permuteShape sends canonical axis j back to original position axmap[j].
@@ -125,7 +126,7 @@ func (pc *planContext) planCanonical(s mesh.Shape, foldDepth int) *Plan {
 	canon, axmap := s.SortCanonical()
 	var key string
 	if pc.cache != nil {
-		key = cacheKey(canon, foldDepth, pc.fp)
+		key = cacheKey(canon, foldDepth)
 		if p, ok := pc.cache.get(key); ok {
 			return permutePlan(p, axmap)
 		}
@@ -190,7 +191,7 @@ func (pl *Planner) CacheStats() CacheStats {
 }
 
 // Fingerprint returns the option fingerprint (solver budget, solver seed,
-// preference order) that keys this planner's cache entries.  Plan-census
-// artifacts are stamped with it so a server can refuse to serve records
-// computed under different planner options.
+// preference order) of this planner.  Plan-census artifacts are stamped
+// with it so a server can refuse to serve records computed under different
+// planner options.
 func (pl *Planner) Fingerprint() string { return pl.pc.fp }

@@ -98,7 +98,7 @@ type planContext struct {
 	opts  Options
 	cache *planCache  // nil: no memoization
 	canon bool        // canonicalize axis order before searching
-	fp    string      // options fingerprint, part of every cache key
+	fp    string      // options fingerprint, stamped on artifacts
 	tr    *planTracer // nil: provenance recording off (the hot path)
 }
 

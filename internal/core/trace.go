@@ -166,15 +166,6 @@ func (tr *planTracer) shortcut(pipeline, chosen string) {
 	tr.cur().pt.Chosen = chosen
 }
 
-// attemptDilation maps the plan's bound onto the JSON convention (-1 for
-// "no a-priori bound").
-func attemptDilation(p *Plan) int {
-	if p.Dilation == DilationUnknown {
-		return -1
-	}
-	return p.Dilation
-}
-
 // skipped records a stage its skip gate passed over.
 func (tr *planTracer) skipped(st stage) {
 	if tr == nil {
@@ -219,7 +210,7 @@ func (tr *planTracer) tried(id StrategyID, cand, merged *Plan) {
 	} else {
 		a.Plan = cand.String()
 		a.CubeDim = cand.CubeDim
-		a.Dilation = attemptDilation(cand)
+		a.Dilation = cand.DilationBound()
 		switch {
 		case cur.best < 0:
 			a.Reason = "first candidate"

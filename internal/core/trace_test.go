@@ -149,9 +149,6 @@ func TestPlanTracedGrayMinimalShortcut(t *testing.T) {
 }
 
 func TestPlanTracedSpans(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	pl := NewPlanner(DefaultOptions)
 	s, _ := mesh.ParseShape("5x6x7")

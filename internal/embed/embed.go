@@ -12,6 +12,7 @@ import (
 	"repro/internal/cube"
 	"repro/internal/guest"
 	"repro/internal/mesh"
+	"repro/pkg/api"
 )
 
 // Embedding maps a guest graph into a Boolean N-cube.
@@ -295,23 +296,9 @@ func (e *Embedding) RealizeMinCongestion() {
 	})
 }
 
-// Metrics bundles the quality measures for reporting.  Family names the
-// guest family ("mesh", "torus", "cylinder", "tree"); Wrap is kept as the
-// historical torus marker for wire compatibility.
-type Metrics struct {
-	Guest         string
-	Family        string
-	Wrap          bool
-	CubeDim       int
-	Expansion     float64
-	Minimal       bool
-	Dilation      int
-	AvgDilation   float64
-	Wirelength    int64
-	Congestion    int
-	AvgCongestion float64
-	LoadFactor    int
-}
+// Metrics bundles the quality measures for reporting; it is the served
+// type api.Metrics.
+type Metrics = api.Metrics
 
 // Measure computes all metrics of the embedding in one fused edge pass
 // (see metrics.go), parallelized over guest-node blocks for large meshes.
@@ -319,18 +306,4 @@ type Metrics struct {
 // exposes the worker knob.
 func (e *Embedding) Measure() Metrics {
 	return e.MeasureParallel(0)
-}
-
-// String renders the metrics compactly.  The torus keeps its historical
-// " (wraparound)" marker; other non-mesh families show their name.
-func (m Metrics) String() string {
-	w := ""
-	switch {
-	case m.Wrap || m.Family == "torus":
-		w = " (wraparound)"
-	case m.Family != "" && m.Family != "mesh":
-		w = " (" + m.Family + ")"
-	}
-	return fmt.Sprintf("%s%s -> %d-cube: exp=%.4f minimal=%v dil=%d avgdil=%.4f wl=%d cong=%d avgcong=%.4f load=%d",
-		m.Guest, w, m.CubeDim, m.Expansion, m.Minimal, m.Dilation, m.AvgDilation, m.Wirelength, m.Congestion, m.AvgCongestion, m.LoadFactor)
 }

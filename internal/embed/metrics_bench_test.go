@@ -94,9 +94,6 @@ func BenchmarkMeasureTraced(b *testing.B) {
 		{"16x16x16", benchGray(mesh.Shape{16, 16, 16})},
 		{"64x64x64", benchGray(mesh.Shape{64, 64, 64})},
 	}
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -19,9 +19,6 @@ func grayEmbedding(t testing.TB, spec string) *Embedding {
 }
 
 func TestMeasureParallelCtxMatchesMeasure(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	for _, spec := range []string{"4x4x4", "8x8x8", "16x16x16", "5x6x7"} {
 		e := grayEmbedding(t, spec)
@@ -46,9 +43,6 @@ func TestMeasureParallelCtxMatchesMeasure(t *testing.T) {
 }
 
 func TestFusedPassShardSpans(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	e := grayEmbedding(t, "16x16x16")
 	ctx, root := obs.StartRoot(context.Background(), "test")

@@ -48,7 +48,7 @@ type Dispatch struct {
 	// attempts carry an error attr, so requeues show up as extra spans with
 	// gaps), and each worker's returned snapshot is stitched under its
 	// dispatch span.  Set once before any exec goroutine starts; nil when
-	// tracing is off.
+	// Run's context carries no span.
 	span *obs.Span
 
 	mu       sync.Mutex

@@ -68,7 +68,7 @@ func BenchmarkPlanSweepJob(b *testing.B) {
 	benchJob(b, api.JobSubmitRequest{
 		Kind:      api.JobPlanSweep,
 		PlanSweep: &api.PlanSweepParams{Dims: 3, MaxAxis: 16, MaxNodes: 4096},
-	}, 688) // |SortedShapes(3, 16, 4096)|
+	}, 688) // len(core.FamilyShapes(guest.Mesh, 3, 16, 4096))
 }
 
 // BenchmarkPlanCensusJob builds a plancensus artifact whose last chunk

@@ -323,9 +323,6 @@ func collectSpans(t *obs.SpanJSON, out *[]*obs.SpanJSON) {
 // fold span, and the failed attempt is visible as an extra dispatch span
 // with an error attr and no worker subtree — the requeue gap.
 func TestDistributedTraceStitched(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	dying := &dyingTransport{killAt: 1}
 	pool := fabric.NewPool(fabric.Config{

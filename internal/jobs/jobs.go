@@ -137,52 +137,32 @@ func (c *Config) withDefaults() Config {
 }
 
 // job is the in-memory state of one job.  All mutable fields are guarded by
-// mu; the result stream's committed length is mirrored here so status and
-// streaming never touch the file under the runner.
+// mu.  st is the job's served status; its Progress.ResultBytes is the result
+// stream's committed length, so status and streaming never touch the file
+// under the runner.
 type job struct {
 	id   string
 	kind api.JobKind
 	req  api.JobSubmitRequest
 	dir  string
 
-	mu           sync.Mutex
-	state        api.JobState
-	errMsg       string
-	createdMS    int64
-	startedMS    int64
-	finishedMS   int64
-	chunksDone   int
-	chunksTotal  int
-	shapes       uint64
-	retries      int
-	resumed      int
-	committed    int64
-	shapesPerSec float64
-	etaMS        int64
-	cancelled    bool
-	cancelRun    context.CancelCauseFunc
+	mu        sync.Mutex
+	st        api.JobStatus // Request and Fabric are filled in by statusLocked
+	cancelled bool
+	cancelRun context.CancelCauseFunc
 	// dispatch is the live fabric dispatcher while a distributed run is in
 	// flight; status reads it for the per-peer Fabric block.
 	dispatch *fabric.Dispatch
 }
 
 func (j *job) statusLocked() api.JobStatus {
-	st := api.JobStatus{
-		Version: api.Version, ID: j.id, Kind: j.kind, State: j.state, Error: j.errMsg,
-		Progress: api.JobProgress{
-			ChunksDone: j.chunksDone, ChunksTotal: j.chunksTotal,
-			Shapes: j.shapes, Retries: j.retries, ResultBytes: j.committed,
-		},
-		CreatedUnixMS: j.createdMS, StartedUnixMS: j.startedMS,
-		FinishedUnixMS: j.finishedMS, Resumed: j.resumed,
-	}
-	if j.state == api.JobRunning {
-		st.Progress.ShapesPerSec = j.shapesPerSec
-		st.Progress.ETAMS = j.etaMS
-	}
+	st := j.st
+	st.Version = api.Version
 	req := j.req
 	st.Request = &req
-	if j.dispatch != nil && j.state == api.JobRunning {
+	if st.State != api.JobRunning {
+		st.Progress.ShapesPerSec, st.Progress.ETAMS = 0, 0
+	} else if j.dispatch != nil {
 		fp := j.dispatch.Progress()
 		st.Fabric = &fp
 	}
@@ -281,19 +261,14 @@ func (m *Manager) restore() ([]*job, error) {
 			m.log.Warn("jobs: skipping job with unknown schema", "dir", dir, "version", st.Version)
 			continue
 		}
-		j := &job{
-			id: st.ID, kind: st.Kind, req: *st.Request, dir: dir,
-			state: st.State, errMsg: st.Error,
-			createdMS: st.CreatedUnixMS, startedMS: st.StartedUnixMS, finishedMS: st.FinishedUnixMS,
-			chunksDone: st.Progress.ChunksDone, chunksTotal: st.Progress.ChunksTotal,
-			shapes: st.Progress.Shapes, retries: st.Progress.Retries,
-			resumed: st.Resumed, committed: st.Progress.ResultBytes,
-		}
+		j := &job{id: st.ID, kind: st.Kind, req: *st.Request, dir: dir, st: st}
+		j.st.Request, j.st.Fabric = nil, nil
+		j.st.Progress.ShapesPerSec, j.st.Progress.ETAMS = 0, 0
 		loaded = append(loaded, j)
 	}
 	sort.Slice(loaded, func(a, b int) bool {
-		if loaded[a].createdMS != loaded[b].createdMS {
-			return loaded[a].createdMS < loaded[b].createdMS
+		if loaded[a].st.CreatedUnixMS != loaded[b].st.CreatedUnixMS {
+			return loaded[a].st.CreatedUnixMS < loaded[b].st.CreatedUnixMS
 		}
 		return loaded[a].id < loaded[b].id
 	})
@@ -301,24 +276,23 @@ func (m *Manager) restore() ([]*job, error) {
 	for _, j := range loaded {
 		m.jobs[j.id] = j
 		m.order = append(m.order, j.id)
-		if j.state.Terminal() {
+		if j.st.State.Terminal() {
 			continue
 		}
 		// The committed count is rebuilt from the checkpoint when the run
 		// restarts; until then advertise the checkpointed prefix only.
+		pr := &j.st.Progress
 		if ck, err := readCheckpoint(j.dir); err == nil && ck != nil && ck.JobID == j.id && ck.Version == api.JobSchemaVersion {
-			j.committed = ck.Offset
-			j.chunksDone = ck.NextChunk
-			j.shapes = ck.Shapes
+			pr.ResultBytes, pr.ChunksDone, pr.Shapes = ck.Offset, ck.NextChunk, ck.Shapes
 		} else {
-			j.committed, j.chunksDone, j.shapes = 0, 0, 0
+			pr.ResultBytes, pr.ChunksDone, pr.Shapes = 0, 0, 0
 		}
-		j.state = api.JobQueued
-		j.resumed++
+		j.st.State = api.JobQueued
+		j.st.Resumed++
 		m.persistStatus(j)
 		resumable = append(resumable, j)
 		m.log.Info("jobs: resuming job from checkpoint",
-			"job", j.id, "kind", j.kind, "next_chunk", j.chunksDone, "offset", j.committed)
+			"job", j.id, "kind", j.kind, "next_chunk", pr.ChunksDone, "offset", pr.ResultBytes)
 	}
 	return resumable, nil
 }
@@ -342,8 +316,8 @@ func (m *Manager) Submit(req api.JobSubmitRequest) (api.JobStatus, error) {
 	id := fmt.Sprintf("j-%s-%06d", m.prefix, m.seq)
 	j := &job{
 		id: id, kind: req.Kind, req: req,
-		dir:   filepath.Join(m.cfg.DataDir, id),
-		state: api.JobQueued, createdMS: nowUnixMS(),
+		dir: filepath.Join(m.cfg.DataDir, id),
+		st:  api.JobStatus{ID: id, Kind: req.Kind, State: api.JobQueued, CreatedUnixMS: nowUnixMS()},
 	}
 	m.jobs[id] = j
 	m.order = append(m.order, id)
@@ -425,14 +399,14 @@ func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 	}
 	j.mu.Lock()
 	switch {
-	case j.state.Terminal():
+	case j.st.State.Terminal():
 		st := j.statusLocked()
 		j.mu.Unlock()
 		return st, nil
-	case j.state == api.JobQueued:
+	case j.st.State == api.JobQueued:
 		j.cancelled = true
-		j.state = api.JobCancelled
-		j.finishedMS = nowUnixMS()
+		j.st.State = api.JobCancelled
+		j.st.FinishedUnixMS = nowUnixMS()
 		st := j.statusLocked()
 		j.mu.Unlock()
 		m.persistStatus(j)
@@ -468,8 +442,8 @@ func (m *Manager) Results(id string) (ResultsInfo, error) {
 	defer j.mu.Unlock()
 	return ResultsInfo{
 		Path:      filepath.Join(j.dir, resultsFile),
-		Committed: j.committed,
-		State:     j.state,
+		Committed: j.st.Progress.ResultBytes,
+		State:     j.st.State,
 	}, nil
 }
 
@@ -488,16 +462,15 @@ func (m *Manager) ArtifactPath(id string) (string, error) {
 	if j.kind != api.JobPlanCensus {
 		return "", fmt.Errorf("%w: job kind %q produces no artifact", ErrBadRequest, j.kind)
 	}
-	if j.state != api.JobDone {
-		return "", fmt.Errorf("%w: job %s is %s", ErrNotReady, id, j.state)
+	if j.st.State != api.JobDone {
+		return "", fmt.Errorf("%w: job %s is %s", ErrNotReady, id, j.st.State)
 	}
 	return filepath.Join(j.dir, ArtifactFile), nil
 }
 
-// TracePath returns the span-tree file of a job's last run (written when
-// tracing is active).  Unknown ids are ErrNotFound; a job whose run has not
-// produced a trace yet (still running its first chunks, or tracing disabled)
-// is ErrNotReady.
+// TracePath returns the span-tree file of a job's last run.  Unknown ids
+// are ErrNotFound; a job whose run has not produced a trace yet (queued,
+// still running, or cancelled before it ran) is ErrNotReady.
 func (m *Manager) TracePath(id string) (string, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
@@ -531,7 +504,7 @@ func (m *Manager) Stats() Stats {
 	m.mu.Unlock()
 	for _, j := range js {
 		j.mu.Lock()
-		switch j.state {
+		switch j.st.State {
 		case api.JobQueued:
 			s.Queued++
 		case api.JobRunning:
@@ -604,23 +577,21 @@ func (m *Manager) runJob(j *job) {
 	jctx, cancel := context.WithCancelCause(m.ctx)
 	defer cancel(nil)
 	j.mu.Lock()
-	if j.cancelled || j.state.Terminal() {
+	if j.cancelled || j.st.State.Terminal() {
 		j.mu.Unlock()
 		return // cancelled while queued; already finalized
 	}
-	j.state = api.JobRunning
-	if j.startedMS == 0 {
-		j.startedMS = nowUnixMS()
+	j.st.State = api.JobRunning
+	if j.st.StartedUnixMS == 0 {
+		j.st.StartedUnixMS = nowUnixMS()
 	}
 	j.cancelRun = cancel
 	j.mu.Unlock()
 	m.persistStatus(j)
 
 	jctx, span := obs.StartRoot(jctx, "job")
-	if span != nil {
-		span.SetAttr("job", j.id)
-		span.SetAttr("kind", string(j.kind))
-	}
+	span.SetAttr("job", j.id)
+	span.SetAttr("kind", string(j.kind))
 	err = m.run(jctx, j, runner)
 	j.mu.Lock()
 	j.cancelRun = nil
@@ -642,10 +613,11 @@ func (m *Manager) runJob(j *job) {
 		// Leave the job queued on disk; the checkpoint written on the way
 		// out makes the next Open resume it.
 		j.mu.Lock()
-		j.state = api.JobQueued
+		j.st.State = api.JobQueued
+		chunksDone := j.st.Progress.ChunksDone
 		j.mu.Unlock()
 		m.persistStatus(j)
-		m.log.Info("jobs: suspended for shutdown", "job", j.id, "chunks_done", j.chunksDone)
+		m.log.Info("jobs: suspended for shutdown", "job", j.id, "chunks_done", chunksDone)
 	default:
 		m.finalize(j, api.JobFailed, err)
 	}
@@ -656,15 +628,15 @@ func (m *Manager) runJob(j *job) {
 // API never reports a cancelled job as completed.
 func (m *Manager) finalize(j *job, state api.JobState, err error) {
 	j.mu.Lock()
-	if j.state == api.JobCancelled && state == api.JobDone {
+	if j.st.State == api.JobCancelled && state == api.JobDone {
 		state = api.JobCancelled
 	}
-	j.state = state
+	j.st.State = state
 	if err != nil {
-		j.errMsg = err.Error()
+		j.st.Error = err.Error()
 	}
-	j.finishedMS = nowUnixMS()
-	j.shapesPerSec, j.etaMS = 0, 0
+	j.st.FinishedUnixMS = nowUnixMS()
+	pr := j.st.Progress
 	j.mu.Unlock()
 	m.persistStatus(j)
 	switch state {
@@ -672,7 +644,7 @@ func (m *Manager) finalize(j *job, state api.JobState, err error) {
 		m.log.Error("jobs: failed", "job", j.id, "err", err)
 	default:
 		m.log.Info("jobs: finished", "job", j.id, "state", string(state),
-			"shapes", j.shapes, "result_bytes", j.committed)
+			"shapes", pr.Shapes, "result_bytes", pr.ResultBytes)
 	}
 }
 
@@ -745,8 +717,9 @@ func (m *Manager) openLog(j *job, r kindRunner) (*resultLog, error) {
 	}
 	l.lastCkpt, l.start, l.startNext, l.startShapes = l.next, time.Now(), l.next, l.shapes
 	j.mu.Lock()
-	j.chunksDone, j.chunksTotal = l.next, l.total
-	j.shapes, j.retries, j.committed = l.shapes, l.retries, l.offset
+	pr := &j.st.Progress
+	pr.ChunksDone, pr.ChunksTotal = l.next, l.total
+	pr.Shapes, pr.Retries, pr.ResultBytes = l.shapes, l.retries, l.offset
 	j.mu.Unlock()
 	return l, nil
 }
@@ -795,11 +768,12 @@ func (l *resultLog) commit(rows []byte, n uint64, owners func() map[string]strin
 
 	elapsed := time.Since(l.start).Seconds()
 	j.mu.Lock()
-	j.chunksDone, j.shapes, j.committed, j.retries = l.next, l.shapes, l.offset, l.retries
+	pr := &j.st.Progress
+	pr.ChunksDone, pr.Shapes, pr.ResultBytes, pr.Retries = l.next, l.shapes, l.offset, l.retries
 	if elapsed > 0 {
-		j.shapesPerSec = float64(l.shapes-l.startShapes) / elapsed
+		pr.ShapesPerSec = float64(l.shapes-l.startShapes) / elapsed
 		perChunk := elapsed / float64(l.next-l.startNext)
-		j.etaMS = int64(perChunk * float64(l.total-l.next) * 1000)
+		pr.ETAMS = int64(perChunk * float64(l.total-l.next) * 1000)
 	}
 	j.mu.Unlock()
 
@@ -862,7 +836,7 @@ func (l *resultLog) finish() error {
 	l.offset += int64(buf.Len())
 	l.m.resultBytes.Add(int64(buf.Len()))
 	l.j.mu.Lock()
-	l.j.committed = l.offset
+	l.j.st.Progress.ResultBytes = l.offset
 	l.j.mu.Unlock()
 	return nil
 }
@@ -928,9 +902,7 @@ func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt
 		}
 	}()
 	cctx, span := obs.Start(ctx, fmt.Sprintf("chunk %d", chunk))
-	if span != nil {
-		defer span.End()
-	}
+	defer span.End()
 	if hook := m.cfg.beforeAttempt; hook != nil {
 		hook(l.j.id, chunk, attempt)
 	}
@@ -948,12 +920,9 @@ func (m *Manager) persistStatus(j *job) {
 	}
 }
 
-// writeTrace dumps the run's span tree next to the results when tracing is
-// active; purely observability, never part of the result stream.
+// writeTrace dumps the run's span tree next to the results; purely
+// observability, never part of the result stream.
 func (m *Manager) writeTrace(j *job, span *obs.Span) {
-	if span == nil {
-		return
-	}
 	span.End()
 	snap := span.Snapshot()
 	snap.TraceID = span.Context().TraceID

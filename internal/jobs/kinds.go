@@ -443,10 +443,7 @@ func (r *plansweepRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64,
 
 func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {
 	p := r.planner.PlanGuest(r.family, s)
-	dil := p.Dilation
-	if dil == core.DilationUnknown {
-		dil = -1
-	}
+	dil := p.DilationBound()
 	fam := ""
 	if r.family != guest.Mesh {
 		fam = r.family.String()
@@ -573,11 +570,7 @@ func (r *plancensusRunner) execute(ctx context.Context, chunk int, _ *bytes.Buff
 			planErr = err
 			return
 		}
-		rec := artifact.RecFromPlan(r.planner.PlanGuest(r.family, s))
-		plans = append(plans, api.PlanEntry{
-			Kind: rec.Kind.String(), Method: rec.Method, Dilation: rec.Dilation,
-			CubeDim: rec.CubeDim, Minimal: rec.Minimal, Plan: rec.Plan,
-		})
+		plans = append(plans, r.planner.PlanGuest(r.family, s).Entry())
 	})
 	if planErr != nil {
 		return nil, planErr
@@ -613,16 +606,8 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 		}
 		pe := res.Plans[i]
 		i++
-		kind, err := core.ParseKind(pe.Kind)
-		if err != nil {
+		if err := r.b.Add(s, pe); err != nil {
 			foldErr = fmt.Errorf("jobs: plancensus chunk %d: %w", c, err)
-			return
-		}
-		if err := r.b.AddRec(s, artifact.Rec{
-			Kind: kind, Method: pe.Method, Dilation: pe.Dilation,
-			CubeDim: pe.CubeDim, Minimal: pe.Minimal, Plan: pe.Plan,
-		}); err != nil {
-			foldErr = err
 			return
 		}
 		if pe.Dilation < 0 {

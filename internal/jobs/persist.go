@@ -13,7 +13,7 @@ import (
 
 // On-disk layout: one directory per job under the manager's data dir,
 // holding the job's status, its last checkpoint, the NDJSON result stream
-// and (when tracing is on) the run's span tree.
+// and, once a run ends, its span tree.
 //
 //	<data-dir>/<job-id>/job.json          — api.JobStatus, rewritten on every transition
 //	<data-dir>/<job-id>/checkpoint.json   — checkpoint, rewritten every CheckpointEvery chunks

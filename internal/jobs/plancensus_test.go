@@ -98,7 +98,7 @@ func TestPlanCensusJobBuildsArtifact(t *testing.T) {
 					if dil == core.DilationUnknown {
 						dil = -1
 					}
-					if rec.Plan != p.String() || rec.Kind != p.Kind || rec.Method != p.Method ||
+					if rec.Plan != p.String() || rec.Kind != p.Kind.String() || rec.Method != p.Method ||
 						rec.CubeDim != p.CubeDim || rec.Dilation != dil || rec.Minimal != p.Minimal() {
 						t.Fatalf("Lookup(%v) = %+v, planner says %v", s, rec, p)
 					}

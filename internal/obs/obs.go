@@ -5,14 +5,10 @@
 // time and free-form attributes; the finished tree is exported as JSON
 // (Snapshot) or as Chrome trace-event JSON (WriteChromeTrace).
 //
-// The tracer is built to disappear from the hot path:
+// The tracer is always armed and built to disappear from the hot path:
 //
-//   - A package-level atomic enable flag gates every Start*; when tracing is
-//     disabled (SetEnabled(false)) the fast path is a single atomic load and
-//     performs zero allocations.
-//   - When enabled but no span rides the context — the common case for every
-//     non-debug request — Start is an atomic load plus one context lookup,
-//     still allocation-free.
+//   - When no span rides the context — the common case for every non-debug
+//     request — Start is one context lookup and allocation-free.
 //   - All Span methods are nil-receiver safe, so instrumented code never
 //     branches on whether tracing is active.
 //
@@ -30,21 +26,11 @@ import (
 	"time"
 )
 
-// disabled is inverted so the zero value means "enabled": per-request debug
-// tracing works out of the box and the flag is purely a kill switch.
 var (
-	disabled      atomic.Bool
 	spansStarted  atomic.Uint64
 	tracesStarted atomic.Uint64
 	overheadNS    atomic.Int64
 )
-
-// SetEnabled arms or kills the tracer globally.  Disabling mid-flight is
-// safe: spans already started keep working, new Start* calls return nil.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether the tracer is armed.
-func Enabled() bool { return !disabled.Load() }
 
 // Stats are the tracer's own counters, for the /metrics exposition.
 type Stats struct {
@@ -53,7 +39,7 @@ type Stats struct {
 	// Traces counts root spans started.
 	Traces uint64
 	// OverheadNS is the cumulative wall time spent inside span creation —
-	// an upper-bound estimate of the tracer's cost while enabled.
+	// an upper-bound estimate of the tracer's cost.
 	OverheadNS int64
 }
 
@@ -82,7 +68,7 @@ func newID() string {
 // SpanContext is a span's propagable wire identity: enough for a remote
 // process to run work under a child of this span and for the originator to
 // validate the returned snapshot before stitching it in.  The zero value
-// means "no trace" — both sides treat it as tracing-off.
+// means "no trace" — both sides then record nothing.
 type SpanContext struct {
 	TraceID string `json:"trace_id"`
 	SpanID  string `json:"span_id"`
@@ -131,26 +117,14 @@ type Span struct {
 
 type ctxKey struct{}
 
-// ContextWith returns ctx carrying s; a nil span returns ctx unchanged.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // FromContext returns the span riding ctx, or nil.
 func FromContext(ctx context.Context) *Span {
 	s, _ := ctx.Value(ctxKey{}).(*Span)
 	return s
 }
 
-// StartRoot opens a new trace and returns ctx carrying its root span.  When
-// the tracer is disabled it returns (ctx, nil) after one atomic load.
+// StartRoot opens a new trace and returns ctx carrying its root span.
 func StartRoot(ctx context.Context, name string) (context.Context, *Span) {
-	if disabled.Load() {
-		return ctx, nil
-	}
 	t0 := time.Now()
 	s := &Span{name: name, start: t0, durNS: -1, traceID: newID()}
 	tracesStarted.Add(1)
@@ -160,12 +134,8 @@ func StartRoot(ctx context.Context, name string) (context.Context, *Span) {
 }
 
 // Start opens a child of the span riding ctx and returns ctx carrying the
-// child.  When the tracer is disabled, or no span rides ctx, it returns
-// (ctx, nil) without allocating.
+// child.  When no span rides ctx it returns (ctx, nil) without allocating.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	if disabled.Load() {
-		return ctx, nil
-	}
 	parent := FromContext(ctx)
 	if parent == nil {
 		return ctx, nil

@@ -5,8 +5,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 // The server-path benchmarks drive the /v1/embed handler through httptest
@@ -54,22 +52,6 @@ func BenchmarkEmbedHandlerUncached16(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		benchEmbedRequest(b, New(Config{}).Handler(), "16x16x16")
-	}
-}
-
-// BenchmarkEmbedHandlerCached64TracingOff is the cached handler with the
-// span tracer's kill switch thrown — the configuration the <2%-overhead
-// acceptance bar of the observability work is measured against.
-func BenchmarkEmbedHandlerCached64TracingOff(b *testing.B) {
-	prev := obs.Enabled()
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
-	h := New(Config{}).Handler()
-	benchEmbedRequest(b, h, "64x64x64")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchEmbedRequest(b, h, "64x64x64")
 	}
 }
 

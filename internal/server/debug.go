@@ -13,6 +13,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/mesh"
 	"repro/internal/obs"
+	"repro/pkg/api"
 )
 
 // Request debugging: any API request may ask for its own trace with
@@ -123,18 +124,15 @@ func (s *Server) debugProvenance(ctx context.Context, fam guest.Family, sh mesh.
 // snapshots the span tree into di.Trace.  resp must already reference di so
 // the real encode includes the finished block; it is passed by value so the
 // handler's response never has its address taken — that would force a heap
-// escape the non-debug hot path would pay for.
-func (s *Server) finishDebug(ctx context.Context, di *DebugInfo, resp any) {
-	m := metaFrom(ctx)
-	if m == nil || m.root == nil {
-		return
-	}
+// escape the non-debug hot path would pay for.  Only debug requests call
+// it, and instrument gave each of them a root span.
+func (s *Server) finishDebug(ctx context.Context, di *api.DebugInfo, resp any) {
 	_, esp := obs.Start(ctx, "encode")
 	enc := json.NewEncoder(io.Discard)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(resp)
 	esp.End()
-	if raw, err := json.Marshal(m.root.Snapshot()); err == nil {
+	if raw, err := json.Marshal(metaFrom(ctx).root.Snapshot()); err == nil {
 		di.Trace = raw
 	}
 }

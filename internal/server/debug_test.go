@@ -9,8 +9,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
 func debugBody(t *testing.T, srv *Server, target, body string, hdr map[string]string) map[string]any {
@@ -244,25 +242,5 @@ func TestRequestIDHeader(t *testing.T) {
 	_ = json.Unmarshal(rr.Body.Bytes(), &m)
 	if dbg, ok := m["debug"].(map[string]any); !ok || dbg["request_id"] != id {
 		t.Fatalf("header id %q != body id %v", id, m["debug"])
-	}
-}
-
-// TestDebugDisabledKillSwitch: with the tracer globally disabled, a debug
-// request still answers (request ID, provenance) but carries no span tree.
-func TestDebugDisabledKillSwitch(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(false)
-	defer obs.SetEnabled(prev)
-	srv := New(Config{})
-	m := debugBody(t, srv, "/v1/plan?debug=trace", `{"shape":"5x6x7"}`, nil)
-	dbg, ok := m["debug"].(map[string]any)
-	if !ok {
-		t.Fatal("no debug block")
-	}
-	if _, ok := dbg["trace"]; ok {
-		t.Error("disabled tracer still produced a span tree")
-	}
-	if _, ok := dbg["plan_trace"].(map[string]any); !ok {
-		t.Error("provenance must not depend on the span tracer")
 	}
 }

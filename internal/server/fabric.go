@@ -71,7 +71,7 @@ func (s *Server) handlePeersList(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, errUnavailable("no fabric pool attached (start the server with -fabric-secret)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.PeersResponse{Version: APIVersion, Peers: s.pool.Peers()})
+	writeJSON(w, http.StatusOK, api.PeersResponse{Version: api.Version, Peers: s.pool.Peers()})
 }
 
 // handlePeersJoin registers a worker with the coordinator's pool (the
@@ -95,5 +95,5 @@ func (s *Server) handlePeersJoin(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, errBadRequest("%v", err))
 		return
 	}
-	writeJSON(w, http.StatusOK, api.PeersResponse{Version: APIVersion, Peers: s.pool.Peers()})
+	writeJSON(w, http.StatusOK, api.PeersResponse{Version: api.Version, Peers: s.pool.Peers()})
 }

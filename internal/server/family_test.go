@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/embed"
+	"repro/pkg/api"
 )
 
 // TestEmbedFamilyCacheIsolation is the regression test for the family-less
@@ -15,7 +16,7 @@ import (
 func TestEmbedFamilyCacheIsolation(t *testing.T) {
 	h := New(Config{}).Handler()
 	rec, _ := post(t, h, "/v1/embed", `{"shape":"4x4x4"}`)
-	var meshResp EmbedResponse
+	var meshResp api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &meshResp)
 	if meshResp.Source != "computed" || meshResp.Metrics.Wrap {
 		t.Fatalf("mesh embed: %+v", meshResp)
@@ -25,7 +26,7 @@ func TestEmbedFamilyCacheIsolation(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("torus embed: %d %s", rec.Code, rec.Body.String())
 	}
-	var torusResp EmbedResponse
+	var torusResp api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &torusResp)
 	if torusResp.Source != "computed" {
 		t.Fatalf("torus embed served from the mesh cache entry: %+v", torusResp)
@@ -36,13 +37,13 @@ func TestEmbedFamilyCacheIsolation(t *testing.T) {
 
 	// Each family now hits its own entry.
 	rec, _ = post(t, h, "/v1/embed", `{"shape":"4x4x4"}`)
-	var meshAgain EmbedResponse
+	var meshAgain api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &meshAgain)
 	if meshAgain.Source != "cache" || meshAgain.Metrics.Wrap {
 		t.Fatalf("mesh re-embed: %+v", meshAgain)
 	}
 	rec, _ = post(t, h, "/v1/embed", `{"shape":"4x4x4","family":"torus"}`)
-	var torusAgain EmbedResponse
+	var torusAgain api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &torusAgain)
 	if torusAgain.Source != "cache" || !torusAgain.Metrics.Wrap {
 		t.Fatalf("torus re-embed: %+v", torusAgain)
@@ -56,13 +57,13 @@ func TestEmbedFamilyCacheIsolation(t *testing.T) {
 func TestEmbedModeTorusSharesFamilyEntry(t *testing.T) {
 	h := New(Config{}).Handler()
 	rec, _ := post(t, h, "/v1/embed", `{"shape":"6x10","family":"torus"}`)
-	var byFamily EmbedResponse
+	var byFamily api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &byFamily)
 	if byFamily.Source != "computed" || !byFamily.Metrics.Wrap || byFamily.Deprecation != "" {
 		t.Fatalf("family torus: %+v", byFamily)
 	}
 	rec, _ = post(t, h, "/v1/embed", `{"shape":"6x10","mode":"torus"}`)
-	var byMode EmbedResponse
+	var byMode api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &byMode)
 	if byMode.Source != "cache" {
 		t.Fatalf("mode torus recomputed instead of sharing the family entry: %+v", byMode)
@@ -85,7 +86,7 @@ func TestEmbedModeTorusSharesFamilyEntry(t *testing.T) {
 func TestCompareFamilyEcho(t *testing.T) {
 	h := New(Config{}).Handler()
 	rec, _ := post(t, h, "/v1/compare", `{"shape":"6x10"}`)
-	var meshResp CompareResponse
+	var meshResp api.CompareResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &meshResp)
 	if meshResp.Family != "mesh" || meshResp.Source != "computed" {
 		t.Fatalf("mesh compare: family %q source %q", meshResp.Family, meshResp.Source)
@@ -95,7 +96,7 @@ func TestCompareFamilyEcho(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("torus compare: %d %s", rec.Code, rec.Body.String())
 	}
-	var torusResp CompareResponse
+	var torusResp api.CompareResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &torusResp)
 	if torusResp.Family != "torus" {
 		t.Fatalf("torus compare echo: %+v", torusResp)
@@ -127,7 +128,7 @@ func TestEmbedCylinderAndTreeEndToEnd(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", tc.family, rec.Code, rec.Body.String())
 		}
-		var resp EmbedResponse
+		var resp api.EmbedResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestEmbedCylinderAndTreeEndToEnd(t *testing.T) {
 		if err := e.Verify(); err != nil {
 			t.Fatalf("%s: served map invalid: %v", tc.family, err)
 		}
-		if got := e.Measure(); got != embed.Metrics(resp.Metrics) {
+		if got := e.Measure(); got != resp.Metrics {
 			t.Fatalf("%s: served metrics %+v != remeasured %+v", tc.family, resp.Metrics, got)
 		}
 	}
@@ -155,7 +156,7 @@ func TestEmbedCylinderAndTreeEndToEnd(t *testing.T) {
 func TestPlanFamilyValidation(t *testing.T) {
 	h := New(Config{}).Handler()
 	rec, _ := post(t, h, "/v1/plan", `{"shape":"3x4x6","family":"cylinder"}`)
-	var resp PlanResponse
+	var resp api.PlanResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &resp)
 	if rec.Code != http.StatusOK || resp.Family != "cylinder" || resp.Plan == "" {
 		t.Fatalf("cylinder plan: %d %+v", rec.Code, resp)

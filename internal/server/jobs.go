@@ -50,7 +50,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, api.JobListResponse{
-		Version: APIVersion,
+		Version: api.Version,
 		Jobs:    s.jobs.List(),
 	})
 }

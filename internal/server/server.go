@@ -15,9 +15,8 @@
 //	GET    /healthz              liveness
 //	GET    /metrics              Prometheus text exposition
 //
-// Wire types live in pkg/api — the server serves exactly those shapes (the
-// declarations below are aliases), and every non-2xx response is the
-// api.ErrorResponse envelope.
+// Wire types live in pkg/api — the handlers build and serve exactly those
+// types, and every non-2xx response is the api.ErrorResponse envelope.
 //
 // The request path is cache → coalescer → planner → metrics engine: a
 // bounded LRU holds fully-measured results keyed by canonical (axis-sorted)
@@ -65,22 +64,6 @@ import (
 	"repro/internal/reshape"
 	"repro/internal/simnet"
 	"repro/pkg/api"
-)
-
-// APIVersion is the version field stamped on every v1 response body.
-const APIVersion = api.Version
-
-// Aliases for the versioned wire types: handlers and existing callers keep
-// their names, pkg/api keeps the single source of truth.
-type (
-	PlanRequest     = api.PlanRequest
-	PlanResponse    = api.PlanResponse
-	EmbedRequest    = api.EmbedRequest
-	EmbedResponse   = api.EmbedResponse
-	CompareRequest  = api.CompareRequest
-	CompareRow      = api.CompareRow
-	CompareResponse = api.CompareResponse
-	DebugInfo       = api.DebugInfo
 )
 
 // maxNodes bounds the guests /v1/plan and /v1/embed accept; bigger shapes
@@ -173,9 +156,6 @@ func (s *Server) AttachFabric(p *fabric.Pool) { s.pool = p }
 
 // CacheStats returns the result cache's counters (for tests and /metrics).
 func (s *Server) CacheStats() ResultCacheStats { return s.cache.stats() }
-
-// Coalesced returns how many requests joined an in-flight computation.
-func (s *Server) Coalesced() uint64 { return s.m.coalesced.Load() }
 
 // Handler returns the service's routes.
 func (s *Server) Handler() http.Handler {
@@ -363,17 +343,13 @@ func famKey(f guest.Family) string {
 	return f.String() + "|"
 }
 
-// cachedResult is one fully-measured LRU entry, always in canonical axis
-// order.  Entries are immutable after insertion.
+// cachedResult is one LRU entry, always in canonical axis order.  Entries
+// are immutable after insertion.
 type cachedResult struct {
-	plan     string
-	method   int
-	dilBound int // plan's a-priori dilation bound; -1 when unknown/none
-	cubeDim  int
-	measured bool
-	metrics  embed.Metrics
-	emb      *embed.Embedding // nil for plan-only entries
-	compare  *CompareResponse // only for compare entries
+	plan    api.PlanEntry        // the served plan record (a Gray embed: cube and bound only)
+	metrics api.Metrics          // embed entries only
+	emb     *embed.Embedding     // nil for plan-only entries
+	compare *api.CompareResponse // only for compare entries
 }
 
 // lookup is the cache → coalescer → compute path shared by the endpoints.
@@ -430,7 +406,7 @@ func (s *Server) lookup(ctx context.Context, key string, compute func(ctx contex
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	var req PlanRequest
+	var req api.PlanRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
@@ -471,20 +447,20 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		s.m.tierL0.Add(1)
 	}
 	meta.setSource(source)
-	resp := PlanResponse{
-		Version:       APIVersion,
+	resp := api.PlanResponse{
+		Version:       api.Version,
 		Shape:         sh.String(),
 		Family:        famEcho(fam),
 		Nodes:         sh.Nodes(),
-		CubeDim:       res.cubeDim,
-		Plan:          res.plan,
-		Method:        res.method,
-		DilationBound: res.dilBound,
-		Certificate:   s.countCert(bounds.PlanCertificate(fam, sh, res.cubeDim, res.dilBound)),
+		CubeDim:       res.plan.CubeDim,
+		Plan:          res.plan.Plan,
+		Method:        res.plan.Method,
+		DilationBound: res.plan.Dilation,
+		Certificate:   s.countCert(bounds.PlanCertificate(fam, sh, res.plan.CubeDim, res.plan.Dilation)),
 		Source:        source,
 	}
 	if meta != nil && meta.debug {
-		resp.Debug = &DebugInfo{
+		resp.Debug = &api.DebugInfo{
 			RequestID: meta.id,
 			PlanTrace: s.debugProvenance(r.Context(), fam, sh),
 		}
@@ -493,16 +469,8 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func planResult(p *core.Plan) *cachedResult {
-	dil := p.Dilation
-	if dil == core.DilationUnknown {
-		dil = -1
-	}
-	return &cachedResult{plan: p.String(), method: p.Method, dilBound: dil, cubeDim: p.CubeDim}
-}
-
 func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
-	var req EmbedRequest
+	var req api.EmbedRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
@@ -541,16 +509,16 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta.setSource(source)
-	resp := EmbedResponse{
-		Version:       APIVersion,
+	resp := api.EmbedResponse{
+		Version:       api.Version,
 		Shape:         sh.String(),
 		Family:        famEcho(fam),
 		Mode:          mode,
 		Deprecation:   deprecation,
-		Plan:          res.plan,
-		Method:        res.method,
-		DilationBound: res.dilBound,
-		Metrics:       api.Metrics(res.metrics),
+		Plan:          res.plan.Plan,
+		Method:        res.plan.Method,
+		DilationBound: res.plan.Dilation,
+		Metrics:       res.metrics,
 		Source:        source,
 	}
 	resp.Metrics.Guest = sh.String() // metrics are relabeling-invariant
@@ -568,7 +536,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		resp.Embedding = e.Serial()
 	}
 	if meta != nil && meta.debug {
-		resp.Debug = &DebugInfo{RequestID: meta.id}
+		resp.Debug = &api.DebugInfo{RequestID: meta.id}
 		if mode == "decomposition" {
 			resp.Debug.PlanTrace = s.debugProvenance(r.Context(), fam, canon)
 		}
@@ -586,13 +554,13 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 		_, span := obs.Start(ctx, "build")
 		e = embed.Gray(canon)
 		span.End()
-		res = &cachedResult{cubeDim: e.N, dilBound: 1}
+		res = &cachedResult{plan: api.PlanEntry{CubeDim: e.N, Dilation: 1}}
 	default:
 		p, err := s.planFor(ctx, fam, canon)
 		if err != nil {
 			return nil, err
 		}
-		res = planResult(p)
+		res = &cachedResult{plan: p.Entry()}
 		_, bspan := obs.Start(ctx, "build")
 		e = p.Build()
 		bspan.End()
@@ -604,13 +572,12 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 		return nil, fmt.Errorf("embedserver: built an invalid embedding: %w", err)
 	}
 	res.metrics = e.MeasureParallelCtx(ctx, s.cfg.Workers)
-	res.measured = true
 	res.emb = e
 	return res, nil
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	var req CompareRequest
+	var req api.CompareRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
 		return
@@ -649,7 +616,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.Source = source
 	if meta != nil && meta.debug {
-		resp.Debug = &DebugInfo{
+		resp.Debug = &api.DebugInfo{
 			RequestID: meta.id,
 			PlanTrace: s.debugProvenance(r.Context(), fam, canon),
 		}
@@ -691,20 +658,16 @@ func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mes
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	resp := &CompareResponse{Version: APIVersion}
+	resp := &api.CompareResponse{Version: api.Version}
 	for _, name := range names {
 		tctx, tspan := obs.Start(ctx, "technique:"+name)
 		m := es[name].MeasureParallelCtx(tctx, s.cfg.Workers)
 		tspan.End()
-		resp.Rows = append(resp.Rows, CompareRow{Technique: name, Metrics: api.Metrics(m)})
+		resp.Rows = append(resp.Rows, api.CompareRow{Technique: name, Metrics: m})
 	}
 	if withSimnet {
 		_, sspan := obs.Start(ctx, "simnet")
-		rounds := simnet.CompareEmbeddingsParallel(es, s.cfg.Workers)
-		resp.Simnet = make(map[string]api.SimRoundStats, len(rounds))
-		for name, rs := range rounds {
-			resp.Simnet[name] = api.SimRoundStats(rs)
-		}
+		resp.Simnet = simnet.CompareEmbeddingsParallel(es, s.cfg.Workers)
 		sspan.End()
 	}
 	return &cachedResult{compare: resp}, nil
@@ -740,7 +703,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, api.HealthzResponse{Status: "ok", Version: APIVersion})
+	writeJSON(w, http.StatusOK, api.HealthzResponse{Status: "ok", Version: api.Version})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

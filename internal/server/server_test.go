@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/mesh"
+	"repro/pkg/api"
 )
 
 func post(t *testing.T, h http.Handler, path, body string) (*httptest.ResponseRecorder, map[string]json.RawMessage) {
@@ -45,15 +46,15 @@ func TestPlanEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("plan: %d %s", rec.Code, rec.Body.String())
 	}
-	var resp PlanResponse
+	var resp api.PlanResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Version != APIVersion || resp.CubeDim != 8 || resp.Plan == "" || resp.Source != "computed" {
+	if resp.Version != api.Version || resp.CubeDim != 8 || resp.Plan == "" || resp.Source != "computed" {
 		t.Fatalf("plan response: %+v", resp)
 	}
 	rec, _ = post(t, h, "/v1/plan", `{"shape":"5x6x7"}`)
-	var again PlanResponse
+	var again api.PlanResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &again)
 	if again.Source != "cache" || again.Plan != resp.Plan {
 		t.Fatalf("second plan not cached: %+v", again)
@@ -66,7 +67,7 @@ func TestEmbedEndpointWithMap(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("embed: %d %s", rec.Code, rec.Body.String())
 	}
-	var resp EmbedResponse
+	var resp api.EmbedResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestEmbedEndpointWithMap(t *testing.T) {
 	if err := e.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.Measure(); got != embed.Metrics(resp.Metrics) {
+	if got := e.Measure(); got != resp.Metrics {
 		t.Fatalf("served metrics %+v != remeasured %+v", resp.Metrics, got)
 	}
 }
@@ -95,14 +96,14 @@ func TestEmbedPermutedHit(t *testing.T) {
 	s := New(Config{})
 	h := s.Handler()
 	rec, _ := post(t, h, "/v1/embed", `{"shape":"5x6x7","include_map":true}`)
-	var first EmbedResponse
+	var first api.EmbedResponse
 	_ = json.Unmarshal(rec.Body.Bytes(), &first)
 
 	rec, _ = post(t, h, "/v1/embed", `{"shape":"7x6x5","include_map":true}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("permuted embed: %d %s", rec.Code, rec.Body.String())
 	}
-	var resp EmbedResponse
+	var resp api.EmbedResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEmbedPermutedHit(t *testing.T) {
 		t.Fatalf("relabeled map invalid: %v", err)
 	}
 	got := e.Measure()
-	want := embed.Metrics(first.Metrics)
+	want := first.Metrics
 	want.Guest = "7x6x5"
 	if got != want {
 		t.Fatalf("relabeled metrics %+v, want %+v", got, want)
@@ -140,7 +141,7 @@ func TestEmbedModes(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("%s: %d %s", mode, rec.Code, rec.Body.String())
 		}
-		var resp EmbedResponse
+		var resp api.EmbedResponse
 		_ = json.Unmarshal(rec.Body.Bytes(), &resp)
 		if resp.Mode != wantMode[mode] {
 			t.Fatalf("mode = %q", resp.Mode)
@@ -163,7 +164,7 @@ func TestCompareEndpoint(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("compare: %d %s", rec.Code, rec.Body.String())
 	}
-	var resp CompareResponse
+	var resp api.CompareResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestShed429(t *testing.T) {
 	}
 	s.flights.mu.Lock()
 	c := s.flights.m["embed|decomposition|3x5x7"]
-	c.val = &cachedResult{metrics: embed.Metrics{}, emb: embed.New(mesh.Shape{3, 5, 7}, 7)}
+	c.val = &cachedResult{emb: embed.New(mesh.Shape{3, 5, 7}, 7)}
 	delete(s.flights.m, "embed|decomposition|3x5x7")
 	s.flights.mu.Unlock()
 	close(release)
@@ -327,14 +328,14 @@ func TestCoalescing(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("result-cache misses = %d, want exactly 1", st.Misses)
 	}
-	if got := st.Hits + s.Coalesced(); got != clients-1 {
-		t.Fatalf("hits(%d)+coalesced(%d) = %d, want %d", st.Hits, s.Coalesced(), got, clients-1)
+	if got := st.Hits + s.m.coalesced.Load(); got != clients-1 {
+		t.Fatalf("hits(%d)+coalesced(%d) = %d, want %d", st.Hits, s.m.coalesced.Load(), got, clients-1)
 	}
 	// All clients saw the same metrics, modulo the source field.
-	var want EmbedResponse
+	var want api.EmbedResponse
 	_ = json.Unmarshal([]byte(bodies[0]), &want)
 	for i := 1; i < clients; i++ {
-		var got EmbedResponse
+		var got api.EmbedResponse
 		_ = json.Unmarshal([]byte(bodies[i]), &got)
 		if got.Metrics != want.Metrics || got.Plan != want.Plan {
 			t.Fatalf("client %d diverged: %+v vs %+v", i, got.Metrics, want.Metrics)

@@ -67,7 +67,7 @@ func (s *Server) resolvePlan(ctx context.Context, fam guest.Family, sh mesh.Shap
 	cspan.End()
 	if ok {
 		s.m.tierClosedForm.Add(1)
-		return planResult(p), "closed_form", nil
+		return &cachedResult{plan: p.Entry()}, "closed_form", nil
 	}
 	if a := s.artifact; a != nil && a.Header().Family == fam.String() {
 		_, aspan := obs.Start(ctx, "artifact-lookup")
@@ -78,7 +78,7 @@ func (s *Server) resolvePlan(ctx context.Context, fam guest.Family, sh mesh.Shap
 		}
 		if hit {
 			s.m.tierArtifact.Add(1)
-			return &cachedResult{plan: rec.Plan, method: rec.Method, dilBound: rec.Dilation, cubeDim: rec.CubeDim}, "artifact", nil
+			return &cachedResult{plan: rec}, "artifact", nil
 		}
 	}
 	_, span := obs.Start(ctx, "plan")
@@ -88,7 +88,7 @@ func (s *Server) resolvePlan(ctx context.Context, fam guest.Family, sh mesh.Shap
 		return nil, "", errBadRequest("%v", err)
 	}
 	s.m.tierCompute.Add(1)
-	return planResult(p), "computed", nil
+	return &cachedResult{plan: p.Entry()}, "computed", nil
 }
 
 // planFor resolves the plan stage of an embed/compare computation through

@@ -33,7 +33,7 @@ func buildArtifact(t testing.TB, dims, maxAxis int) *artifact.Artifact {
 	}
 	for c := 1; c <= maxAxis; c++ {
 		artifact.EachShapeWithMax(dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.Plan(s)); err != nil {
+			if err := b.Add(s, pl.Plan(s).Entry()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -49,10 +49,10 @@ func buildArtifact(t testing.TB, dims, maxAxis int) *artifact.Artifact {
 	return a
 }
 
-func planResponse(t *testing.T, h http.Handler, body string) (int, PlanResponse) {
+func planResponse(t *testing.T, h http.Handler, body string) (int, api.PlanResponse) {
 	t.Helper()
 	rec, _ := post(t, h, "/v1/plan", body)
-	var resp PlanResponse
+	var resp api.PlanResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestAttachArtifactFingerprintMismatch(t *testing.T) {
 	}
 	for c := 1; c <= 4; c++ {
 		artifact.EachShapeWithMax(2, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.Plan(s)); err != nil {
+			if err := b.Add(s, pl.Plan(s).Entry()); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -346,6 +346,6 @@ func BenchmarkPlanTierCompute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := core.PlanShape(sh, core.DefaultOptions)
-		benchSink = planResult(p)
+		benchSink = &cachedResult{plan: p.Entry()}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/mesh"
 	"repro/internal/sweep"
+	"repro/pkg/api"
 )
 
 // Network is an n-cube of nodes connected by bidirectional links, each
@@ -41,23 +42,14 @@ type Message struct {
 	Path cube.Path
 }
 
-// RoundStats reports the outcome of simulating one communication round.
-type RoundStats struct {
-	Messages  int
-	TotalHops int     // Σ path lengths
-	MaxHops   int     // longest path (≥ dilation of the worst pair)
-	Makespan  int     // steps until every message is delivered
-	MaxLink   int     // most messages crossing one directed link
-	AvgHops   float64 // TotalHops / Messages
-}
-
 // directedLink identifies one direction of a cube link.
 type directedLink struct {
 	from cube.Node
 	dim  int
 }
 
-// Run delivers all messages and returns the round statistics.
+// Run delivers all messages and returns the round statistics, the served
+// api.SimRoundStats.
 //
 // The model: time advances in steps; a message occupies one link per step
 // along its (fixed) path; each directed link carries at most one message
@@ -65,8 +57,8 @@ type directedLink struct {
 // classical store-and-forward model with unit-size messages, for which
 // makespan ≥ max(MaxHops, MaxLink) and the gap above that bound reflects
 // head-of-line blocking.
-func (nw *Network) Run(msgs []Message) RoundStats {
-	stats := RoundStats{Messages: len(msgs)}
+func (nw *Network) Run(msgs []Message) api.SimRoundStats {
+	stats := api.SimRoundStats{Messages: len(msgs)}
 	type flight struct {
 		path cube.Path
 		pos  int // next hop index
@@ -157,23 +149,23 @@ func StencilExchange(e *embed.Embedding) []Message {
 // embedding); each simulation is itself deterministic and the results are
 // assembled by sorted name, so the output is identical for every worker
 // count.
-func CompareEmbeddings(es map[string]*embed.Embedding) map[string]RoundStats {
+func CompareEmbeddings(es map[string]*embed.Embedding) map[string]api.SimRoundStats {
 	return CompareEmbeddingsParallel(es, 0)
 }
 
 // CompareEmbeddingsParallel is CompareEmbeddings with an explicit worker
 // count (values below one mean GOMAXPROCS, as in package sweep).
-func CompareEmbeddingsParallel(es map[string]*embed.Embedding, workers int) map[string]RoundStats {
+func CompareEmbeddingsParallel(es map[string]*embed.Embedding, workers int) map[string]api.SimRoundStats {
 	names := make([]string, 0, len(es))
 	for name := range es {
 		names = append(names, name)
 	}
 	sort.Strings(names) // deterministic item order
-	stats := sweep.Map(len(names), workers, func(i int) RoundStats {
+	stats := sweep.Map(len(names), workers, func(i int) api.SimRoundStats {
 		e := es[names[i]]
 		return New(e.N).Run(StencilExchange(e))
 	})
-	out := make(map[string]RoundStats, len(es))
+	out := make(map[string]api.SimRoundStats, len(es))
 	for i, name := range names {
 		out[name] = stats[i]
 	}

@@ -91,9 +91,6 @@ func TestFoldCtxEmpty(t *testing.T) {
 // TestFoldCtxTracedTree checks FoldCtx records the same sweep / worker span
 // tree as MapCtx under an active trace, and still folds in index order.
 func TestFoldCtxTracedTree(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	ctx, root := obs.StartRoot(context.Background(), "test")
 	const n, workers = 257, 8

@@ -27,9 +27,6 @@ func TestMapCtxMatchesMap(t *testing.T) {
 // one pool span, one span per worker, item counts summing to n, and an
 // imbalance summary on the pool span.
 func TestMapCtxTracedTree(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 
 	ctx, root := obs.StartRoot(context.Background(), "test")
 	const n, workers = 257, 8
@@ -104,9 +101,6 @@ func attr(s *obs.SpanJSON, key string) any {
 }
 
 func TestMapCtxPanicPropagates(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	defer obs.SetEnabled(prev)
 	ctx, root := obs.StartRoot(context.Background(), "test")
 	defer root.End()
 	defer func() {

@@ -36,8 +36,8 @@ const Version = 2
 // Schema stamp identifies a pre-certificate row.
 const JobSchemaVersion = 2
 
-// Metrics is the measured quality of one embedding.  It mirrors the
-// metrics engine's result field-for-field.  The JSON tags declare the
+// Metrics is the measured quality of one embedding: the metrics engine
+// (internal/embed) fills it directly.  The JSON tags declare the
 // historical schema-v1 wire bytes (Go field names, pinned by the golden
 // files) explicitly; Wirelength (schema v2) is the total routed path
 // length, Σ per-edge dilation.  Family names the guest family ("mesh",
@@ -56,6 +56,20 @@ type Metrics struct {
 	Congestion    int     `json:"Congestion"`
 	AvgCongestion float64 `json:"AvgCongestion"`
 	LoadFactor    int     `json:"LoadFactor"`
+}
+
+// String renders the metrics compactly.  The torus keeps its historical
+// " (wraparound)" marker; other non-mesh families show their name.
+func (m Metrics) String() string {
+	w := ""
+	switch {
+	case m.Wrap || m.Family == "torus":
+		w = " (wraparound)"
+	case m.Family != "" && m.Family != "mesh":
+		w = " (" + m.Family + ")"
+	}
+	return fmt.Sprintf("%s%s -> %d-cube: exp=%.4f minimal=%v dil=%d avgdil=%.4f wl=%d cong=%d avgcong=%.4f load=%d",
+		m.Guest, w, m.CubeDim, m.Expansion, m.Minimal, m.Dilation, m.AvgDilation, m.Wirelength, m.Congestion, m.AvgCongestion, m.LoadFactor)
 }
 
 // LowerBounds are the certified per-shape floors no one-to-one embedding
@@ -103,16 +117,17 @@ type EmbeddingSerial struct {
 	Map     []uint64 `json:"map"`
 }
 
-// SimRoundStats is one simulated store-and-forward stencil-exchange round
-// (mirrors internal/simnet.RoundStats).  The JSON tags declare the
-// historical schema-v1 wire bytes — Go field names — explicitly.
+// SimRoundStats is one simulated store-and-forward stencil-exchange round,
+// as the network simulator (internal/simnet) returns it.  The JSON tags
+// declare the historical schema-v1 wire bytes — Go field names —
+// explicitly.
 type SimRoundStats struct {
 	Messages  int     `json:"Messages"`
-	TotalHops int     `json:"TotalHops"`
-	MaxHops   int     `json:"MaxHops"`
-	Makespan  int     `json:"Makespan"`
-	MaxLink   int     `json:"MaxLink"`
-	AvgHops   float64 `json:"AvgHops"`
+	TotalHops int     `json:"TotalHops"` // Σ path lengths
+	MaxHops   int     `json:"MaxHops"`   // longest path (≥ dilation of the worst pair)
+	Makespan  int     `json:"Makespan"`  // steps until every message is delivered
+	MaxLink   int     `json:"MaxLink"`   // most messages crossing one directed link
+	AvgHops   float64 `json:"AvgHops"`   // TotalHops / Messages
 }
 
 // ModeTorusDeprecation is the deprecation note served when a request

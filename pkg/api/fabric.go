@@ -34,7 +34,8 @@ type ChunkRequest struct {
 	Chunk   int              `json:"chunk"`
 	// Trace is the coordinator's dispatch-span identity.  When set, the
 	// worker runs the chunk under a child span and returns its snapshot in
-	// ChunkResult.Span; when absent (tracing off) the worker records nothing.
+	// ChunkResult.Span; when absent (the dispatch ran under no span) the
+	// worker records nothing.
 	Trace *TraceContext `json:"trace,omitempty"`
 }
 

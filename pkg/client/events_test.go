@@ -123,9 +123,6 @@ func TestJobEventsStream(t *testing.T) {
 
 // TestJobTrace fetches the stitched span tree of a traced job run.
 func TestJobTrace(t *testing.T) {
-	prev := obs.Enabled()
-	obs.SetEnabled(true)
-	t.Cleanup(func() { obs.SetEnabled(prev) })
 	c, _ := newTestClient(t)
 	ctx := context.Background()
 	id := submitCensus(t, c)

@@ -3,8 +3,9 @@
 # /healthz and one /v1/embed, then shut it down gracefully via SIGTERM.
 # Also runs the CLI file path: `embedctl embed -o` saves embeddings of three
 # families and `embedctl verify` reloads them, together with a map saved
-# from a /v1/embed include_map response.  Backs the `make serve-smoke`
-# target (part of `make check`).
+# from a /v1/embed include_map response; the whole response must be
+# refused with a message naming its embedding object.  Backs the
+# `make serve-smoke` target (part of `make check`).
 set -eu
 
 GO="${GO:-go}"
@@ -68,6 +69,12 @@ sed -n '/^  "embedding": {/,/^  }/p' "$tmp/served.json" | sed '1s/^  "embedding"
 grep -q '"guest": "7x6x5"' "$tmp/served.map.json" ||
     { echo "serve-smoke: no embedding object in $(cat "$tmp/served.json")"; exit 1; }
 verify_saved served "$tmp/served.map.json" "$tmp/mesh.embed"
+# The whole response is not an embedding file: verify must exit 1 and say
+# which object to verify instead of misreading the API version.
+vstatus=0
+"$tmp/embedctl" verify "$tmp/served.json" >"$tmp/served.verify" 2>&1 || vstatus=$?
+[ "$vstatus" -eq 1 ] && grep -q 'whole /v1/embed response; verify its "embedding" object' "$tmp/served.verify" ||
+    { echo "serve-smoke: verify of a whole response exited $vstatus: $(cat "$tmp/served.verify")"; exit 1; }
 
 kill -TERM "$pid"
 wait "$pid" || { echo "serve-smoke: server exited non-zero:"; cat "$tmp/log"; exit 1; }
