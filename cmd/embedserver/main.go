@@ -7,6 +7,11 @@
 //
 //	embedserver -addr :8080 -workers 0 -cache-size 1024 -max-inflight 256 -timeout 30s
 //
+// -workers bounds the parallelism of any one computation: a measurement, a
+// compare, or a job chunk, whether this server runs the job or executes
+// the chunk for a fabric coordinator (<1: GOMAXPROCS).  A job request's own
+// "workers" overrides it for that job's chunks.
+//
 // Observability:
 //
 //	-log-level debug|info|warn|error   access-log verbosity (default info)
@@ -38,7 +43,6 @@
 //	                                   result streams
 //	-job-queue N                       bounded submission queue (429 beyond)
 //	-job-runners N                     concurrent job executors
-//	-job-workers N                     default per-chunk worker bound
 //	-checkpoint-every N                chunks between checkpoints
 //
 // Distributed sweep fabric:
@@ -83,7 +87,6 @@ import (
 	"repro/internal/fabric/fabrichttp"
 	"repro/internal/jobs"
 	"repro/internal/server"
-	"repro/pkg/api"
 	"repro/pkg/client"
 )
 
@@ -99,7 +102,7 @@ const (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-	workers := flag.Int("workers", 0, "metrics-engine workers per measurement (<1: GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "workers per computation: a measurement, a compare or a job chunk (<1: GOMAXPROCS)")
 	cacheSize := flag.Int("cache-size", 1024, "fully-measured result LRU entries (negative disables)")
 	maxInflight := flag.Int("max-inflight", 256, "concurrently served API requests before shedding with 429")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
@@ -112,7 +115,6 @@ func main() {
 	dataDir := flag.String("data-dir", "", "enable /v1/jobs, persisting job state and results under this directory (empty: jobs disabled)")
 	jobQueue := flag.Int("job-queue", 8, "bounded job submission queue; full submissions get 429")
 	jobRunners := flag.Int("job-runners", 1, "concurrent job executors")
-	jobWorkers := flag.Int("job-workers", 0, "default per-chunk worker bound for jobs (<1: GOMAXPROCS)")
 	checkpointEvery := flag.Int("checkpoint-every", 8, "chunks between job checkpoints")
 	fabricSecret := flag.String("fabric-secret", "", "shared secret enabling the fabric endpoints (worker chunk execution and peer registration)")
 	peersFlag := flag.String("peers", "", "comma-separated embedserver base URLs to dispatch distributed job chunks to")
@@ -176,10 +178,8 @@ func main() {
 		// entry point the HTTP worker endpoint uses, so a coordinator that
 		// loses every worker keeps folding byte-identical results.
 		pool = fabric.NewPool(fabric.Config{
-			Dial: fabrichttp.Dialer(*fabricSecret),
-			Local: fabric.Loopback(func(ctx context.Context, req api.ChunkRequest) (*api.ChunkResult, error) {
-				return jobs.ExecuteChunk(ctx, req, *jobWorkers, s.Planner())
-			}),
+			Dial:            fabrichttp.Dialer(*fabricSecret),
+			Local:           fabric.Loopback(s.ExecuteChunk),
 			InFlightPerPeer: *fabricInflight,
 			Logger:          logger,
 		})
@@ -202,7 +202,7 @@ func main() {
 			DataDir:         *dataDir,
 			QueueDepth:      *jobQueue,
 			Runners:         *jobRunners,
-			DefaultWorkers:  *jobWorkers,
+			DefaultWorkers:  *workers,
 			CheckpointEvery: *checkpointEvery,
 			Planner:         s.Planner(), // jobs warm the serving path's plan cache
 			Fabric:          pool,        // nil unless -fabric-secret: distributed jobs rejected

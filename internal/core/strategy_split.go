@@ -69,28 +69,10 @@ func (pc *planContext) planBy2DSplit(s mesh.Shape) *Plan {
 		for p := 0; p <= target; p++ {
 			P := uint64(1) << uint(p)
 			Q := total / P
-			lpMax := int(P) / la
-			if lpMax < 1 || Q < 1 {
+			// ℓ'' is a Gray factor, ⌈ℓ''⌉₂ == Q: method 4's split with ℓb = 1.
+			lp, lpp, ok := splitFactors(lm, la, 1, P, Q)
+			if !ok {
 				continue
-			}
-			// ℓ'' is a Gray factor: ⌈ℓ''⌉₂ == Q means ℓ'' ∈ (Q/2, Q].
-			lppMax := int(Q)
-			if lpMax*lppMax < lm {
-				continue
-			}
-			lpp := (lm + lpMax - 1) / lpMax
-			if lo := int(Q/2) + 1; lpp < lo {
-				lpp = lo
-			}
-			if lpp > lppMax {
-				continue
-			}
-			lp := (lm + lpp - 1) / lpp
-			if lo := int(P/2)/la + 1; lp < lo {
-				lp = lo
-			}
-			if lp > lpMax || lp*lpp < lm {
-				lp = lpMax
 			}
 			if bits.CeilPow2(uint64(la*lp))*bits.CeilPow2(uint64(lpp)) != total {
 				continue

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -25,9 +24,8 @@ const maxAttempts = 5
 // Concurrency model: all scheduling state is mutated only by the Run
 // goroutine — executions run in worker goroutines that report back over a
 // channel, and the fold callback runs on the Run goroutine itself (it
-// writes the job's result files).  The mutex exists solely so Progress and
-// Owners can snapshot the state from other goroutines (job status, the
-// checkpoint writer).
+// writes the job's result files).  The mutex exists solely so Progress can
+// snapshot the state from other goroutines (job status).
 //
 // Determinism: a chunk may execute more than once (requeue after a peer
 // failure, client-level retry), but every execution of a chunk returns the
@@ -368,22 +366,4 @@ func (d *Dispatch) Progress() api.FabricProgress {
 		})
 	}
 	return out
-}
-
-// Owners maps currently-executing chunk indexes (as decimal strings, for
-// JSON) to their peer address — the checkpoint's ownership record.  The
-// fold frontier, not ownership, carries resume correctness; owners make a
-// recovered coordinator's first status report (and debugging) honest about
-// where interrupted chunks were.
-func (d *Dispatch) Owners() map[string]string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.running) == 0 {
-		return nil
-	}
-	m := make(map[string]string, len(d.running))
-	for chunk, pr := range d.running {
-		m[strconv.Itoa(chunk)] = pr.addr
-	}
-	return m
 }

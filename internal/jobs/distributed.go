@@ -14,7 +14,6 @@ import (
 // them strictly in index order on this goroutine, each committed through
 // the same log as the local loop's.  It is the local loop's execute → fold
 // with the execute half moved to a peer, so the stream is the same bytes.
-// Its checkpoints also record which peer each in-flight chunk was on.
 func (m *Manager) runBodyDistributed(ctx context.Context, l *resultLog) error {
 	d := fabric.NewDispatch(m.cfg.Fabric, l.j.req, l.total)
 	l.j.mu.Lock()
@@ -32,11 +31,11 @@ func (m *Manager) runBodyDistributed(ctx context.Context, l *resultLog) error {
 		if err != nil {
 			return err
 		}
-		return l.commit(buf.Bytes(), n, d.Owners)
+		return l.commit(buf.Bytes(), n)
 	})
 	// errAbandoned is the test hook's simulated kill: no further disk writes.
 	if err != nil && !errors.Is(err, errAbandoned) && ctx.Err() != nil {
-		_ = l.checkpoint(nil) // best effort, as in runBody
+		_ = l.checkpoint() // best effort, as in runBody
 		return ctx.Err()
 	}
 	return err

@@ -611,10 +611,24 @@ func TestResumeAcrossAlternatingSources(t *testing.T) {
 	}
 	<-abandoned
 	closeManager(t, m1)
+	// Checkpoints of fabric runs used to carry an "owners" map of in-flight
+	// chunks; one written that way must still load and resume.
+	ckPath := filepath.Join(dir, st.ID, checkpointFile)
+	var ck map[string]json.RawMessage
+	if raw, err := os.ReadFile(ckPath); err != nil || json.Unmarshal(raw, &ck) != nil {
+		t.Fatalf("reading the fabric leg's checkpoint: %v", err)
+	}
+	ck["owners"] = json.RawMessage(`{"3":"worker-1","4":"worker-2"}`)
+	if err := writeJSONAtomic(ckPath, ck); err != nil {
+		t.Fatal(err)
+	}
 
 	m2, abandoned := leg(nil, 10)
 	<-abandoned
 	closeManager(t, m2)
+	if got := m2.Stats().ChunksDone; got != 8 {
+		t.Fatalf("local leg committed %d chunks, want 8 (chunks 3..10, resumed from the fabric leg's checkpoint)", got)
+	}
 	if ck, err := readCheckpoint(filepath.Join(dir, st.ID)); err != nil || ck == nil || ck.NextChunk != 9 {
 		t.Fatalf("local leg left checkpoint %+v (%v), want next_chunk 9", ck, err)
 	}

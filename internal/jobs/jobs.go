@@ -468,9 +468,10 @@ func (m *Manager) ArtifactPath(id string) (string, error) {
 	return filepath.Join(j.dir, ArtifactFile), nil
 }
 
-// TracePath returns the span-tree file of a job's last run.  Unknown ids
-// are ErrNotFound; a job whose run has not produced a trace yet (queued,
-// still running, or cancelled before it ran) is ErrNotReady.
+// TracePath returns the span-tree file of a job's last run, which every
+// run writes as it ends.  Unknown ids are ErrNotFound; a job no run of
+// which has finished yet (queued, running, or cancelled before it ran) is
+// ErrNotReady.
 func (m *Manager) TracePath(id string) (string, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
@@ -480,7 +481,7 @@ func (m *Manager) TracePath(id string) (string, error) {
 	}
 	p := filepath.Join(j.dir, traceFile)
 	if _, err := os.Stat(p); err != nil {
-		return "", fmt.Errorf("%w: job %s has no trace (tracing off, or the run has not finished)", ErrNotReady, id)
+		return "", fmt.Errorf("%w: job %s has no trace: no run of it has finished yet (it is queued, running, or was cancelled before it ran)", ErrNotReady, id)
 	}
 	return p, nil
 }
@@ -751,10 +752,8 @@ func (m *Manager) resumePoint(j *job, r kindRunner, size int64) *checkpoint {
 
 // commit appends the next chunk's records and advances the commit state:
 // the manager's lifetime counters, the job's progress and ETA, the
-// afterChunk hook, and a checkpoint every CheckpointEvery chunks.  owners,
-// passed by the fabric source only, supplies the checkpoint's in-flight
-// chunk map.
-func (l *resultLog) commit(rows []byte, n uint64, owners func() map[string]string) error {
+// afterChunk hook, and a checkpoint every CheckpointEvery chunks.
+func (l *resultLog) commit(rows []byte, n uint64) error {
 	if _, err := l.f.Write(rows); err != nil {
 		return err
 	}
@@ -783,11 +782,7 @@ func (l *resultLog) commit(rows []byte, n uint64, owners func() map[string]strin
 		}
 	}
 	if l.next < l.total && l.next-l.lastCkpt >= m.cfg.CheckpointEvery {
-		var o map[string]string
-		if owners != nil {
-			o = owners()
-		}
-		if err := l.checkpoint(o); err != nil {
+		if err := l.checkpoint(); err != nil {
 			return err
 		}
 		l.lastCkpt = l.next
@@ -799,8 +794,7 @@ func (l *resultLog) commit(rows []byte, n uint64, owners func() map[string]strin
 // checkpoint syncs the results file and atomically replaces the checkpoint
 // with the current resume point.  Ordering matters: the data covered by
 // Offset must be durable before a checkpoint referencing it exists.
-// owners is a distributed run's in-flight chunk → peer map.
-func (l *resultLog) checkpoint(owners map[string]string) error {
+func (l *resultLog) checkpoint() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
@@ -811,7 +805,6 @@ func (l *resultLog) checkpoint(owners map[string]string) error {
 	return writeJSONAtomic(filepath.Join(l.j.dir, checkpointFile), checkpoint{
 		Version: api.JobSchemaVersion, JobID: l.j.id,
 		NextChunk: l.next, Offset: l.offset, Shapes: l.shapes, Retries: l.retries, Agg: agg,
-		Owners: owners,
 	})
 }
 
@@ -820,7 +813,7 @@ func (l *resultLog) checkpoint(owners map[string]string) error {
 // persist replays zero chunks and re-appends the finish records onto an
 // identical prefix.
 func (l *resultLog) finish() error {
-	if err := l.checkpoint(nil); err != nil {
+	if err := l.checkpoint(); err != nil {
 		return err
 	}
 	var buf bytes.Buffer
@@ -857,12 +850,12 @@ func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
 			if ctx.Err() != nil {
 				// Best effort: if it fails, the previous checkpoint still
 				// resumes byte-identically, only from an earlier chunk.
-				_ = l.checkpoint(nil)
+				_ = l.checkpoint()
 				return ctx.Err()
 			}
 			return err
 		}
-		if err := l.commit(buf.Bytes(), n, nil); err != nil {
+		if err := l.commit(buf.Bytes(), n); err != nil {
 			return err
 		}
 	}

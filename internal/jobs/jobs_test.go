@@ -374,6 +374,7 @@ func TestPanicExhaustsRetriesFailsJob(t *testing.T) {
 // TestQueueBackpressure: with one runner wedged, QueueDepth bounds
 // admissions and the overflow submission gets ErrQueueFull without leaving
 // any state behind; a queued job can be cancelled before it ever runs.
+// Neither job has a trace until a run of it finishes.
 func TestQueueBackpressure(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
@@ -412,9 +413,17 @@ func TestQueueBackpressure(t *testing.T) {
 	if err != nil || st.State != api.JobCancelled {
 		t.Fatalf("cancel queued = %+v, %v; want cancelled", st.State, err)
 	}
+	for _, id := range []string{running.ID, queued.ID} {
+		if _, err := m.TracePath(id); !errors.Is(err, ErrNotReady) || !strings.Contains(err.Error(), "no run of it has finished") {
+			t.Errorf("TracePath(%s) before any run finished = %v, want ErrNotReady saying so", id, err)
+		}
+	}
 	close(release)
 	if fin := waitTerminal(t, m, running.ID); fin.State != api.JobDone {
 		t.Fatalf("job 1 ended %s, want done", fin.State)
+	}
+	if _, err := m.TracePath(running.ID); err != nil {
+		t.Errorf("TracePath after the run: %v", err)
 	}
 	// The cancelled job must stay cancelled — the runner discards it.
 	waitFor(t, 5*time.Second, "queue to drain", func() bool {

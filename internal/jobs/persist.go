@@ -39,14 +39,6 @@ type checkpoint struct {
 	Shapes    uint64          `json:"shapes"`
 	Retries   int             `json:"retries"`
 	Agg       json.RawMessage `json:"agg,omitempty"`
-	// Owners records, for a distributed job, which peer each chunk in
-	// flight at checkpoint time was assigned to (chunk index → peer
-	// address).  Additive and informational — resume correctness is carried
-	// entirely by NextChunk/Offset/Agg because folding is in-order; owners
-	// let a recovered coordinator (and operators reading the file) see
-	// where interrupted chunks were running.  Absent for local jobs, so the
-	// schema version is unchanged.
-	Owners map[string]string `json:"owners,omitempty"`
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file, fsync

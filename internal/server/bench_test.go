@@ -11,13 +11,35 @@ import (
 // for the repo's perf trajectory (BENCH_PR3.json): the cached-vs-uncached
 // gap is the service's whole reason to exist.
 
-func benchEmbedRequest(b *testing.B, h http.Handler, shape string) {
-	b.Helper()
+func benchEmbedRequest(tb testing.TB, h http.Handler, shape string) {
+	tb.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/embed", strings.NewReader(`{"shape":"`+shape+`"}`))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
-		b.Fatalf("%s: %d %s", shape, rec.Code, rec.Body.String())
+		tb.Fatalf("%s: %d %s", shape, rec.Code, rec.Body.String())
+	}
+}
+
+// raceEnabled is set under the race detector (race_test.go), where
+// allocation counts vary.
+var raceEnabled bool
+
+// TestEmbedHandlerCachedAllocs holds the cached /v1/embed path — the primed
+// requests of BenchmarkEmbedHandlerCached64 and Cached16 — to its
+// allocation budget: the count measured when the budget was set, inside
+// the 60 that EXP-P4 and DESIGN §4f require.
+func TestEmbedHandlerCachedAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const budget = 59
+	for _, shape := range []string{"64x64x64", "16x16x16"} {
+		h := New(Config{}).Handler()
+		benchEmbedRequest(t, h, shape) // prime the cache
+		if got := testing.AllocsPerRun(50, func() { benchEmbedRequest(t, h, shape) }); got > budget {
+			t.Errorf("cached /v1/embed %s: %v allocs/op, budget %d", shape, got, budget)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/subtle"
 	"net/http"
 
@@ -42,6 +43,13 @@ func (s *Server) fabricAuthed(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
+// ExecuteChunk runs one chunk of a job spec with the server's Workers and
+// planner.  The worker endpoint and a coordinator's loopback peer both call
+// it, so every node runs a job's chunks at its one -workers width.
+func (s *Server) ExecuteChunk(ctx context.Context, req api.ChunkRequest) (*api.ChunkResult, error) {
+	return jobs.ExecuteChunk(ctx, req, s.cfg.Workers, s.planner)
+}
+
 // handleChunkExecute is worker mode: build a fresh runner for the enclosed
 // job spec, execute exactly one chunk, return its portable result.  The
 // request is validated exactly like a job submission; determinism of the
@@ -56,7 +64,7 @@ func (s *Server) handleChunkExecute(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, err)
 		return
 	}
-	res, err := jobs.ExecuteChunk(r.Context(), req, s.cfg.Workers, s.planner)
+	res, err := s.ExecuteChunk(r.Context(), req)
 	if err != nil {
 		respondErr(w, r, jobsError(err))
 		return

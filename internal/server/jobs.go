@@ -15,23 +15,23 @@ import (
 // The /v1/jobs handlers.  Submit/list/status/cancel are ordinary
 // instrumented endpoints; the results stream is registered outside the
 // semaphore and the request timeout because it long-polls until the job
-// reaches a terminal state (see Handler).
+// reaches a terminal state (see Handler).  Every one of them is registered
+// behind withJobs, so a handler runs only with a manager attached.
 
-// jobsManager guards every jobs endpoint: without an attached manager the
-// routes answer 503 rather than 404, so a client can tell "no batch
-// subsystem configured" from "no such job".
-func (s *Server) jobsManager(w http.ResponseWriter, r *http.Request) bool {
-	if s.jobs == nil {
-		respondErr(w, r, errUnavailable("batch jobs are not enabled on this server (start embedserver with -data-dir)"))
-		return false
+// withJobs guards a jobs route: without an attached manager it answers 503
+// rather than 404, so a client can tell "no batch subsystem configured"
+// from "no such job".
+func (s *Server) withJobs(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.jobs == nil {
+			respondErr(w, r, errUnavailable("batch jobs are not enabled on this server (start embedserver with -data-dir)"))
+			return
+		}
+		h(w, r)
 	}
-	return true
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
-	}
 	var req api.JobSubmitRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		respondErr(w, r, err)
@@ -46,9 +46,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
-	}
 	writeJSON(w, http.StatusOK, api.JobListResponse{
 		Version: api.Version,
 		Jobs:    s.jobs.List(),
@@ -56,9 +53,6 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
-	}
 	st, err := s.jobs.Status(r.PathValue("id"))
 	if err != nil {
 		respondErr(w, r, jobsError(err))
@@ -68,9 +62,6 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
-	}
 	st, err := s.jobs.Cancel(r.PathValue("id"))
 	if err != nil {
 		respondErr(w, r, jobsError(err))
@@ -84,9 +75,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // be torn or still growing); ServeFile gives clients range requests for
 // free, so an interrupted multi-hundred-MB download can resume.
 func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
-	}
 	path, err := s.jobs.ArtifactPath(r.PathValue("id"))
 	if err != nil {
 		respondErr(w, r, jobsError(err))
@@ -98,12 +86,10 @@ func (s *Server) handleJobArtifact(w http.ResponseWriter, r *http.Request) {
 
 // handleJobTrace downloads a job's span tree — for a distributed job, the
 // single trace stitched from coordinator dispatch/fold spans and every
-// worker's chunk subtrees.  409 until a run has written one (embedctl trace
-// -job renders it as a Chrome trace).
+// worker's chunk subtrees.  409 until a run of the job has finished: while
+// it is queued or running, or when it was cancelled before it ran
+// (embedctl trace -job renders it as a Chrome trace).
 func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if !s.jobsManager(w, r) {
-		return
-	}
 	path, err := s.jobs.TracePath(r.PathValue("id"))
 	if err != nil {
 		respondErr(w, r, jobsError(err))
@@ -122,9 +108,6 @@ const resultsPollInterval = 150 * time.Millisecond
 // results file, which a queued job does not have yet (f is then nil).  When
 // ok is false the request has been answered.
 func (s *Server) openStream(w http.ResponseWriter, r *http.Request, raw, what string) (f *os.File, offset int64, ok bool) {
-	if !s.jobsManager(w, r) {
-		return nil, 0, false
-	}
 	info, err := s.jobs.Results(r.PathValue("id"))
 	if err != nil {
 		respondErr(w, r, jobsError(err))

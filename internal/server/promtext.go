@@ -18,87 +18,68 @@ import (
 // typed counters/gauges/histograms with atomic hot paths and renders them on
 // demand; the output is stable-sorted so scrapes are diffable.
 
-// counterVec is a set of monotonically increasing counters keyed by one
-// label value (endpoint, or endpoint+code joined by the caller).
-type counterVec struct {
-	mu sync.Mutex
-	m  map[string]*atomic.Uint64
-}
-
-func newCounterVec() *counterVec { return &counterVec{m: make(map[string]*atomic.Uint64)} }
-
-func (c *counterVec) get(key string) *atomic.Uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[key]
-	if !ok {
-		v = new(atomic.Uint64)
-		c.m[key] = v
-	}
-	return v
-}
-
-func (c *counterVec) add(key string, n uint64) { c.get(key).Add(n) }
-
-func (c *counterVec) snapshot() map[string]uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]uint64, len(c.m))
-	for k, v := range c.m {
-		out[k] = v.Load()
-	}
-	return out
-}
-
 // latencyBuckets are the histogram upper bounds in seconds, spanning the
 // cached sub-millisecond hits through multi-second cold plans.
-var latencyBuckets = []float64{
+var latencyBuckets = [...]float64{
 	0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// histogram is a fixed-bucket latency histogram (cumulative on render, plain
-// per-bucket counts internally).
-type histogram struct {
+// endpointStats is one route's request accounting: responses by status
+// code and a fixed-bucket latency histogram (plain per-bucket counts,
+// cumulative on render), under one mutex.  instrument fetches a route's
+// stats once, when Handler registers the route, so a request never looks
+// its counters up by name.
+type endpointStats struct {
 	mu     sync.Mutex
-	counts []uint64 // len(latencyBuckets)+1; last is the +Inf overflow
+	codes  map[int]uint64
+	counts [len(latencyBuckets) + 1]uint64 // last is the +Inf overflow
 	sum    float64
 	n      uint64
 }
 
-func newHistogram() *histogram { return &histogram{counts: make([]uint64, len(latencyBuckets)+1)} }
-
-func (h *histogram) observe(seconds float64) {
-	i := sort.SearchFloat64s(latencyBuckets, seconds)
-	h.mu.Lock()
-	h.counts[i]++
-	h.sum += seconds
-	h.n++
-	h.mu.Unlock()
+func (e *endpointStats) observe(code int, seconds float64) {
+	i := sort.SearchFloat64s(latencyBuckets[:], seconds)
+	e.mu.Lock()
+	e.codes[code]++
+	e.counts[i]++
+	e.sum += seconds
+	e.n++
+	e.mu.Unlock()
 }
 
-// histogramVec keys histograms by endpoint.
-type histogramVec struct {
-	mu sync.Mutex
-	m  map[string]*histogram
-}
-
-func newHistogramVec() *histogramVec { return &histogramVec{m: make(map[string]*histogram)} }
-
-func (hv *histogramVec) get(key string) *histogram {
-	hv.mu.Lock()
-	defer hv.mu.Unlock()
-	h, ok := hv.m[key]
-	if !ok {
-		h = newHistogram()
-		hv.m[key] = h
+// render writes the route's request counts (codes ascending) to reqs and
+// its histogram to hist, from one reading.  A route that has served no
+// request writes nothing.
+func (e *endpointStats) render(reqs, hist *strings.Builder, endpoint string) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.n == 0 {
+		return
 	}
-	return h
+	codes := make([]int, 0, len(e.codes))
+	for code := range e.codes {
+		codes = append(codes, code)
+	}
+	sort.Ints(codes)
+	for _, code := range codes {
+		fmt.Fprintf(reqs, "embedserver_requests_total{endpoint=%q,code=\"%d\"} %d\n", endpoint, code, e.codes[code])
+	}
+	cum := uint64(0)
+	for j, ub := range latencyBuckets {
+		cum += e.counts[j]
+		fmt.Fprintf(hist, "embedserver_request_seconds_bucket{endpoint=%q,le=%q} %d\n", endpoint, fmtFloat(ub), cum)
+	}
+	cum += e.counts[len(latencyBuckets)]
+	fmt.Fprintf(hist, "embedserver_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", endpoint, cum)
+	fmt.Fprintf(hist, "embedserver_request_seconds_sum{endpoint=%q} %s\n", endpoint, fmtFloat(e.sum))
+	fmt.Fprintf(hist, "embedserver_request_seconds_count{endpoint=%q} %d\n", endpoint, e.n)
 }
 
 // metrics is the server's metric registry.
 type metrics struct {
-	requests  *counterVec   // key "endpoint|code"
-	latency   *histogramVec // key endpoint
+	mu     sync.Mutex
+	routes map[string]*endpointStats // by endpoint name
+
 	inflight  atomic.Int64
 	shed      atomic.Uint64
 	coalesced atomic.Uint64
@@ -120,60 +101,43 @@ type metrics struct {
 	sseEvents      atomic.Uint64
 }
 
-func newMetrics() *metrics {
-	return &metrics{requests: newCounterVec(), latency: newHistogramVec()}
-}
+func newMetrics() *metrics { return &metrics{routes: make(map[string]*endpointStats)} }
 
-func (m *metrics) observe(endpoint string, code int, seconds float64) {
-	m.requests.add(endpoint+"|"+strconv.Itoa(code), 1)
-	m.latency.get(endpoint).observe(seconds)
+// route returns endpoint's stats, creating them on first use, so every
+// Handler built on one server counts a route in one place.
+func (m *metrics) route(endpoint string) *endpointStats {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	e, ok := m.routes[endpoint]
+	if !ok {
+		e = &endpointStats{codes: make(map[int]uint64)}
+		m.routes[endpoint] = e
+	}
+	return e
 }
 
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
-// render writes the exposition; the caller supplies the cache and planner
-// gauges so the registry stays independent of them.
+// render writes the exposition: the per-route families, routes sorted by
+// name, then the caller's gauges (cache, planner, jobs, fabric, runtime),
+// so the registry stays independent of them.
 func (m *metrics) render(b *strings.Builder, gauges []gauge) {
-	fmt.Fprintf(b, "# HELP embedserver_requests_total Requests served, by endpoint and status code.\n")
-	fmt.Fprintf(b, "# TYPE embedserver_requests_total counter\n")
-	reqs := m.requests.snapshot()
-	keys := make([]string, 0, len(reqs))
-	for k := range reqs {
-		keys = append(keys, k)
+	var hist strings.Builder
+	b.WriteString("# HELP embedserver_requests_total Requests served, by endpoint and status code.\n")
+	b.WriteString("# TYPE embedserver_requests_total counter\n")
+	hist.WriteString("# HELP embedserver_request_seconds Request latency, by endpoint.\n")
+	hist.WriteString("# TYPE embedserver_request_seconds histogram\n")
+	m.mu.Lock() // held only here and at route registration, never per request
+	names := make([]string, 0, len(m.routes))
+	for name := range m.routes {
+		names = append(names, name)
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		ep, code, _ := strings.Cut(k, "|")
-		fmt.Fprintf(b, "embedserver_requests_total{endpoint=%q,code=%q} %d\n", ep, code, reqs[k])
+	sort.Strings(names)
+	for _, name := range names {
+		m.routes[name].render(b, &hist, name)
 	}
-
-	fmt.Fprintf(b, "# HELP embedserver_request_seconds Request latency, by endpoint.\n")
-	fmt.Fprintf(b, "# TYPE embedserver_request_seconds histogram\n")
-	m.latency.mu.Lock()
-	eps := make([]string, 0, len(m.latency.m))
-	for ep := range m.latency.m {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	hists := make([]*histogram, len(eps))
-	for i, ep := range eps {
-		hists[i] = m.latency.m[ep]
-	}
-	m.latency.mu.Unlock()
-	for i, ep := range eps {
-		h := hists[i]
-		h.mu.Lock()
-		cum := uint64(0)
-		for j, ub := range latencyBuckets {
-			cum += h.counts[j]
-			fmt.Fprintf(b, "embedserver_request_seconds_bucket{endpoint=%q,le=%q} %d\n", ep, fmtFloat(ub), cum)
-		}
-		cum += h.counts[len(latencyBuckets)]
-		fmt.Fprintf(b, "embedserver_request_seconds_bucket{endpoint=%q,le=\"+Inf\"} %d\n", ep, cum)
-		fmt.Fprintf(b, "embedserver_request_seconds_sum{endpoint=%q} %s\n", ep, fmtFloat(h.sum))
-		fmt.Fprintf(b, "embedserver_request_seconds_count{endpoint=%q} %d\n", ep, h.n)
-		h.mu.Unlock()
-	}
+	m.mu.Unlock()
+	b.WriteString(hist.String())
 
 	for i, g := range gauges {
 		// Consecutive gauges sharing a name are one metric family with

@@ -78,8 +78,9 @@ const (
 // Config tunes a Server.  The zero value is usable: defaults are filled in
 // by New.
 type Config struct {
-	// Workers bounds the metrics-engine parallelism per measurement
-	// (values below one mean GOMAXPROCS, as in internal/sweep).
+	// Workers bounds the parallelism of any one computation: a
+	// measurement, a compare, or a job chunk this server executes for the
+	// fabric (values below one mean GOMAXPROCS, as in internal/sweep).
 	Workers int
 	// CacheSize bounds the LRU of fully-measured results (default 1024;
 	// negative disables caching).
@@ -165,19 +166,19 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("POST /v1/plan", s.instrument("plan", s.handlePlan))
 	mux.Handle("POST /v1/embed", s.instrument("embed", s.handleEmbed))
 	mux.Handle("POST /v1/compare", s.instrument("compare", s.handleCompare))
-	mux.Handle("POST /v1/jobs", s.instrument("jobs-submit", s.handleJobSubmit))
-	mux.Handle("GET /v1/jobs", s.instrument("jobs-list", s.handleJobList))
-	mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs-status", s.handleJobStatus))
-	mux.Handle("DELETE /v1/jobs/{id}", s.instrument("jobs-cancel", s.handleJobCancel))
+	mux.Handle("POST /v1/jobs", s.instrument("jobs-submit", s.withJobs(s.handleJobSubmit)))
+	mux.Handle("GET /v1/jobs", s.instrument("jobs-list", s.withJobs(s.handleJobList)))
+	mux.Handle("GET /v1/jobs/{id}", s.instrument("jobs-status", s.withJobs(s.handleJobStatus)))
+	mux.Handle("DELETE /v1/jobs/{id}", s.instrument("jobs-cancel", s.withJobs(s.handleJobCancel)))
 	// The results stream long-polls until the job finishes, so it must not
 	// occupy an inflight slot or run under the request timeout; the artifact
 	// download can be hundreds of MB, so it too stays outside the timeout.
-	mux.HandleFunc("GET /v1/jobs/{id}/results", s.handleJobResults)
-	mux.HandleFunc("GET /v1/jobs/{id}/artifact", s.handleJobArtifact)
+	mux.HandleFunc("GET /v1/jobs/{id}/results", s.withJobs(s.handleJobResults))
+	mux.HandleFunc("GET /v1/jobs/{id}/artifact", s.withJobs(s.handleJobArtifact))
 	// The SSE stream follows the job for its whole life (same reasoning);
 	// the trace download is one small file but pairs with the artifact.
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleJobEvents)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleJobTrace)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.withJobs(s.handleJobEvents))
+	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.withJobs(s.handleJobTrace))
 	// Fabric: chunk execution is long-running compute and lives outside
 	// instrument for the same reason as the results stream; the peer
 	// endpoints are tiny but share the secret guard, so they stay together.
@@ -199,12 +200,14 @@ func (w *statusWriter) WriteHeader(code int) {
 }
 
 // instrument wraps an API handler with load shedding, the in-flight gauge,
-// the per-request timeout context, and latency/request accounting.  A debug
-// request (?debug=trace / X-Debug-Trace: 1) additionally runs under a
-// per-request obs root span whose phases the handlers fill in; when a logger
-// is configured every request emits one structured access-log record.  With
-// neither in play the wrapper is byte-for-byte the old hot path.
+// the per-request timeout context, and latency/request accounting into the
+// route's endpointStats, fetched once here at registration.  A debug request
+// (?debug=trace / X-Debug-Trace: 1) additionally runs under a per-request
+// obs root span whose phases the handlers fill in; when a logger is
+// configured every request emits one structured access-log record.  With
+// neither in play the wrapper allocates nothing for them.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
+	stats := s.m.route(endpoint)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		logger := s.cfg.Logger
 		debug := debugRequested(r)
@@ -241,7 +244,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 				status: http.StatusTooManyRequests, code: api.CodeOverCapacity,
 				msg: "server at capacity", retryAfter: time.Second,
 			})
-			s.m.observe(endpoint, http.StatusTooManyRequests, 0)
+			stats.observe(http.StatusTooManyRequests, 0)
 			if logger != nil {
 				logger.LogAttrs(r.Context(), slog.LevelWarn, "request shed",
 					slog.String("request_id", meta.id),
@@ -287,7 +290,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 				slog.Int("status", sw.code),
 				slog.Duration("duration", dur))
 		}
-		s.m.observe(endpoint, sw.code, dur.Seconds())
+		stats.observe(sw.code, dur.Seconds())
 	})
 }
 
@@ -299,38 +302,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// parseShapeField validates a request shape: parse errors are 400 and
-// oversized guests are 422.  The node count is computed overflow-checked —
-// mesh.Shape.Nodes would wrap silently on absurd axes.
-func parseShapeField(shape string, limit int) (mesh.Shape, error) {
-	sh, err := mesh.ParseShape(shape)
+// parseGuest is the one prelude of the guest endpoints: family name ("" is
+// mesh), shape, node count within limit, then the family's own shape rule,
+// so every guest that reaches the result cache is one the planner accepts.
+// The node count is computed overflow-checked — mesh.Shape.Nodes would wrap
+// silently on absurd axes.
+func parseGuest(family, shape string, limit int) (guest.Family, mesh.Shape, error) {
+	d, err := guest.ByName(family)
 	if err != nil {
-		return nil, errBadRequest("%v", err)
+		return 0, nil, errBadRequest("%v", err)
 	}
-	if err := sh.Validate(); err != nil {
-		return nil, errBadRequest("%v", err)
+	sh, err := mesh.ParseShape(shape)
+	if err == nil {
+		err = sh.Validate()
+	}
+	if err != nil {
+		return 0, nil, errBadRequest("%v", err)
 	}
 	if _, ok := sh.NodesWithin(limit); !ok {
-		return nil, errTooLarge("shape %s exceeds the %d-node limit", sh, limit)
+		return 0, nil, errTooLarge("shape %s exceeds the %d-node limit", sh, limit)
 	}
-	return sh, nil
-}
-
-// parseFamilyField resolves a request's guest family ("" means mesh); an
-// unregistered name is a 400.
-func parseFamilyField(name string) (guest.Family, error) {
-	d, err := guest.ByName(name)
-	if err != nil {
-		return guest.Mesh, errBadRequest("%v", err)
+	if err := d.Validate(sh); err != nil {
+		return 0, nil, errBadRequest("%v", err)
 	}
-	return d.Family, nil
-}
-
-// famEcho is the response echo of a guest family.  Since schema v2 it is
-// always the canonical name — "mesh" included — so clients never need the
-// empty-means-mesh convention to read a response.
-func famEcho(f guest.Family) string {
-	return f.String()
+	return d.Family, sh, nil
 }
 
 // famKey is the family's cache-key segment: empty for mesh (pre-family keys
@@ -411,12 +406,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, err)
 		return
 	}
-	fam, err := parseFamilyField(req.Family)
-	if err != nil {
-		respondErr(w, r, err)
-		return
-	}
-	sh, err := parseShapeField(req.Shape, maxNodes)
+	fam, sh, err := parseGuest(req.Family, req.Shape, maxNodes)
 	if err != nil {
 		respondErr(w, r, err)
 		return
@@ -450,7 +440,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	resp := api.PlanResponse{
 		Version:       api.Version,
 		Shape:         sh.String(),
-		Family:        famEcho(fam),
+		Family:        fam.String(),
 		Nodes:         sh.Nodes(),
 		CubeDim:       res.plan.CubeDim,
 		Plan:          res.plan.Plan,
@@ -480,18 +470,9 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, errBadRequest("%v", err))
 		return
 	}
-	fam, err := parseFamilyField(famName)
+	fam, sh, err := parseGuest(famName, req.Shape, maxNodes)
 	if err != nil {
 		respondErr(w, r, err)
-		return
-	}
-	sh, err := parseShapeField(req.Shape, maxNodes)
-	if err != nil {
-		respondErr(w, r, err)
-		return
-	}
-	if err := guest.Validate(fam, sh); err != nil {
-		respondErr(w, r, errBadRequest("%v", err))
 		return
 	}
 	meta := metaFrom(r.Context())
@@ -509,10 +490,11 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	meta.setSource(source)
+	shape := sh.String()
 	resp := api.EmbedResponse{
 		Version:       api.Version,
-		Shape:         sh.String(),
-		Family:        famEcho(fam),
+		Shape:         shape,
+		Family:        fam.String(),
 		Mode:          mode,
 		Deprecation:   deprecation,
 		Plan:          res.plan.Plan,
@@ -521,7 +503,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		Metrics:       res.metrics,
 		Source:        source,
 	}
-	resp.Metrics.Guest = sh.String() // metrics are relabeling-invariant
+	resp.Metrics.Guest = shape // metrics are relabeling-invariant
 	resp.Certificate = s.countCert(bounds.MeasuredCertificate(fam, sh, resp.Metrics))
 	if req.IncludeMap {
 		e := res.emb
@@ -582,18 +564,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, err)
 		return
 	}
-	fam, err := parseFamilyField(req.Family)
+	fam, sh, err := parseGuest(req.Family, req.Shape, maxCompareNodes)
 	if err != nil {
 		respondErr(w, r, err)
-		return
-	}
-	sh, err := parseShapeField(req.Shape, maxCompareNodes)
-	if err != nil {
-		respondErr(w, r, err)
-		return
-	}
-	if err := guest.Validate(fam, sh); err != nil {
-		respondErr(w, r, errBadRequest("%v", err))
 		return
 	}
 	meta := metaFrom(r.Context())
@@ -610,7 +583,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	meta.setSource(source)
 	resp := *res.compare
 	resp.Shape = sh.String()
-	resp.Family = famEcho(fam)
+	resp.Family = fam.String()
 	if c, ok := bounds.CompareCertificate(fam, sh, resp.Rows); ok {
 		resp.Certificate = s.countCert(c)
 	}

@@ -55,13 +55,9 @@ func (s *Server) AttachArtifact(a *artifact.Artifact) error {
 // "computed".  Requests are resolved in the caller's axis order — the
 // classifier is order-insensitive and the artifact simply misses on
 // non-canonical shapes (plan strings are axis-order-specific, so a sorted
-// record must not answer a permuted request).
+// record must not answer a permuted request).  sh is a valid guest of fam
+// (parseGuest), as the classifier's contract requires.
 func (s *Server) resolvePlan(ctx context.Context, fam guest.Family, sh mesh.Shape) (*cachedResult, string, error) {
-	// The classifier's contract assumes a valid guest shape, so validation
-	// cannot be left to the planner tier; the error matches TryPlanGuest's.
-	if err := guest.Validate(fam, sh); err != nil {
-		return nil, "", errBadRequest("%v", err)
-	}
 	_, cspan := obs.Start(ctx, "classify")
 	p, ok := core.ClassifyGuest(fam, sh)
 	cspan.End()

@@ -37,14 +37,14 @@ wait_addr() {
 # Coordinator: jobs enabled, fabric secret set (worker endpoints + pool),
 # single-threaded chunks so the job is slow enough to kill a worker under.
 "$tmp/embedserver" -addr 127.0.0.1:0 -no-log -data-dir "$tmp/data" \
-    -fabric-secret "$secret" -checkpoint-every 2 -job-workers 1 >"$tmp/coord.log" 2>&1 &
+    -fabric-secret "$secret" -checkpoint-every 2 -workers 1 >"$tmp/coord.log" 2>&1 &
 coord_pid=$!
 pids="$coord_pid"
 coord="$(wait_addr "$tmp/coord.log" "$coord_pid")"
 
 # Worker 1: registered through the CLI join subcommand.
 "$tmp/embedserver" -addr 127.0.0.1:0 -no-log -fabric-secret "$secret" \
-    -job-workers 1 >"$tmp/w1.log" 2>&1 &
+    -workers 1 >"$tmp/w1.log" 2>&1 &
 w1_pid=$!
 pids="$pids $w1_pid"
 w1="$(wait_addr "$tmp/w1.log" "$w1_pid")"
@@ -57,7 +57,7 @@ i=0
 while [ $i -lt 10 ]; do
     port=$((20000 + $(od -An -N2 -tu2 /dev/urandom | tr -d ' ') % 20000))
     "$tmp/embedserver" -addr "127.0.0.1:$port" -no-log -fabric-secret "$secret" \
-        -job-workers 1 -join "http://$coord" -advertise "http://127.0.0.1:$port" \
+        -workers 1 -join "http://$coord" -advertise "http://127.0.0.1:$port" \
         >"$tmp/w2.log" 2>&1 &
     w2_pid=$!
     if w2="$(wait_addr "$tmp/w2.log" "$w2_pid" 2>/dev/null)"; then

@@ -30,7 +30,7 @@ start_server() {
     # An optional argument pins the listen address, so a restart is
     # reachable at the same port the SSE subscriber keeps retrying.
     "$tmp/embedserver" -addr "${1:-127.0.0.1:0}" -no-log -data-dir "$tmp/data" \
-        -checkpoint-every 2 -job-workers 1 >"$tmp/log" 2>&1 &
+        -checkpoint-every 2 -workers 1 >"$tmp/log" 2>&1 &
     pid=$!
     addr=""
     i=0
