@@ -1,6 +1,6 @@
 // Command embedserver runs the embedding service: an HTTP API over the
 // planner, the fused metrics engine and the network simulator, with a
-// canonical-shape LRU result cache, singleflight request coalescing,
+// canonical-shape LRU result cache that computes each key once,
 // per-request timeouts, load shedding and Prometheus metrics.
 //
 // Usage:
@@ -42,7 +42,6 @@
 //	                                   last checkpoint with byte-identical
 //	                                   result streams
 //	-job-queue N                       bounded submission queue (429 beyond)
-//	-job-runners N                     concurrent job executors
 //	-checkpoint-every N                chunks between checkpoints
 //
 // Distributed sweep fabric:
@@ -114,7 +113,6 @@ func main() {
 	planArtifact := flag.String("plan-artifact", "", "plan-census artifact file served as the O(1) L1 plan tier (build one with a plancensus job or embedctl artifact build)")
 	dataDir := flag.String("data-dir", "", "enable /v1/jobs, persisting job state and results under this directory (empty: jobs disabled)")
 	jobQueue := flag.Int("job-queue", 8, "bounded job submission queue; full submissions get 429")
-	jobRunners := flag.Int("job-runners", 1, "concurrent job executors")
 	checkpointEvery := flag.Int("checkpoint-every", 8, "chunks between job checkpoints")
 	fabricSecret := flag.String("fabric-secret", "", "shared secret enabling the fabric endpoints (worker chunk execution and peer registration)")
 	peersFlag := flag.String("peers", "", "comma-separated embedserver base URLs to dispatch distributed job chunks to")
@@ -201,7 +199,6 @@ func main() {
 		jobMgr, err = jobs.Open(jobs.Config{
 			DataDir:         *dataDir,
 			QueueDepth:      *jobQueue,
-			Runners:         *jobRunners,
 			DefaultWorkers:  *workers,
 			CheckpointEvery: *checkpointEvery,
 			Planner:         s.Planner(), // jobs warm the serving path's plan cache

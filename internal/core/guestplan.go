@@ -171,17 +171,11 @@ func (pl *Planner) TryPlanGuest(f guest.Family, s mesh.Shape) (*Plan, error) {
 		return pl.pc.planTop(s), nil
 	}
 	canon, axmap := guest.Get(f).Canonical(s)
-	var key string
-	if pl.pc.cache != nil {
-		key = "g|" + f.String() + "|" + cacheKey(canon, 0)
-		if p, ok := pl.pc.cache.get(key); ok {
-			return permutePlan(p, axmap), nil
-		}
+	plan := func() *Plan { return planGuest(f, canon, pl.pc.opts) }
+	if pl.pc.cache == nil {
+		return permutePlan(plan(), axmap), nil
 	}
-	p := planGuest(f, canon, pl.pc.opts)
-	if pl.pc.cache != nil {
-		pl.pc.cache.put(key, p)
-	}
+	p := pl.pc.cache.getOrPlan("g|"+f.String()+"|"+cacheKey(canon, 0), plan)
 	return permutePlan(p, axmap), nil
 }
 

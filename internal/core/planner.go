@@ -10,6 +10,9 @@ import (
 
 // CacheStats reports plan-cache counters.  Size counts cached entries,
 // including negative entries (shapes no structured strategy can plan).
+// Misses counts keys planned, each key once, so it equals Size unless a
+// planning panicked; Hits counts every other lookup, including one that
+// waited for a concurrent planning of its key.
 type CacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -21,31 +24,80 @@ type CacheStats struct {
 // the options fingerprint is not part of the key.  Stored plans are never
 // handed out directly — every lookup returns a deep copy via permutePlan —
 // so entries stay immutable and safe to share across goroutines.
+//
+// Each key is planned once: a miss registers the key as in flight, a
+// concurrent lookup of that key waits for it, and the plan is stored and
+// the flight removed in one critical section.  Two rules keep the waits
+// sound:
+//   - Recursion: planning a key never looks up that same key again,
+//     directly or through its sub-shapes, or sequential planning would not
+//     terminate.  So no chain of waits can form a cycle.
+//   - Panics: a panic while planning is re-raised in every waiter after
+//     the flight is removed, and nothing is stored.
 type planCache struct {
-	mu     sync.RWMutex
-	m      map[string]*Plan
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	mu      sync.RWMutex
+	m       map[string]*Plan
+	flights map[string]*planFlight
+	hits    atomic.Uint64
+	misses  atomic.Uint64
 }
 
-func newPlanCache() *planCache { return &planCache{m: make(map[string]*Plan)} }
+// planFlight is one key being planned; p and panicked are written before
+// done is closed and read only after.
+type planFlight struct {
+	done     chan struct{}
+	p        *Plan
+	panicked any
+}
 
-func (c *planCache) get(key string) (*Plan, bool) {
+func newPlanCache() *planCache {
+	return &planCache{m: make(map[string]*Plan), flights: make(map[string]*planFlight)}
+}
+
+// getOrPlan returns key's plan: the cached one, the one a concurrent
+// planning of key produces, or, on a miss, the one plan makes.
+func (c *planCache) getOrPlan(key string, plan func() *Plan) *Plan {
 	c.mu.RLock()
 	p, ok := c.m[key]
 	c.mu.RUnlock()
 	if ok {
 		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+		return p
 	}
-	return p, ok
-}
-
-func (c *planCache) put(key string, p *Plan) {
 	c.mu.Lock()
-	c.m[key] = p
+	p, ok = c.m[key]
+	f := c.flights[key]
+	if ok || f != nil {
+		c.mu.Unlock()
+		c.hits.Add(1)
+		if ok {
+			return p
+		}
+		<-f.done
+		if f.panicked != nil {
+			panic(f.panicked)
+		}
+		return f.p
+	}
+	f = &planFlight{done: make(chan struct{})}
+	c.flights[key] = f
 	c.mu.Unlock()
+	c.misses.Add(1)
+	defer func() {
+		f.panicked = recover()
+		c.mu.Lock()
+		delete(c.flights, key)
+		if f.panicked == nil {
+			c.m[key] = f.p
+		}
+		c.mu.Unlock()
+		close(f.done)
+		if f.panicked != nil {
+			panic(f.panicked)
+		}
+	}()
+	f.p = plan()
+	return f.p
 }
 
 func (c *planCache) stats() CacheStats {
@@ -120,21 +172,14 @@ func permuteEmbedding(e *embed.Embedding, axmap []int) *embed.Embedding {
 	return out
 }
 
-// planCanonical plans via the canonical axis order, consulting the cache
-// when one is attached, and maps the result back to the caller's order.
+// planCanonical plans via the canonical axis order, through the cache when
+// one is attached, and maps the result back to the caller's order.
 func (pc *planContext) planCanonical(s mesh.Shape, foldDepth int) *Plan {
 	canon, axmap := s.SortCanonical()
-	var key string
-	if pc.cache != nil {
-		key = cacheKey(canon, foldDepth)
-		if p, ok := pc.cache.get(key); ok {
-			return permutePlan(p, axmap)
-		}
+	if pc.cache == nil {
+		return permutePlan(pc.planDispatch(canon, foldDepth), axmap)
 	}
-	p := pc.planDispatch(canon, foldDepth)
-	if pc.cache != nil {
-		pc.cache.put(key, p)
-	}
+	p := pc.cache.getOrPlan(cacheKey(canon, foldDepth), func() *Plan { return pc.planDispatch(canon, foldDepth) })
 	return permutePlan(p, axmap)
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/guest"
 	"repro/internal/mesh"
 )
 
@@ -212,6 +214,84 @@ func TestCacheCounters(t *testing.T) {
 	}
 	if uncached := NewUncachedPlanner(DefaultOptions); uncached.CacheStats() != (CacheStats{}) {
 		t.Error("uncached planner reports cache state")
+	}
+}
+
+// TestCachePlansEachKeyOnce: goroutines that miss one cold key together
+// plan it once — one waits for the other — so every key planned is one
+// entry.
+func TestCachePlansEachKeyOnce(t *testing.T) {
+	for _, c := range []struct {
+		fam guest.Family
+		s   mesh.Shape
+	}{
+		{guest.Mesh, mesh.Shape{21, 9, 5}},
+		{guest.Mesh, mesh.Shape{23, 9, 5}},
+		{guest.Mesh, mesh.Shape{5, 6, 7}},
+		{guest.Torus, mesh.Shape{6, 10, 12}},
+	} {
+		pl := NewPlanner(DefaultOptions)
+		const goroutines = 8
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := pl.TryPlanGuest(c.fam, c.s); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if st := pl.CacheStats(); st.Misses != st.Size {
+			t.Errorf("%s %v: %d keys planned for %d entries", c.fam, c.s, st.Misses, st.Size)
+		}
+	}
+}
+
+// TestPlanCachePanicReachesWaiters: a panic while planning is re-raised in
+// the planner and in every waiter, and leaves neither an entry nor a
+// flight behind.
+func TestPlanCachePanicReachesWaiters(t *testing.T) {
+	c := newPlanCache()
+	release := make(chan struct{})
+	const waiters = 4
+	panics := make(chan any, waiters+1)
+	var wg sync.WaitGroup
+	getOrPlan := func(plan func() *Plan) {
+		defer wg.Done()
+		defer func() { panics <- recover() }()
+		c.getOrPlan("k", plan)
+	}
+	wg.Add(1)
+	go getOrPlan(func() *Plan { <-release; panic("boom") })
+	for c.misses.Load() == 0 {
+		runtime.Gosched()
+	}
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go getOrPlan(func() *Plan { t.Error("a waiter planned the key"); return nil })
+	}
+	for c.hits.Load() < waiters {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	close(panics)
+	for r := range panics {
+		if r != "boom" {
+			t.Errorf("recovered %v, want boom", r)
+		}
+	}
+	if len(c.m) != 0 || len(c.flights) != 0 {
+		t.Fatalf("after a panic: %d entries, %d flights", len(c.m), len(c.flights))
+	}
+	want := &Plan{}
+	if p := c.getOrPlan("k", func() *Plan { return want }); p != want {
+		t.Fatal("the key was not planned again after the panic")
 	}
 }
 

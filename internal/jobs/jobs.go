@@ -84,10 +84,6 @@ type Config struct {
 	// QueueDepth bounds the jobs waiting to run; submissions beyond it get
 	// ErrQueueFull.  Default 8.
 	QueueDepth int
-	// Runners is the number of jobs executing concurrently.  Default 1:
-	// batch sweeps are throughput work, and one at a time keeps them from
-	// starving the interactive serving path.
-	Runners int
 	// DefaultWorkers is the per-chunk parallelism when a request does not
 	// set workers (< 1 means GOMAXPROCS).
 	DefaultWorkers int
@@ -120,9 +116,6 @@ func (c *Config) withDefaults() Config {
 	cfg := *c
 	if cfg.QueueDepth < 1 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.Runners < 1 {
-		cfg.Runners = 1
 	}
 	if cfg.CheckpointEvery < 1 {
 		cfg.CheckpointEvery = 8
@@ -175,7 +168,7 @@ func (j *job) status() api.JobStatus {
 	return j.statusLocked()
 }
 
-// Manager owns the job queue, the runner goroutines and the on-disk state.
+// Manager owns the job queue, the runner goroutine and the on-disk state.
 type Manager struct {
 	cfg Config
 	log *slog.Logger
@@ -201,7 +194,7 @@ type Manager struct {
 // Open creates (or reopens) a manager over cfg.DataDir, restores every job
 // found there — terminal jobs become listable history, queued and running
 // jobs are re-queued to resume from their last checkpoint — and starts the
-// runner goroutines.
+// runner goroutine.
 func Open(cfg Config) (*Manager, error) {
 	if cfg.DataDir == "" {
 		return nil, errors.New("jobs: Config.DataDir is required")
@@ -230,10 +223,10 @@ func Open(cfg Config) (*Manager, error) {
 	for _, j := range resumable {
 		m.queue <- j
 	}
-	for i := 0; i < cfg.Runners; i++ {
-		m.wg.Add(1)
-		go m.runnerLoop()
-	}
+	// One runner: batch sweeps are throughput work, and one job at a time
+	// keeps them from starving the interactive serving path.
+	m.wg.Add(1)
+	go m.runnerLoop()
 	return m, nil
 }
 
@@ -527,7 +520,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // Close stops accepting submissions, interrupts running jobs (which
-// checkpoint and stay resumable on disk) and waits for the runners to
+// checkpoint and stay resumable on disk) and waits for the runner to
 // drain, up to ctx's deadline.
 func (m *Manager) Close(ctx context.Context) error {
 	m.mu.Lock()

@@ -530,7 +530,6 @@ func TestSubmitValidation(t *testing.T) {
 func TestConcurrentSubmitCancelWatch(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testConfig(dir)
-	cfg.Runners = 2
 	cfg.QueueDepth = 64
 	m, err := Open(cfg)
 	if err != nil {

@@ -258,7 +258,7 @@ func TestOversizedBody413(t *testing.T) {
 // typed envelope — bad body (400), validation (400), not found (404),
 // queue full (429 + Retry-After), and no manager attached (503).
 func TestJobsErrorEnvelopes(t *testing.T) {
-	_, h := newJobServer(t, jobs.Config{QueueDepth: 1, Runners: 1})
+	_, h := newJobServer(t, jobs.Config{QueueDepth: 1})
 
 	rec := doReq(t, h, http.MethodPost, "/v1/jobs", `{"kind":`, nil)
 	env := decodeEnvelope(t, rec, http.StatusBadRequest, api.CodeBadRequest)

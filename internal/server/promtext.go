@@ -80,9 +80,8 @@ type metrics struct {
 	mu     sync.Mutex
 	routes map[string]*endpointStats // by endpoint name
 
-	inflight  atomic.Int64
-	shed      atomic.Uint64
-	coalesced atomic.Uint64
+	inflight atomic.Int64
+	shed     atomic.Uint64
 	// Plan-resolution tier counters (see tiers.go): L0 result-cache hits,
 	// closed-form classifier claims, artifact lookups served, and full
 	// planner runs.

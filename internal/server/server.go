@@ -18,14 +18,15 @@
 // Wire types live in pkg/api — the handlers build and serve exactly those
 // types, and every non-2xx response is the api.ErrorResponse envelope.
 //
-// The request path is cache → coalescer → planner → metrics engine: a
-// bounded LRU holds fully-measured results keyed by canonical (axis-sorted)
-// shape + variant, a singleflight group collapses a thundering herd on the
-// same key into one computation, and only the flight leader runs the
-// planner.  Requests carry a per-request timeout context; a concurrency
-// semaphore sheds excess load with 429 + Retry-After.  Computations are
-// detached from request contexts, so a timed-out leader still populates the
-// cache for its followers and for the retry.
+// The request path is result cache → planner → metrics engine: one table
+// (cache.go) holds the fully-measured results keyed by canonical
+// (axis-sorted) shape + variant, a bounded LRU, together with the
+// computations in flight, so a thundering herd on one key is one
+// computation and only the request that started it runs the planner.
+// Requests carry a per-request timeout context; a concurrency semaphore
+// sheds excess load with 429 + Retry-After.  Computations are detached from
+// request contexts, so a timed-out leader still populates the cache for its
+// followers and for the retry.
 //
 // /v1/plan misses additionally walk the tier hierarchy of tiers.go — the
 // O(1) closed-form classifier and (when AttachArtifact has loaded one) the
@@ -121,8 +122,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg      Config
 	planner  *core.Planner
-	cache    *lruCache
-	flights  *flightGroup
+	cache    *resultCache
 	sem      chan struct{}
 	m        *metrics
 	jobs     *jobs.Manager      // nil until AttachJobs; jobs endpoints 503 without it
@@ -136,8 +136,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		planner: core.NewPlanner(core.DefaultOptions),
-		cache:   newLRUCache(cfg.CacheSize),
-		flights: newFlightGroup(),
+		cache:   newResultCache(cfg.CacheSize),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		m:       newMetrics(),
 	}
@@ -338,66 +337,14 @@ func famKey(f guest.Family) string {
 	return f.String() + "|"
 }
 
-// cachedResult is one LRU entry, always in canonical axis order.  Entries
-// are immutable after insertion.
+// cachedResult is one L0 entry: embed and compare entries in canonical axis
+// order, plan entries in the request's (plan strings are axis-order
+// specific).  Entries are immutable after insertion.
 type cachedResult struct {
 	plan    api.PlanEntry        // the served plan record (a Gray embed: cube and bound only)
 	metrics api.Metrics          // embed entries only
 	emb     *embed.Embedding     // nil for plan-only entries
 	compare *api.CompareResponse // only for compare entries
-}
-
-// lookup is the cache → coalescer → compute path shared by the endpoints.
-// source reports how the request was served: "computed", "cache" or
-// "coalesced".  Under a debug trace the phases appear as cache-lookup,
-// coalesce-wait and compute child spans; compute runs with the request's
-// cancellation detached (the flight must outlive a timed-out leader) but its
-// span values intact, so a leader's trace still contains the plan / build /
-// measure subtree.
-func (s *Server) lookup(ctx context.Context, key string, compute func(ctx context.Context) (*cachedResult, error)) (res *cachedResult, source string, err error) {
-	_, lspan := obs.Start(ctx, "cache-lookup")
-	v, hit := s.cache.get(key)
-	if lspan != nil { // guarded: boxing the attrs must not cost the hot path
-		lspan.SetAttr("key", key)
-		lspan.SetAttr("hit", hit)
-		lspan.End()
-	}
-	if hit {
-		return v, "cache", nil
-	}
-	computed := false // safe: the leader reads it only after the flight's done channel closes
-	wctx, wspan := obs.Start(ctx, "coalesce-wait")
-	v, led, err := s.flights.do(ctx, key, func() (*cachedResult, error) {
-		if v, ok := s.cache.get(key); ok {
-			// Lost the race against a flight that finished between our
-			// first check and entering the group.
-			return v, nil
-		}
-		s.cache.countMiss()
-		computed = true
-		cctx, cspan := obs.Start(context.WithoutCancel(wctx), "compute")
-		cspan.SetAttr("key", key)
-		v, err := compute(cctx)
-		cspan.End()
-		if err != nil {
-			return nil, err
-		}
-		s.cache.put(key, v)
-		return v, nil
-	})
-	wspan.End()
-	if err != nil {
-		return nil, "", err
-	}
-	switch {
-	case !led:
-		s.m.coalesced.Add(1)
-		return v, "coalesced", nil
-	case computed:
-		return v, "computed", nil
-	default:
-		return v, "cache", nil
-	}
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
@@ -417,23 +364,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	// canonical-shape cache already de-duplicates the search across
 	// permutations, so the LRU key stays exact here.
 	key := "plan|" + famKey(fam) + sh.String()
-	// tier records which L0-miss tier produced the result; the flight leader
-	// reads it only after lookup returns (same safety argument as lookup's
-	// own computed flag).
-	var tier string
-	res, source, err := s.lookup(r.Context(), key, func(ctx context.Context) (*cachedResult, error) {
-		res, t, err := s.resolvePlan(ctx, fam, sh)
-		tier = t
-		return res, err
+	res, source, err := s.cache.do(r.Context(), key, func(ctx context.Context) (*cachedResult, string, error) {
+		return s.resolvePlan(ctx, fam, sh)
 	})
 	if err != nil {
 		respondErr(w, r, err)
 		return
 	}
-	switch source {
-	case "computed":
-		source = tier // closed_form, artifact or computed
-	case "cache":
+	if source == "cache" {
 		s.m.tierL0.Add(1)
 	}
 	meta.setSource(source)
@@ -482,7 +420,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	// deprecated mode "torus" spelling shares the family-torus cache entry
 	// by construction.
 	key := "embed|" + famKey(fam) + mode + "|" + canon.String()
-	res, source, err := s.lookup(r.Context(), key, func(ctx context.Context) (*cachedResult, error) {
+	res, source, err := s.cache.do(r.Context(), key, func(ctx context.Context) (*cachedResult, string, error) {
 		return s.computeEmbed(ctx, fam, canon, mode)
 	})
 	if err != nil {
@@ -527,8 +465,9 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// computeEmbed builds and measures the canonical guest under one mode.
-func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.Shape, mode string) (*cachedResult, error) {
+// computeEmbed builds and measures the canonical guest under one mode; its
+// source is "computed".
+func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.Shape, mode string) (*cachedResult, string, error) {
 	var res *cachedResult
 	var e *embed.Embedding
 	switch mode {
@@ -540,7 +479,7 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 	default:
 		p, err := s.planFor(ctx, fam, canon)
 		if err != nil {
-			return nil, err
+			return nil, "", err
 		}
 		res = &cachedResult{plan: p.Entry()}
 		_, bspan := obs.Start(ctx, "build")
@@ -551,11 +490,11 @@ func (s *Server) computeEmbed(ctx context.Context, fam guest.Family, canon mesh.
 	err := e.Verify()
 	vspan.End()
 	if err != nil {
-		return nil, fmt.Errorf("embedserver: built an invalid embedding: %w", err)
+		return nil, "", fmt.Errorf("embedserver: built an invalid embedding: %w", err)
 	}
 	res.metrics = e.MeasureParallelCtx(ctx, s.cfg.Workers)
 	res.emb = e
-	return res, nil
+	return res, "computed", nil
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -573,7 +512,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	meta.setShape(sh, "")
 	canon, _ := guest.Get(fam).Canonical(sh)
 	key := fmt.Sprintf("compare|%s%s|simnet=%v", famKey(fam), canon, req.Simnet)
-	res, source, err := s.lookup(r.Context(), key, func(ctx context.Context) (*cachedResult, error) {
+	res, source, err := s.cache.do(r.Context(), key, func(ctx context.Context) (*cachedResult, string, error) {
 		return s.computeCompare(ctx, fam, canon, req.Simnet)
 	})
 	if err != nil {
@@ -602,8 +541,8 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 // — Gray, snake, the family planner, and (for two-dimensional plain meshes)
 // the reshaping paths of internal/reshape — measures each under the guest
 // family's edge set, and optionally simulates one stencil-exchange round per
-// technique.
-func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mesh.Shape, withSimnet bool) (*cachedResult, error) {
+// technique.  Its source is "computed".
+func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mesh.Shape, withSimnet bool) (*cachedResult, string, error) {
 	bctx, bspan := obs.Start(ctx, "build")
 	gr := embed.Gray(canon)
 	gr.Family = fam
@@ -616,7 +555,7 @@ func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mes
 	p, err := s.planFor(bctx, fam, canon)
 	if err != nil {
 		bspan.End()
-		return nil, err
+		return nil, "", err
 	}
 	es["decomposition"] = p.Build()
 	if fam == guest.Mesh && canon.Dims() == 2 {
@@ -643,7 +582,7 @@ func (s *Server) computeCompare(ctx context.Context, fam guest.Family, canon mes
 		resp.Simnet = simnet.CompareEmbeddingsParallel(es, s.cfg.Workers)
 		sspan.End()
 	}
-	return &cachedResult{compare: resp}, nil
+	return &cachedResult{compare: resp}, "computed", nil
 }
 
 // maxBodyBytes caps a request body; a larger one is answered 413.
@@ -685,7 +624,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauges := []gauge{
 		{name: "embedserver_inflight", help: "API requests currently being served.", kind: "gauge", value: float64(s.m.inflight.Load())},
 		{name: "embedserver_shed_total", help: "Requests shed with 429 at the concurrency limit.", kind: "counter", value: float64(s.m.shed.Load())},
-		{name: "embedserver_coalesced_total", help: "Requests that joined an in-flight computation.", kind: "counter", value: float64(s.m.coalesced.Load())},
+		{name: "embedserver_coalesced_total", help: "Requests that joined an in-flight computation.", kind: "counter", value: float64(rs.Coalesced)},
 		{name: "embedserver_result_cache_hits_total", help: "Result-cache (LRU) hits.", kind: "counter", value: float64(rs.Hits)},
 		{name: "embedserver_result_cache_misses_total", help: "Computations performed (thundering herds count once).", kind: "counter", value: float64(rs.Misses)},
 		{name: "embedserver_result_cache_evictions_total", help: "Result-cache LRU evictions.", kind: "counter", value: float64(rs.Evictions)},

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/embed"
-	"repro/internal/mesh"
 	"repro/pkg/api"
 )
 
@@ -257,16 +256,14 @@ func TestTimeoutStillCaches(t *testing.T) {
 func TestShed429(t *testing.T) {
 	s := New(Config{MaxInflight: 1})
 	h := s.Handler()
-	release := make(chan struct{})
+	body, release := io.Pipe()
 	done := make(chan int)
 	go func() {
-		// Occupy the single slot with a request whose compute blocks until
-		// released (hook the flight group directly to stay deterministic).
-		req := httptest.NewRequest(http.MethodPost, "/v1/embed", strings.NewReader(`{"shape":"3x5x7"}`))
+		// Occupy the single slot with a request whose body does not arrive
+		// until released: instrument holds the slot while the handler reads
+		// the body.
+		req := httptest.NewRequest(http.MethodPost, "/v1/embed", body)
 		rec := httptest.NewRecorder()
-		s.flights.mu.Lock()
-		s.flights.m["embed|decomposition|3x5x7"] = &flightCall{done: release}
-		s.flights.mu.Unlock()
 		h.ServeHTTP(rec, req)
 		done <- rec.Code
 	}()
@@ -280,12 +277,10 @@ func TestShed429(t *testing.T) {
 	if rec.Header().Get("Retry-After") != "1" {
 		t.Fatalf("no Retry-After header")
 	}
-	s.flights.mu.Lock()
-	c := s.flights.m["embed|decomposition|3x5x7"]
-	c.val = &cachedResult{emb: embed.New(mesh.Shape{3, 5, 7}, 7)}
-	delete(s.flights.m, "embed|decomposition|3x5x7")
-	s.flights.mu.Unlock()
-	close(release)
+	if _, err := io.WriteString(release, `{"shape":"3x5x7"}`); err != nil {
+		t.Fatal(err)
+	}
+	release.Close()
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("blocked request finished with %d", code)
 	}
@@ -328,8 +323,8 @@ func TestCoalescing(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("result-cache misses = %d, want exactly 1", st.Misses)
 	}
-	if got := st.Hits + s.m.coalesced.Load(); got != clients-1 {
-		t.Fatalf("hits(%d)+coalesced(%d) = %d, want %d", st.Hits, s.m.coalesced.Load(), got, clients-1)
+	if got := st.Hits + st.Coalesced; got != clients-1 {
+		t.Fatalf("hits(%d)+coalesced(%d) = %d, want %d", st.Hits, st.Coalesced, got, clients-1)
 	}
 	// All clients saw the same metrics, modulo the source field.
 	var want api.EmbedResponse

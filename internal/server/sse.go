@@ -41,9 +41,9 @@ func (s *Server) writeSSE(w io.Writer, typ string, id int64, data []byte) error 
 // handleJobEvents streams a job live over SSE.  Resume: the Last-Event-ID
 // header (or ?offset=) is a result-stream byte offset; rows start exactly
 // there, replayed from the committed file and then followed live.
-// ?rows=off suppresses row events for pure progress watching (embedctl job
-// watch).  Registered outside instrument for the same reason as the results
-// stream: it follows the job for its whole life.
+// ?rows=off suppresses row events for a progress-only subscriber
+// (client.JobEvents with rows false).  Registered outside instrument for the
+// same reason as the results stream: it follows the job for its whole life.
 func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	raw, what := r.Header.Get("Last-Event-ID"), "Last-Event-ID"
 	if raw == "" {

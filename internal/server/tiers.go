@@ -15,7 +15,7 @@ import (
 // down a fixed hierarchy, each tier strictly cheaper than the next and each
 // hit populating the tiers above it through the ordinary cache fill:
 //
-//	L0  in-memory LRU of fully-formed results      (~100ns, bounded)
+//	L0  result cache: LRU + in-flight resolutions   (~100ns, bounded)
 //	    closed-form classifier (core.ClassifyGuest) (~40ns, no state)
 //	L1  mmap'd plan-census artifact (-plan-artifact) (~100ns, one file)
 //	L2  the decomposition planner                    (µs..ms, search)
@@ -28,8 +28,9 @@ import (
 // domain with the planner's own serialized plan.  Everything else pays L2.
 //
 // The response Source field reports the tier that produced the result:
-// "cache" (L0), "closed_form", "artifact" or "computed" (L2), plus the
-// pre-existing "coalesced" for requests that joined another's computation.
+// "cache" (L0), "closed_form", "artifact" or "computed" (L2) — resolvePlan
+// returns its tier as the source of the L0 computation — plus "coalesced"
+// for requests that joined another's computation.
 
 // AttachArtifact wires a plan-census artifact (internal/artifact, built by
 // a plancensus job or embedctl artifact build) in as the L1 plan tier.

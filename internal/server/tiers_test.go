@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -23,30 +24,60 @@ import (
 
 // buildArtifact builds a mesh plan-census artifact for the given domain
 // under the default planner options and returns it loaded.
-func buildArtifact(t testing.TB, dims, maxAxis int) *artifact.Artifact {
+func buildArtifact(t *testing.T, dims, maxAxis int) *artifact.Artifact {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "plans.art")
-	pl := core.NewPlanner(core.DefaultOptions)
-	b, err := artifact.NewBuilder(path, "mesh", dims, maxAxis, pl.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := 1; c <= maxAxis; c++ {
-		artifact.EachShapeWithMax(dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.Plan(s).Entry()); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	if _, err := b.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := artifact.Open(path)
+	a, err := writeArtifact(filepath.Join(t.TempDir(), "plans.art"), dims, maxAxis)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { a.Close() })
 	return a
+}
+
+// writeArtifact builds buildArtifact's artifact at path and opens it.
+func writeArtifact(path string, dims, maxAxis int) (*artifact.Artifact, error) {
+	pl := core.NewPlanner(core.DefaultOptions)
+	b, err := artifact.NewBuilder(path, "mesh", dims, maxAxis, pl.Fingerprint())
+	if err != nil {
+		return nil, err
+	}
+	for c := 1; c <= maxAxis; c++ {
+		artifact.EachShapeWithMax(dims, c, func(s mesh.Shape) {
+			if err == nil {
+				err = b.Add(s, pl.Plan(s).Entry())
+			}
+		})
+	}
+	if err == nil {
+		_, err = b.Finalize()
+	}
+	if err != nil {
+		_ = b.Abort() // the build error is the one to report
+		return nil, err
+	}
+	return artifact.Open(path)
+}
+
+// benchArtifact is BenchmarkPlanTierArtifact's artifact, built once per
+// test binary: building it plans all 45,760 shapes of its domain, which
+// would otherwise repeat for every b.N calibration run and -cpu value.
+// TestMain removes its directory.
+var benchArtifact struct {
+	once sync.Once
+	dir  string
+	a    *artifact.Artifact
+	err  error
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if benchArtifact.a != nil {
+		benchArtifact.a.Close()
+	}
+	if benchArtifact.dir != "" {
+		os.RemoveAll(benchArtifact.dir)
+	}
+	os.Exit(code)
 }
 
 func planResponse(t *testing.T, h http.Handler, body string) (int, api.PlanResponse) {
@@ -323,8 +354,17 @@ func BenchmarkPlanTierClosedForm(b *testing.B) {
 // BenchmarkPlanTierArtifact: 34x41x64 (89k of 256Ki nodes) is declined by
 // the classifier and served from the mmap'd artifact.
 func BenchmarkPlanTierArtifact(b *testing.B) {
+	ba := &benchArtifact
+	ba.once.Do(func() {
+		if ba.dir, ba.err = os.MkdirTemp("", "plantier"); ba.err == nil {
+			ba.a, ba.err = writeArtifact(filepath.Join(ba.dir, "plans.art"), 3, 64)
+		}
+	})
+	if ba.err != nil {
+		b.Fatal(ba.err)
+	}
 	s := New(Config{})
-	if err := s.AttachArtifact(buildArtifact(b, 3, 64)); err != nil {
+	if err := s.AttachArtifact(ba.a); err != nil {
 		b.Fatal(err)
 	}
 	sh := mesh.Shape{34, 41, 64}
