@@ -33,8 +33,8 @@ import (
 // Result is one benchmark's record, folded over its samples (one sample
 // per output line).  A one-sample record carries that line's values, with
 // NsMin equal to NsPerOp and NsIQR zero.  Extra carries any units beyond
-// the standard three — custom b.ReportMetric values such as the classify
-// census's Mshapes/s pass through under their reported unit.
+// the standard three — custom b.ReportMetric values such as the census
+// job's shapes/sec pass through under their reported unit.
 type Result struct {
 	Name    string `json:"name"`
 	Pkg     string `json:"pkg,omitempty"`

@@ -6,7 +6,7 @@
 //	embedctl plan 5x6x7              # show the decomposition plan
 //	embedctl plan -family torus 6x10 # plan a non-mesh guest family
 //	embedctl embed 5x6x7             # print metrics and the node map
-//	embedctl embed -torus 6x10       # wraparound mesh (= -family torus)
+//	embedctl embed -family torus 6x10 # wraparound mesh
 //	embedctl embed -family tree 127  # complete binary tree guest
 //	embedctl embed -gray 5x6x7       # Gray-code baseline
 //	embedctl embed -o map.json 5x6x7 # save the embedding as JSON
@@ -36,12 +36,11 @@ import (
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage:
   embedctl plan [-family F] <shape>     show the decomposition plan
-  embedctl embed [-family F|-gray|-torus] [-map] [-o file] <shape>
+  embedctl embed [-family F|-gray] [-map] [-o file] <shape>
                                         build, verify and measure; F is the
                                         guest family (mesh, torus, cylinder,
-                                        tree; -torus = -family torus); -o
-                                        saves the embedding as the JSON
-                                        object /v1/embed serves with
+                                        tree); -o saves the embedding as the
+                                        JSON object /v1/embed serves with
                                         include_map
   embedctl verify <file>                reload and verify a saved embedding
                                         (from embed -o, or the embedding
@@ -54,11 +53,6 @@ func usage() {
                                         ≤ L and ≤ N nodes through one shared
                                         Planner; report dilation histogram
                                         and cache statistics
-  embedctl bench [-addr URL] [-qps Q] [-shapes S1,S2] [-c N] [-duration D]
-                 [-json]                load-generate against a running
-                                        embedserver; report cold latency and
-                                        warm p50/p95/p99 (-json: machine-
-                                        readable, schema of cmd/benchjson)
   embedctl job submit|status|watch|results|events|cancel|list
                                         drive batch-sweep jobs on a running
                                         embedserver; watch polls progress,
@@ -109,8 +103,6 @@ func main() {
 		cmdCompare(args)
 	case "sweep":
 		cmdSweep(args)
-	case "bench":
-		cmdBench(args)
 	case "job":
 		cmdJob(args)
 	case "peers":
@@ -184,19 +176,11 @@ func cmdPlan(args []string) {
 func cmdEmbed(args []string) {
 	fs := flag.NewFlagSet("embed", flag.ExitOnError)
 	gray := fs.Bool("gray", false, "use the Gray-code baseline instead of decomposition")
-	torus := fs.Bool("torus", false, "treat the shape as a wraparound mesh (= -family torus)")
 	family := fs.String("family", "", "guest family: mesh (default), torus, cylinder or tree")
 	dumpMap := fs.Bool("map", false, "print the full node map")
 	outFile := fs.String("o", "", "write the embedding to this file as JSON")
 	_ = fs.Parse(args)
 	fam := parseFamily(*family)
-	if *torus {
-		if *family != "" && fam != guest.Torus {
-			fmt.Fprintln(os.Stderr, "embedctl: -torus conflicts with -family", *family)
-			os.Exit(2)
-		}
-		fam = guest.Torus
-	}
 	s := parseShape(fs.Args())
 
 	var e *embed.Embedding

@@ -120,26 +120,16 @@ func MaxDegree(f guest.Family, s mesh.Shape) int {
 	return deg
 }
 
-// wrapsAxis reports whether axis i of the family wraps around.
-func wrapsAxis(f guest.Family, s mesh.Shape, i int) bool {
-	switch f {
-	case guest.Torus:
-		return true
-	case guest.Cylinder:
-		return i == len(s)-1
-	}
-	return false
-}
-
 // disjointOddCycles returns the largest number of vertex-disjoint odd
 // cycles a single wrapped odd axis induces: an axis of odd length a ≥ 3
 // partitions the nodes into m/a disjoint a-cycles, and Q_n's bipartiteness
 // forces at least one dilation-≥2 edge on each.
 func disjointOddCycles(f guest.Family, s mesh.Shape) int64 {
 	m := int64(s.Nodes())
+	wrap := guest.Get(f).Wrap()
 	var best int64
 	for i, a := range s {
-		if a >= 3 && a%2 == 1 && wrapsAxis(f, s, i) {
+		if a >= 3 && a%2 == 1 && wrap.Wraps(i, len(s)) {
 			if c := m / int64(a); c > best {
 				best = c
 			}

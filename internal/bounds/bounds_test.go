@@ -169,7 +169,7 @@ func checkDisjointOddRings(t *testing.T, f guest.Family, s mesh.Shape, edges [][
 	}
 	m := s.Nodes()
 	for i, a := range s {
-		if !(a >= 3 && a%2 == 1 && wrapsAxis(f, s, i)) || int64(m/a) != count {
+		if !(a >= 3 && a%2 == 1 && guest.Get(f).Wrap().Wraps(i, len(s))) || int64(m/a) != count {
 			continue
 		}
 		stride := 1

@@ -195,31 +195,6 @@ func TestClassifyParityPermuted(t *testing.T) {
 	}
 }
 
-// TestGrayMinimalCount checks the block-arithmetic census kernel against a
-// literal enumeration of the ordered-triple domain.
-func TestGrayMinimalCount(t *testing.T) {
-	maxN := 6
-	if testing.Short() {
-		maxN = 5
-	}
-	for n := 1; n <= maxN; n++ {
-		var naive uint64
-		bound := 1 << uint(n)
-		for a := 1; a <= bound; a++ {
-			for b := 1; b <= bound; b++ {
-				for c := 1; c <= bound; c++ {
-					if (mesh.Shape{a, b, c}).GrayMinimal() {
-						naive++
-					}
-				}
-			}
-		}
-		if got := GrayMinimalCount(n); got != naive {
-			t.Fatalf("GrayMinimalCount(%d) = %d, naive count = %d", n, got, naive)
-		}
-	}
-}
-
 // BenchmarkClassifyShape measures the per-shape closed-form classifier on
 // the sorted 3-D shapes with axes ≤ 64 (claimed and unclaimed mixed) —
 // one op is one shape.
@@ -232,19 +207,4 @@ func BenchmarkClassifyShape(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ClassifyShape(shapes[i%len(shapes)])
 	}
-}
-
-// BenchmarkClassifyCensus measures census mode: one op classifies the full
-// ≤ 2⁹-per-axis ordered-triple domain (134M shapes) via the block kernel.
-// Compare the derived Mshapes/s against the PR 5 census-job baseline.
-func BenchmarkClassifyCensus(b *testing.B) {
-	const domain = float64(1 << 27) // 8⁹ ordered triples
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += GrayMinimalCount(9)
-	}
-	if sink == 0 {
-		b.Fatal("empty census")
-	}
-	b.ReportMetric(domain*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mshapes/s")
 }

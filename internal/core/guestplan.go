@@ -45,17 +45,13 @@ func planGuest(f guest.Family, s mesh.Shape, opts Options) *Plan {
 }
 
 // ringCand builds the KindRing candidate for one strip divisor, or nil when
-// the construction cannot reach the minimal cube.  wrapped counts the
-// wrapped axes (all of them for a torus, the last one for a cylinder); the
-// base — the strip-column mesh, every wrapped axis divided by div — is
-// planned fresh (PlanShape semantics) and built once to measure the
-// dilation d the Section 6 bounds are stated in.
+// the construction cannot reach the minimal cube.  The family's Wrap names
+// the wrapped axes; the base — the strip-column mesh, every wrapped axis
+// divided by div — is planned fresh (PlanShape semantics) and built once
+// to measure the dilation d the Section 6 bounds are stated in.
 func ringCand(f guest.Family, s mesh.Shape, div int, opts Options) (*Plan, int) {
 	k := s.Dims()
-	wrapFrom := 0
-	if f == guest.Cylinder {
-		wrapFrom = k - 1
-	}
+	wrap := guest.Get(f).Wrap()
 	base := make(mesh.Shape, k)
 	addedBits := 0
 	perAxis := 1
@@ -63,7 +59,7 @@ func ringCand(f guest.Family, s mesh.Shape, div int, opts Options) (*Plan, int) 
 		perAxis = 2
 	}
 	for i, l := range s {
-		if i >= wrapFrom {
+		if wrap.Wraps(i, k) {
 			base[i] = (l + div - 1) / div
 			addedBits += perAxis
 		} else {
@@ -84,8 +80,8 @@ func ringCand(f guest.Family, s mesh.Shape, div int, opts Options) (*Plan, int) 
 	} else {
 		bound = d + 1
 		allEven := true
-		for i := wrapFrom; i < k; i++ {
-			if s[i]%2 != 0 {
+		for i, l := range s {
+			if wrap.Wraps(i, k) && l%2 != 0 {
 				allEven = false
 			}
 		}

@@ -208,12 +208,13 @@ func (p *Plan) Build() *embed.Embedding {
 	case KindRing:
 		base := p.Child.Build()
 		k := p.Shape.Dims()
+		wrap := guest.Get(p.Family).Wrap()
 		lays := make([]ring.Layout, k)
 		for i := range lays {
-			if p.Family == guest.Cylinder && i < k-1 {
-				lays[i] = ring.Identity(p.Shape[i])
-			} else {
+			if wrap.Wraps(i, k) {
 				lays[i] = ring.ForDiv(p.RingDiv, p.Shape[i])
+			} else {
+				lays[i] = ring.Identity(p.Shape[i])
 			}
 		}
 		e = ring.Assemble(base, p.Shape, lays)
@@ -241,40 +242,10 @@ func (p *Plan) Build() *embed.Embedding {
 func Snake(s mesh.Shape) *embed.Embedding {
 	n := s.MinCubeDim()
 	e := embed.New(s, n)
-	order := SnakeOrder(s)
-	for pos, g := range order {
+	for pos, g := range s.SnakeOrder() {
 		e.Map[g] = cube.Node(gray.Encode(uint64(pos)))
 	}
 	return e
-}
-
-// SnakeOrder returns the guest indices in reflected mixed-radix order:
-// consecutive entries are mesh neighbors.
-func SnakeOrder(s mesh.Shape) []int {
-	n := s.Nodes()
-	out := make([]int, n)
-	coord := make([]int, s.Dims())
-	digits := make([]int, s.Dims())
-	for i := 0; i < n; i++ {
-		rem := i
-		for j := 0; j < s.Dims(); j++ {
-			digits[j] = rem % s[j]
-			rem /= s[j]
-		}
-		for j := 0; j < s.Dims(); j++ {
-			parity := 0
-			for k := j + 1; k < s.Dims(); k++ {
-				parity += digits[k]
-			}
-			if parity&1 == 1 {
-				coord[j] = s[j] - 1 - digits[j]
-			} else {
-				coord[j] = digits[j]
-			}
-		}
-		out[i] = s.Index(coord)
-	}
-	return out
 }
 
 // snakePlan wraps a shape in the always-valid snake fallback node.

@@ -170,9 +170,14 @@ func TestSnakeEmbeddingProperties(t *testing.T) {
 	}
 }
 
+// TestSnakeOrderIsHamiltonianPath: Snake assigns one codeword per entry of
+// the snake order, so the order must visit every node exactly once.
 func TestSnakeOrderIsHamiltonianPath(t *testing.T) {
 	s := mesh.Shape{3, 4, 5}
-	order := SnakeOrder(s)
+	order := s.SnakeOrder()
+	if len(order) != s.Nodes() {
+		t.Fatalf("snake has %d nodes, want %d", len(order), s.Nodes())
+	}
 	seen := make([]bool, s.Nodes())
 	for i, g := range order {
 		if seen[g] {

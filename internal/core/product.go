@@ -16,19 +16,6 @@ import (
 	"repro/internal/mesh"
 )
 
-// padShape returns the shape extended with trailing 1s to k axes.
-func padShape(s mesh.Shape, k int) mesh.Shape {
-	if len(s) >= k {
-		return s
-	}
-	out := make(mesh.Shape, k)
-	copy(out, s)
-	for i := len(s); i < k; i++ {
-		out[i] = 1
-	}
-	return out
-}
-
 // Product composes two mesh embeddings into an embedding of the
 // componentwise-product mesh (Corollary 2).  If e1 embeds an
 // ℓ₁₁×…×ℓ₁k mesh into an n₁-cube and e2 an ℓ₂₁×…×ℓ₂k mesh into an n₂-cube,
@@ -52,8 +39,8 @@ func Product(e1, e2 *embed.Embedding) *embed.Embedding {
 	if e2.Guest.Dims() > k {
 		k = e2.Guest.Dims()
 	}
-	s1 := padShape(e1.Guest, k)
-	s2 := padShape(e2.Guest, k)
+	s1 := e1.Guest.PadTo(k)
+	s2 := e2.Guest.PadTo(k)
 	gs := s1.Product(s2)
 
 	out := embed.New(gs, e1.N+e2.N)
@@ -113,8 +100,8 @@ func SubMesh(e *embed.Embedding, target mesh.Shape) *embed.Embedding {
 	if e.Family != guest.Mesh {
 		panic("core: SubMesh requires a plain mesh embedding")
 	}
-	big := padShape(e.Guest, target.Dims())
-	tgt := padShape(target, e.Guest.Dims())
+	big := e.Guest.PadTo(target.Dims())
+	tgt := target.PadTo(e.Guest.Dims())
 	if !big.Contains(tgt) {
 		panic(fmt.Sprintf("core: %v is not contained in %v", target, e.Guest))
 	}

@@ -66,7 +66,7 @@ func matchPermutation(s, ref mesh.Shape) ([]int, bool) {
 		// happens for the tables here.
 		return nil, false
 	}
-	refPad := padTo(ref, k)
+	refPad := ref.PadTo(k)
 	used := make([]bool, k)
 	perm := make([]int, k)
 	for i, l := range s {
@@ -93,7 +93,7 @@ func Embedding(s mesh.Shape) (*embed.Embedding, bool) {
 	}
 	n := tab.Shape.MinCubeDim()
 	e := embed.New(s, n)
-	refPad := padTo(tab.Shape, len(s))
+	refPad := tab.Shape.PadTo(len(s))
 	coord := make([]int, len(s))
 	refCoord := make([]int, len(refPad))
 	for idx := range e.Map {
@@ -105,16 +105,4 @@ func Embedding(s mesh.Shape) (*embed.Embedding, bool) {
 	}
 	e.RealizeMinCongestion()
 	return e, true
-}
-
-func padTo(s mesh.Shape, k int) mesh.Shape {
-	if len(s) >= k {
-		return s
-	}
-	out := make(mesh.Shape, k)
-	copy(out, s)
-	for i := len(s); i < k; i++ {
-		out[i] = 1
-	}
-	return out
 }

@@ -135,7 +135,7 @@ func matchPermutationBacktrack(s, ref mesh.Shape) ([]int, bool) {
 	if len(ref) > k {
 		return nil, false
 	}
-	refPad := padTo(ref, k)
+	refPad := ref.PadTo(k)
 	used := make([]bool, k)
 	perm := make([]int, k)
 	var rec func(i int) bool

@@ -133,10 +133,10 @@ func TestChunkWire(t *testing.T) {
 	}
 }
 
-// TestCensusAggCodec pins the census delta codec to encoding/json: the
-// encoder writes json.Marshal's bytes, and the decoder reads them back
-// compact or indented (as a fabric peer's response carries them) and
-// rejects anything outside that layout.
+// TestCensusAggCodec pins the census aggregate decoder to encoding/json:
+// it reads json.Marshal's bytes back compact or indented (as a fabric
+// peer's response carries them) and rejects anything outside that
+// encoding.
 func TestCensusAggCodec(t *testing.T) {
 	part := make([]stats.CensusTally, 4)
 	for i := range part {
@@ -146,24 +146,22 @@ func TestCensusAggCodec(t *testing.T) {
 		part[i].Eps2, part[i].Total = uint64(i)*1e12, uint64(i)<<60
 	}
 	part[3].Total = math.MaxUint64
+	r := &censusRunner{maxN: len(part) - 1}
 	compact, err := json.Marshal(part)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := appendCensusAgg(nil, part); !bytes.Equal(got, compact) {
-		t.Fatalf("appendCensusAgg = %s\njson.Marshal   = %s", got, compact)
 	}
 	indented, err := json.MarshalIndent(part, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, in := range [][]byte{compact, indented, append([]byte(" \t\r\n"), compact...)} {
-		got := make([]stats.CensusTally, len(part))
-		if err := parseCensusAgg(got, in); err != nil {
-			t.Fatalf("parseCensusAgg(%s): %v", in, err)
+		got, err := r.decodeAgg(in)
+		if err != nil {
+			t.Fatalf("decodeAgg(%s): %v", in, err)
 		}
 		if !reflect.DeepEqual(got, part) {
-			t.Fatalf("parseCensusAgg(%s) = %v, want %v", in, got, part)
+			t.Fatalf("decodeAgg(%s) = %v, want %v", in, got, part)
 		}
 	}
 	s := string(compact)
@@ -174,11 +172,16 @@ func TestCensusAggCodec(t *testing.T) {
 		strings.Replace(s, "[0,1,", "[-0,1,", 1),
 		strings.Replace(s, "[0,1,", "[0.0,1,", 1),
 		strings.Replace(s, `"eps2"`, `"Eps2"`, 1),
-		strings.Replace(s, `"eps2"`, `"eps 2"`, 1),   // whitespace inside a key
-		`[{"count":[0,0,0,0,0],"eps2":0,"total":0}]`, // one bucket of four
+		strings.Replace(s, `"eps2"`, `"eps 2"`, 1),                        // whitespace inside a key
+		`[{"count":[0,0,0,0,0],"eps2":0,"total":0}]`,                      // one bucket of four
+		strings.Replace(s, `,"total":0}`, `}`, 1),                         // missing key
+		strings.Replace(s, `"eps2":0,"total":0`, `"total":0,"eps2":0`, 1), // reordered keys
+		strings.Replace(s, `"count":[0,1,2,3,4]`, `"count":null`, 1),      // null array
+		strings.Replace(s, `"count":[0,1,2,3,4]`, `"count":[0,1,2,3]`, 1), // short array
+		strings.Replace(s, `,"total":0}`, `,"total":0,"x":1}`, 1),         // unknown key
 	} {
-		if err := parseCensusAgg(make([]stats.CensusTally, len(part)), []byte(bad)); err == nil {
-			t.Errorf("parseCensusAgg(%q) accepted", bad)
+		if _, err := r.decodeAgg([]byte(bad)); err == nil {
+			t.Errorf("decodeAgg(%q) accepted", bad)
 		}
 	}
 }

@@ -41,8 +41,7 @@ type kindRunner interface {
 	// execute runs one chunk and returns it in portable form (see
 	// api.ChunkResult).  Row kinds append the chunk's NDJSON records to
 	// rows, a caller-owned buffer that Rows aliases, and carry the
-	// chunk's own aggregate delta in Agg, in the checkpoint encoding
-	// (census writes it into rows too, after the records);
+	// chunk's own aggregate delta in Agg, in the checkpoint encoding;
 	// plancensus returns position-independent plan entries.  execute
 	// never reads or writes the running aggregate, so a fresh runner, a
 	// mid-job runner and a peer all return the same bytes for a chunk.
@@ -193,18 +192,16 @@ func (r *censusRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffe
 	if err := writeRecord(rows, rec); err != nil {
 		return nil, err
 	}
-	// The delta goes into rows after the record, so a reused rows buffer
-	// carries both without allocating.
-	n := rows.Len()
-	rows.Write(appendCensusAgg(rows.AvailableBuffer(), part))
-	b := rows.Bytes()
-	return &api.ChunkResult{Shapes: shapes, Rows: b[:n:n], Agg: b[n:]}, nil
+	agg, err := json.Marshal(part)
+	if err != nil {
+		return nil, err
+	}
+	return &api.ChunkResult{Shapes: shapes, Rows: rows.Bytes(), Agg: agg}, nil
 }
 
 func (r *censusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
-	var delta [maxCensusN + 1]stats.CensusTally
-	part := delta[:r.maxN+1]
-	if err := parseCensusAgg(part, res.Agg); err != nil {
+	part, err := r.decodeAgg(res.Agg)
+	if err != nil {
 		return 0, fmt.Errorf("jobs: census chunk %d aggregate: %w", res.Chunk, err)
 	}
 	buf.Write(res.Rows)
@@ -214,87 +211,29 @@ func (r *censusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, er
 	return res.Shapes, nil
 }
 
-// appendCensusAgg appends part exactly as json.Marshal encodes it, which is
-// the checkpoint encoding of the census aggregate.
-func appendCensusAgg(dst []byte, part []stats.CensusTally) []byte {
-	dst = append(dst, '[')
-	for i, t := range part {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, `{"count":[`...)
-		for j, c := range t.Count {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendUint(dst, c, 10)
-		}
-		dst = append(dst, `],"eps2":`...)
-		dst = strconv.AppendUint(dst, t.Eps2, 10)
-		dst = append(dst, `,"total":`...)
-		dst = strconv.AppendUint(dst, t.Total, 10)
-		dst = append(dst, '}')
+// decodeAgg decodes a census aggregate, a chunk's delta or a checkpoint's
+// running tally: json.Marshal of one tally per bucket.  It accepts b only
+// when it is that encoding up to insignificant whitespace (a fabric peer's
+// response carries the delta indented), so a missing, unknown, reordered
+// or miscased key is refused instead of read as zero.
+func (r *censusRunner) decodeAgg(b []byte) ([]stats.CensusTally, error) {
+	var t []stats.CensusTally
+	if err := json.Unmarshal(b, &t); err != nil {
+		return nil, err
 	}
-	return append(dst, ']')
+	if len(t) != r.maxN+1 {
+		return nil, fmt.Errorf("%d buckets, want %d", len(t), r.maxN+1)
+	}
+	want, err := json.Marshal(t)
+	if err != nil {
+		return nil, err
+	}
+	var got bytes.Buffer
+	if err := json.Compact(&got, b); err != nil || !bytes.Equal(got.Bytes(), want) {
+		return nil, errors.New("not in the census aggregate encoding")
+	}
+	return t, nil
 }
-
-// parseCensusAgg decodes a census delta into part, whose length is the
-// bucket count.  It reads the integers in order, then accepts the input
-// only if it is their appendCensusAgg encoding up to JSON whitespace
-// between tokens (a fabric peer's response carries the delta indented).
-// Every chunk folds a delta, and json.Unmarshal's per-call decode state
-// costs about ten allocations per chunk.
-func parseCensusAgg(part []stats.CensusTally, b []byte) error {
-	k := 0
-	for i := 0; i < len(b); {
-		switch c := b[i]; {
-		case c == '"': // a key; the comparison below checks it
-			j := bytes.IndexByte(b[i+1:], '"')
-			if j < 0 {
-				return errCensusDelta
-			}
-			i += j + 2
-		case c < '0' || c > '9':
-			i++
-		case k == 7*len(part): // seven integers per bucket
-			return errCensusDelta
-		default:
-			var v uint64 // an overflow wraps, and the comparison rejects it
-			for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-				v = v*10 + uint64(b[i]-'0')
-			}
-			t := &part[k/7]
-			switch f := k % 7; f {
-			case 5:
-				t.Eps2 = v
-			case 6:
-				t.Total = v
-			default:
-				t.Count[f] = v
-			}
-			k++
-		}
-	}
-	var scratch [2048]byte
-	want := appendCensusAgg(scratch[:0], part)
-	inKey := false
-	for _, c := range b {
-		if !inKey && (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-			continue
-		}
-		if len(want) == 0 || want[0] != c {
-			return errCensusDelta
-		}
-		want = want[1:]
-		inKey = inKey != (c == '"')
-	}
-	if len(want) > 0 {
-		return errCensusDelta
-	}
-	return nil
-}
-
-var errCensusDelta = errors.New("not in the census delta layout")
 
 func (r *censusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 	rows := stats.CensusRows(r.maxN, r.agg)
@@ -320,12 +259,9 @@ func (r *censusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 func (r *censusRunner) snapshot() (json.RawMessage, error) { return json.Marshal(r.agg) }
 
 func (r *censusRunner) restore(agg json.RawMessage) error {
-	var t []stats.CensusTally
-	if err := json.Unmarshal(agg, &t); err != nil {
-		return err
-	}
-	if len(t) != r.maxN+1 {
-		return fmt.Errorf("jobs: census checkpoint has %d buckets, want %d", len(t), r.maxN+1)
+	t, err := r.decodeAgg(agg)
+	if err != nil {
+		return fmt.Errorf("jobs: census checkpoint: %w", err)
 	}
 	r.agg = t
 	return nil

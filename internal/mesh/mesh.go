@@ -104,19 +104,19 @@ const (
 	WrapAll WrapSet = math.MaxInt // every axis is a cycle, whatever the arity
 )
 
-// first returns the lowest wrapped axis of a k-axis shape.
-func (w WrapSet) first(k int) int { return k - int(w) }
+// Wraps reports whether axis of a dims-axis shape is a cycle, that is,
+// one of its last w axes.
+func (w WrapSet) Wraps(axis, dims int) bool { return axis >= dims-int(w) }
 
 // Edges returns the number of grid edges when the axes in wrap are cycles:
 // Σ_i e_i · Π_{j≠i} ℓj, where e_i is ℓi − 1 on a path axis and ℓi on a
 // cycle axis.  A cycle of length ≤ 2 adds no edge to its path (a length-2
 // ring's closing edge coincides with its one path edge).
 func (s Shape) Edges(wrap WrapSet) int {
-	first := wrap.first(len(s))
 	total := 0
 	for i := range s {
 		e := s[i] - 1
-		if i >= first && s[i] > 2 {
+		if wrap.Wraps(i, len(s)) && s[i] > 2 {
 			e++
 		}
 		for j := range s {
@@ -237,6 +237,20 @@ func (s Shape) Product(t Shape) Shape {
 	return out
 }
 
+// PadTo returns the shape extended with trailing 1s to k axes, or s
+// itself when it already has k axes or more.
+func (s Shape) PadTo(k int) Shape {
+	if len(s) >= k {
+		return s
+	}
+	out := make(Shape, k)
+	copy(out, s)
+	for i := len(s); i < k; i++ {
+		out[i] = 1
+	}
+	return out
+}
+
 // Edge is a pair of adjacent mesh nodes identified by dense indices.
 // For wraparound edges, U and V are the two endpoints of the ring edge.
 type Edge struct {
@@ -265,13 +279,12 @@ func (s Shape) EachEdgeRange(wrap WrapSet, lo, hi int, fn func(Edge)) {
 		stride[i] = st
 		st *= l
 	}
-	first := wrap.first(len(s))
 	for idx := lo; idx < hi; idx++ {
 		s.CoordInto(idx, coord)
 		for i := range s {
 			if coord[i]+1 < s[i] {
 				fn(Edge{U: idx, V: idx + stride[i], Axis: i})
-			} else if i >= first && s[i] > 2 {
+			} else if wrap.Wraps(i, len(s)) && s[i] > 2 {
 				// wraparound edge from the last to the first hyperplane
 				fn(Edge{U: idx - (s[i]-1)*stride[i], V: idx, Axis: i, Wrap: true})
 			}
@@ -295,6 +308,39 @@ func (s Shape) Neighbors(idx int, dst []int) []int {
 		stride *= l
 	}
 	return dst
+}
+
+// SnakeOrder returns the node indices in reflected mixed-radix
+// (boustrophedon) order: digit j of the odometer is reflected when the sum
+// of the higher digits is odd.  Consecutive entries are mesh neighbors
+// when every axis strictly between the first and the last has odd length,
+// which covers every shape of one or two axes; otherwise the order can
+// jump (3x4x5 does after its twelfth node).
+func (s Shape) SnakeOrder() []int {
+	n := s.Nodes()
+	out := make([]int, n)
+	coord := make([]int, s.Dims())
+	digits := make([]int, s.Dims())
+	for i := 0; i < n; i++ {
+		rem := i
+		for j := 0; j < s.Dims(); j++ {
+			digits[j] = rem % s[j]
+			rem /= s[j]
+		}
+		for j := 0; j < s.Dims(); j++ {
+			parity := 0
+			for k := j + 1; k < s.Dims(); k++ {
+				parity += digits[k]
+			}
+			if parity&1 == 1 {
+				coord[j] = s[j] - 1 - digits[j]
+			} else {
+				coord[j] = digits[j]
+			}
+		}
+		out[i] = s.Index(coord)
+	}
+	return out
 }
 
 // Contains reports whether a mesh of shape t fits inside s componentwise

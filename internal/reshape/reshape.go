@@ -68,8 +68,8 @@ func Snake(guest mesh.Shape) *embed.Embedding {
 	host := hostFor(guest)
 	g := gray.NewProduct(host...)
 	e := embed.New(guest, guest.MinCubeDim())
-	guestOrder := core.SnakeOrder(guest)
-	hostOrder := core.SnakeOrder(host)
+	guestOrder := guest.SnakeOrder()
+	hostOrder := host.SnakeOrder()
 	coord := make([]int, 2)
 	for pos, gi := range guestOrder {
 		host.CoordInto(hostOrder[pos], coord)

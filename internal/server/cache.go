@@ -12,7 +12,10 @@ import (
 // ResultCacheStats reports the result cache's counters.  Hits counts LRU
 // hits; Misses counts computations started (a thundering herd on one key is
 // one miss), so Misses is exactly the number of plan+build+measure runs;
-// Coalesced counts waits on another request's computation that got a value.
+// Coalesced counts requests that joined another request's computation,
+// whether or not their wait got a value.  Every request counts in exactly
+// one of the three, so Hits + Misses + Coalesced is the number of requests
+// that reached the cache.
 type ResultCacheStats struct {
 	Hits      uint64
 	Misses    uint64
@@ -97,6 +100,8 @@ func (c *resultCache) do(ctx context.Context, key string, compute func(ctx conte
 		c.flights[key] = f
 		c.misses++
 		led = true
+	} else {
+		c.coalesced++
 	}
 	c.mu.Unlock()
 	if lspan != nil { // guarded: boxing the attrs must not cost the hot path
@@ -124,9 +129,6 @@ func (c *resultCache) do(ctx context.Context, key string, compute func(ctx conte
 	case led:
 		return f.val, f.source, nil
 	}
-	c.mu.Lock()
-	c.coalesced++
-	c.mu.Unlock()
 	return f.val, "coalesced", nil
 }
 

@@ -149,8 +149,8 @@ func TestLRUDisabled(t *testing.T) {
 }
 
 // TestLRUMissCounting: misses count computations started — a herd is one —
-// while hits and joined waits start none and count no miss, even when the
-// caller gives up.
+// while hits and joined waits start none and count no miss; a follower
+// that gives up still counts as coalesced, so every call counts once.
 func TestLRUMissCounting(t *testing.T) {
 	herdIsOneMiss(t, 4)
 	c := newResultCache(4)
@@ -172,7 +172,7 @@ func TestLRUMissCounting(t *testing.T) {
 	if _, _, err := c.do(ctx, "b", value(entry())); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled follower: %v", err)
 	}
-	if st := c.stats(); st.Misses != 2 || st.Hits != 1 || st.Coalesced != 0 {
+	if st := c.stats(); st.Misses != 2 || st.Hits != 1 || st.Coalesced != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
 	close(release)
@@ -180,8 +180,12 @@ func TestLRUMissCounting(t *testing.T) {
 	if _, src := mustDo(t, c, "b", value(entry())); src != "coalesced" && src != "cache" {
 		t.Fatalf("after release: %q", src)
 	}
-	if st := c.stats(); st.Misses != 2 || st.Hits+st.Coalesced != 2 {
+	st := c.stats()
+	if st.Misses != 2 || st.Hits+st.Coalesced != 3 {
 		t.Fatalf("stats: %+v", st)
+	}
+	if calls := uint64(5); st.Hits+st.Misses+st.Coalesced != calls {
+		t.Fatalf("hits+misses+coalesced = %d, want one per call (%d): %+v", st.Hits+st.Misses+st.Coalesced, calls, st)
 	}
 }
 
@@ -194,7 +198,7 @@ func TestErrorReachesEveryWaiterUncached(t *testing.T) {
 			t.Fatalf("waiter %d: %+v", i, r)
 		}
 	}
-	if st := c.stats(); st.Size != 0 || st.Coalesced != 0 {
+	if st := c.stats(); st.Size != 0 || st.Coalesced != 7 {
 		t.Fatalf("error cached: %+v", st)
 	}
 	if _, src := mustDo(t, c, "k", value(entry())); src != "computed" {

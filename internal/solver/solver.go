@@ -240,8 +240,7 @@ func startGray(s mesh.Shape, slot []cube.Node, rng *rand.Rand) {
 	guestN := s.Nodes()
 	used := make([]bool, hostN)
 	// Snake enumeration of guest nodes → Gray codes of 0..guestN-1.
-	order := snakeOrder(s)
-	for i, g := range order {
+	for i, g := range s.SnakeOrder() {
 		c := cube.Node(uint64(i) ^ (uint64(i) >> 1))
 		slot[g] = c
 		used[c] = true
@@ -259,36 +258,6 @@ func startGray(s mesh.Shape, slot []cube.Node, rng *rand.Rand) {
 		j := guestN + rng.Intn(hostN-guestN)
 		slot[i], slot[j] = slot[j], slot[i]
 	}
-}
-
-// snakeOrder returns guest indices in reflected mixed-radix (boustrophedon)
-// order: consecutive entries are mesh neighbors.  Digit j of the odometer is
-// reflected when the sum of the higher digits is odd.
-func snakeOrder(s mesh.Shape) []int {
-	n := s.Nodes()
-	out := make([]int, n)
-	coord := make([]int, s.Dims())
-	digits := make([]int, s.Dims())
-	for i := 0; i < n; i++ {
-		rem := i
-		for j := 0; j < s.Dims(); j++ {
-			digits[j] = rem % s[j]
-			rem /= s[j]
-		}
-		for j := 0; j < s.Dims(); j++ {
-			parity := 0
-			for k := j + 1; k < s.Dims(); k++ {
-				parity += digits[k]
-			}
-			if parity&1 == 1 {
-				coord[j] = s[j] - 1 - digits[j]
-			} else {
-				coord[j] = digits[j]
-			}
-		}
-		out[i] = s.Index(coord)
-	}
-	return out
 }
 
 func finish(s mesh.Shape, n int, slot []cube.Node) *embed.Embedding {

@@ -7,9 +7,15 @@ import (
 	"repro/internal/mesh"
 )
 
+// TestSnakeOrderAdjacent: startGray seeds the search along the snake order,
+// so on these shapes (every axis strictly between the first and the last
+// odd) consecutive entries must be mesh neighbors.
 func TestSnakeOrderAdjacent(t *testing.T) {
 	for _, s := range []mesh.Shape{{5}, {3, 5}, {4, 4}, {2, 3, 4}, {3, 3, 3}, {1, 7, 2}} {
-		order := snakeOrder(s)
+		order := s.SnakeOrder()
+		if len(order) != s.Nodes() {
+			t.Fatalf("%v: snake has %d nodes, want %d", s, len(order), s.Nodes())
+		}
 		seen := make([]bool, s.Nodes())
 		for i, g := range order {
 			if seen[g] {
@@ -21,11 +27,7 @@ func TestSnakeOrderAdjacent(t *testing.T) {
 				cu, cv := s.Coord(order[i-1]), s.Coord(g)
 				diff := 0
 				for j := range cu {
-					d := cu[j] - cv[j]
-					if d < 0 {
-						d = -d
-					}
-					diff += d
+					diff += max(cu[j]-cv[j], cv[j]-cu[j])
 				}
 				if diff != 1 {
 					t.Fatalf("%v: snake step %d: %v -> %v not adjacent", s, i, cu, cv)

@@ -364,8 +364,8 @@ func (c *Client) JoinPeer(ctx context.Context, addr string) (*api.PeersResponse,
 	return &out, nil
 }
 
-// RawMetrics fetches the server's Prometheus text exposition verbatim —
-// callers (embedctl bench) diff counters like embedserver_plan_tier_*_total
+// RawMetrics fetches the server's Prometheus text exposition verbatim, for
+// callers that read or diff counters such as embedserver_plan_tier_*_total
 // across a run.
 func (c *Client) RawMetrics(ctx context.Context) (string, error) {
 	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, nil)
