@@ -97,18 +97,12 @@ func artifactBuild(ctx context.Context, args []string) {
 	}
 	pl := core.NewPlanner(core.DefaultOptions)
 	b, err := artifact.NewBuilder(*out, fam.String(), *dims, *maxAxis, pl.Fingerprint())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	start := time.Now()
 	var done uint64
 	for c := 1; c <= *maxAxis; c++ {
 		artifact.EachShapeWithMax(*dims, c, func(s mesh.Shape) {
-			if err := b.Add(s, pl.PlanGuest(fam, s).Entry()); err != nil {
-				fmt.Fprintln(os.Stderr, "embedctl:", err)
-				os.Exit(1)
-			}
+			check(b.Add(s, pl.PlanGuest(fam, s).Entry()))
 			done++
 		})
 		fmt.Fprintf(os.Stderr, "\rmax axis %d/%d  %d/%d plans", c, *maxAxis, done, total)
@@ -130,41 +124,32 @@ func artifactBuildRemote(ctx context.Context, addr, out, family string, dims, ma
 		Kind:       api.JobPlanCensus,
 		PlanCensus: &api.PlanCensusParams{Dims: dims, MaxAxis: maxAxis, Family: family},
 	})
-	jobCheck(err)
+	check(err)
 	fmt.Fprintf(os.Stderr, "submitted %s\n", st.ID)
 	fin, err := c.WatchJob(ctx, st.ID, time.Second, watchLine)
-	jobCheck(err)
+	check(err)
 	fmt.Fprintln(os.Stderr)
 	if fin.State != api.JobDone {
 		fmt.Fprintf(os.Stderr, "embedctl: job ended %s: %s\n", fin.State, fin.Error)
 		os.Exit(1)
 	}
 	rc, err := c.JobArtifact(ctx, st.ID)
-	jobCheck(err)
+	check(err)
 	defer rc.Close()
 	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	n, err := io.Copy(f, rc)
 	if err == nil {
 		err = f.Close()
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Fprintf(os.Stderr, "downloaded %s (%d bytes)\n", out, n)
 }
 
 // openArtifact loads an artifact or exits with the loader's complaint.
 func openArtifact(path string) *artifact.Artifact {
 	a, err := artifact.Open(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	return a
 }
 
@@ -202,10 +187,7 @@ func artifactVerify(args []string) {
 	defer a.Close()
 	hdr := a.Header()
 	desc, err := guest.ByName(hdr.Family)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	pl := core.NewPlanner(core.DefaultOptions)
 	if got := artifact.FingerprintHash(pl.Fingerprint()); got != hdr.Fingerprint {
 		fmt.Fprintf(os.Stderr, "embedctl: fingerprint %016x does not match the default planner options (%016x); plans may legitimately differ\n",

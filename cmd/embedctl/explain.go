@@ -26,10 +26,7 @@ func cmdExplain(args []string) {
 
 	pl := core.NewPlanner(core.DefaultOptions)
 	p, pt, err := pl.PlanTraced(context.Background(), s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	fmt.Printf("shape:  %s (%d nodes)\n", s, s.Nodes())
 	fmt.Printf("plan:   %s\n", p)
 	fmt.Printf("method: %d\n\n", p.Method)
@@ -102,10 +99,7 @@ func cmdTrace(args []string) {
 	ctx, root := obs.StartRoot(context.Background(), "embedctl "+s.String())
 	pl := core.NewPlanner(core.DefaultOptions)
 	p, _, err := pl.PlanTraced(ctx, s)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	_, bspan := obs.Start(ctx, "build")
 	e := p.Build()
 	bspan.End()
@@ -120,18 +114,9 @@ func cmdTrace(args []string) {
 	root.End()
 
 	f, err := os.Create(*out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
-	if err := obs.WriteChromeTrace(f, root.Snapshot()); err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
+	check(obs.WriteChromeTrace(f, root.Snapshot()))
+	check(f.Close())
 	fmt.Printf("plan: %s\n%s\n", p, m)
 	fmt.Printf("trace written to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", *out)
 }
@@ -142,28 +127,16 @@ func traceJob(addr, id, out string) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	raw, err := client.New(addr).JobTrace(ctx, id)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
 	var root obs.SpanJSON
 	if err := json.Unmarshal(raw, &root); err != nil {
 		fmt.Fprintln(os.Stderr, "embedctl: decode trace:", err)
 		os.Exit(1)
 	}
 	f, err := os.Create(out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
-	if err := obs.WriteChromeTrace(f, &root); err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
+	check(err)
+	check(obs.WriteChromeTrace(f, &root))
+	check(f.Close())
 	fmt.Printf("job %s: %d spans (trace %s)\n", id, root.Count(), root.TraceID)
 	fmt.Printf("trace written to %s (open in chrome://tracing or https://ui.perfetto.dev)\n", out)
 }

@@ -39,7 +39,7 @@ func cmdJob(args []string) {
 		jobSubmit(ctx, rest)
 	case "status":
 		st, err := jobClient(rest, 1).c.Job(ctx, jobID(rest))
-		jobCheck(err)
+		check(err)
 		printJSON(st)
 	case "watch":
 		jobWatch(ctx, rest)
@@ -49,11 +49,11 @@ func cmdJob(args []string) {
 		jobEvents(ctx, rest)
 	case "cancel":
 		st, err := jobClient(rest, 1).c.CancelJob(ctx, jobID(rest))
-		jobCheck(err)
+		check(err)
 		printJSON(st)
 	case "list":
 		list, err := jobClient(rest, 0).c.Jobs(ctx)
-		jobCheck(err)
+		check(err)
 		for _, st := range list {
 			fmt.Printf("%-20s %-10s %-10s %6.1f%%  %s\n", st.ID, st.Kind, st.State,
 				pct(st.Progress.ChunksDone, st.Progress.ChunksTotal), jobNote(st))
@@ -104,13 +104,6 @@ func jobID(args []string) string {
 		jobUsage()
 	}
 	return fs.Arg(0)
-}
-
-func jobCheck(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "embedctl:", err)
-		os.Exit(1)
-	}
 }
 
 func printJSON(v any) {
@@ -170,14 +163,14 @@ func jobSubmit(ctx context.Context, args []string) {
 	}
 	c := client.New(*addr)
 	st, err := c.SubmitJob(ctx, req)
-	jobCheck(err)
+	check(err)
 	if !*watch {
 		printJSON(st)
 		return
 	}
 	fmt.Fprintf(os.Stderr, "submitted %s\n", st.ID)
 	fin, err := c.WatchJob(ctx, st.ID, time.Second, watchLine)
-	jobCheck(err)
+	check(err)
 	fmt.Fprintln(os.Stderr)
 	printJSON(fin)
 }
@@ -186,7 +179,7 @@ func jobSubmit(ctx context.Context, args []string) {
 func jobWatch(ctx context.Context, args []string) {
 	jf := jobClient(args, 1)
 	fin, err := jf.c.WatchJob(ctx, jf.args[0], time.Second, watchLine)
-	jobCheck(err)
+	check(err)
 	fmt.Fprintln(os.Stderr)
 	printJSON(fin)
 	if fin.State != api.JobDone {
@@ -212,14 +205,14 @@ func jobResults(ctx context.Context, args []string) {
 	}
 	c := client.New(*addr)
 	rc, err := c.JobResults(ctx, fs.Arg(0), *offset)
-	jobCheck(err)
+	check(err)
 	defer rc.Close()
 	if !*parse {
 		_, err = io.Copy(os.Stdout, rc)
-		jobCheck(err)
+		check(err)
 		return
 	}
-	jobCheck(digestResults(rc, os.Stdout))
+	check(digestResults(rc, os.Stdout))
 }
 
 // digestResults decodes a result stream with client.DecodeRecords —
@@ -310,7 +303,7 @@ func jobEvents(ctx context.Context, args []string) {
 			// keep trying, the stream resumes from offset once it's back.
 			var apiErr *api.Error
 			if errors.As(err, &apiErr) || ctx.Err() != nil {
-				jobCheck(err) // prints and exits
+				check(err) // prints and exits
 			}
 			time.Sleep(500 * time.Millisecond)
 			continue

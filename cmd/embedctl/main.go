@@ -118,6 +118,15 @@ func main() {
 	}
 }
 
+// check exits 1 with err on stderr, the failure of a command whose usage
+// was valid.  Usage errors exit 2 at their own sites.
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "embedctl:", err)
+		os.Exit(1)
+	}
+}
+
 func parseShape(args []string) mesh.Shape {
 	if len(args) != 1 {
 		usage()
@@ -211,10 +220,7 @@ func cmdEmbed(args []string) {
 		if err == nil {
 			err = os.WriteFile(*outFile, append(data, '\n'), 0o644)
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "embedctl:", err)
-			os.Exit(1)
-		}
+		check(err)
 		fmt.Printf("written to %s\n", *outFile)
 	}
 	if *dumpMap {

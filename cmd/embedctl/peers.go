@@ -32,7 +32,7 @@ func cmdPeers(args []string) {
 		peersUsage()
 	}
 	resp, err := client.New(*addr).Peers(ctx)
-	jobCheck(err)
+	check(err)
 	printPeers(resp.Peers)
 }
 
@@ -45,7 +45,7 @@ func peersJoin(ctx context.Context, args []string) {
 		peersUsage()
 	}
 	resp, err := client.New(*addr, client.WithSecret(*secret)).JoinPeer(ctx, fs.Arg(0))
-	jobCheck(err)
+	check(err)
 	printPeers(resp.Peers)
 }
 

@@ -110,13 +110,21 @@ func (e *Embedding) AvgDilation() float64 {
 }
 
 // AxisAvgDilation returns the mean dilation of the edges along one guest
-// axis (the d̄₂(i) of Section 4.1), or 0 if the axis has no edges.
+// axis (the d̄₂(i) of Section 4.1), or 0 if the axis has no edges.  No
+// served metric needs it, so it walks the edges itself instead of adding
+// per-axis tallies to the fused pass.
 func (e *Embedding) AxisAvgDilation(axis int) float64 {
-	st := e.fusedPass(context.Background(), 0, false)
-	if axis < 0 || axis >= len(st.axisSum) || st.axisCnt[axis] == 0 {
+	sum, cnt := 0, 0
+	e.eachGuestEdge(func(ed mesh.Edge) {
+		if ed.Axis == axis {
+			sum += cube.Dist(e.Map[ed.U], e.Map[ed.V])
+			cnt++
+		}
+	})
+	if cnt == 0 {
 		return 0
 	}
-	return float64(st.axisSum[axis]) / float64(st.axisCnt[axis])
+	return float64(sum) / float64(cnt)
 }
 
 // LinkLoads returns the congestion of every host link under the current
@@ -139,17 +147,6 @@ func (e *Embedding) Congestion() int {
 		}
 	}
 	return max
-}
-
-// AvgCongestion returns the mean congestion over all host links
-// (Definition 3), counting idle links.  The total load equals the dilation
-// sum (a path of length d crosses d links), so no load vector is needed.
-func (e *Embedding) AvgCongestion() float64 {
-	numLinks := cube.NumLinks(e.N)
-	if numLinks == 0 {
-		return 0
-	}
-	return float64(e.fusedPass(context.Background(), 0, false).dilSum) / float64(numLinks)
 }
 
 // LoadFactor returns the maximum number of guest nodes sharing a host node
@@ -185,12 +182,6 @@ func (e *Embedding) loadFactorMap() int {
 		}
 	}
 	return max
-}
-
-// OptimalLoadFactor returns ⌈|V(G)| / 2^N⌉, the best possible load factor.
-func (e *Embedding) OptimalLoadFactor() int {
-	hn := e.HostNodes()
-	return (e.Guest.Nodes() + hn - 1) / hn
 }
 
 // Verify checks the structural invariants of a one-to-one embedding:

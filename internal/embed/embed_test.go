@@ -94,9 +94,6 @@ func TestExpansionAndLoad(t *testing.T) {
 	if e.LoadFactor() != 1 {
 		t.Errorf("load = %d", e.LoadFactor())
 	}
-	if e.OptimalLoadFactor() != 1 {
-		t.Errorf("optimal load = %d", e.OptimalLoadFactor())
-	}
 }
 
 func TestVerifyCatchesCollision(t *testing.T) {

@@ -178,9 +178,6 @@ func TestPerMetricWrappersMatchMeasure(t *testing.T) {
 		if c := e.Congestion(); c != m.Congestion {
 			t.Errorf("%s: Congestion %d != %d", name, c, m.Congestion)
 		}
-		if c := e.AvgCongestion(); c != m.AvgCongestion {
-			t.Errorf("%s: AvgCongestion %v != %v", name, c, m.AvgCongestion)
-		}
 		if l := e.LoadFactor(); l != m.LoadFactor {
 			t.Errorf("%s: LoadFactor %d != %d", name, l, m.LoadFactor)
 		}
@@ -203,8 +200,8 @@ func TestLinkLoadsMatchesCongestion(t *testing.T) {
 			t.Errorf("%s: max load %d != congestion %d", name, max, e.Congestion())
 		}
 		if nl := cube.NumLinks(e.N); nl > 0 {
-			if avg := float64(sum) / float64(nl); avg != e.AvgCongestion() {
-				t.Errorf("%s: avg load %v != avg congestion %v", name, avg, e.AvgCongestion())
+			if avg := float64(sum) / float64(nl); avg != e.Measure().AvgCongestion {
+				t.Errorf("%s: avg load %v != avg congestion %v", name, avg, e.Measure().AvgCongestion)
 			}
 		}
 	}

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -183,7 +182,6 @@ type Manager struct {
 	queue  chan *job
 	closed bool
 	seq    int
-	prefix string
 
 	chunksDone  atomic.Uint64
 	shapesDone  atomic.Uint64
@@ -210,7 +208,6 @@ func Open(cfg Config) (*Manager, error) {
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   map[string]*job{},
-		prefix: fmt.Sprintf("%08x", rand.Uint32()),
 	}
 	resumable, err := m.restore()
 	if err != nil {
@@ -305,8 +302,13 @@ func (m *Manager) Submit(req api.JobSubmitRequest) (api.JobStatus, error) {
 		m.mu.Unlock()
 		return api.JobStatus{}, ErrClosed
 	}
-	m.seq++
-	id := fmt.Sprintf("j-%s-%06d", m.prefix, m.seq)
+	// A manager reopened in the same process shares the ID prefix of the
+	// jobs it restored, so skip the sequence numbers they hold.
+	var id string
+	for id == "" || m.jobs[id] != nil {
+		m.seq++
+		id = fmt.Sprintf("j-%s-%06d", obs.IDPrefix, m.seq)
+	}
 	j := &job{
 		id: id, kind: req.Kind, req: req,
 		dir: filepath.Join(m.cfg.DataDir, id),

@@ -607,3 +607,40 @@ func TestSubmitAfterCloseRejected(t *testing.T) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 }
+
+// TestReopenedManagerMintsFreshIDs reopens a data dir in the same process,
+// where job IDs share one obs.IDPrefix: the next submission must not reuse
+// the restored job's ID, and both jobs must stay listed.
+func TestReopenedManagerMintsFreshIDs(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := Open(testConfig(dir))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	first, err := m1.Submit(epsilonReq(2))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	waitTerminal(t, m1, first.ID)
+	closeManager(t, m1)
+
+	m2, err := Open(testConfig(dir))
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer closeManager(t, m2)
+	second, err := m2.Submit(epsilonReq(2))
+	if err != nil {
+		t.Fatalf("Submit after reopen: %v", err)
+	}
+	if second.ID == first.ID {
+		t.Fatalf("reopened manager reused job ID %s", first.ID)
+	}
+	waitTerminal(t, m2, second.ID)
+	if st, err := m2.Status(first.ID); err != nil || st.State != api.JobDone {
+		t.Fatalf("restored job %s: %+v, %v", first.ID, st, err)
+	}
+	if n := len(m2.List()); n != 2 {
+		t.Fatalf("List has %d jobs, want 2", n)
+	}
+}

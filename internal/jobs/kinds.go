@@ -96,11 +96,8 @@ func buildRunner(req *api.JobSubmitRequest, workers int, planner *core.Planner, 
 		if p == nil {
 			return nil, fmt.Errorf("%w: kind %q requires the plansweep parameter block", ErrBadRequest, req.Kind)
 		}
-		if p.Dims < 1 || p.Dims > maxSweepDims {
-			return nil, fmt.Errorf("%w: plansweep dims must be 1..%d, got %d", ErrBadRequest, maxSweepDims, p.Dims)
-		}
-		if p.MaxAxis < 1 || p.MaxAxis > maxSweepAxis {
-			return nil, fmt.Errorf("%w: plansweep max_axis must be 1..%d, got %d", ErrBadRequest, maxSweepAxis, p.MaxAxis)
+		if err := checkDomain(req.Kind, p.Dims, p.MaxAxis); err != nil {
+			return nil, err
 		}
 		if p.MaxNodes < 1 || p.MaxNodes > maxSweepNodes {
 			return nil, fmt.Errorf("%w: plansweep max_nodes must be 1..%d, got %d", ErrBadRequest, maxSweepNodes, p.MaxNodes)
@@ -114,18 +111,15 @@ func buildRunner(req *api.JobSubmitRequest, workers int, planner *core.Planner, 
 			family:  fam.Family,
 			workers: workers,
 			planner: planner,
-			hist:    map[string]uint64{},
+			agg:     plansweepAgg{planTally: newPlanTally()},
 		}, nil
 	case api.JobPlanCensus:
 		p := req.PlanCensus
 		if p == nil {
 			return nil, fmt.Errorf("%w: kind %q requires the plancensus parameter block", ErrBadRequest, req.Kind)
 		}
-		if p.Dims < 1 || p.Dims > maxSweepDims {
-			return nil, fmt.Errorf("%w: plancensus dims must be 1..%d, got %d", ErrBadRequest, maxSweepDims, p.Dims)
-		}
-		if p.MaxAxis < 1 || p.MaxAxis > maxSweepAxis {
-			return nil, fmt.Errorf("%w: plancensus max_axis must be 1..%d, got %d", ErrBadRequest, maxSweepAxis, p.MaxAxis)
+		if err := checkDomain(req.Kind, p.Dims, p.MaxAxis); err != nil {
+			return nil, err
 		}
 		if total := artifact.TotalRecords(p.Dims, p.MaxAxis); total > artifact.MaxRecords {
 			return nil, fmt.Errorf("%w: plancensus dims=%d max_axis=%d spans %d records (cap %d)",
@@ -142,13 +136,26 @@ func buildRunner(req *api.JobSubmitRequest, workers int, planner *core.Planner, 
 		return &plancensusRunner{
 			params:  *p,
 			family:  fam.Family,
+			workers: workers,
 			planner: planner,
 			dir:     dir,
-			hist:    map[string]uint64{},
+			agg:     plancensusAgg{planTally: newPlanTally()},
 		}, nil
 	default:
 		return nil, fmt.Errorf("%w: unknown job kind %q", ErrBadRequest, req.Kind)
 	}
+}
+
+// checkDomain validates the shape domain plansweep and plancensus share:
+// dims axes, each at most maxAxis long.  The messages name the kind.
+func checkDomain(kind api.JobKind, dims, maxAxis int) error {
+	if dims < 1 || dims > maxSweepDims {
+		return fmt.Errorf("%w: %s dims must be 1..%d, got %d", ErrBadRequest, kind, maxSweepDims, dims)
+	}
+	if maxAxis < 1 || maxAxis > maxSweepAxis {
+		return fmt.Errorf("%w: %s max_axis must be 1..%d, got %d", ErrBadRequest, kind, maxSweepAxis, maxAxis)
+	}
+	return nil
 }
 
 // writeRecord appends one NDJSON line: the json.Marshal bytes of v and a
@@ -310,18 +317,61 @@ func (r *epsilonRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 func (r *epsilonRunner) snapshot() (json.RawMessage, error) { return nil, nil }
 func (r *epsilonRunner) restore(json.RawMessage) error      { return nil }
 
+// planTally is the aggregate plansweep and plancensus share: the dilation
+// histogram and the minimal-cube count of the summary line.  Both kinds
+// embed it in their aggregate, so its keys keep their place in the
+// checkpoint and chunk-delta JSON.
+type planTally struct {
+	Hist    map[string]uint64 `json:"hist"`
+	Minimal uint64            `json:"minimal"`
+}
+
+func newPlanTally() planTally { return planTally{Hist: map[string]uint64{}} }
+
+// add counts one plan by its dilation bound (-1, keyed "unknown", when it
+// has none) and whether it reaches the minimal cube.
+func (t *planTally) add(dilation int, minimal bool) {
+	key := "unknown"
+	if dilation >= 0 {
+		key = strconv.Itoa(dilation)
+	}
+	t.Hist[key]++
+	if minimal {
+		t.Minimal++
+	}
+}
+
+func (t *planTally) merge(d planTally) {
+	for k, v := range d.Hist {
+		t.Hist[k] += v
+	}
+	t.Minimal += d.Minimal
+}
+
+// restoreHist gives a tally decoded from a checkpoint a fresh runner's empty
+// histogram when the checkpoint's is null, so the chunks after the restore
+// have a map to count into.
+func (t *planTally) restoreHist() {
+	if t.Hist == nil {
+		t.Hist = map[string]uint64{}
+	}
+}
+
 // plansweepRunner plans every canonical guest shape of the family in range,
 // one chunk per first axis (core.FamilyShapesFrom), one record per shape in
-// enumeration order.  The aggregate is the dilation histogram and
-// minimal-cube count of the summary line.
+// enumeration order.  The aggregate is the plan tally and certified-optimal
+// count of the summary line.
 type plansweepRunner struct {
 	params  api.PlanSweepParams
 	family  guest.Family
 	workers int
 	planner *core.Planner
-	hist    map[string]uint64
-	minimal uint64
-	optimal uint64
+	agg     plansweepAgg
+}
+
+type plansweepAgg struct {
+	planTally
+	Optimal uint64 `json:"optimal"`
 }
 
 func (r *plansweepRunner) chunks() int { return r.params.MaxAxis }
@@ -338,20 +388,13 @@ func (r *plansweepRunner) execute(ctx context.Context, chunk int, rows *bytes.Bu
 	}
 	// One encoder and pointer arguments: no allocation per record.
 	enc := json.NewEncoder(rows)
-	delta := plansweepAgg{Hist: map[string]uint64{}}
+	delta := plansweepAgg{planTally: newPlanTally()}
 	for i := range recs {
 		rec := &recs[i]
 		if err := enc.Encode(rec); err != nil {
 			return nil, err
 		}
-		key := "unknown"
-		if rec.DilationBound >= 0 {
-			key = strconv.Itoa(rec.DilationBound)
-		}
-		delta.Hist[key]++
-		if rec.Minimal {
-			delta.Minimal++
-		}
+		delta.add(rec.DilationBound, rec.Minimal)
 		if rec.Optimal {
 			delta.Optimal++
 		}
@@ -369,11 +412,8 @@ func (r *plansweepRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64,
 		return 0, fmt.Errorf("jobs: plansweep chunk %d aggregate: %w", res.Chunk, err)
 	}
 	buf.Write(res.Rows)
-	for k, v := range a.Hist {
-		r.hist[k] += v
-	}
-	r.minimal += a.Minimal
-	r.optimal += a.Optimal
+	r.agg.merge(a.planTally)
+	r.agg.Optimal += a.Optimal
 	return res.Shapes, nil
 }
 
@@ -403,35 +443,22 @@ func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {
 }
 
 func (r *plansweepRunner) finish(buf *bytes.Buffer, shapes uint64) error {
-	rec := api.SummaryRecord{
+	return writeRecord(buf, api.SummaryRecord{
 		Type: api.RecordSummary, Schema: api.JobSchemaVersion, Kind: api.JobPlanSweep,
-		Chunks: r.chunks(), Shapes: shapes, Minimal: r.minimal, Optimal: r.optimal,
-	}
-	if len(r.hist) > 0 {
-		rec.DilationHist = r.hist
-	}
-	return writeRecord(buf, rec)
+		Chunks: r.chunks(), Shapes: shapes,
+		DilationHist: r.agg.Hist, Minimal: r.agg.Minimal, Optimal: r.agg.Optimal,
+	})
 }
 
-type plansweepAgg struct {
-	Hist    map[string]uint64 `json:"hist"`
-	Minimal uint64            `json:"minimal"`
-	Optimal uint64            `json:"optimal"`
-}
-
-func (r *plansweepRunner) snapshot() (json.RawMessage, error) {
-	return json.Marshal(plansweepAgg{Hist: r.hist, Minimal: r.minimal, Optimal: r.optimal})
-}
+func (r *plansweepRunner) snapshot() (json.RawMessage, error) { return json.Marshal(r.agg) }
 
 func (r *plansweepRunner) restore(agg json.RawMessage) error {
 	var a plansweepAgg
 	if err := json.Unmarshal(agg, &a); err != nil {
 		return err
 	}
-	if a.Hist == nil {
-		a.Hist = map[string]uint64{}
-	}
-	r.hist, r.minimal, r.optimal = a.Hist, a.Minimal, a.Optimal
+	a.restoreHist()
+	r.agg = a
 	return nil
 }
 
@@ -446,22 +473,26 @@ const ArtifactFile = "artifact.plan"
 // summary — the artifact file itself is the payload, downloaded via
 // GET /v1/jobs/{id}/artifact.
 //
-// The aggregate is the builder position (nextRank, stringCursor) plus the
-// dilation histogram; on restore (or an intra-chunk retry) the builder is
+// The aggregate is the builder position (next rank, string cursor) plus the
+// plan tally; on restore (or an intra-chunk retry) the builder is
 // reopened at exactly the checkpointed position, truncating whatever a torn
 // chunk wrote past it, which keeps both the artifact bytes and the record
 // stream byte-identical to an uninterrupted run.
 type plancensusRunner struct {
 	params  api.PlanCensusParams
 	family  guest.Family
+	workers int
 	planner *core.Planner
 	dir     string
 
-	b        *artifact.Builder
-	nextRank uint64
-	cursor   uint64
-	hist     map[string]uint64
-	minimal  uint64
+	b   *artifact.Builder
+	agg plancensusAgg
+}
+
+type plancensusAgg struct {
+	NextRank uint64 `json:"next_rank"`
+	Cursor   uint64 `json:"cursor"`
+	planTally
 }
 
 func (r *plancensusRunner) chunks() int { return r.params.MaxAxis }
@@ -473,14 +504,14 @@ func (r *plancensusRunner) path() string { return filepath.Join(r.dir, ArtifactF
 // attempt) is discarded and reopened so the retry replays cleanly.
 func (r *plancensusRunner) ensureBuilder() error {
 	if r.b != nil {
-		if next, cur := r.b.Pos(); next == r.nextRank && cur == r.cursor {
+		if next, cur := r.b.Pos(); next == r.agg.NextRank && cur == r.agg.Cursor {
 			return nil
 		}
 		r.b.Abort()
 		r.b = nil
 	}
 	b, err := artifact.OpenBuilderAt(r.path(), r.family.String(), r.params.Dims, r.params.MaxAxis,
-		r.planner.Fingerprint(), r.nextRank, r.cursor)
+		r.planner.Fingerprint(), r.agg.NextRank, r.agg.Cursor)
 	if err != nil {
 		return err
 	}
@@ -490,30 +521,27 @@ func (r *plancensusRunner) ensureBuilder() error {
 
 // execute for plancensus cannot return rows or artifact bytes — both embed
 // the cumulative string cursor, which depends on every earlier chunk.  It
-// returns one position-independent PlanEntry per shape in rank order
-// instead; fold replays them through the runner's builder, which assigns
-// the cursor and emits the chunk record.
+// plans the chunk on the sweep pool, as plansweep does, and returns one
+// position-independent PlanEntry per shape in rank order instead; fold
+// replays them through the runner's builder, which assigns the cursor and
+// emits the chunk record.
 func (r *plancensusRunner) execute(ctx context.Context, chunk int, _ *bytes.Buffer) (*api.ChunkResult, error) {
-	c := chunk + 1
-	lo, hi := artifact.ChunkRange(r.params.Dims, c)
-	plans := make([]api.PlanEntry, 0, hi-lo)
-	var planErr error
-	artifact.EachShapeWithMax(r.params.Dims, c, func(s mesh.Shape) {
-		if planErr != nil {
-			return
-		}
-		if err := ctx.Err(); err != nil {
-			planErr = err
-			return
-		}
-		plans = append(plans, r.planner.PlanGuest(r.family, s).Entry())
-	})
-	if planErr != nil {
-		return nil, planErr
-	}
-	if uint64(len(plans)) != hi-lo {
-		return nil, fmt.Errorf("jobs: plancensus chunk %d enumerated %d shapes, want %d",
-			c, len(plans), hi-lo)
+	c, dims := chunk+1, r.params.Dims
+	lo, hi := artifact.ChunkRange(dims, c)
+	// The chunk's shapes back to back in one buffer of axis lengths.  No
+	// plan keeps a reference into it: the planner caches plans of its own
+	// canonical copy of a shape, and an entry holds strings and numbers.
+	axes := make([]int, 0, (hi-lo)*uint64(dims))
+	artifact.EachShapeWithMax(dims, c, func(s mesh.Shape) { axes = append(axes, s...) })
+	n := len(axes) / dims
+	plans, err := sweep.FoldCtx(ctx, n, r.workers,
+		func(i int) api.PlanEntry {
+			return r.planner.PlanGuest(r.family, axes[i*dims:(i+1)*dims:(i+1)*dims]).Entry()
+		},
+		make([]api.PlanEntry, 0, n),
+		func(acc []api.PlanEntry, pe api.PlanEntry) []api.PlanEntry { return append(acc, pe) })
+	if err != nil {
+		return nil, err
 	}
 	return &api.ChunkResult{Shapes: hi - lo, Plans: plans}, nil
 }
@@ -528,8 +556,7 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 		return 0, fmt.Errorf("jobs: plancensus chunk %d carries %d plans, want %d",
 			c, len(res.Plans), hi-lo)
 	}
-	hist := map[string]uint64{}
-	var minimal uint64
+	delta := newPlanTally()
 	i := 0
 	var foldErr error
 	artifact.EachShapeWithMax(r.params.Dims, c, func(s mesh.Shape) {
@@ -546,14 +573,7 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 			foldErr = fmt.Errorf("jobs: plancensus chunk %d: %w", c, err)
 			return
 		}
-		if pe.Dilation < 0 {
-			hist["unknown"]++
-		} else {
-			hist[strconv.Itoa(pe.Dilation)]++
-		}
-		if pe.Minimal {
-			minimal++
-		}
+		delta.add(pe.Dilation, pe.Minimal)
 	})
 	// A torn replay (foldErr below) leaves the builder position drifted
 	// from the aggregate; ensureBuilder reopens it at the checkpointed
@@ -574,11 +594,8 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 	}); err != nil {
 		return 0, err
 	}
-	r.nextRank, r.cursor = next, cursor
-	for k, v := range hist {
-		r.hist[k] += v
-	}
-	r.minimal += minimal
+	r.agg.NextRank, r.agg.Cursor = next, cursor
+	r.agg.merge(delta)
 	return hi - lo, nil
 }
 
@@ -596,7 +613,7 @@ func (r *plancensusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 	return writeRecord(buf, api.SummaryRecord{
 		Type: api.RecordSummary, Schema: api.JobSchemaVersion, Kind: api.JobPlanCensus,
 		Chunks: r.chunks(), Shapes: shapes,
-		Minimal: r.minimal, DilationHist: r.hist,
+		DilationHist: r.agg.Hist, Minimal: r.agg.Minimal,
 		Artifact: &api.ArtifactInfo{
 			Records:     hdr.RecordCount,
 			StringBytes: hdr.StringBytes,
@@ -607,26 +624,15 @@ func (r *plancensusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 	})
 }
 
-type plancensusAgg struct {
-	NextRank uint64            `json:"next_rank"`
-	Cursor   uint64            `json:"cursor"`
-	Hist     map[string]uint64 `json:"hist"`
-	Minimal  uint64            `json:"minimal"`
-}
-
-func (r *plancensusRunner) snapshot() (json.RawMessage, error) {
-	return json.Marshal(plancensusAgg{NextRank: r.nextRank, Cursor: r.cursor, Hist: r.hist, Minimal: r.minimal})
-}
+func (r *plancensusRunner) snapshot() (json.RawMessage, error) { return json.Marshal(r.agg) }
 
 func (r *plancensusRunner) restore(agg json.RawMessage) error {
 	var a plancensusAgg
 	if err := json.Unmarshal(agg, &a); err != nil {
 		return err
 	}
-	if a.Hist == nil {
-		a.Hist = map[string]uint64{}
-	}
-	r.nextRank, r.cursor, r.hist, r.minimal = a.NextRank, a.Cursor, a.Hist, a.Minimal
+	a.restoreHist()
+	r.agg = a
 	return nil
 }
 

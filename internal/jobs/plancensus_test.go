@@ -252,6 +252,54 @@ func TestPlanCensusKillAndResume(t *testing.T) {
 	}
 }
 
+// TestPlanCensusWorkersByteIdentical plans plancensus chunks on the sweep
+// pool at several widths: for mesh and torus, the result stream and the
+// artifact at workers 2 and 4, and over a loopback fabric peer, are the
+// bytes of the workers-1 run.
+func TestPlanCensusWorkersByteIdentical(t *testing.T) {
+	run := func(t *testing.T, req api.JobSubmitRequest) (stream, art []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		m, err := Open(testConfig(dir))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer closeManager(t, m)
+		st, err := m.Submit(req)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if st = waitTerminal(t, m, st.ID); st.State != api.JobDone {
+			t.Fatalf("workers=%d job ended %s (error %q), want done", req.Workers, st.State, st.Error)
+		}
+		return resultsBytes(t, dir, st.ID), artifactBytes(t, m, st.ID)
+	}
+	for _, fam := range []string{"mesh", "torus"} {
+		t.Run(fam, func(t *testing.T) {
+			req := plancensusReq(4, 8, fam)
+			req.Workers = 1
+			wantStream, wantArt := run(t, req)
+			for _, workers := range []int{2, 4} {
+				req.Workers = workers
+				if stream, art := run(t, req); !bytes.Equal(stream, wantStream) || !bytes.Equal(art, wantArt) {
+					t.Fatalf("workers=%d: stream %d bytes, artifact %d bytes; workers=1: %d and %d",
+						workers, len(stream), len(art), len(wantStream), len(wantArt))
+				}
+			}
+			req.Workers = 2
+			st, stream, dir := runDistributed(t, req, 1)
+			art, err := os.ReadFile(filepath.Join(dir, st.ID, ArtifactFile))
+			if err != nil {
+				t.Fatalf("reading artifact: %v", err)
+			}
+			if !bytes.Equal(stream, wantStream) || !bytes.Equal(art, wantArt) {
+				t.Fatalf("loopback peer: stream %d bytes, artifact %d bytes; workers=1: %d and %d",
+					len(stream), len(art), len(wantStream), len(wantArt))
+			}
+		})
+	}
+}
+
 // TestArtifactPathErrors pins the ArtifactPath error contract.
 func TestArtifactPathErrors(t *testing.T) {
 	dir := t.TempDir()

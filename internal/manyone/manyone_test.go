@@ -96,7 +96,7 @@ func TestGrayContractedCorollary4(t *testing.T) {
 			}
 		}
 		// Load is optimal: |V| / 2^n exactly.
-		if opt := e.OptimalLoadFactor(); e.LoadFactor() != opt {
+		if opt := OptimalLoad(e.Guest, e.N); e.LoadFactor() != opt {
 			t.Errorf("%v: load %d not optimal (%d)", c.loads, e.LoadFactor(), opt)
 		}
 	}

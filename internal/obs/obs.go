@@ -52,17 +52,18 @@ func ReadStats() Stats {
 	}
 }
 
+// IDPrefix is the process's random 8-hex-digit ID prefix.  Span, request
+// and job IDs all start with it, so IDs minted by two processes (a
+// coordinator and its workers, a server and its restart) cannot collide.
+var IDPrefix = fmt.Sprintf("%08x", rand.Uint32())
+
 // Span identity for cross-process propagation: IDs are assigned lazily (only
-// spans that actually cross a process boundary pay for one) from a
-// per-process random prefix plus a counter, so coordinator- and
-// worker-minted IDs cannot collide within a trace.
-var (
-	idSeed    = rand.Uint64()
-	idCounter atomic.Uint64
-)
+// spans that actually cross a process boundary pay for one) from IDPrefix
+// plus a counter.
+var idCounter atomic.Uint64
 
 func newID() string {
-	return fmt.Sprintf("%08x-%x", uint32(idSeed), idCounter.Add(1))
+	return fmt.Sprintf("%s-%x", IDPrefix, idCounter.Add(1))
 }
 
 // SpanContext is a span's propagable wire identity: enough for a remote

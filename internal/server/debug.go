@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -33,15 +31,12 @@ import (
 // no request ID, no context value — so the hot path's allocation profile is
 // unchanged.
 
-// reqIDPrefix makes request IDs unique across process restarts; the counter
-// makes them unique (and ordered) within one.
-var (
-	reqIDPrefix  = func() string { var b [4]byte; _, _ = rand.Read(b[:]); return hex.EncodeToString(b[:]) }()
-	reqIDCounter atomic.Uint64
-)
+// reqIDCounter makes request IDs unique (and ordered) within a process;
+// obs.IDPrefix makes them unique across restarts.
+var reqIDCounter atomic.Uint64
 
 func nextRequestID() string {
-	return fmt.Sprintf("%s-%06d", reqIDPrefix, reqIDCounter.Add(1))
+	return fmt.Sprintf("%s-%06d", obs.IDPrefix, reqIDCounter.Add(1))
 }
 
 // reqMeta rides the request context through the handler so the access log
