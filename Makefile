@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race bench bench-short bench-check bench-json bounds-check figures fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check
+.PHONY: check fmt-check vet build test race bench bench-short bench-check bench-json bounds-check figures figures-check fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check
 
-check: fmt-check vet build gen-check test race bounds-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
+check: fmt-check vet build gen-check test race bounds-check figures-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -126,6 +126,17 @@ dash-check:
 
 figures:
 	$(GO) run ./cmd/figures
+
+# Fail when the paper's tables and figures drifted from the committed
+# capture: `go run ./cmd/figures` must print the bytes of
+# figures_output.txt.  Its sweeps (Figure 2, the §5 exceptions, the §8 table)
+# run on internal/sweep and add up their tallies in internal/stats, so a
+# change there that moves a number fails here.  A planner change that moves
+# a plan on purpose regenerates the capture with
+# `go run ./cmd/figures > figures_output.txt`.
+figures-check:
+	@$(GO) run ./cmd/figures | cmp - figures_output.txt && echo "figures-check: ok" || { \
+		echo "figures-check: go run ./cmd/figures differs from figures_output.txt"; exit 1; }
 
 fmt:
 	gofmt -l -w .

@@ -38,7 +38,8 @@ func cmdJob(args []string) {
 	case "submit":
 		jobSubmit(ctx, rest)
 	case "status":
-		st, err := jobClient(rest, 1).c.Job(ctx, jobID(rest))
+		jf := jobClient(rest, 1)
+		st, err := jf.c.Job(ctx, jf.args[0])
 		check(err)
 		printJSON(st)
 	case "watch":
@@ -48,7 +49,8 @@ func cmdJob(args []string) {
 	case "events":
 		jobEvents(ctx, rest)
 	case "cancel":
-		st, err := jobClient(rest, 1).c.CancelJob(ctx, jobID(rest))
+		jf := jobClient(rest, 1)
+		st, err := jf.c.CancelJob(ctx, jf.args[0])
 		check(err)
 		printJSON(st)
 	case "list":
@@ -78,11 +80,11 @@ func jobUsage() {
 	os.Exit(2)
 }
 
-// jobFlags is the flag set every job subcommand shares; positional args
-// after the flags are the job ID (when the subcommand takes one).
+// jobFlags is what the flag set every job subcommand shares parses to: a
+// client for -addr, and the positional args after the flags (the job ID,
+// when the subcommand takes one).
 type jobFlags struct {
 	c    *client.Client
-	fs   *flag.FlagSet
 	args []string
 }
 
@@ -93,17 +95,7 @@ func jobClient(args []string, positional int) *jobFlags {
 	if fs.NArg() != positional {
 		jobUsage()
 	}
-	return &jobFlags{c: client.New(*addr), fs: fs, args: fs.Args()}
-}
-
-func jobID(args []string) string {
-	fs := flag.NewFlagSet("job", flag.ExitOnError)
-	fs.String("addr", "", "")
-	_ = fs.Parse(args)
-	if fs.NArg() != 1 {
-		jobUsage()
-	}
-	return fs.Arg(0)
+	return &jobFlags{c: client.New(*addr), args: fs.Args()}
 }
 
 func printJSON(v any) {

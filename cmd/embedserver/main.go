@@ -56,7 +56,9 @@
 //	                                   coordinator (requires -advertise)
 //	-advertise URL                     the base URL peers should dial to
 //	                                   reach this server
-//	-fabric-inflight N                 concurrently executing chunks per peer
+//
+// A coordinator runs at most two chunks at a time on each peer, the fabric
+// pool's default.
 //
 // The server prints "embedserver: listening on HOST:PORT" once the listener
 // is bound (so -addr :0 is scriptable) and drains in-flight requests on
@@ -118,7 +120,6 @@ func main() {
 	peersFlag := flag.String("peers", "", "comma-separated embedserver base URLs to dispatch distributed job chunks to")
 	joinURL := flag.String("join", "", "coordinator base URL to register this server with (requires -advertise)")
 	advertise := flag.String("advertise", "", "base URL peers should dial to reach this server")
-	fabricInflight := flag.Int("fabric-inflight", 2, "concurrently executing chunks per fabric peer")
 	flag.Parse()
 
 	var logger *slog.Logger
@@ -176,10 +177,9 @@ func main() {
 		// entry point the HTTP worker endpoint uses, so a coordinator that
 		// loses every worker keeps folding byte-identical results.
 		pool = fabric.NewPool(fabric.Config{
-			Dial:            fabrichttp.Dialer(*fabricSecret),
-			Local:           fabric.Loopback(s.ExecuteChunk),
-			InFlightPerPeer: *fabricInflight,
-			Logger:          logger,
+			Dial:   fabrichttp.Dialer(*fabricSecret),
+			Local:  fabric.Loopback(s.ExecuteChunk),
+			Logger: logger,
 		})
 		for _, addr := range strings.Split(*peersFlag, ",") {
 			if addr = strings.TrimSpace(addr); addr == "" {

@@ -16,6 +16,9 @@ import (
 // loopback transport in peer listings.
 const LocalAddr = "local"
 
+// healthTimeout bounds one liveness probe.
+const healthTimeout = 2 * time.Second
+
 // Config configures a Pool.
 type Config struct {
 	// Dial produces transports for remote peer addresses.  Required when
@@ -31,9 +34,7 @@ type Config struct {
 	// HealthEvery is the background health-probe period (default 5s).
 	// Negative disables the loop — tests drive CheckPeers directly.
 	HealthEvery time.Duration
-	// HealthTimeout bounds one liveness probe (default 2s).
-	HealthTimeout time.Duration
-	Logger        *slog.Logger
+	Logger      *slog.Logger
 }
 
 // peer is one transport plus its dispatch bookkeeping.  All mutable fields
@@ -93,9 +94,6 @@ func NewPool(cfg Config) *Pool {
 	}
 	if cfg.HealthEvery == 0 {
 		cfg.HealthEvery = 5 * time.Second
-	}
-	if cfg.HealthTimeout <= 0 {
-		cfg.HealthTimeout = 2 * time.Second
 	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -182,7 +180,7 @@ func (p *Pool) CheckPeers(ctx context.Context) {
 	}
 	p.mu.Unlock()
 	for _, pr := range probes {
-		pctx, cancel := context.WithTimeout(ctx, p.cfg.HealthTimeout)
+		pctx, cancel := context.WithTimeout(ctx, healthTimeout)
 		err := pr.t.Healthy(pctx)
 		cancel()
 		p.mu.Lock()

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -116,9 +117,8 @@ func TestChunkWire(t *testing.T) {
 			}
 
 			r := newRunner(t, tc.req)
-			var buf bytes.Buffer
 			for c := 0; c < tc.chunk; c++ {
-				if _, err := r.fold(executeChunk(t, r, c), &buf); err != nil {
+				if _, _, err := r.fold(executeChunk(t, r, c)); err != nil {
 					t.Fatalf("fold(%d): %v", c, err)
 				}
 			}
@@ -186,6 +186,89 @@ func TestCensusAggCodec(t *testing.T) {
 	}
 }
 
+// TestPlanAggCodec holds the plansweep and plancensus aggregates to the
+// census rule (decodeExact): restore reads a checkpoint's aggregate, and
+// plansweep's fold a chunk's delta, only as json.Marshal's bytes, compact
+// or indented.  A missing, unknown, miscased or reordered key is refused
+// and leaves the snapshot as it was.
+func TestPlanAggCodec(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  api.JobSubmitRequest
+		// Edits (regexp → replacement) of the compact aggregate: a missing,
+		// an unknown, a miscased and a reordered key.
+		bad [][2]string
+	}{
+		{"plansweep", plansweepReq(), [][2]string{
+			{`,"optimal":\d+`, ``},
+			{`}$`, `,"x":1}`},
+			{`"minimal"`, `"Minimal"`},
+			{`"minimal":(\d+),"optimal":(\d+)`, `"optimal":$2,"minimal":$1`},
+		}},
+		{"plancensus", plancensusReq(3, 6, ""), [][2]string{
+			{`"cursor":\d+,`, ``},
+			{`}$`, `,"x":1}`},
+			{`"cursor"`, `"Cursor"`},
+			{`"next_rank":(\d+),"cursor":(\d+)`, `"cursor":$2,"next_rank":$1`},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRunner(t, tc.req)
+			var delta []byte
+			for c := 0; c < 3; c++ {
+				res := executeChunk(t, r, c)
+				if _, _, err := r.fold(res); err != nil {
+					t.Fatalf("fold(%d): %v", c, err)
+				}
+				delta = res.Agg
+			}
+			agg := snapshotOf(t, r)
+			indented, err := json.MarshalIndent(json.RawMessage(agg), "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, in := range [][]byte{agg, indented} {
+				fresh := newRunner(t, tc.req)
+				if err := fresh.restore(in); err != nil {
+					t.Fatalf("restore(%s): %v", in, err)
+				}
+				if got := snapshotOf(t, fresh); !bytes.Equal(got, agg) {
+					t.Fatalf("restore(%s) left snapshot %s", in, got)
+				}
+			}
+			// Each path that reads an aggregate, with the bytes it reads.
+			type reader struct {
+				in   []byte
+				read func(r kindRunner, b []byte) error
+			}
+			readers := []reader{{agg, func(r kindRunner, b []byte) error { return r.restore(b) }}}
+			if delta != nil { // plancensus chunks carry plans, not a delta
+				readers = append(readers, reader{delta, func(r kindRunner, b []byte) error {
+					_, _, err := r.fold(&api.ChunkResult{Agg: b})
+					return err
+				}})
+			}
+			for _, edit := range tc.bad {
+				re := regexp.MustCompile(edit[0])
+				for _, rd := range readers {
+					bad := re.ReplaceAll(rd.in, []byte(edit[1]))
+					if bytes.Equal(bad, rd.in) {
+						t.Fatalf("edit %q does not apply to %s", edit[0], rd.in)
+					}
+					fresh := newRunner(t, tc.req)
+					before := snapshotOf(t, fresh)
+					if err := rd.read(fresh, bad); err == nil {
+						t.Errorf("%s accepted", bad)
+					}
+					if after := snapshotOf(t, fresh); !bytes.Equal(after, before) {
+						t.Errorf("rejecting %s moved the snapshot to %s", bad, after)
+					}
+				}
+			}
+		})
+	}
+}
+
 // foldKinds are the runners FuzzFold attacks, one per job kind.
 var foldKinds = []struct {
 	name string
@@ -214,14 +297,14 @@ func FuzzFold(f *testing.F) {
 	for i, k := range foldKinds {
 		r := newRunner(f, k.req)
 		p := chunkPair{first: executeChunk(f, r, 0), second: executeChunk(f, r, 1)}
-		var buf bytes.Buffer
 		for _, res := range []*api.ChunkResult{p.first, p.second} {
-			buf.Reset()
-			if _, err := r.fold(res, &buf); err != nil {
+			stream, _, err := r.fold(res)
+			if err != nil {
 				f.Fatalf("%s: genuine fold: %v", k.name, err)
 			}
+			p.stream = bytes.Clone(stream)
 		}
-		p.stream, p.snap = bytes.Clone(buf.Bytes()), snapshotOf(f, r)
+		p.snap = snapshotOf(f, r)
 		genuine[i] = p
 	}
 
@@ -257,25 +340,23 @@ func FuzzFold(f *testing.F) {
 		_ = json.Unmarshal(plans, &hostile.Plans) // undecodable plans stay nil
 		for i, k := range foldKinds {
 			r := newRunner(t, k.req)
-			var buf bytes.Buffer
-			if _, err := r.fold(genuine[i].first, &buf); err != nil {
+			if _, _, err := r.fold(genuine[i].first); err != nil {
 				t.Fatalf("%s: genuine chunk 0: %v", k.name, err)
 			}
 			before := snapshotOf(t, r)
 			res := hostile
-			buf.Reset()
-			if _, err := r.fold(&res, &buf); err == nil {
+			if _, _, err := r.fold(&res); err == nil {
 				continue
 			}
 			if after := snapshotOf(t, r); !bytes.Equal(after, before) {
 				t.Fatalf("%s: failed fold moved the snapshot:\nbefore %s\nafter  %s", k.name, before, after)
 			}
-			buf.Reset()
-			if _, err := r.fold(genuine[i].second, &buf); err != nil {
+			stream, _, err := r.fold(genuine[i].second)
+			if err != nil {
 				t.Fatalf("%s: genuine chunk 1 after a failed fold: %v", k.name, err)
 			}
-			if !bytes.Equal(buf.Bytes(), genuine[i].stream) {
-				t.Fatalf("%s: retried chunk 1 folded to other bytes:\n%s", k.name, buf.Bytes())
+			if !bytes.Equal(stream, genuine[i].stream) {
+				t.Fatalf("%s: retried chunk 1 folded to other bytes:\n%s", k.name, stream)
 			}
 			if got := snapshotOf(t, r); !bytes.Equal(got, genuine[i].snap) {
 				t.Fatalf("%s: retried chunk 1 left snapshot %s, want %s", k.name, got, genuine[i].snap)

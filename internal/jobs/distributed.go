@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 
@@ -24,14 +23,12 @@ func (m *Manager) runBodyDistributed(ctx context.Context, l *resultLog) error {
 		l.j.dispatch = nil
 		l.j.mu.Unlock()
 	}()
-	var buf bytes.Buffer
 	err := d.Run(ctx, l.next, func(res *api.ChunkResult) error {
-		buf.Reset()
-		n, err := l.r.fold(res, &buf)
+		stream, n, err := l.r.fold(res)
 		if err != nil {
 			return err
 		}
-		return l.commit(buf.Bytes(), n)
+		return l.commit(stream, n)
 	})
 	// errAbandoned is the test hook's simulated kill: no further disk writes.
 	if err != nil && !errors.Is(err, errAbandoned) && ctx.Err() != nil {

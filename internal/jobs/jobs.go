@@ -5,15 +5,17 @@
 //
 // Determinism is the load-bearing property.  A job's work is cut into
 // chunks that execute sequentially in index order (parallelism lives inside
-// a chunk, behind sweep.FoldCtx, whose reduction is index-ordered); every
-// aggregate is integer-derived; records carry no timestamps.  The NDJSON
-// result stream is therefore a pure function of the request — independent
-// of worker count, scheduling, retries and resume points — which is what
-// lets the manager checkpoint mid-job and, after a kill, truncate the
-// stream to the last checkpoint and replay forward to a byte-identical
-// final result.  It is also what makes streaming sound: bytes handed to a
-// client are committed in the sense that any future replay reproduces them
-// exactly, so a client can resume a broken stream by byte offset.
+// a chunk, on sweep.MapCtx's result slots, which a chunk reads in index
+// order); every aggregate is integer-derived, and every aggregate read back
+// must be exactly the encoding it was written in; records carry no
+// timestamps.  The NDJSON result stream is therefore a pure function of
+// the request — independent of worker count, scheduling, retries and
+// resume points — which is what lets the manager checkpoint mid-job and,
+// after a kill, truncate the stream to the last checkpoint and replay
+// forward to a byte-identical final result.  It is also what makes
+// streaming sound: bytes handed to a client are committed in the sense
+// that any future replay reproduces them exactly, so a client can resume
+// a broken stream by byte offset.
 //
 // Failure isolation: a panicking chunk is recovered, retried up to
 // retryLimit times, and fails only its own job; the manager, its other
@@ -356,13 +358,22 @@ func workersFor(req *api.JobSubmitRequest, def int) int {
 	return min(w, maxWorkers)
 }
 
-// Status returns a job's current status.
-func (m *Manager) Status(id string) (api.JobStatus, error) {
+// lookup returns the job with the given id, or ErrNotFound.
+func (m *Manager) lookup(id string) (*job, error) {
 	m.mu.Lock()
 	j := m.jobs[id]
 	m.mu.Unlock()
 	if j == nil {
-		return api.JobStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return j, nil
+}
+
+// Status returns a job's current status.
+func (m *Manager) Status(id string) (api.JobStatus, error) {
+	j, err := m.lookup(id)
+	if err != nil {
+		return api.JobStatus{}, err
 	}
 	return j.status(), nil
 }
@@ -386,11 +397,9 @@ func (m *Manager) List() []api.JobStatus {
 // running one stops within a chunk item and finalizes on the runner.
 // Cancelling a terminal job is a no-op returning its status.
 func (m *Manager) Cancel(id string) (api.JobStatus, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
-		return api.JobStatus{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return api.JobStatus{}, err
 	}
 	j.mu.Lock()
 	switch {
@@ -427,11 +436,9 @@ type ResultsInfo struct {
 
 // Results returns the streaming view of a job's result file.
 func (m *Manager) Results(id string) (ResultsInfo, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
-		return ResultsInfo{}, fmt.Errorf("%w: %s", ErrNotFound, id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return ResultsInfo{}, err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -446,11 +453,9 @@ func (m *Manager) Results(id string) (ResultsInfo, error) {
 // Unknown ids are ErrNotFound, other kinds ErrBadRequest, and unfinished
 // jobs ErrNotReady (the file would be torn or still growing).
 func (m *Manager) ArtifactPath(id string) (string, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
-		return "", fmt.Errorf("%w: %s", ErrNotFound, id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return "", err
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -468,11 +473,9 @@ func (m *Manager) ArtifactPath(id string) (string, error) {
 // which has finished yet (queued, running, or cancelled before it ran) is
 // ErrNotReady.
 func (m *Manager) TracePath(id string) (string, error) {
-	m.mu.Lock()
-	j := m.jobs[id]
-	m.mu.Unlock()
-	if j == nil {
-		return "", fmt.Errorf("%w: %s", ErrNotFound, id)
+	j, err := m.lookup(id)
+	if err != nil {
+		return "", err
 	}
 	p := filepath.Join(j.dir, traceFile)
 	if _, err := os.Stat(p); err != nil {
@@ -832,15 +835,12 @@ func (l *resultLog) finish() error {
 // runBody is the local chunk source: it runs the uncommitted chunks in
 // index order on this node and commits each.  On a dying context it
 // checkpoints, so the resume point is the last committed chunk.  One rows
-// buffer and one stream buffer serve every chunk of the run.
+// buffer serves every chunk of the run, and each chunk is committed
+// straight from the bytes fold returns (for a row kind, that buffer's own).
 func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
-	var rows, buf bytes.Buffer
+	var rows bytes.Buffer
 	for chunk := l.next; chunk < l.total; chunk++ {
-		var n uint64
-		err := ctx.Err()
-		if err == nil {
-			n, err = m.retryChunk(ctx, l, chunk, &rows, &buf)
-		}
+		stream, n, err := m.retryChunk(ctx, l, chunk, &rows)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Best effort: if it fails, the previous checkpoint still
@@ -850,40 +850,42 @@ func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
 			}
 			return err
 		}
-		if err := l.commit(buf.Bytes(), n); err != nil {
+		if err := l.commit(stream, n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// retryChunk runs one chunk with panic isolation and bounded retry.  The
-// buffers are reset per attempt; the runner's aggregate is untouched by a
-// failed attempt (see kindRunner), so a retry starts from a clean slate.
-func (m *Manager) retryChunk(ctx context.Context, l *resultLog, chunk int, rows, buf *bytes.Buffer) (uint64, error) {
-	for attempt := 0; ; attempt++ {
+// retryChunk runs one chunk with panic isolation and bounded retry and
+// returns its stream bytes and shape count; a done ctx starts no further
+// attempt.  The rows buffer is reset per attempt; the runner's aggregate is
+// untouched by a failed attempt (see kindRunner), so a retry starts from a
+// clean slate.
+func (m *Manager) retryChunk(ctx context.Context, l *resultLog, chunk int, rows *bytes.Buffer) ([]byte, uint64, error) {
+	for attempt := 0; ctx.Err() == nil; attempt++ {
 		rows.Reset()
-		buf.Reset()
-		n, err := m.attemptChunk(ctx, l, chunk, attempt, rows, buf)
+		stream, n, err := m.attemptChunk(ctx, l, chunk, attempt, rows)
 		if err == nil {
-			return n, nil
+			return stream, n, nil
 		}
 		if ctx.Err() != nil {
-			return 0, ctx.Err()
+			break
 		}
 		if attempt >= retryLimit {
-			return 0, fmt.Errorf("jobs: chunk %d failed after %d attempts: %w", chunk, attempt+1, err)
+			return nil, 0, fmt.Errorf("jobs: chunk %d failed after %d attempts: %w", chunk, attempt+1, err)
 		}
 		l.retries++
 		m.retriesTot.Add(1)
 		m.log.Warn("jobs: chunk attempt failed; retrying",
 			"job", l.j.id, "chunk", chunk, "attempt", attempt+1, "err", err)
 	}
+	return nil, 0, ctx.Err()
 }
 
 // attemptChunk is one attempt at a chunk: execute, then fold — the same
 // two halves a fabric peer and the coordinator split between them.
-func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt int, rows, buf *bytes.Buffer) (n uint64, err error) {
+func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt int, rows *bytes.Buffer) (stream []byte, n uint64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -896,10 +898,10 @@ func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt
 	}
 	res, err := l.r.execute(cctx, chunk, rows)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	res.Chunk = chunk
-	return l.r.fold(res, buf)
+	return l.r.fold(res)
 }
 
 func (m *Manager) persistStatus(j *job) {

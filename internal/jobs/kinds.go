@@ -46,11 +46,14 @@ type kindRunner interface {
 	// never reads or writes the running aggregate, so a fresh runner, a
 	// mid-job runner and a peer all return the same bytes for a chunk.
 	execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error)
-	// fold merges an executed chunk into the running aggregate, appends
-	// its stream bytes to buf and returns its shape count.  It validates
-	// before it mutates: a failed fold leaves the aggregate exactly as it
-	// was, so the chunk can be retried or resumed without double counting.
-	fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error)
+	// fold merges an executed chunk into the running aggregate and returns
+	// the chunk's stream bytes and shape count: row kinds return res.Rows
+	// itself, plancensus the chunk record it encodes.  The bytes are the
+	// caller's to write before the next execute reuses the rows buffer.
+	// It validates before it mutates: a failed fold leaves the aggregate
+	// exactly as it was, so the chunk can be retried or resumed without
+	// double counting.
+	fold(res *api.ChunkResult) ([]byte, uint64, error)
 	// finish appends the final records (cumulative rows, summary) after the
 	// last chunk; shapes is the job-wide shape count.
 	finish(buf *bytes.Buffer, shapes uint64) error
@@ -206,40 +209,49 @@ func (r *censusRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffe
 	return &api.ChunkResult{Shapes: shapes, Rows: rows.Bytes(), Agg: agg}, nil
 }
 
-func (r *censusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+func (r *censusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 	part, err := r.decodeAgg(res.Agg)
 	if err != nil {
-		return 0, fmt.Errorf("jobs: census chunk %d aggregate: %w", res.Chunk, err)
+		return nil, 0, fmt.Errorf("jobs: census chunk %d aggregate: %w", res.Chunk, err)
 	}
-	buf.Write(res.Rows)
 	// Element-wise integer addition of the chunk's delta — associative, so
 	// folding deltas in index order equals the sequential aggregate exactly.
 	r.agg = stats.MergeCensusTallies(r.agg, part)
-	return res.Shapes, nil
+	return res.Rows, res.Shapes, nil
 }
 
 // decodeAgg decodes a census aggregate, a chunk's delta or a checkpoint's
-// running tally: json.Marshal of one tally per bucket.  It accepts b only
-// when it is that encoding up to insignificant whitespace (a fabric peer's
-// response carries the delta indented), so a missing, unknown, reordered
-// or miscased key is refused instead of read as zero.
+// running tally: one tally per bucket, in decodeExact's encoding.
 func (r *censusRunner) decodeAgg(b []byte) ([]stats.CensusTally, error) {
 	var t []stats.CensusTally
-	if err := json.Unmarshal(b, &t); err != nil {
+	if err := decodeExact(b, &t); err != nil {
 		return nil, err
 	}
 	if len(t) != r.maxN+1 {
 		return nil, fmt.Errorf("%d buckets, want %d", len(t), r.maxN+1)
 	}
-	want, err := json.Marshal(t)
+	return t, nil
+}
+
+// decodeExact decodes an aggregate of any kind — a chunk's delta or a
+// checkpoint's running aggregate — into v.  It accepts b only when it is
+// json.Marshal's encoding of what it decoded, up to insignificant
+// whitespace (a fabric peer's response carries the delta indented, a
+// checkpoint the aggregate), so a missing, unknown, reordered or miscased
+// key is refused instead of read as zero.
+func decodeExact(b []byte, v any) error {
+	if err := json.Unmarshal(b, v); err != nil {
+		return err
+	}
+	want, err := json.Marshal(v)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var got bytes.Buffer
 	if err := json.Compact(&got, b); err != nil || !bytes.Equal(got.Bytes(), want) {
-		return nil, errors.New("not in the census aggregate encoding")
+		return errors.New("not in the aggregate encoding")
 	}
-	return t, nil
+	return nil
 }
 
 func (r *censusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
@@ -300,11 +312,10 @@ func (r *epsilonRunner) execute(ctx context.Context, chunk int, rows *bytes.Buff
 	return &api.ChunkResult{Shapes: uint64(1) << uint(3*n), Rows: rows.Bytes()}, nil
 }
 
-// fold for epsilon is pure append: rows are independent, there is no
-// aggregate.
-func (r *epsilonRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
-	buf.Write(res.Rows)
-	return res.Shapes, nil
+// fold for epsilon passes the rows through: they are independent, there
+// is no aggregate.
+func (r *epsilonRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
+	return res.Rows, res.Shapes, nil
 }
 
 func (r *epsilonRunner) finish(buf *bytes.Buffer, shapes uint64) error {
@@ -379,10 +390,8 @@ func (r *plansweepRunner) chunks() int { return r.params.MaxAxis }
 func (r *plansweepRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
 	p := r.params
 	shapes := core.FamilyShapesFrom(r.family, chunk+1, p.Dims, p.MaxAxis, p.MaxNodes)
-	recs, err := sweep.FoldCtx(ctx, len(shapes), r.workers,
-		func(i int) api.PlanRecord { return r.planRecord(shapes[i]) },
-		make([]api.PlanRecord, 0, len(shapes)),
-		func(acc []api.PlanRecord, rec api.PlanRecord) []api.PlanRecord { return append(acc, rec) })
+	recs, err := sweep.MapCtx(ctx, len(shapes), r.workers,
+		func(_ context.Context, i int) api.PlanRecord { return r.planRecord(shapes[i]) })
 	if err != nil {
 		return nil, err
 	}
@@ -406,15 +415,14 @@ func (r *plansweepRunner) execute(ctx context.Context, chunk int, rows *bytes.Bu
 	return &api.ChunkResult{Shapes: uint64(len(shapes)), Rows: rows.Bytes(), Agg: agg}, nil
 }
 
-func (r *plansweepRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+func (r *plansweepRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 	var a plansweepAgg
-	if err := json.Unmarshal(res.Agg, &a); err != nil {
-		return 0, fmt.Errorf("jobs: plansweep chunk %d aggregate: %w", res.Chunk, err)
+	if err := decodeExact(res.Agg, &a); err != nil {
+		return nil, 0, fmt.Errorf("jobs: plansweep chunk %d aggregate: %w", res.Chunk, err)
 	}
-	buf.Write(res.Rows)
 	r.agg.merge(a.planTally)
 	r.agg.Optimal += a.Optimal
-	return res.Shapes, nil
+	return res.Rows, res.Shapes, nil
 }
 
 func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {
@@ -454,8 +462,8 @@ func (r *plansweepRunner) snapshot() (json.RawMessage, error) { return json.Mars
 
 func (r *plansweepRunner) restore(agg json.RawMessage) error {
 	var a plansweepAgg
-	if err := json.Unmarshal(agg, &a); err != nil {
-		return err
+	if err := decodeExact(agg, &a); err != nil {
+		return fmt.Errorf("jobs: plansweep checkpoint: %w", err)
 	}
 	a.restoreHist()
 	r.agg = a
@@ -534,26 +542,23 @@ func (r *plancensusRunner) execute(ctx context.Context, chunk int, _ *bytes.Buff
 	axes := make([]int, 0, (hi-lo)*uint64(dims))
 	artifact.EachShapeWithMax(dims, c, func(s mesh.Shape) { axes = append(axes, s...) })
 	n := len(axes) / dims
-	plans, err := sweep.FoldCtx(ctx, n, r.workers,
-		func(i int) api.PlanEntry {
-			return r.planner.PlanGuest(r.family, axes[i*dims:(i+1)*dims:(i+1)*dims]).Entry()
-		},
-		make([]api.PlanEntry, 0, n),
-		func(acc []api.PlanEntry, pe api.PlanEntry) []api.PlanEntry { return append(acc, pe) })
+	plans, err := sweep.MapCtx(ctx, n, r.workers, func(_ context.Context, i int) api.PlanEntry {
+		return r.planner.PlanGuest(r.family, axes[i*dims:(i+1)*dims:(i+1)*dims]).Entry()
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &api.ChunkResult{Shapes: hi - lo, Plans: plans}, nil
 }
 
-func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+func (r *plancensusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 	if err := r.ensureBuilder(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	c := res.Chunk + 1
 	lo, hi := artifact.ChunkRange(r.params.Dims, c)
 	if uint64(len(res.Plans)) != hi-lo {
-		return 0, fmt.Errorf("jobs: plancensus chunk %d carries %d plans, want %d",
+		return nil, 0, fmt.Errorf("jobs: plancensus chunk %d carries %d plans, want %d",
 			c, len(res.Plans), hi-lo)
 	}
 	delta := newPlanTally()
@@ -579,24 +584,25 @@ func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64
 	// from the aggregate; ensureBuilder reopens it at the checkpointed
 	// position on the next attempt.
 	if foldErr != nil {
-		return 0, foldErr
+		return nil, 0, foldErr
 	}
 	if err := r.b.Flush(); err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	next, cursor := r.b.Pos()
 	if next != hi {
-		return 0, fmt.Errorf("jobs: plancensus chunk %d wrote to rank %d, want %d", c, next, hi)
+		return nil, 0, fmt.Errorf("jobs: plancensus chunk %d wrote to rank %d, want %d", c, next, hi)
 	}
-	if err := writeRecord(buf, api.PlanCensusChunkRecord{
+	rec, err := json.Marshal(api.PlanCensusChunkRecord{
 		Type: api.RecordPlanCensusChunk, MaxAxisValue: c,
 		Records: hi - lo, RankLo: lo, RankHi: hi, StringBytes: cursor,
-	}); err != nil {
-		return 0, err
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	r.agg.NextRank, r.agg.Cursor = next, cursor
 	r.agg.merge(delta)
-	return hi - lo, nil
+	return append(rec, '\n'), hi - lo, nil
 }
 
 func (r *plancensusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
@@ -628,8 +634,8 @@ func (r *plancensusRunner) snapshot() (json.RawMessage, error) { return json.Mar
 
 func (r *plancensusRunner) restore(agg json.RawMessage) error {
 	var a plancensusAgg
-	if err := json.Unmarshal(agg, &a); err != nil {
-		return err
+	if err := decodeExact(agg, &a); err != nil {
+		return fmt.Errorf("jobs: plancensus checkpoint: %w", err)
 	}
 	a.restoreHist()
 	r.agg = a

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/artifact"
@@ -249,6 +252,95 @@ func TestPlanCensusKillAndResume(t *testing.T) {
 		t.Fatalf("resumed artifact fails Open: %v", err)
 	} else {
 		a.Close()
+	}
+}
+
+// TestPlanCensusResumeRejectsEditedAggregate deletes "cursor" from a
+// plancensus checkpoint's aggregate.  Read as zero, it reopened the builder
+// at the wrong string offset: the job still finished and its artifact still
+// opened, but later records served other shapes' plan strings.  The resume
+// must refuse the aggregate, warn, restart from chunk 0 and end with the
+// stream and artifact of an uninterrupted run.
+func TestPlanCensusResumeRejectsEditedAggregate(t *testing.T) {
+	req := plancensusReq(3, 8, "")
+	refDir := t.TempDir()
+	mRef, err := Open(testConfig(refDir))
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	stRef, err := mRef.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if stRef = waitTerminal(t, mRef, stRef.ID); stRef.State != api.JobDone {
+		t.Fatalf("reference job ended %s (error %q)", stRef.State, stRef.Error)
+	}
+	wantStream, wantArtifact := resultsBytes(t, refDir, stRef.ID), artifactBytes(t, mRef, stRef.ID)
+	closeManager(t, mRef)
+
+	dir := t.TempDir()
+	abandoned := make(chan struct{})
+	cfg := testConfig(dir)
+	cfg.CheckpointEvery = 2
+	cfg.afterChunk = func(id string, chunk int) error {
+		if chunk == 4 {
+			close(abandoned)
+			return errAbandoned
+		}
+		return nil
+	}
+	m1, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st, err := m1.Submit(req)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	<-abandoned
+	closeManager(t, m1)
+
+	// Cut the key out of the aggregate's own bytes, keeping every other key
+	// in its place.
+	jobDir := filepath.Join(dir, st.ID)
+	ck, err := readCheckpoint(jobDir)
+	if err != nil || ck == nil || ck.NextChunk == 0 {
+		t.Fatalf("no checkpoint past chunk 0 to edit: %+v, %v", ck, err)
+	}
+	var agg bytes.Buffer
+	if err := json.Compact(&agg, ck.Agg); err != nil {
+		t.Fatal(err)
+	}
+	cursor := regexp.MustCompile(`"cursor":[1-9][0-9]*,`)
+	if !cursor.Match(agg.Bytes()) {
+		t.Fatalf("checkpoint aggregate %s has no nonzero cursor", agg.Bytes())
+	}
+	ck.Agg = cursor.ReplaceAll(agg.Bytes(), nil)
+	if err := writeJSONAtomic(filepath.Join(jobDir, checkpointFile), ck); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	cfg2 := testConfig(dir)
+	cfg2.CheckpointEvery = 2
+	cfg2.Logger = slog.New(slog.NewTextHandler(&logs, nil))
+	m2, err := Open(cfg2)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	fin := waitTerminal(t, m2, st.ID)
+	closeManager(t, m2) // the runner logs until it stops
+	if fin.State != api.JobDone {
+		t.Fatalf("resumed job ended %s (error %q)", fin.State, fin.Error)
+	}
+	if !strings.Contains(logs.String(), "checkpoint aggregate rejected; restarting job from scratch") {
+		t.Errorf("no restart warning logged:\n%s", logs.String())
+	}
+	if got := resultsBytes(t, dir, st.ID); !bytes.Equal(got, wantStream) {
+		t.Fatalf("resumed stream differs from uninterrupted run (%d vs %d bytes)", len(got), len(wantStream))
+	}
+	if got := artifactBytes(t, m2, st.ID); !bytes.Equal(got, wantArtifact) {
+		t.Fatalf("resumed artifact differs from uninterrupted build (%d vs %d bytes)", len(got), len(wantArtifact))
 	}
 }
 

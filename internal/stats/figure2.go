@@ -66,7 +66,6 @@ func CensusShard(ctx context.Context, a, maxN, workers int) ([]CensusTally, erro
 	if a < 1 || a > limit {
 		return nil, fmt.Errorf("stats: census shard a=%d out of domain 1..%d", a, limit)
 	}
-	cols := limit - a + 1
 	if sweep.Workers(workers) == 1 {
 		part := make([]CensusTally, maxN+1)
 		for b := a; b <= limit; b++ {
@@ -79,20 +78,27 @@ func CensusShard(ctx context.Context, a, maxN, workers int) ([]CensusTally, erro
 		}
 		return part, nil
 	}
-	return sweep.FoldCtx(ctx, cols, workers,
-		func(i int) []CensusTally {
-			b := a + i
-			part := make([]CensusTally, maxN+1)
-			for c := b; c <= limit; c++ {
-				censusTriple(part, a, b, c)
-			}
-			return part
-		},
-		nil, MergeCensusTallies)
+	parts, err := sweep.MapCtx(ctx, limit-a+1, workers, func(_ context.Context, i int) []CensusTally {
+		b := a + i
+		part := make([]CensusTally, maxN+1)
+		for c := b; c <= limit; c++ {
+			censusTriple(part, a, b, c)
+		}
+		return part
+	})
+	if err != nil {
+		return nil, err
+	}
+	sum := parts[0]
+	for _, part := range parts[1:] {
+		MergeCensusTallies(sum, part)
+	}
+	return sum, nil
 }
 
-// MergeCensusTallies adds part into acc elementwise, allocating acc on first
-// use so it can seed a sweep.Fold / FoldCtx reduction.
+// MergeCensusTallies adds part into acc elementwise and returns acc; a nil
+// acc (a census job's running tally before its first chunk) is allocated
+// first.
 func MergeCensusTallies(acc, part []CensusTally) []CensusTally {
 	if acc == nil {
 		acc = make([]CensusTally, len(part))
@@ -149,16 +155,17 @@ func Figure2Parallel(maxN, workers int) []Figure2Row {
 		panic("stats: Figure2 domain exponent out of range")
 	}
 	limit := 1 << uint(maxN)
-	buckets := sweep.Fold(limit, workers,
-		func(i int) []CensusTally {
-			part, err := CensusShard(context.Background(), i+1, maxN, 1)
-			if err != nil {
-				panic(err) // unreachable: a is in range and ctx never cancels
-			}
-			return part
-		},
-		make([]CensusTally, maxN+1),
-		MergeCensusTallies)
+	parts := sweep.Map(limit, workers, func(i int) []CensusTally {
+		part, err := CensusShard(context.Background(), i+1, maxN, 1)
+		if err != nil {
+			panic(err) // unreachable: a is in range and ctx never cancels
+		}
+		return part
+	})
+	buckets := parts[0]
+	for _, part := range parts[1:] {
+		MergeCensusTallies(buckets, part)
+	}
 	return CensusRows(maxN, buckets)
 }
 
@@ -261,40 +268,38 @@ func Figure2EpsilonCtx(ctx context.Context, n, workers int) (EpsilonDistribution
 	}
 	limit := 1 << uint(n)
 	type epsAcc struct{ c1, c2, c4, cw, total uint64 }
-	acc, err := sweep.FoldCtx(ctx, limit, workers,
-		func(i int) epsAcc {
-			a := i + 1
-			var part epsAcc
-			for b := a; b <= limit; b++ {
-				for c := b; c <= limit; c++ {
-					mult := permCount(a, b, c)
-					part.total += mult
-					e := RelExpansion(a, b, c)
-					switch {
-					case e[3] <= 1:
-						part.c1 += mult
-					case e[3] <= 2:
-						part.c2 += mult
-					case e[3] <= 4:
-						part.c4 += mult
-					default:
-						part.cw += mult
-					}
+	parts, err := sweep.MapCtx(ctx, limit, workers, func(_ context.Context, i int) epsAcc {
+		a := i + 1
+		var part epsAcc
+		for b := a; b <= limit; b++ {
+			for c := b; c <= limit; c++ {
+				mult := permCount(a, b, c)
+				part.total += mult
+				e := RelExpansion(a, b, c)
+				switch {
+				case e[3] <= 1:
+					part.c1 += mult
+				case e[3] <= 2:
+					part.c2 += mult
+				case e[3] <= 4:
+					part.c4 += mult
+				default:
+					part.cw += mult
 				}
 			}
-			return part
-		},
-		epsAcc{},
-		func(acc, part epsAcc) epsAcc {
-			acc.c1 += part.c1
-			acc.c2 += part.c2
-			acc.c4 += part.c4
-			acc.cw += part.cw
-			acc.total += part.total
-			return acc
-		})
+		}
+		return part
+	})
 	if err != nil {
 		return EpsilonDistribution{}, err
+	}
+	var acc epsAcc
+	for _, part := range parts {
+		acc.c1 += part.c1
+		acc.c2 += part.c2
+		acc.c4 += part.c4
+		acc.cw += part.cw
+		acc.total += part.total
 	}
 	f := func(x uint64) float64 { return 100 * float64(x) / float64(acc.total) }
 	return EpsilonDistribution{N: n, Eps1: f(acc.c1), Eps2: f(acc.c2), Eps4: f(acc.c4), EpsWorse: f(acc.cw)}, nil

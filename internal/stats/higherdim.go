@@ -100,46 +100,44 @@ func HigherDimCoverageParallel(k, n, workers int) HigherDimRow {
 	}
 	limit := 1 << uint(n)
 	type coverAcc struct{ total, grayHit, coverHit uint64 }
-	acc := sweep.Fold(limit, workers,
-		func(i int) coverAcc {
-			var part coverAcc
-			lens := make([]int, k)
-			lens[0] = i + 1
-			var rec func(i, min int)
-			rec = func(i, min int) {
-				if i == k {
-					mult := permutations(lens)
-					part.total += mult
-					grayDim, prod := 0, uint64(1)
-					for _, l := range lens {
-						grayDim += bits.CeilLog2(uint64(l))
-						prod *= uint64(l)
-					}
-					if uint64(1)<<uint(grayDim) == bits.CeilPow2(prod) {
-						part.grayHit += mult
-						part.coverHit += mult
-						return
-					}
-					if CoveredK(lens) {
-						part.coverHit += mult
-					}
+	parts := sweep.Map(limit, workers, func(i int) coverAcc {
+		var part coverAcc
+		lens := make([]int, k)
+		lens[0] = i + 1
+		var rec func(i, min int)
+		rec = func(i, min int) {
+			if i == k {
+				mult := permutations(lens)
+				part.total += mult
+				grayDim, prod := 0, uint64(1)
+				for _, l := range lens {
+					grayDim += bits.CeilLog2(uint64(l))
+					prod *= uint64(l)
+				}
+				if uint64(1)<<uint(grayDim) == bits.CeilPow2(prod) {
+					part.grayHit += mult
+					part.coverHit += mult
 					return
 				}
-				for l := min; l <= limit; l++ {
-					lens[i] = l
-					rec(i+1, l)
+				if CoveredK(lens) {
+					part.coverHit += mult
 				}
+				return
 			}
-			rec(1, lens[0])
-			return part
-		},
-		coverAcc{},
-		func(acc, part coverAcc) coverAcc {
-			acc.total += part.total
-			acc.grayHit += part.grayHit
-			acc.coverHit += part.coverHit
-			return acc
-		})
+			for l := min; l <= limit; l++ {
+				lens[i] = l
+				rec(i+1, l)
+			}
+		}
+		rec(1, lens[0])
+		return part
+	})
+	var acc coverAcc
+	for _, part := range parts {
+		acc.total += part.total
+		acc.grayHit += part.grayHit
+		acc.coverHit += part.coverHit
+	}
 	row := HigherDimRow{K: k, N: n, Total: acc.total}
 	row.GrayPct = 100 * float64(acc.grayHit) / float64(acc.total)
 	row.CoveredPct = 100 * float64(acc.coverHit) / float64(acc.total)

@@ -1,9 +1,12 @@
 // Package sweep is the shared bounded worker-pool engine behind the
 // shape-space enumerations (Figure 2, the exceptional-mesh lists, the §8
-// conjecture sweep) and the CLI tools.  Work items are indexed 0..n-1 and
-// handed to workers through an atomic cursor; results land in slots indexed
-// by item, so output order — and therefore every golden rendering built
-// from it — is independent of the worker count and the scheduling.
+// conjecture sweep), the batch-job chunks, the parallel metrics pass and
+// the CLI tools.  Work items are indexed 0..n-1 and handed to workers
+// through an atomic cursor; results land in slots indexed by item, and the
+// caller gets those slots themselves.  A reduction is the caller's own loop
+// over them in index order, so output order — and therefore every golden
+// rendering built from it — is independent of the worker count and the
+// scheduling.
 package sweep
 
 import (
@@ -31,63 +34,48 @@ func Workers(requested int) int {
 // A panic in any fn is re-raised on the caller after the pool drains, so a
 // failing sweep fails loudly instead of deadlocking.
 func Map[R any](n, workers int, fn func(i int) R) []R {
-	return run(context.Background(), nil, n, workers, func(_ context.Context, i int) R { return fn(i) })
+	return run(context.Background(), n, workers, func(_ context.Context, i int) R { return fn(i) })
 }
 
-// MapCtx is Map with observability: when ctx carries an active obs span the
-// pool runs under a "sweep" child span with one span per worker recording
-// items processed, busy time (cumulative time inside fn) and a lane for the
-// Chrome export, plus an imbalance summary (max worker busy time over the
-// even-share average) on the pool span.  fn receives a context carrying its
-// worker's span, so work items can open their own child spans; without a
-// span fn receives ctx itself.  ctx's cancellation does not stop the pool.
-func MapCtx[R any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) R) []R {
-	return run(ctx, nil, n, workers, fn)
-}
-
-// Fold maps fn across [0, n) in parallel and merges the results into acc
-// in index order.  merge runs on the caller's goroutine, so accumulators
-// need no locking and the reduction is deterministic.
-func Fold[A, R any](n, workers int, fn func(i int) R, acc A, merge func(A, R) A) A {
-	for _, r := range Map(n, workers, fn) {
-		acc = merge(acc, r)
-	}
-	return acc
-}
-
-// FoldCtx is Fold with cooperative cancellation and MapCtx's tracing:
-// workers stop pulling new items once ctx is done, and the partial results
-// are discarded — on cancellation FoldCtx returns acc untouched along with
-// ctx.Err(), so a caller never observes a reduction over an incomplete item
-// set.  A never-cancelled ctx makes FoldCtx behave exactly like Fold (same
-// item order, same deterministic merge); ctx must not be nil.  Long-running
-// shard loops (the batch-job chunks) use this so a cancelled job stops
-// within one item, not one chunk.
-func FoldCtx[A, R any](ctx context.Context, n, workers int, fn func(i int) R, acc A, merge func(A, R) A) (A, error) {
-	out := run(ctx, ctx.Done(), n, workers, func(_ context.Context, i int) R { return fn(i) })
+// MapCtx is Map with cooperative cancellation and observability.  Workers
+// stop pulling new items once ctx is done, and the partial results are
+// discarded: a cancelled MapCtx returns nil and ctx.Err(), so a caller
+// never reduces over an incomplete item set.  Otherwise it returns the
+// pool's own result slots, indexed by item, for the caller to use in place
+// or fold in index order; a computation that must not be cut short passes
+// context.WithoutCancel.  Long-running shard loops (the batch-job chunks)
+// use the cancellation so a cancelled job stops within one item, not one
+// chunk.
+//
+// When ctx carries an active obs span the pool runs under a "sweep" child
+// span with one span per worker recording items processed, busy time
+// (cumulative time inside fn) and a lane for the Chrome export, plus an
+// imbalance summary (max worker busy time over the even-share average) on
+// the pool span.  fn receives a context carrying its worker's span, so
+// work items can open their own child spans; without a span fn receives
+// ctx itself.
+func MapCtx[R any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) R) ([]R, error) {
+	out := run(ctx, n, workers, fn)
 	if err := ctx.Err(); err != nil {
-		return acc, err
+		return nil, err
 	}
-	for _, r := range out {
-		acc = merge(acc, r)
-	}
-	return acc, nil
+	return out, nil
 }
 
 // tally is one worker's trace summary: items processed and time inside fn.
 type tally struct{ items, busy int64 }
 
-// run is the one pool body behind Map, MapCtx and FoldCtx.  Each worker
-// pulls item indices from an atomic cursor until the items run out, a
-// worker panics, or done (nil for never) closes; the caller's goroutine is
-// one of the workers, so a single-worker pool starts no goroutine.  A panic
-// in fn is re-raised on the caller once every worker has returned.  Under
-// an active obs span the pool records the "sweep" / "worker N" span tree
-// MapCtx documents.
-func run[R any](ctx context.Context, done <-chan struct{}, n, workers int, fn func(ctx context.Context, i int) R) []R {
+// run is the one pool body behind Map and MapCtx.  Each worker pulls item
+// indices from an atomic cursor until the items run out, a worker panics,
+// or ctx is done; the caller's goroutine is one of the workers, so a
+// single-worker pool starts no goroutine.  A panic in fn is re-raised on
+// the caller once every worker has returned.  Under an active obs span the
+// pool records the "sweep" / "worker N" span tree MapCtx documents.
+func run[R any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) R) []R {
 	if n <= 0 {
 		return nil
 	}
+	done := ctx.Done() // nil for a context that is never cancelled
 	w := min(Workers(workers), n)
 	out := make([]R, n)
 	sctx, pool := obs.Start(ctx, "sweep")

@@ -64,19 +64,6 @@ func TestMapPanicPropagates(t *testing.T) {
 	})
 }
 
-func TestFold(t *testing.T) {
-	sum := Fold(101, 5, func(i int) int { return i }, 0, func(acc, r int) int { return acc + r })
-	if sum != 100*101/2 {
-		t.Errorf("Fold sum = %d, want %d", sum, 100*101/2)
-	}
-	// Merge order is index order: string concatenation must come out sorted.
-	s := Fold(10, 4, func(i int) string { return fmt.Sprint(i) }, "",
-		func(acc, r string) string { return acc + r })
-	if s != "0123456789" {
-		t.Errorf("Fold merge order broken: %q", s)
-	}
-}
-
 func TestMapCoversAllOnce(t *testing.T) {
 	const n = 500
 	var counts [n]atomic.Int32
