@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race bench bench-short bench-check bench-json bounds-check figures figures-check fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check
+.PHONY: check fmt-check vet build test race bench bench-short bench-check bench-json bounds-check figures figures-check fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check lines
 
 check: fmt-check vet build gen-check test race bounds-check figures-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
 
@@ -140,6 +140,15 @@ figures-check:
 
 fmt:
 	gofmt -l -w .
+
+# The size of the program: lines of non-test Go outside bench/ (generated
+# *_enumgen.go included), then the same per package.  It counts the files
+# git tracks, so untracked files never count.
+lines:
+	@git ls-files -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' | xargs wc -l | awk ' \
+		$$2 == "total" { next } \
+		{ d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+		END { printf "non-test Go outside bench/: %d\n", t; for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2" }'
 
 # Fail when a Go file is not gofmt-clean; `make fmt` rewrites them.
 fmt-check:

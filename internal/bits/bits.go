@@ -12,11 +12,6 @@ func Hamming(x, y uint64) int {
 	return bits.OnesCount64(x ^ y)
 }
 
-// OnesCount returns the number of one bits in x.
-func OnesCount(x uint64) int {
-	return bits.OnesCount64(x)
-}
-
 // CeilLog2 returns ⌈log₂ x⌉ for x ≥ 1.  CeilLog2(1) == 0.
 // It panics for x < 1: the paper's ⌈·⌉₂ operator is only defined on
 // positive mesh cardinalities.
@@ -41,24 +36,9 @@ func CeilPow2(x uint64) uint64 {
 	return 1 << CeilLog2(x)
 }
 
-// FloorPow2 returns 2^⌊log₂ x⌋, the largest power of two ≤ x.
-func FloorPow2(x uint64) uint64 {
-	return 1 << FloorLog2(x)
-}
-
 // IsPow2 reports whether x is a power of two (x ≥ 1).
 func IsPow2(x uint64) bool {
 	return x >= 1 && x&(x-1) == 0
-}
-
-// Bit returns bit m of x (0 or 1), with bit 0 the least significant.
-func Bit(x uint64, m int) uint64 {
-	return (x >> uint(m)) & 1
-}
-
-// SetBit returns x with bit m set to b (b must be 0 or 1).
-func SetBit(x uint64, m int, b uint64) uint64 {
-	return (x &^ (1 << uint(m))) | (b << uint(m))
 }
 
 // FlipBit returns x with bit m inverted.

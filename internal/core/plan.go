@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/bits"
 	"repro/internal/cube"
 	"repro/internal/direct"
 	"repro/internal/embed"
@@ -94,12 +93,6 @@ func (p *Plan) Entry() api.PlanEntry {
 		Kind: p.Kind.String(), Method: p.Method, Dilation: p.DilationBound(),
 		CubeDim: p.CubeDim, Minimal: p.Minimal(), Plan: p.String(),
 	}
-}
-
-// RelExpansion returns 2^CubeDim / ⌈|V|⌉₂, the relative expansion of §5
-// (1 when minimal).
-func (p *Plan) RelExpansion() float64 {
-	return float64(uint64(1)<<uint(p.CubeDim)) / float64(bits.CeilPow2(uint64(p.Shape.Nodes())))
 }
 
 // Depth returns the height of the plan tree; leaves have depth one.

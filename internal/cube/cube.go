@@ -40,11 +40,6 @@ func LinkBetween(a, b Node) Link {
 	return Link{Lo: Node(uint64(a) &^ d), Dim: mathbits.TrailingZeros64(d)}
 }
 
-// Other returns the endpoint of l opposite to lo.
-func (l Link) Other() Node {
-	return Node(bits.FlipBit(uint64(l.Lo), l.Dim))
-}
-
 // Path is a walk through the cube given as the ordered node sequence,
 // including both endpoints.  A path of k edges has length k and k+1 nodes.
 type Path []Node
@@ -145,15 +140,6 @@ func ShortestPaths(a, b Node) []Path {
 		}
 	}
 	rec(0, 0)
-	return out
-}
-
-// Neighbors returns the n neighbors of v in an n-cube.
-func Neighbors(v Node, n int) []Node {
-	out := make([]Node, n)
-	for i := 0; i < n; i++ {
-		out[i] = Node(bits.FlipBit(uint64(v), i))
-	}
 	return out
 }
 

@@ -24,9 +24,6 @@ func TestLinkBetween(t *testing.T) {
 	if l != l2 {
 		t.Errorf("LinkBetween not symmetric: %+v vs %+v", l, l2)
 	}
-	if l.Other() != 0b110 {
-		t.Errorf("Other = %d", l.Other())
-	}
 }
 
 func TestLinkBetweenPanicsNonAdjacent(t *testing.T) {
@@ -102,23 +99,6 @@ func TestPathValidate(t *testing.T) {
 	}
 	if err := (Path{0, 4}).Validate(2); err == nil {
 		t.Error("out-of-cube node accepted")
-	}
-}
-
-func TestNeighbors(t *testing.T) {
-	nb := Neighbors(0, 4)
-	if len(nb) != 4 {
-		t.Fatalf("len = %d", len(nb))
-	}
-	seen := map[Node]bool{}
-	for _, v := range nb {
-		if Dist(0, v) != 1 {
-			t.Errorf("neighbor %d at distance %d", v, Dist(0, v))
-		}
-		seen[v] = true
-	}
-	if len(seen) != 4 {
-		t.Error("duplicate neighbors")
 	}
 }
 

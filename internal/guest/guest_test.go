@@ -159,7 +159,7 @@ func TestConformanceEdgesMatchOracle(t *testing.T) {
 			d.EachEdgeRange(s, 0, s.Nodes(), func(e mesh.Edge) {
 				u, v := min(e.U, e.V), max(e.U, e.V)
 				got = append(got, [2]int{u, v})
-				if !d.Grid() {
+				if d.Family == Tree {
 					return
 				}
 				cu, cv := s.Coord(u), s.Coord(v)

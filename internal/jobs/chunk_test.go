@@ -280,13 +280,46 @@ var foldKinds = []struct {
 	{"plancensus", plancensusReq(3, 6, "")},
 }
 
+// aggShapes is the shape count a runner's snapshot holds: the census bucket
+// totals, the plansweep histogram, the plancensus next_rank.  Epsilon keeps
+// no aggregate.
+func aggShapes(t *testing.T, kind api.JobKind, snap []byte) uint64 {
+	t.Helper()
+	var n uint64
+	var err error
+	switch kind {
+	case api.JobCensus:
+		var agg []stats.CensusTally
+		err = json.Unmarshal(snap, &agg)
+		for _, b := range agg {
+			n += b.Total
+		}
+	case api.JobPlanSweep:
+		var agg plansweepAgg
+		err = json.Unmarshal(snap, &agg)
+		for _, v := range agg.Hist {
+			n += v
+		}
+	case api.JobPlanCensus:
+		var agg plancensusAgg
+		err = json.Unmarshal(snap, &agg)
+		n = agg.NextRank
+	}
+	if err != nil {
+		t.Fatalf("%s snapshot %s: %v", kind, snap, err)
+	}
+	return n
+}
+
 // FuzzFold folds hostile peer results.  A fabric peer's ChunkResult is
 // input from outside the process, and every local chunk passes through
 // fold too.  For each kind, a runner that folded chunk 0 folds an
 // arbitrary result at chunk 1: it must fail or succeed, never panic.  A
-// failed fold must leave the snapshot byte-identical, and the genuine
-// chunk 1 must then fold to the bytes and snapshot of a clean run — the
-// retry a failed attempt gets.
+// result it accepts must report the count its aggregate grew by (epsilon:
+// the 8^2 triples of chunk 1) in the NDJSON lines that count implies (one
+// per plansweep shape, else one).  A failed fold must leave the snapshot
+// byte-identical, and the genuine chunk 1 must then fold to the bytes and
+// snapshot of a clean run — the retry a failed attempt gets.
 func FuzzFold(f *testing.F) {
 	type chunkPair struct {
 		first, second *api.ChunkResult
@@ -334,6 +367,9 @@ func FuzzFold(f *testing.F) {
 	}
 	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), edit(func(p *api.PlanEntry) { p.Kind = "moebius" }))
 	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), edit(func(p *api.PlanEntry) { p.Dilation = 255 }))
+	// A census chunk with an inflated count, then with its row twice.
+	f.Add(census.Shapes+1000, census.Rows, []byte(census.Agg), []byte(nil))
+	f.Add(census.Shapes, append(bytes.Clone(census.Rows), census.Rows...), []byte(census.Agg), []byte(nil))
 
 	f.Fuzz(func(t *testing.T, shapes uint64, rows, agg, plans []byte) {
 		hostile := api.ChunkResult{Version: api.Version, Chunk: 1, Shapes: shapes, Rows: rows, Agg: agg}
@@ -345,7 +381,20 @@ func FuzzFold(f *testing.F) {
 			}
 			before := snapshotOf(t, r)
 			res := hostile
-			if _, _, err := r.fold(&res); err == nil {
+			if stream, n, err := r.fold(&res); err == nil {
+				want, lines := aggShapes(t, k.req.Kind, snapshotOf(t, r))-aggShapes(t, k.req.Kind, before), 1
+				switch k.req.Kind {
+				case api.JobEpsilon:
+					want = 1 << 6
+				case api.JobPlanSweep:
+					lines = int(want)
+				}
+				if n != want {
+					t.Fatalf("%s: accepted a result counting %d shapes; its aggregate grew by %d", k.name, n, want)
+				}
+				if got := bytes.Count(stream, []byte{'\n'}); got != lines {
+					t.Fatalf("%s: accepted %d NDJSON lines for %d shapes, want %d", k.name, got, n, lines)
+				}
 				continue
 			}
 			if after := snapshotOf(t, r); !bytes.Equal(after, before) {

@@ -215,6 +215,59 @@ func TestDistributedWorkerLossFoldedOnce(t *testing.T) {
 	}
 }
 
+// TestDistributedFoldRefusesInflatedCounts: a peer whose chunk result
+// carries a shape count or NDJSON rows its aggregate does not imply fails
+// the job at that chunk instead of folding the inflated count into the
+// status and the summary line.
+func TestDistributedFoldRefusesInflatedCounts(t *testing.T) {
+	mutations := []struct {
+		name string
+		edit func(res *api.ChunkResult)
+	}{
+		{"shapes+1000", func(res *api.ChunkResult) { res.Shapes += 1000 }},
+		{"first row repeated", func(res *api.ChunkResult) {
+			first := res.Rows[:bytes.IndexByte(res.Rows, '\n')+1]
+			res.Rows = append(bytes.Clone(first), res.Rows...)
+		}},
+	}
+	for _, req := range []api.JobSubmitRequest{censusReq(4), epsilonReq(4), plansweepReq()} {
+		for _, mut := range mutations {
+			t.Run(string(req.Kind)+"/"+mut.name, func(t *testing.T) {
+				pool := fabric.NewPool(fabric.Config{
+					Dial: func(string) fabric.Transport {
+						return fabric.Loopback(func(ctx context.Context, cr api.ChunkRequest) (*api.ChunkResult, error) {
+							res, err := loopbackExec(ctx, cr)
+							if err == nil && cr.Chunk == 3 {
+								mut.edit(res)
+							}
+							return res, err
+						})
+					},
+					HealthEvery: -1,
+				})
+				t.Cleanup(pool.Close)
+				if err := pool.Add("inflating"); err != nil {
+					t.Fatal(err)
+				}
+				cfg := testConfig(t.TempDir())
+				cfg.Fabric = pool
+				m, err := Open(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer closeManager(t, m)
+				st, err := m.Submit(distributed(req))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st = waitTerminal(t, m, st.ID); st.State != api.JobFailed || !strings.Contains(st.Error, "chunk 3 ") {
+					t.Fatalf("job ended %s (error %q), want failed at chunk 3", st.State, st.Error)
+				}
+			})
+		}
+	}
+}
+
 // TestDistributedAbandonResumeByteIdentical is the coordinator-kill test:
 // abandon a distributed run mid-job with no warning (stale checkpoint, the
 // stream runs past it), reopen the manager with a fresh pool, and the
@@ -497,7 +550,9 @@ func TestDistributedStatusShowsFabric(t *testing.T) {
 // checkpoint is not JSON — must warn and regenerate from chunk 0, ending
 // with the uninterrupted single-node bytes, on either chunk source.
 // Truncating "up" to the checkpoint offset would instead zero-extend the
-// file and serve NUL bytes as rows.
+// file and serve NUL bytes as rows.  Before the run starts, the reopened
+// job must not advertise more committed bytes than the file holds: a
+// reader following the stream would read past them into the rerun.
 func TestResumeRestartsFromDamagedState(t *testing.T) {
 	_, want := runToCompletion(t, censusReq(4))
 	damages := []struct {
@@ -555,10 +610,29 @@ func TestResumeRestartsFromDamagedState(t *testing.T) {
 				if source == "distributed" {
 					cfg2.Fabric = distPool(t, 2)
 				}
+				held, release := make(chan struct{}), make(chan struct{})
+				cfg2.beforeRun = func(string) {
+					close(held)
+					<-release
+				}
 				m2, err := Open(cfg2)
 				if err != nil {
 					t.Fatalf("reopen: %v", err)
 				}
+				<-held
+				fi, err := os.Stat(filepath.Join(dir, st.ID, resultsFile))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ri, err := m2.Results(st.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rs, _ := m2.Status(st.ID); ri.Committed > fi.Size() || rs.Progress.ResultBytes > fi.Size() {
+					t.Errorf("reopened job advertises %d committed bytes (status %d) over a %d-byte results file",
+						ri.Committed, rs.Progress.ResultBytes, fi.Size())
+				}
+				close(release)
 				fin := waitTerminal(t, m2, st.ID)
 				closeManager(t, m2)
 				if fin.State != api.JobDone {

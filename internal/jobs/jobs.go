@@ -24,6 +24,7 @@ package jobs
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,7 +32,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -142,7 +144,6 @@ type job struct {
 
 	mu        sync.Mutex
 	st        api.JobStatus // Request and Fabric are filled in by statusLocked
-	cancelled bool
 	cancelRun context.CancelCauseFunc
 	// dispatch is the live fabric dispatcher while a distributed run is in
 	// flight; status reads it for the per-peer Fabric block.
@@ -180,7 +181,6 @@ type Manager struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*job
-	order  []string // creation order, for List
 	queue  chan *job
 	closed bool
 	seq    int
@@ -229,10 +229,10 @@ func Open(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// restore scans the data dir and rebuilds the job table in creation order.
-// Jobs persisted mid-flight (queued or running) are returned for
-// re-queueing, marked resumed.  Unreadable or version-skewed directories
-// are skipped with a warning — one corrupt job must not brick the manager.
+// restore scans the data dir and rebuilds the job table.  Jobs persisted
+// mid-flight (queued or running) are returned for re-queueing in creation
+// order, marked resumed.  Unreadable or version-skewed directories are
+// skipped with a warning — one corrupt job must not brick the manager.
 func (m *Manager) restore() ([]*job, error) {
 	entries, err := os.ReadDir(m.cfg.DataDir)
 	if err != nil {
@@ -258,26 +258,19 @@ func (m *Manager) restore() ([]*job, error) {
 		j.st.Progress.ShapesPerSec, j.st.Progress.ETAMS = 0, 0
 		loaded = append(loaded, j)
 	}
-	sort.Slice(loaded, func(a, b int) bool {
-		if loaded[a].st.CreatedUnixMS != loaded[b].st.CreatedUnixMS {
-			return loaded[a].st.CreatedUnixMS < loaded[b].st.CreatedUnixMS
-		}
-		return loaded[a].id < loaded[b].id
-	})
+	slices.SortFunc(loaded, func(a, b *job) int { return creationOrder(a.st, b.st) })
 	var resumable []*job
 	for _, j := range loaded {
 		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
 		if j.st.State.Terminal() {
 			continue
 		}
-		// The committed count is rebuilt from the checkpoint when the run
-		// restarts; until then advertise the checkpointed prefix only.
+		// Until the run reopens its log, advertise only the prefix it will
+		// keep: the checkpointed one, or none.
 		pr := &j.st.Progress
-		if ck, err := readCheckpoint(j.dir); err == nil && ck != nil && ck.JobID == j.id && ck.Version == api.JobSchemaVersion {
+		pr.ResultBytes, pr.ChunksDone, pr.Shapes = 0, 0, 0
+		if ck, _ := trustedCheckpoint(j); ck != nil {
 			pr.ResultBytes, pr.ChunksDone, pr.Shapes = ck.Offset, ck.NextChunk, ck.Shapes
-		} else {
-			pr.ResultBytes, pr.ChunksDone, pr.Shapes = 0, 0, 0
 		}
 		j.st.State = api.JobQueued
 		j.st.Resumed++
@@ -317,7 +310,6 @@ func (m *Manager) Submit(req api.JobSubmitRequest) (api.JobStatus, error) {
 		st:  api.JobStatus{ID: id, Kind: req.Kind, State: api.JobQueued, CreatedUnixMS: nowUnixMS()},
 	}
 	m.jobs[id] = j
-	m.order = append(m.order, id)
 	m.mu.Unlock()
 
 	if err := os.MkdirAll(j.dir, 0o755); err != nil {
@@ -340,12 +332,6 @@ func (m *Manager) forget(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.jobs, id)
-	for i, v := range m.order {
-		if v == id {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			break
-		}
-	}
 }
 
 // workersFor is a job's per-chunk parallelism: the request's own, else
@@ -381,16 +367,23 @@ func (m *Manager) Status(id string) (api.JobStatus, error) {
 // List returns every job's status in creation order.
 func (m *Manager) List() []api.JobStatus {
 	m.mu.Lock()
-	js := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		js = append(js, m.jobs[id])
+	js := make([]*job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		js = append(js, j)
 	}
 	m.mu.Unlock()
 	out := make([]api.JobStatus, len(js))
 	for i, j := range js {
 		out[i] = j.status()
 	}
+	slices.SortFunc(out, creationOrder)
 	return out
+}
+
+// creationOrder orders jobs by creation time, then by ID: within a process,
+// IDs grow with submission.
+func creationOrder(a, b api.JobStatus) int {
+	return cmp.Or(cmp.Compare(a.CreatedUnixMS, b.CreatedUnixMS), strings.Compare(a.ID, b.ID))
 }
 
 // Cancel requests cancellation.  A queued job is finalized immediately; a
@@ -408,7 +401,6 @@ func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 		j.mu.Unlock()
 		return st, nil
 	case j.st.State == api.JobQueued:
-		j.cancelled = true
 		j.st.State = api.JobCancelled
 		j.st.FinishedUnixMS = nowUnixMS()
 		st := j.statusLocked()
@@ -417,7 +409,6 @@ func (m *Manager) Cancel(id string) (api.JobStatus, error) {
 		m.log.Info("jobs: cancelled while queued", "job", id)
 		return st, nil
 	default: // running
-		j.cancelled = true
 		if j.cancelRun != nil {
 			j.cancelRun(errCancelled)
 		}
@@ -576,7 +567,7 @@ func (m *Manager) runJob(j *job) {
 	jctx, cancel := context.WithCancelCause(m.ctx)
 	defer cancel(nil)
 	j.mu.Lock()
-	if j.cancelled || j.st.State.Terminal() {
+	if j.st.State.Terminal() {
 		j.mu.Unlock()
 		return // cancelled while queued; already finalized
 	}
@@ -622,14 +613,9 @@ func (m *Manager) runJob(j *job) {
 	}
 }
 
-// finalize moves a job to a terminal state and persists it.  A concurrent
-// user cancel that already marked the job cancelled wins over Done so the
-// API never reports a cancelled job as completed.
+// finalize moves a job to a terminal state and persists it.
 func (m *Manager) finalize(j *job, state api.JobState, err error) {
 	j.mu.Lock()
-	if j.st.State == api.JobCancelled && state == api.JobDone {
-		state = api.JobCancelled
-	}
 	j.st.State = state
 	if err != nil {
 		j.st.Error = err.Error()
@@ -703,14 +689,10 @@ func (m *Manager) openLog(j *job, r kindRunner) (*resultLog, error) {
 		return nil, err
 	}
 	l := &resultLog{m: m, j: j, r: r, f: f, total: r.chunks()}
-	fi, err := f.Stat()
-	if err == nil {
-		if ck := m.resumePoint(j, r, fi.Size()); ck != nil {
-			l.next, l.offset, l.shapes, l.retries = ck.NextChunk, ck.Offset, ck.Shapes, ck.Retries
-		}
-		err = f.Truncate(l.offset)
+	if ck := m.resumePoint(j, r); ck != nil {
+		l.next, l.offset, l.shapes, l.retries = ck.NextChunk, ck.Offset, ck.Shapes, ck.Retries
 	}
-	if err != nil {
+	if err := f.Truncate(l.offset); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -723,29 +705,46 @@ func (m *Manager) openLog(j *job, r kindRunner) (*resultLog, error) {
 	return l, nil
 }
 
-// resumePoint restores r from j's checkpoint and returns it, or returns nil
-// to run from chunk 0 on r's fresh aggregate: when there is no checkpoint,
-// when it is unreadable, foreign or its aggregate is rejected, or when the
-// results file (size bytes) is shorter than its offset — truncating "up"
-// to the offset would zero-extend the file and serve NUL bytes as rows.
-func (m *Manager) resumePoint(j *job, r kindRunner, size int64) *checkpoint {
-	ck, err := readCheckpoint(j.dir)
-	switch {
-	case err != nil:
-		m.log.Warn("jobs: checkpoint unreadable; restarting job from scratch", "job", j.id, "err", err)
-	case ck == nil || ck.Version != api.JobSchemaVersion || ck.JobID != j.id:
-	case size < ck.Offset:
-		m.log.Warn("jobs: results file shorter than the checkpoint offset; restarting job from scratch",
-			"job", j.id, "size", size, "offset", ck.Offset)
-	default:
+// resumePoint restores r from j's trusted checkpoint and returns it, or
+// warns of damage and returns nil to run from chunk 0 on r's fresh
+// aggregate.
+func (m *Manager) resumePoint(j *job, r kindRunner) *checkpoint {
+	ck, err := trustedCheckpoint(j)
+	if err != nil {
+		m.log.Warn("jobs: checkpoint not resumable; restarting job from scratch", "job", j.id, "err", err)
+		return nil
+	}
+	if ck != nil {
 		if err := r.restore(ck.Agg); err != nil {
 			m.log.Warn("jobs: checkpoint aggregate rejected; restarting job from scratch",
 				"job", j.id, "err", err)
 			return nil
 		}
-		return ck
 	}
-	return nil
+	return ck
+}
+
+// trustedCheckpoint is the one resume rule, shared by the run and the
+// restore scan: j's checkpoint counts only when it is readable, carries j's
+// ID and schema, and the results file holds the Offset bytes it covers
+// (truncating "up" would zero-extend the file and serve NUL bytes as rows).
+// The error names the damage of one that cannot be trusted.
+func trustedCheckpoint(j *job) (*checkpoint, error) {
+	ck, err := readCheckpoint(j.dir)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint unreadable: %w", err)
+	}
+	if ck == nil || ck.Version != api.JobSchemaVersion || ck.JobID != j.id {
+		return nil, nil
+	}
+	var size int64
+	if fi, err := os.Stat(filepath.Join(j.dir, resultsFile)); err == nil {
+		size = fi.Size()
+	}
+	if size < ck.Offset {
+		return nil, fmt.Errorf("results file shorter than the checkpoint offset (%d < %d bytes)", size, ck.Offset)
+	}
+	return ck, nil
 }
 
 // commit appends the next chunk's records and advances the commit state:

@@ -214,10 +214,31 @@ func (r *censusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("jobs: census chunk %d aggregate: %w", res.Chunk, err)
 	}
+	var shapes uint64
+	for _, t := range part {
+		shapes += t.Total
+	}
+	if err := checkCounts(api.JobCensus, res, shapes, 1); err != nil {
+		return nil, 0, err
+	}
 	// Element-wise integer addition of the chunk's delta — associative, so
 	// folding deltas in index order equals the sequential aggregate exactly.
 	r.agg = stats.MergeCensusTallies(r.agg, part)
-	return res.Rows, res.Shapes, nil
+	return res.Rows, shapes, nil
+}
+
+// checkCounts refuses a row kind's chunk result unless it reports the
+// shapes its aggregate counts, in the lines NDJSON lines that count
+// implies.  A peer's result is input from outside the process: an
+// unchecked count would reach the job's status and summary line.
+func checkCounts(kind api.JobKind, res *api.ChunkResult, shapes uint64, lines int) error {
+	if res.Shapes != shapes {
+		return fmt.Errorf("jobs: %s chunk %d reports %d shapes, its aggregate counts %d", kind, res.Chunk, res.Shapes, shapes)
+	}
+	if n := bytes.Count(res.Rows, []byte{'\n'}); n != lines {
+		return fmt.Errorf("jobs: %s chunk %d carries %d NDJSON lines, want %d", kind, res.Chunk, n, lines)
+	}
+	return nil
 }
 
 // decodeAgg decodes a census aggregate, a chunk's delta or a checkpoint's
@@ -313,9 +334,13 @@ func (r *epsilonRunner) execute(ctx context.Context, chunk int, rows *bytes.Buff
 }
 
 // fold for epsilon passes the rows through: they are independent, there
-// is no aggregate.
+// is no aggregate.  The chunk's domain fixes its count, 8^(chunk+1).
 func (r *epsilonRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
-	return res.Rows, res.Shapes, nil
+	shapes := uint64(1) << uint(3*(res.Chunk+1))
+	if err := checkCounts(api.JobEpsilon, res, shapes, 1); err != nil {
+		return nil, 0, err
+	}
+	return res.Rows, shapes, nil
 }
 
 func (r *epsilonRunner) finish(buf *bytes.Buffer, shapes uint64) error {
@@ -420,9 +445,16 @@ func (r *plansweepRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 	if err := decodeExact(res.Agg, &a); err != nil {
 		return nil, 0, fmt.Errorf("jobs: plansweep chunk %d aggregate: %w", res.Chunk, err)
 	}
+	var shapes uint64
+	for _, n := range a.Hist {
+		shapes += n
+	}
+	if err := checkCounts(api.JobPlanSweep, res, shapes, int(shapes)); err != nil {
+		return nil, 0, err
+	}
 	r.agg.merge(a.planTally)
 	r.agg.Optimal += a.Optimal
-	return res.Rows, res.Shapes, nil
+	return res.Rows, shapes, nil
 }
 
 func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {

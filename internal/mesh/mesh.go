@@ -9,7 +9,6 @@ package mesh
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -191,14 +190,6 @@ func (s Shape) CoordInto(idx int, out []int) {
 func (s Shape) Clone() Shape {
 	out := make(Shape, len(s))
 	copy(out, s)
-	return out
-}
-
-// Sorted returns a copy with axis lengths in non-decreasing order.  Useful
-// for canonicalizing shapes when counting meshes up to axis permutation.
-func (s Shape) Sorted() Shape {
-	out := s.Clone()
-	sort.Ints(out)
 	return out
 }
 

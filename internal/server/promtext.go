@@ -10,6 +10,10 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/artifact"
+	"repro/internal/core"
+	"repro/internal/fabric"
+	"repro/internal/jobs"
 	"repro/internal/obs"
 )
 
@@ -118,9 +122,8 @@ func (m *metrics) route(endpoint string) *endpointStats {
 func fmtFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) }
 
 // render writes the exposition: the per-route families, routes sorted by
-// name, then the caller's gauges (cache, planner, jobs, fabric, runtime),
-// so the registry stays independent of them.
-func (m *metrics) render(b *strings.Builder, gauges []gauge) {
+// name, then the family table read from r.
+func (m *metrics) render(b *strings.Builder, r *reading) {
 	var hist strings.Builder
 	b.WriteString("# HELP embedserver_requests_total Requests served, by endpoint and status code.\n")
 	b.WriteString("# TYPE embedserver_requests_total counter\n")
@@ -138,131 +141,189 @@ func (m *metrics) render(b *strings.Builder, gauges []gauge) {
 	m.mu.Unlock()
 	b.WriteString(hist.String())
 
-	for i, g := range gauges {
-		// Consecutive gauges sharing a name are one metric family with
-		// several label sets; HELP/TYPE are emitted once per family.
-		if i == 0 || gauges[i-1].name != g.name {
-			fmt.Fprintf(b, "# HELP %s %s\n", g.name, g.help)
-			fmt.Fprintf(b, "# TYPE %s %s\n", g.name, g.kind)
+	for _, f := range families {
+		samples := f.read(r)
+		if len(samples) == 0 {
+			continue
 		}
-		if g.labels != "" {
-			fmt.Fprintf(b, "%s{%s} %s\n", g.name, g.labels, fmtFloat(g.value))
-		} else {
-			fmt.Fprintf(b, "%s %s\n", g.name, fmtFloat(g.value))
+		fmt.Fprintf(b, "# HELP %s %s\n", f.name, f.help)
+		fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.kind)
+		for _, s := range samples {
+			fmt.Fprintf(b, "%s%s %s\n", f.name, s.labels, fmtFloat(s.value))
 		}
 	}
 }
 
-// metricFamilyNames is the canonical, sorted list of every metric family
-// this server can expose on /metrics.  It is the contract three consumers
-// check against: cmd/dashgen refuses to emit a dashboard panel whose PromQL
-// references a family not listed here, the promtext conformance test
-// requires a traffic-exercised scrape to expose exactly this set, and code
-// review gets one place to look when a gauge is added.  Adding a metric to
-// handleMetrics / runtimeGauges without extending this list is a test
-// failure, not a silent drift.
-var metricFamilyNames = []string{
-	"embedserver_build_info",
-	"embedserver_certificates_optimal_total",
-	"embedserver_certificates_total",
-	"embedserver_coalesced_total",
-	"embedserver_fabric_chunks_dispatched_total",
-	"embedserver_fabric_chunks_folded_total",
-	"embedserver_fabric_chunks_requeued_total",
-	"embedserver_fabric_peer_inflight",
-	"embedserver_fabric_peers",
-	"embedserver_inflight",
-	"embedserver_jobs_cancelled",
-	"embedserver_jobs_chunks_done_total",
-	"embedserver_jobs_done",
-	"embedserver_jobs_failed",
-	"embedserver_jobs_queue_capacity",
-	"embedserver_jobs_queued",
-	"embedserver_jobs_result_bytes_total",
-	"embedserver_jobs_retries_total",
-	"embedserver_jobs_running",
-	"embedserver_jobs_shapes_total",
-	"embedserver_plan_artifact_records",
-	"embedserver_plan_cache_entries",
-	"embedserver_plan_cache_hits_total",
-	"embedserver_plan_cache_misses_total",
-	"embedserver_plan_tier_artifact_total",
-	"embedserver_plan_tier_closed_form_total",
-	"embedserver_plan_tier_compute_total",
-	"embedserver_plan_tier_l0_total",
-	"embedserver_request_seconds",
-	"embedserver_requests_total",
-	"embedserver_result_cache_entries",
-	"embedserver_result_cache_evictions_total",
-	"embedserver_result_cache_hits_total",
-	"embedserver_result_cache_misses_total",
-	"embedserver_shed_total",
-	"embedserver_sse_events_total",
-	"embedserver_sse_subscribers",
-	"go_gc_pause_total_seconds",
-	"go_gomaxprocs",
-	"go_goroutines",
-	"go_heap_alloc_bytes",
-	"obs_span_overhead_seconds_total",
-	"obs_spans_started_total",
-	"obs_traces_started_total",
+// reading is one scrape's view of the server and the Go runtime, taken once
+// by handleMetrics.  artifact, jobs and fabric are nil while that subsystem
+// is detached, so their families read no samples.
+type reading struct {
+	m        *metrics
+	cache    ResultCacheStats
+	plan     core.CacheStats
+	obs      obs.Stats
+	mem      runtime.MemStats // ReadMemStats stops the world for tens of µs: fine per scrape
+	artifact *artifact.Header
+	jobs     *jobs.Stats
+	fabric   *fabric.Stats
 }
 
-// MetricFamilies returns the canonical family-name list (a copy, sorted).
-func MetricFamilies() []string {
-	return append([]string(nil), metricFamilyNames...)
+// sample is one exposition line of a family.  labels is empty or a
+// pre-rendered label set in braces ({k="v",...}).
+type sample struct {
+	labels string
+	value  float64
 }
 
-// gauge is one single-valued exposition line.  labels, when non-empty, is a
-// pre-rendered label set ("k=\"v\",...") emitted inside braces.
-type gauge struct {
+// family is one gauge or counter family: HELP and TYPE are written once,
+// then the samples read returns from one scrape's reading.  A family that
+// reads no samples is omitted.
+type family struct {
 	name, help, kind string
-	value            float64
-	labels           string
+	read             func(r *reading) []sample
 }
 
-// runtimeGauges samples the Go runtime and the obs tracer for /metrics.
-// ReadMemStats costs a stop-the-world on the order of tens of microseconds —
-// fine at scrape frequency.
-func runtimeGauges() []gauge {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	st := obs.ReadStats()
-	return []gauge{
-		{name: "go_goroutines", help: "Number of goroutines that currently exist.",
-			kind: "gauge", value: float64(runtime.NumGoroutine())},
-		{name: "go_heap_alloc_bytes", help: "Bytes of allocated heap objects.",
-			kind: "gauge", value: float64(ms.HeapAlloc)},
-		{name: "go_gc_pause_total_seconds", help: "Cumulative GC stop-the-world pause time.",
-			kind: "counter", value: float64(ms.PauseTotalNs) / 1e9},
-		{name: "go_gomaxprocs", help: "Value of GOMAXPROCS.",
-			kind: "gauge", value: float64(runtime.GOMAXPROCS(0))},
-		{name: "obs_spans_started_total", help: "Tracing spans started since process start.",
-			kind: "counter", value: float64(st.Spans)},
-		{name: "obs_traces_started_total", help: "Root traces started since process start.",
-			kind: "counter", value: float64(st.Traces)},
-		{name: "obs_span_overhead_seconds_total", help: "Cumulative time spent creating tracing spans.",
-			kind: "counter", value: float64(st.OverheadNS) / 1e9},
-	}
+type number interface {
+	~int | ~int64 | ~uint64 | ~float64
 }
 
-// buildInfoGauge is the conventional constant-1 info metric carrying build
-// metadata as labels.
-func buildInfoGauge() gauge {
-	path, version := "unknown", "unknown"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.Path != "" {
-			path = bi.Path
-		}
-		if bi.Main.Version != "" {
-			version = bi.Main.Version
-		}
+// one is a family's single unlabelled sample.
+func one[T number](v T) []sample { return []sample{{value: float64(v)}} }
+
+// of is one sample of field(x), or none when x, the stats of a detached
+// subsystem, is nil.
+func of[S any, T number](x *S, field func(*S) T) []sample {
+	if x == nil {
+		return nil
 	}
-	return gauge{
-		name:   "embedserver_build_info",
-		help:   "Build metadata; the value is always 1.",
-		kind:   "gauge",
-		value:  1,
-		labels: fmt.Sprintf("go_version=%q,path=%q,version=%q", runtime.Version(), path, version),
+	return one(field(x))
+}
+
+// families declares every gauge and counter family of /metrics, in
+// exposition order after the two per-route families.  It is the one
+// declaration: handleMetrics renders it and MetricFamilies lists it for
+// cmd/dashgen and the conformance test.
+var families = [...]family{
+	{"embedserver_inflight", "API requests currently being served.", "gauge",
+		func(r *reading) []sample { return one(r.m.inflight.Load()) }},
+	{"embedserver_shed_total", "Requests shed with 429 at the concurrency limit.", "counter",
+		func(r *reading) []sample { return one(r.m.shed.Load()) }},
+	{"embedserver_coalesced_total", "Requests that joined an in-flight computation.", "counter",
+		func(r *reading) []sample { return one(r.cache.Coalesced) }},
+	{"embedserver_result_cache_hits_total", "Result-cache (LRU) hits.", "counter",
+		func(r *reading) []sample { return one(r.cache.Hits) }},
+	{"embedserver_result_cache_misses_total", "Computations performed (thundering herds count once).", "counter",
+		func(r *reading) []sample { return one(r.cache.Misses) }},
+	{"embedserver_result_cache_evictions_total", "Result-cache LRU evictions.", "counter",
+		func(r *reading) []sample { return one(r.cache.Evictions) }},
+	{"embedserver_result_cache_entries", "Result-cache current size.", "gauge",
+		func(r *reading) []sample { return one(r.cache.Size) }},
+	{"embedserver_plan_cache_hits_total", "Planner plan-cache hits.", "counter",
+		func(r *reading) []sample { return one(r.plan.Hits) }},
+	{"embedserver_plan_cache_misses_total", "Planner plan-cache misses.", "counter",
+		func(r *reading) []sample { return one(r.plan.Misses) }},
+	{"embedserver_plan_cache_entries", "Planner plan-cache current size.", "gauge",
+		func(r *reading) []sample { return one(r.plan.Size) }},
+	{"embedserver_plan_tier_l0_total", "Plan requests served from the in-memory result cache (L0).", "counter",
+		func(r *reading) []sample { return one(r.m.tierL0.Load()) }},
+	{"embedserver_plan_tier_closed_form_total", "Plan resolutions answered by the O(1) closed-form classifier.", "counter",
+		func(r *reading) []sample { return one(r.m.tierClosedForm.Load()) }},
+	{"embedserver_plan_tier_artifact_total", "Plan resolutions answered by the mmap'd plan-census artifact (L1).", "counter",
+		func(r *reading) []sample { return one(r.m.tierArtifact.Load()) }},
+	{"embedserver_plan_tier_compute_total", "Plan resolutions that ran the full decomposition planner (L2).", "counter",
+		func(r *reading) []sample { return one(r.m.tierCompute.Load()) }},
+	{"embedserver_certificates_total", "Optimality certificates served on plan/embed/compare responses.", "counter",
+		func(r *reading) []sample { return one(r.m.certTotal.Load()) }},
+	{"embedserver_certificates_optimal_total", "Served certificates whose achieved metrics provably meet the lower bounds.", "counter",
+		func(r *reading) []sample { return one(r.m.certOptimal.Load()) }},
+	{"embedserver_plan_artifact_records", "Records in the attached plan-census artifact.", "gauge",
+		func(r *reading) []sample {
+			return of(r.artifact, func(h *artifact.Header) uint64 { return h.RecordCount })
+		}},
+	{"embedserver_jobs_queued", "Batch jobs waiting for a runner.", "gauge",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int { return s.Queued }) }},
+	{"embedserver_jobs_running", "Batch jobs currently executing.", "gauge",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int { return s.Running }) }},
+	{"embedserver_jobs_done", "Batch jobs that finished successfully.", "gauge",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int { return s.Done }) }},
+	{"embedserver_jobs_failed", "Batch jobs that ended in failure.", "gauge",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int { return s.Failed }) }},
+	{"embedserver_jobs_cancelled", "Batch jobs cancelled by the caller.", "gauge",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int { return s.Cancelled }) }},
+	{"embedserver_jobs_queue_capacity", "Slots in the job submission queue.", "gauge",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int { return s.QueueCap }) }},
+	{"embedserver_jobs_chunks_done_total", "Job chunks completed (including resumed runs).", "counter",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) uint64 { return s.ChunksDone }) }},
+	{"embedserver_jobs_shapes_total", "Shapes processed by batch jobs.", "counter",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) uint64 { return s.Shapes }) }},
+	{"embedserver_jobs_retries_total", "Job chunk attempts retried after a panic or error.", "counter",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) uint64 { return s.Retries }) }},
+	{"embedserver_jobs_result_bytes_total", "Bytes of NDJSON results committed to disk.", "counter",
+		func(r *reading) []sample { return of(r.jobs, func(s *jobs.Stats) int64 { return s.ResultBytes }) }},
+	{"embedserver_fabric_peers", "Remote fabric peers by health state.", "gauge",
+		func(r *reading) []sample {
+			if r.fabric == nil {
+				return nil
+			}
+			return []sample{{`{state="up"}`, float64(r.fabric.Up)}, {`{state="down"}`, float64(r.fabric.Down)}}
+		}},
+	{"embedserver_fabric_chunks_dispatched_total", "Chunk executions dispatched to fabric peers.", "counter",
+		func(r *reading) []sample { return of(r.fabric, func(s *fabric.Stats) uint64 { return s.Dispatched }) }},
+	{"embedserver_fabric_chunks_requeued_total", "Chunks re-dispatched after a fabric peer failure.", "counter",
+		func(r *reading) []sample { return of(r.fabric, func(s *fabric.Stats) uint64 { return s.Requeued }) }},
+	{"embedserver_fabric_chunks_folded_total", "Distributed chunk results folded into job streams.", "counter",
+		func(r *reading) []sample { return of(r.fabric, func(s *fabric.Stats) uint64 { return s.Folded }) }},
+	{"embedserver_fabric_peer_inflight", "Chunks currently executing, by fabric peer.", "gauge",
+		func(r *reading) (out []sample) {
+			if r.fabric != nil {
+				for _, p := range r.fabric.Peers {
+					out = append(out, sample{fmt.Sprintf("{peer=%q}", p.Addr), float64(p.InFlight)})
+				}
+			}
+			return out
+		}},
+	{"embedserver_sse_subscribers", "Live SSE job-event subscribers.", "gauge",
+		func(r *reading) []sample { return one(r.m.sseSubscribers.Load()) }},
+	{"embedserver_sse_events_total", "SSE events written to subscribers.", "counter",
+		func(r *reading) []sample { return one(r.m.sseEvents.Load()) }},
+	{"go_goroutines", "Number of goroutines that currently exist.", "gauge",
+		func(*reading) []sample { return one(runtime.NumGoroutine()) }},
+	{"go_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge",
+		func(r *reading) []sample { return one(r.mem.HeapAlloc) }},
+	{"go_gc_pause_total_seconds", "Cumulative GC stop-the-world pause time.", "counter",
+		func(r *reading) []sample { return one(float64(r.mem.PauseTotalNs) / 1e9) }},
+	{"go_gomaxprocs", "Value of GOMAXPROCS.", "gauge",
+		func(*reading) []sample { return one(runtime.GOMAXPROCS(0)) }},
+	{"obs_spans_started_total", "Tracing spans started since process start.", "counter",
+		func(r *reading) []sample { return one(r.obs.Spans) }},
+	{"obs_traces_started_total", "Root traces started since process start.", "counter",
+		func(r *reading) []sample { return one(r.obs.Traces) }},
+	{"obs_span_overhead_seconds_total", "Cumulative time spent creating tracing spans.", "counter",
+		func(r *reading) []sample { return one(float64(r.obs.OverheadNS) / 1e9) }},
+	// The conventional constant-1 info metric, carrying build metadata as
+	// labels.
+	{"embedserver_build_info", "Build metadata; the value is always 1.", "gauge",
+		func(*reading) []sample {
+			path, version := "unknown", "unknown"
+			if bi, ok := debug.ReadBuildInfo(); ok {
+				if bi.Path != "" {
+					path = bi.Path
+				}
+				if bi.Main.Version != "" {
+					version = bi.Main.Version
+				}
+			}
+			return []sample{{fmt.Sprintf("{go_version=%q,path=%q,version=%q}", runtime.Version(), path, version), 1}}
+		}},
+}
+
+// MetricFamilies returns the name of every family /metrics can expose,
+// sorted: the two per-route families and the family table's.
+func MetricFamilies() []string {
+	names := []string{"embedserver_requests_total", "embedserver_request_seconds"}
+	for _, f := range families {
+		names = append(names, f.name)
 	}
+	sort.Strings(names)
+	return names
 }

@@ -49,6 +49,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -619,70 +620,22 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	rs := s.cache.stats()
-	ps := s.planner.CacheStats()
-	gauges := []gauge{
-		{name: "embedserver_inflight", help: "API requests currently being served.", kind: "gauge", value: float64(s.m.inflight.Load())},
-		{name: "embedserver_shed_total", help: "Requests shed with 429 at the concurrency limit.", kind: "counter", value: float64(s.m.shed.Load())},
-		{name: "embedserver_coalesced_total", help: "Requests that joined an in-flight computation.", kind: "counter", value: float64(rs.Coalesced)},
-		{name: "embedserver_result_cache_hits_total", help: "Result-cache (LRU) hits.", kind: "counter", value: float64(rs.Hits)},
-		{name: "embedserver_result_cache_misses_total", help: "Computations performed (thundering herds count once).", kind: "counter", value: float64(rs.Misses)},
-		{name: "embedserver_result_cache_evictions_total", help: "Result-cache LRU evictions.", kind: "counter", value: float64(rs.Evictions)},
-		{name: "embedserver_result_cache_entries", help: "Result-cache current size.", kind: "gauge", value: float64(rs.Size)},
-		{name: "embedserver_plan_cache_hits_total", help: "Planner plan-cache hits.", kind: "counter", value: float64(ps.Hits)},
-		{name: "embedserver_plan_cache_misses_total", help: "Planner plan-cache misses.", kind: "counter", value: float64(ps.Misses)},
-		{name: "embedserver_plan_cache_entries", help: "Planner plan-cache current size.", kind: "gauge", value: float64(ps.Size)},
-		{name: "embedserver_plan_tier_l0_total", help: "Plan requests served from the in-memory result cache (L0).", kind: "counter", value: float64(s.m.tierL0.Load())},
-		{name: "embedserver_plan_tier_closed_form_total", help: "Plan resolutions answered by the O(1) closed-form classifier.", kind: "counter", value: float64(s.m.tierClosedForm.Load())},
-		{name: "embedserver_plan_tier_artifact_total", help: "Plan resolutions answered by the mmap'd plan-census artifact (L1).", kind: "counter", value: float64(s.m.tierArtifact.Load())},
-		{name: "embedserver_plan_tier_compute_total", help: "Plan resolutions that ran the full decomposition planner (L2).", kind: "counter", value: float64(s.m.tierCompute.Load())},
-		{name: "embedserver_certificates_total", help: "Optimality certificates served on plan/embed/compare responses.", kind: "counter", value: float64(s.m.certTotal.Load())},
-		{name: "embedserver_certificates_optimal_total", help: "Served certificates whose achieved metrics provably meet the lower bounds.", kind: "counter", value: float64(s.m.certOptimal.Load())},
-	}
+	rd := reading{m: s.m, cache: s.cache.stats(), plan: s.planner.CacheStats(), obs: obs.ReadStats()}
+	runtime.ReadMemStats(&rd.mem)
 	if s.artifact != nil {
-		ah := s.artifact.Header()
-		gauges = append(gauges,
-			gauge{name: "embedserver_plan_artifact_records", help: "Records in the attached plan-census artifact.", kind: "gauge", value: float64(ah.RecordCount)},
-		)
+		h := s.artifact.Header()
+		rd.artifact = &h
 	}
 	if s.jobs != nil {
 		js := s.jobs.Stats()
-		gauges = append(gauges,
-			gauge{name: "embedserver_jobs_queued", help: "Batch jobs waiting for a runner.", kind: "gauge", value: float64(js.Queued)},
-			gauge{name: "embedserver_jobs_running", help: "Batch jobs currently executing.", kind: "gauge", value: float64(js.Running)},
-			gauge{name: "embedserver_jobs_done", help: "Batch jobs that finished successfully.", kind: "gauge", value: float64(js.Done)},
-			gauge{name: "embedserver_jobs_failed", help: "Batch jobs that ended in failure.", kind: "gauge", value: float64(js.Failed)},
-			gauge{name: "embedserver_jobs_cancelled", help: "Batch jobs cancelled by the caller.", kind: "gauge", value: float64(js.Cancelled)},
-			gauge{name: "embedserver_jobs_queue_capacity", help: "Slots in the job submission queue.", kind: "gauge", value: float64(js.QueueCap)},
-			gauge{name: "embedserver_jobs_chunks_done_total", help: "Job chunks completed (including resumed runs).", kind: "counter", value: float64(js.ChunksDone)},
-			gauge{name: "embedserver_jobs_shapes_total", help: "Shapes processed by batch jobs.", kind: "counter", value: float64(js.Shapes)},
-			gauge{name: "embedserver_jobs_retries_total", help: "Job chunk attempts retried after a panic or error.", kind: "counter", value: float64(js.Retries)},
-			gauge{name: "embedserver_jobs_result_bytes_total", help: "Bytes of NDJSON results committed to disk.", kind: "counter", value: float64(js.ResultBytes)},
-		)
+		rd.jobs = &js
 	}
 	if s.pool != nil {
 		fs := s.pool.Stats()
-		gauges = append(gauges,
-			gauge{name: "embedserver_fabric_peers", help: "Remote fabric peers by health state.", kind: "gauge", value: float64(fs.Up), labels: `state="up"`},
-			gauge{name: "embedserver_fabric_peers", help: "Remote fabric peers by health state.", kind: "gauge", value: float64(fs.Down), labels: `state="down"`},
-			gauge{name: "embedserver_fabric_chunks_dispatched_total", help: "Chunk executions dispatched to fabric peers.", kind: "counter", value: float64(fs.Dispatched)},
-			gauge{name: "embedserver_fabric_chunks_requeued_total", help: "Chunks re-dispatched after a fabric peer failure.", kind: "counter", value: float64(fs.Requeued)},
-			gauge{name: "embedserver_fabric_chunks_folded_total", help: "Distributed chunk results folded into job streams.", kind: "counter", value: float64(fs.Folded)},
-		)
-		for _, ps := range fs.Peers {
-			gauges = append(gauges,
-				gauge{name: "embedserver_fabric_peer_inflight", help: "Chunks currently executing, by fabric peer.", kind: "gauge", value: float64(ps.InFlight), labels: fmt.Sprintf("peer=%q", ps.Addr)},
-			)
-		}
+		rd.fabric = &fs
 	}
-	gauges = append(gauges,
-		gauge{name: "embedserver_sse_subscribers", help: "Live SSE job-event subscribers.", kind: "gauge", value: float64(s.m.sseSubscribers.Load())},
-		gauge{name: "embedserver_sse_events_total", help: "SSE events written to subscribers.", kind: "counter", value: float64(s.m.sseEvents.Load())},
-	)
-	gauges = append(gauges, runtimeGauges()...)
-	gauges = append(gauges, buildInfoGauge())
 	var b strings.Builder
-	s.m.render(&b, gauges)
+	s.m.render(&b, &rd)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, b.String())
 }

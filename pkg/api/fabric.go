@@ -62,10 +62,14 @@ type TraceContext struct {
 //     coordinator replays them into its own artifact builder, emitting the
 //     chunk record itself.
 type ChunkResult struct {
-	Version int    `json:"version"`
-	Chunk   int    `json:"chunk"`
-	Shapes  uint64 `json:"shapes"`
-	Rows    []byte `json:"rows,omitempty"`
+	Version int `json:"version"`
+	Chunk   int `json:"chunk"`
+	// Shapes is the chunk's shape count.  The coordinator checks it: a
+	// census, epsilon or plansweep result whose Shapes, or whose number of
+	// Rows lines, is not what Agg (epsilon: the chunk's domain) implies is
+	// refused; a plancensus chunk counts its rank range.
+	Shapes uint64 `json:"shapes"`
+	Rows   []byte `json:"rows,omitempty"`
 	// Agg is the kind runner's aggregate snapshot over this chunk alone
 	// (same encoding as the checkpoint aggregate); absent for stateless
 	// kinds and for plancensus.

@@ -225,60 +225,46 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	return nil
 }
 
-// Healthz checks service liveness.
-func (c *Client) Healthz(ctx context.Context) (*api.HealthzResponse, error) {
-	var out api.HealthzResponse
-	if err := c.do(ctx, http.MethodGet, "/healthz", nil, &out); err != nil {
+// call is one JSON API call whose 2xx body decodes into a T: do, with the
+// result returned by pointer and nil on error.
+func call[T any](ctx context.Context, c *Client, method, path string, body any) (*T, error) {
+	var out T
+	if err := c.do(ctx, method, path, body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
+}
+
+// Healthz checks service liveness.
+func (c *Client) Healthz(ctx context.Context) (*api.HealthzResponse, error) {
+	return call[api.HealthzResponse](ctx, c, http.MethodGet, "/healthz", nil)
 }
 
 // Plan plans a shape without building the embedding.
 func (c *Client) Plan(ctx context.Context, req api.PlanRequest) (*api.PlanResponse, error) {
-	var out api.PlanResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/plan", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.PlanResponse](ctx, c, http.MethodPost, "/v1/plan", req)
 }
 
 // Embed plans, builds and measures one embedding.
 func (c *Client) Embed(ctx context.Context, req api.EmbedRequest) (*api.EmbedResponse, error) {
-	var out api.EmbedResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/embed", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.EmbedResponse](ctx, c, http.MethodPost, "/v1/embed", req)
 }
 
 // Compare measures one shape under every applicable technique.
 func (c *Client) Compare(ctx context.Context, req api.CompareRequest) (*api.CompareResponse, error) {
-	var out api.CompareResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/compare", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.CompareResponse](ctx, c, http.MethodPost, "/v1/compare", req)
 }
 
 // SubmitJob submits a batch sweep and returns its accepted (queued)
 // status.  A queue_full rejection is retried with backoff — the server
 // guarantees a rejected submit had no side effects.
 func (c *Client) SubmitJob(ctx context.Context, req api.JobSubmitRequest) (*api.JobStatus, error) {
-	var out api.JobStatus
-	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.JobStatus](ctx, c, http.MethodPost, "/v1/jobs", req)
 }
 
 // Job fetches one job's status.
 func (c *Client) Job(ctx context.Context, id string) (*api.JobStatus, error) {
-	var out api.JobStatus
-	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.JobStatus](ctx, c, http.MethodGet, "/v1/jobs/"+id, nil)
 }
 
 // Jobs lists every job the server knows, in creation order.
@@ -292,11 +278,7 @@ func (c *Client) Jobs(ctx context.Context) ([]api.JobStatus, error) {
 
 // CancelJob cancels a job and returns its resulting status.
 func (c *Client) CancelJob(ctx context.Context, id string) (*api.JobStatus, error) {
-	var out api.JobStatus
-	if err := c.do(ctx, http.MethodDelete, "/v1/jobs/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.JobStatus](ctx, c, http.MethodDelete, "/v1/jobs/"+id, nil)
 }
 
 // JobResults opens the job's NDJSON result stream starting at byte offset
@@ -336,32 +318,20 @@ func (c *Client) JobArtifact(ctx context.Context, id string) (io.ReadCloser, err
 // Chunk execution is side-effect free on the worker, so the usual retry
 // policy (429/503 and transient dial failures) applies safely.
 func (c *Client) ExecuteChunk(ctx context.Context, req api.ChunkRequest) (*api.ChunkResult, error) {
-	var out api.ChunkResult
-	if err := c.do(ctx, http.MethodPost, "/v1/internal/chunks", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.ChunkResult](ctx, c, http.MethodPost, "/v1/internal/chunks", req)
 }
 
 // Peers lists the coordinator's fabric peers with health and per-peer
 // dispatch counters (GET /v1/peers).
 func (c *Client) Peers(ctx context.Context) (*api.PeersResponse, error) {
-	var out api.PeersResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/peers", nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.PeersResponse](ctx, c, http.MethodGet, "/v1/peers", nil)
 }
 
 // JoinPeer registers addr (a worker's advertised base URL) with the
 // coordinator (POST /v1/peers, the -join handshake).  Requires the fabric
 // secret; joining an already-known address re-dials it.
 func (c *Client) JoinPeer(ctx context.Context, addr string) (*api.PeersResponse, error) {
-	var out api.PeersResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/peers", api.PeerJoinRequest{Addr: addr}, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+	return call[api.PeersResponse](ctx, c, http.MethodPost, "/v1/peers", api.PeerJoinRequest{Addr: addr})
 }
 
 // RawMetrics fetches the server's Prometheus text exposition verbatim, for
