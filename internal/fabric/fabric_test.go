@@ -3,7 +3,6 @@ package fabric
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,13 +12,12 @@ import (
 )
 
 // chunkResult fabricates the deterministic result every execution of a chunk
-// must return: the bytes are a pure function of the index.
+// must return: the record is a pure function of the index.
 func chunkResult(chunk int) *api.ChunkResult {
 	return &api.ChunkResult{
 		Version: api.Version,
 		Chunk:   chunk,
-		Shapes:  1,
-		Rows:    []byte(fmt.Sprintf("row-%04d\n", chunk)),
+		Epsilon: &api.EpsilonRowRecord{Type: api.RecordEpsilonRow, N: chunk + 1},
 	}
 }
 

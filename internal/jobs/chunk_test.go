@@ -10,10 +10,14 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/core"
+	"repro/internal/guest"
 	"repro/internal/stats"
 	"repro/pkg/api"
 )
@@ -71,7 +75,7 @@ func newRunner(t testing.TB, req api.JobSubmitRequest) kindRunner {
 // executeChunk runs one chunk on r and stamps it like ExecuteChunk does.
 func executeChunk(t testing.TB, r kindRunner, chunk int) *api.ChunkResult {
 	t.Helper()
-	res, err := r.execute(context.Background(), chunk, new(bytes.Buffer))
+	res, err := r.execute(context.Background(), chunk)
 	if err != nil {
 		t.Fatalf("execute(%d): %v", chunk, err)
 	}
@@ -88,11 +92,20 @@ func snapshotOf(t testing.TB, r kindRunner) []byte {
 	return b
 }
 
-// TestChunkWire pins ExecuteChunk's bytes for every job kind against
-// goldens written before the local loop and the fabric shared one chunk
-// path, and checks that execute is blind to the running aggregate: a
-// runner that has folded chunks 0..k-1 executes chunk k to a fresh
-// runner's bytes, and the execute leaves its snapshot where it was.
+// foldChunk folds res into r and returns the bytes it rendered.
+func foldChunk(t testing.TB, r kindRunner, res *api.ChunkResult) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := r.fold(res, &buf); err != nil {
+		t.Fatalf("fold(%d): %v", res.Chunk, err)
+	}
+	return buf.Bytes()
+}
+
+// TestChunkWire pins ExecuteChunk's bytes, the chunk's typed records, for
+// every job kind, and checks that execute is blind to the running
+// aggregate: a runner that has folded chunks 0..k-1 executes chunk k to a
+// fresh runner's bytes, and the execute leaves its snapshot where it was.
 func TestChunkWire(t *testing.T) {
 	for _, tc := range chunkWireCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,9 +131,7 @@ func TestChunkWire(t *testing.T) {
 
 			r := newRunner(t, tc.req)
 			for c := 0; c < tc.chunk; c++ {
-				if _, _, err := r.fold(executeChunk(t, r, c)); err != nil {
-					t.Fatalf("fold(%d): %v", c, err)
-				}
+				foldChunk(t, r, executeChunk(t, r, c))
 			}
 			before := snapshotOf(t, r)
 			if got := encodeChunk(t, executeChunk(t, r, tc.chunk)); !bytes.Equal(got, fresh) {
@@ -133,10 +144,9 @@ func TestChunkWire(t *testing.T) {
 	}
 }
 
-// TestCensusAggCodec pins the census aggregate decoder to encoding/json:
-// it reads json.Marshal's bytes back compact or indented (as a fabric
-// peer's response carries them) and rejects anything outside that
-// encoding.
+// TestCensusAggCodec pins the census checkpoint decoder to encoding/json:
+// restore reads json.Marshal's bytes back compact or indented and rejects
+// anything outside that encoding.
 func TestCensusAggCodec(t *testing.T) {
 	part := make([]stats.CensusTally, 4)
 	for i := range part {
@@ -156,12 +166,11 @@ func TestCensusAggCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, in := range [][]byte{compact, indented, append([]byte(" \t\r\n"), compact...)} {
-		got, err := r.decodeAgg(in)
-		if err != nil {
-			t.Fatalf("decodeAgg(%s): %v", in, err)
+		if err := r.restore(in); err != nil {
+			t.Fatalf("restore(%s): %v", in, err)
 		}
-		if !reflect.DeepEqual(got, part) {
-			t.Fatalf("decodeAgg(%s) = %v, want %v", in, got, part)
+		if !reflect.DeepEqual(r.agg, part) {
+			t.Fatalf("restore(%s) = %v, want %v", in, r.agg, part)
 		}
 	}
 	s := string(compact)
@@ -180,17 +189,16 @@ func TestCensusAggCodec(t *testing.T) {
 		strings.Replace(s, `"count":[0,1,2,3,4]`, `"count":[0,1,2,3]`, 1), // short array
 		strings.Replace(s, `,"total":0}`, `,"total":0,"x":1}`, 1),         // unknown key
 	} {
-		if _, err := r.decodeAgg([]byte(bad)); err == nil {
-			t.Errorf("decodeAgg(%q) accepted", bad)
+		if err := r.restore([]byte(bad)); err == nil {
+			t.Errorf("restore(%q) accepted", bad)
 		}
 	}
 }
 
-// TestPlanAggCodec holds the plansweep and plancensus aggregates to the
-// census rule (decodeExact): restore reads a checkpoint's aggregate, and
-// plansweep's fold a chunk's delta, only as json.Marshal's bytes, compact
-// or indented.  A missing, unknown, miscased or reordered key is refused
-// and leaves the snapshot as it was.
+// TestPlanAggCodec holds the plansweep and plancensus checkpoint
+// aggregates to the census rule (decodeExact): restore reads one only as
+// json.Marshal's bytes, compact or indented.  A missing, unknown, miscased
+// or reordered key is refused and leaves the snapshot as it was.
 func TestPlanAggCodec(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -214,13 +222,8 @@ func TestPlanAggCodec(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRunner(t, tc.req)
-			var delta []byte
 			for c := 0; c < 3; c++ {
-				res := executeChunk(t, r, c)
-				if _, _, err := r.fold(res); err != nil {
-					t.Fatalf("fold(%d): %v", c, err)
-				}
-				delta = res.Agg
+				foldChunk(t, r, executeChunk(t, r, c))
 			}
 			agg := snapshotOf(t, r)
 			indented, err := json.MarshalIndent(json.RawMessage(agg), "", "  ")
@@ -236,33 +239,18 @@ func TestPlanAggCodec(t *testing.T) {
 					t.Fatalf("restore(%s) left snapshot %s", in, got)
 				}
 			}
-			// Each path that reads an aggregate, with the bytes it reads.
-			type reader struct {
-				in   []byte
-				read func(r kindRunner, b []byte) error
-			}
-			readers := []reader{{agg, func(r kindRunner, b []byte) error { return r.restore(b) }}}
-			if delta != nil { // plancensus chunks carry plans, not a delta
-				readers = append(readers, reader{delta, func(r kindRunner, b []byte) error {
-					_, _, err := r.fold(&api.ChunkResult{Agg: b})
-					return err
-				}})
-			}
 			for _, edit := range tc.bad {
-				re := regexp.MustCompile(edit[0])
-				for _, rd := range readers {
-					bad := re.ReplaceAll(rd.in, []byte(edit[1]))
-					if bytes.Equal(bad, rd.in) {
-						t.Fatalf("edit %q does not apply to %s", edit[0], rd.in)
-					}
-					fresh := newRunner(t, tc.req)
-					before := snapshotOf(t, fresh)
-					if err := rd.read(fresh, bad); err == nil {
-						t.Errorf("%s accepted", bad)
-					}
-					if after := snapshotOf(t, fresh); !bytes.Equal(after, before) {
-						t.Errorf("rejecting %s moved the snapshot to %s", bad, after)
-					}
+				bad := regexp.MustCompile(edit[0]).ReplaceAll(agg, []byte(edit[1]))
+				if bytes.Equal(bad, agg) {
+					t.Fatalf("edit %q does not apply to %s", edit[0], agg)
+				}
+				fresh := newRunner(t, tc.req)
+				before := snapshotOf(t, fresh)
+				if err := fresh.restore(bad); err == nil {
+					t.Errorf("%s accepted", bad)
+				}
+				if after := snapshotOf(t, fresh); !bytes.Equal(after, before) {
+					t.Errorf("rejecting %s moved the snapshot to %s", bad, after)
 				}
 			}
 		})
@@ -280,44 +268,128 @@ var foldKinds = []struct {
 	{"plancensus", plancensusReq(3, 6, "")},
 }
 
-// aggShapes is the shape count a runner's snapshot holds: the census bucket
-// totals, the plansweep histogram, the plancensus next_rank.  Epsilon keeps
-// no aggregate.
-func aggShapes(t *testing.T, kind api.JobKind, snap []byte) uint64 {
+// foldOracle is what fold must have done with an accepted result at chunk
+// 1 of req, derived from its records apart from fold's own code: the
+// stream is the encoding of its records, and the count and the aggregate
+// (before, the snapshot after chunk 0) grow by their tally.  It fails the
+// test when the records are not chunk 1's.  after is the snapshot fold
+// left; plancensus takes its string cursor from it, which only the
+// artifact builder assigns.
+func foldOracle(t *testing.T, req api.JobSubmitRequest, res *api.ChunkResult, before, after []byte) (stream []byte, n uint64, snap []byte) {
 	t.Helper()
-	var n uint64
-	var err error
-	switch kind {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	encode := func(v any) {
+		if err := enc.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hist := func(h map[string]uint64, dilation int) {
+		key := "unknown"
+		if dilation >= 0 {
+			key = strconv.Itoa(dilation)
+		}
+		h[key]++
+	}
+	var agg any
+	switch req.Kind {
 	case api.JobCensus:
-		var agg []stats.CensusTally
-		err = json.Unmarshal(snap, &agg)
-		for _, b := range agg {
+		rec := res.Census
+		if rec == nil || rec.Type != api.RecordCensusShard || rec.A != 2 {
+			t.Fatalf("census: accepted %+v as the shard of a=2", rec)
+		}
+		var tally []stats.CensusTally
+		mustUnmarshal(t, before, &tally)
+		prev := 0
+		for _, b := range rec.Buckets {
+			var sum uint64
+			for _, c := range b.Count {
+				sum += c
+			}
+			if b.N <= prev || b.N > req.Census.MaxN || b.Total == 0 || b.Total > 1<<uint(3*b.N) ||
+				b.Eps2 > b.Total || slices.Max(b.Count[:]) > b.Total || sum != b.Total {
+				t.Fatalf("census: accepted bucket %+v after n=%d", b, prev)
+			}
+			prev = b.N
+			for i, c := range b.Count {
+				tally[b.N].Count[i] += c
+			}
+			tally[b.N].Eps2 += b.Eps2
+			tally[b.N].Total += b.Total
 			n += b.Total
 		}
-	case api.JobPlanSweep:
-		var agg plansweepAgg
-		err = json.Unmarshal(snap, &agg)
-		for _, v := range agg.Hist {
-			n += v
+		encode(rec)
+		agg = tally
+	case api.JobEpsilon:
+		if rec := res.Epsilon; rec == nil || rec.Type != api.RecordEpsilonRow || rec.N != 2 {
+			t.Fatalf("epsilon: accepted %+v as the row of n=2", rec)
 		}
+		encode(res.Epsilon)
+		return buf.Bytes(), 1 << 6, before // epsilon keeps no aggregate
+	case api.JobPlanSweep:
+		p := req.PlanSweep
+		shapes := core.FamilyShapesFrom(guest.Mesh, 2, p.Dims, p.MaxAxis, p.MaxNodes)
+		if len(res.PlanSweep) != len(shapes) {
+			t.Fatalf("plansweep: accepted %d records for %d shapes", len(res.PlanSweep), len(shapes))
+		}
+		var a plansweepAgg
+		mustUnmarshal(t, before, &a)
+		for i := range res.PlanSweep {
+			rec := &res.PlanSweep[i]
+			if rec.Type != api.RecordPlan || rec.Shape != shapes[i].String() || rec.Family != "" {
+				t.Fatalf("plansweep: accepted record %d %+v for shape %v", i, rec, shapes[i])
+			}
+			encode(rec)
+			hist(a.Hist, rec.DilationBound)
+			a.Minimal += b2u(rec.Minimal)
+			a.Optimal += b2u(rec.Optimal)
+		}
+		n, agg = uint64(len(shapes)), a
 	case api.JobPlanCensus:
-		var agg plancensusAgg
-		err = json.Unmarshal(snap, &agg)
-		n = agg.NextRank
+		lo, hi := artifact.ChunkRange(req.PlanCensus.Dims, 2)
+		if uint64(len(res.Plans)) != hi-lo {
+			t.Fatalf("plancensus: accepted %d plans for ranks [%d,%d)", len(res.Plans), lo, hi)
+		}
+		var a, fin plancensusAgg
+		mustUnmarshal(t, before, &a)
+		mustUnmarshal(t, after, &fin)
+		for _, pe := range res.Plans {
+			hist(a.Hist, pe.Dilation)
+			a.Minimal += b2u(pe.Minimal)
+		}
+		a.NextRank, a.Cursor = hi, fin.Cursor
+		encode(api.PlanCensusChunkRecord{Type: api.RecordPlanCensusChunk, MaxAxisValue: 2,
+			Records: hi - lo, RankLo: lo, RankHi: hi, StringBytes: a.Cursor})
+		n, agg = hi-lo, a
 	}
+	snap, err := json.Marshal(agg)
 	if err != nil {
-		t.Fatalf("%s snapshot %s: %v", kind, snap, err)
+		t.Fatal(err)
 	}
-	return n
+	return buf.Bytes(), n, snap
+}
+
+func mustUnmarshal(t *testing.T, b []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(b, v); err != nil {
+		t.Fatalf("%s: %v", b, err)
+	}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // FuzzFold folds hostile peer results.  A fabric peer's ChunkResult is
 // input from outside the process, and every local chunk passes through
-// fold too.  For each kind, a runner that folded chunk 0 folds an
-// arbitrary result at chunk 1: it must fail or succeed, never panic.  A
-// result it accepts must report the count its aggregate grew by (epsilon:
-// the 8^2 triples of chunk 1) in the NDJSON lines that count implies (one
-// per plansweep shape, else one).  A failed fold must leave the snapshot
+// fold too.  For each kind, a runner that folded chunk 0 folds the fuzzed
+// JSON, decoded as a ChunkResult, at chunk 1: it must fail or succeed,
+// never panic.  A result it accepts must be chunk 1's, and fold must have
+// rendered exactly its records and grown the count and the aggregate by
+// exactly their tally (foldOracle).  A failed fold must leave the snapshot
 // byte-identical, and the genuine chunk 1 must then fold to the bytes and
 // snapshot of a clean run — the retry a failed attempt gets.
 func FuzzFold(f *testing.F) {
@@ -330,81 +402,89 @@ func FuzzFold(f *testing.F) {
 	for i, k := range foldKinds {
 		r := newRunner(f, k.req)
 		p := chunkPair{first: executeChunk(f, r, 0), second: executeChunk(f, r, 1)}
-		for _, res := range []*api.ChunkResult{p.first, p.second} {
-			stream, _, err := r.fold(res)
-			if err != nil {
-				f.Fatalf("%s: genuine fold: %v", k.name, err)
-			}
-			p.stream = bytes.Clone(stream)
-		}
+		foldChunk(f, r, p.first)
+		p.stream = foldChunk(f, r, p.second)
 		p.snap = snapshotOf(f, r)
 		genuine[i] = p
 	}
-
-	plansJSON := func(plans []api.PlanEntry) []byte {
-		b, err := json.Marshal(plans)
+	// Each seed is one edit of a genuine chunk-1 result, applied to a deep
+	// copy (a JSON round trip).
+	seed := func(i int, edit func(res *api.ChunkResult)) {
+		var res api.ChunkResult
+		b, err := json.Marshal(genuine[i].second)
+		if err == nil {
+			err = json.Unmarshal(b, &res)
+		}
 		if err != nil {
 			f.Fatal(err)
 		}
-		return b
+		edit(&res)
+		if b, err = json.Marshal(&res); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
-	for _, p := range genuine {
-		res := p.second
-		f.Add(res.Shapes, res.Rows, []byte(res.Agg), plansJSON(res.Plans))
+	const census, epsilon, plansweep, plancensus = 0, 1, 2, 3
+	for i := range genuine {
+		seed(i, func(*api.ChunkResult) {})
 	}
-	census, plancensus := genuine[0].second, genuine[3].second
-	f.Add(census.Shapes, census.Rows, []byte(census.Agg[:len(census.Agg)/2]), []byte(nil))
-	short, err := json.Marshal(make([]stats.CensusTally, 4))
-	if err != nil {
-		f.Fatal(err)
+	bucket := func(edit func(bs []api.CensusBucket) []api.CensusBucket) func(*api.ChunkResult) {
+		return func(res *api.ChunkResult) { res.Census.Buckets = edit(res.Census.Buckets) }
 	}
-	f.Add(census.Shapes, census.Rows, short, []byte(nil))
-	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), plansJSON(plancensus.Plans[1:]))
-	edit := func(mut func(*api.PlanEntry)) []byte {
-		plans := append([]api.PlanEntry(nil), plancensus.Plans...)
-		mut(&plans[len(plans)-1])
-		return plansJSON(plans)
-	}
-	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), edit(func(p *api.PlanEntry) { p.Kind = "moebius" }))
-	f.Add(plancensus.Shapes, []byte(nil), []byte(nil), edit(func(p *api.PlanEntry) { p.Dilation = 255 }))
-	// A census chunk with an inflated count, then with its row twice.
-	f.Add(census.Shapes+1000, census.Rows, []byte(census.Agg), []byte(nil))
-	f.Add(census.Shapes, append(bytes.Clone(census.Rows), census.Rows...), []byte(census.Agg), []byte(nil))
+	seed(census, func(res *api.ChunkResult) { res.Census.A = 3 })
+	seed(census, bucket(func(bs []api.CensusBucket) []api.CensusBucket { return append(bs[:1], bs...) }))
+	seed(census, bucket(func(bs []api.CensusBucket) []api.CensusBucket {
+		return append(bs, api.CensusBucket{N: 5, Count: [5]uint64{1}, Total: 1})
+	}))
+	seed(census, bucket(func(bs []api.CensusBucket) []api.CensusBucket {
+		b := &bs[0]
+		b.Count[1] += 1<<uint(3*b.N) + 1 - b.Total
+		b.Total = 1<<uint(3*b.N) + 1
+		return bs
+	}))
+	// Counts that sum to the total only modulo 2^64.
+	seed(census, bucket(func(bs []api.CensusBucket) []api.CensusBucket {
+		bs[0].Count[0] += math.MaxUint64
+		bs[0].Count[1]++
+		return bs
+	}))
+	seed(epsilon, func(res *api.ChunkResult) { res.Epsilon.N = 3 })
+	seed(plansweep, func(res *api.ChunkResult) { res.PlanSweep = res.PlanSweep[1:] })
+	seed(plansweep, func(res *api.ChunkResult) { res.PlanSweep[1] = res.PlanSweep[0] })
+	seed(plansweep, func(res *api.ChunkResult) { res.PlanSweep[0], res.PlanSweep[1] = res.PlanSweep[1], res.PlanSweep[0] })
+	seed(plansweep, func(res *api.ChunkResult) { res.PlanSweep[0].Type = "bogus" })
+	seed(plansweep, func(res *api.ChunkResult) { res.PlanSweep[0].DilationBound = 7 })
+	seed(plancensus, func(res *api.ChunkResult) { res.Plans = res.Plans[1:] })
+	seed(plancensus, func(res *api.ChunkResult) { res.Plans[len(res.Plans)-1].Kind = "moebius" })
+	seed(plancensus, func(res *api.ChunkResult) { res.Plans[len(res.Plans)-1].Dilation = 255 })
+	seed(census, func(res *api.ChunkResult) { *res = api.ChunkResult{} })
 
-	f.Fuzz(func(t *testing.T, shapes uint64, rows, agg, plans []byte) {
-		hostile := api.ChunkResult{Version: api.Version, Chunk: 1, Shapes: shapes, Rows: rows, Agg: agg}
-		_ = json.Unmarshal(plans, &hostile.Plans) // undecodable plans stay nil
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var hostile api.ChunkResult
+		_ = json.Unmarshal(body, &hostile) // an undecodable body folds what it decoded
+		hostile.Version, hostile.Chunk = api.Version, 1
 		for i, k := range foldKinds {
 			r := newRunner(t, k.req)
-			if _, _, err := r.fold(genuine[i].first); err != nil {
-				t.Fatalf("%s: genuine chunk 0: %v", k.name, err)
-			}
+			foldChunk(t, r, genuine[i].first)
 			before := snapshotOf(t, r)
-			res := hostile
-			if stream, n, err := r.fold(&res); err == nil {
-				want, lines := aggShapes(t, k.req.Kind, snapshotOf(t, r))-aggShapes(t, k.req.Kind, before), 1
-				switch k.req.Kind {
-				case api.JobEpsilon:
-					want = 1 << 6
-				case api.JobPlanSweep:
-					lines = int(want)
-				}
+			var buf bytes.Buffer
+			if n, err := r.fold(&hostile, &buf); err == nil {
+				stream, want, snap := foldOracle(t, k.req, &hostile, before, snapshotOf(t, r))
 				if n != want {
-					t.Fatalf("%s: accepted a result counting %d shapes; its aggregate grew by %d", k.name, n, want)
+					t.Fatalf("%s: accepted a result counting %d shapes; its records count %d", k.name, n, want)
 				}
-				if got := bytes.Count(stream, []byte{'\n'}); got != lines {
-					t.Fatalf("%s: accepted %d NDJSON lines for %d shapes, want %d", k.name, got, n, lines)
+				if !bytes.Equal(buf.Bytes(), stream) {
+					t.Fatalf("%s: accepted result rendered\n%s\nnot its records\n%s", k.name, buf.Bytes(), stream)
+				}
+				if got := snapshotOf(t, r); !bytes.Equal(got, snap) {
+					t.Fatalf("%s: accepted result left snapshot %s, its records tally to %s", k.name, got, snap)
 				}
 				continue
 			}
 			if after := snapshotOf(t, r); !bytes.Equal(after, before) {
 				t.Fatalf("%s: failed fold moved the snapshot:\nbefore %s\nafter  %s", k.name, before, after)
 			}
-			stream, _, err := r.fold(genuine[i].second)
-			if err != nil {
-				t.Fatalf("%s: genuine chunk 1 after a failed fold: %v", k.name, err)
-			}
-			if !bytes.Equal(stream, genuine[i].stream) {
+			if stream := foldChunk(t, r, genuine[i].second); !bytes.Equal(stream, genuine[i].stream) {
 				t.Fatalf("%s: retried chunk 1 folded to other bytes:\n%s", k.name, stream)
 			}
 			if got := snapshotOf(t, r); !bytes.Equal(got, genuine[i].snap) {
@@ -412,4 +492,32 @@ func FuzzFold(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPlanSweepEmptyChunk: a plansweep chunk with no shapes in range (here
+// first axis 8, whose smallest shape has 512 nodes against a 256 cap)
+// executes to no records, also through the wire, and folds to zero bytes
+// and zero shapes with the aggregate untouched.
+func TestPlanSweepEmptyChunk(t *testing.T) {
+	req := plansweepReq()
+	res, err := ExecuteChunk(context.Background(), api.ChunkRequest{Version: api.Version, Job: req, Chunk: 7}, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wire api.ChunkResult
+	mustUnmarshal(t, encodeChunk(t, res), &wire)
+	for _, res := range []*api.ChunkResult{res, &wire} {
+		if len(res.PlanSweep) != 0 {
+			t.Fatalf("chunk 7 executed to %d records, want none", len(res.PlanSweep))
+		}
+		r := newRunner(t, req)
+		before := snapshotOf(t, r)
+		var buf bytes.Buffer
+		if n, err := r.fold(res, &buf); err != nil || n != 0 || buf.Len() != 0 {
+			t.Fatalf("fold = %d shapes, %d bytes, %v; want 0, 0, nil", n, buf.Len(), err)
+		}
+		if after := snapshotOf(t, r); !bytes.Equal(after, before) {
+			t.Fatalf("empty chunk moved the snapshot from %s to %s", before, after)
+		}
+	}
 }

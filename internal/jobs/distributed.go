@@ -24,11 +24,11 @@ func (m *Manager) runBodyDistributed(ctx context.Context, l *resultLog) error {
 		l.j.mu.Unlock()
 	}()
 	err := d.Run(ctx, l.next, func(res *api.ChunkResult) error {
-		stream, n, err := l.r.fold(res)
+		n, err := l.r.fold(res, &l.buf)
 		if err != nil {
 			return err
 		}
-		return l.commit(stream, n)
+		return l.commit(n)
 	})
 	// errAbandoned is the test hook's simulated kill: no further disk writes.
 	if err != nil && !errors.Is(err, errAbandoned) && ctx.Err() != nil {

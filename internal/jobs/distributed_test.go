@@ -9,6 +9,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -215,56 +216,74 @@ func TestDistributedWorkerLossFoldedOnce(t *testing.T) {
 	}
 }
 
-// TestDistributedFoldRefusesInflatedCounts: a peer whose chunk result
-// carries a shape count or NDJSON rows its aggregate does not imply fails
-// the job at that chunk instead of folding the inflated count into the
-// status and the summary line.
-func TestDistributedFoldRefusesInflatedCounts(t *testing.T) {
-	mutations := []struct {
+// TestDistributedFoldRefusesForeignRecords: a peer whose chunk-3 result
+// carries records that are not chunk 3's fails the job at that chunk
+// instead of committing them to the stream, the status and the summary.
+func TestDistributedFoldRefusesForeignRecords(t *testing.T) {
+	census := func(edit func(bs []api.CensusBucket) []api.CensusBucket) func(*api.ChunkResult) {
+		return func(res *api.ChunkResult) { res.Census.Buckets = edit(res.Census.Buckets) }
+	}
+	for _, tc := range []struct {
+		req  api.JobSubmitRequest
 		name string
 		edit func(res *api.ChunkResult)
 	}{
-		{"shapes+1000", func(res *api.ChunkResult) { res.Shapes += 1000 }},
-		{"first row repeated", func(res *api.ChunkResult) {
-			first := res.Rows[:bytes.IndexByte(res.Rows, '\n')+1]
-			res.Rows = append(bytes.Clone(first), res.Rows...)
+		{plansweepReq(), "dropped", func(res *api.ChunkResult) { res.PlanSweep = res.PlanSweep[1:] }},
+		{plansweepReq(), "repeated", func(res *api.ChunkResult) { res.PlanSweep[1] = res.PlanSweep[0] }},
+		{plansweepReq(), "swapped", func(res *api.ChunkResult) {
+			res.PlanSweep[0], res.PlanSweep[1] = res.PlanSweep[1], res.PlanSweep[0]
 		}},
-	}
-	for _, req := range []api.JobSubmitRequest{censusReq(4), epsilonReq(4), plansweepReq()} {
-		for _, mut := range mutations {
-			t.Run(string(req.Kind)+"/"+mut.name, func(t *testing.T) {
-				pool := fabric.NewPool(fabric.Config{
-					Dial: func(string) fabric.Transport {
-						return fabric.Loopback(func(ctx context.Context, cr api.ChunkRequest) (*api.ChunkResult, error) {
-							res, err := loopbackExec(ctx, cr)
-							if err == nil && cr.Chunk == 3 {
-								mut.edit(res)
-							}
-							return res, err
-						})
-					},
-					HealthEvery: -1,
-				})
-				t.Cleanup(pool.Close)
-				if err := pool.Add("inflating"); err != nil {
-					t.Fatal(err)
-				}
-				cfg := testConfig(t.TempDir())
-				cfg.Fabric = pool
-				m, err := Open(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer closeManager(t, m)
-				st, err := m.Submit(distributed(req))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st = waitTerminal(t, m, st.ID); st.State != api.JobFailed || !strings.Contains(st.Error, "chunk 3 ") {
-					t.Fatalf("job ended %s (error %q), want failed at chunk 3", st.State, st.Error)
-				}
+		{plansweepReq(), "retyped", func(res *api.ChunkResult) { res.PlanSweep[0].Type = api.RecordCensusShard }},
+		{plansweepReq(), "other_family", func(res *api.ChunkResult) { res.PlanSweep[0].Family = "torus" }},
+		{censusReq(4), "wrong_a", func(res *api.ChunkResult) { res.Census.A = 5 }},
+		{censusReq(4), "repeated_bucket", census(func(bs []api.CensusBucket) []api.CensusBucket {
+			return append(bs[:1], bs...)
+		})},
+		{censusReq(4), "bucket_out_of_range", census(func(bs []api.CensusBucket) []api.CensusBucket {
+			return append(bs, api.CensusBucket{N: 5, Count: [5]uint64{1}, Eps2: 1, Total: 1})
+		})},
+		{censusReq(4), "total_above_domain", census(func(bs []api.CensusBucket) []api.CensusBucket {
+			b := &bs[len(bs)-1]
+			extra := 1<<uint(3*b.N) + 1 - b.Total
+			b.Count[1] += extra
+			b.Eps2 += extra
+			b.Total += extra
+			return bs
+		})},
+		{epsilonReq(4), "wrong_n", func(res *api.ChunkResult) { res.Epsilon.N = 3 }},
+	} {
+		t.Run(string(tc.req.Kind)+"/"+tc.name, func(t *testing.T) {
+			pool := fabric.NewPool(fabric.Config{
+				Dial: func(string) fabric.Transport {
+					return fabric.Loopback(func(ctx context.Context, cr api.ChunkRequest) (*api.ChunkResult, error) {
+						res, err := loopbackExec(ctx, cr)
+						if err == nil && cr.Chunk == 3 {
+							tc.edit(res)
+						}
+						return res, err
+					})
+				},
+				HealthEvery: -1,
 			})
-		}
+			t.Cleanup(pool.Close)
+			if err := pool.Add("foreign"); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(t.TempDir())
+			cfg.Fabric = pool
+			m, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeManager(t, m)
+			st, err := m.Submit(distributed(tc.req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st = waitTerminal(t, m, st.ID); st.State != api.JobFailed || !regexp.MustCompile(`\bchunk 3\b`).MatchString(st.Error) {
+				t.Fatalf("job ended %s (error %q), want failed at chunk 3", st.State, st.Error)
+			}
+		})
 	}
 }
 

@@ -658,12 +658,14 @@ func (m *Manager) run(ctx context.Context, j *job, r kindRunner) error {
 
 // resultLog is one run's commit state: the job's results file and the
 // resume point committed to it.  Chunks are committed strictly in index
-// order, whichever source produced them.
+// order, whichever source produced them, each from buf, where fold
+// rendered it.
 type resultLog struct {
-	m *Manager
-	j *job
-	r kindRunner
-	f *os.File
+	m   *Manager
+	j   *job
+	r   kindRunner
+	f   *os.File
+	buf bytes.Buffer
 
 	total    int
 	next     int   // first uncommitted chunk
@@ -747,10 +749,12 @@ func trustedCheckpoint(j *job) (*checkpoint, error) {
 	return ck, nil
 }
 
-// commit appends the next chunk's records and advances the commit state:
-// the manager's lifetime counters, the job's progress and ETA, the
-// afterChunk hook, and a checkpoint every CheckpointEvery chunks.
-func (l *resultLog) commit(rows []byte, n uint64) error {
+// commit appends the next chunk's records, fold's bytes in buf, empties
+// buf and advances the commit state: the manager's lifetime counters, the
+// job's progress and ETA, the afterChunk hook, and a checkpoint every
+// CheckpointEvery chunks.  n is the chunk's shape count.
+func (l *resultLog) commit(n uint64) error {
+	rows := l.buf.Bytes()
 	if _, err := l.f.Write(rows); err != nil {
 		return err
 	}
@@ -761,6 +765,7 @@ func (l *resultLog) commit(rows []byte, n uint64) error {
 	m.chunksDone.Add(1)
 	m.shapesDone.Add(n)
 	m.resultBytes.Add(int64(len(rows)))
+	l.buf.Reset()
 
 	elapsed := time.Since(l.start).Seconds()
 	j.mu.Lock()
@@ -813,18 +818,17 @@ func (l *resultLog) finish() error {
 	if err := l.checkpoint(); err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := l.r.finish(&buf, l.shapes); err != nil {
+	if err := l.r.finish(&l.buf, l.shapes); err != nil {
 		return err
 	}
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
+	if _, err := l.f.Write(l.buf.Bytes()); err != nil {
 		return err
 	}
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.offset += int64(buf.Len())
-	l.m.resultBytes.Add(int64(buf.Len()))
+	l.offset += int64(l.buf.Len())
+	l.m.resultBytes.Add(int64(l.buf.Len()))
 	l.j.mu.Lock()
 	l.j.st.Progress.ResultBytes = l.offset
 	l.j.mu.Unlock()
@@ -833,13 +837,10 @@ func (l *resultLog) finish() error {
 
 // runBody is the local chunk source: it runs the uncommitted chunks in
 // index order on this node and commits each.  On a dying context it
-// checkpoints, so the resume point is the last committed chunk.  One rows
-// buffer serves every chunk of the run, and each chunk is committed
-// straight from the bytes fold returns (for a row kind, that buffer's own).
+// checkpoints, so the resume point is the last committed chunk.
 func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
-	var rows bytes.Buffer
 	for chunk := l.next; chunk < l.total; chunk++ {
-		stream, n, err := m.retryChunk(ctx, l, chunk, &rows)
+		n, err := m.retryChunk(ctx, l, chunk)
 		if err != nil {
 			if ctx.Err() != nil {
 				// Best effort: if it fails, the previous checkpoint still
@@ -849,42 +850,43 @@ func (m *Manager) runBody(ctx context.Context, l *resultLog) error {
 			}
 			return err
 		}
-		if err := l.commit(stream, n); err != nil {
+		if err := l.commit(n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// retryChunk runs one chunk with panic isolation and bounded retry and
-// returns its stream bytes and shape count; a done ctx starts no further
-// attempt.  The rows buffer is reset per attempt; the runner's aggregate is
-// untouched by a failed attempt (see kindRunner), so a retry starts from a
-// clean slate.
-func (m *Manager) retryChunk(ctx context.Context, l *resultLog, chunk int, rows *bytes.Buffer) ([]byte, uint64, error) {
+// retryChunk runs one chunk with panic isolation and bounded retry,
+// leaves its stream bytes in l.buf and returns its shape count; a done ctx
+// starts no further attempt.  l.buf is emptied per attempt; the runner's
+// aggregate is untouched by a failed attempt (see kindRunner), so a retry
+// starts from a clean slate.
+func (m *Manager) retryChunk(ctx context.Context, l *resultLog, chunk int) (uint64, error) {
 	for attempt := 0; ctx.Err() == nil; attempt++ {
-		rows.Reset()
-		stream, n, err := m.attemptChunk(ctx, l, chunk, attempt, rows)
+		l.buf.Reset()
+		n, err := m.attemptChunk(ctx, l, chunk, attempt)
 		if err == nil {
-			return stream, n, nil
+			return n, nil
 		}
 		if ctx.Err() != nil {
 			break
 		}
 		if attempt >= retryLimit {
-			return nil, 0, fmt.Errorf("jobs: chunk %d failed after %d attempts: %w", chunk, attempt+1, err)
+			return 0, fmt.Errorf("jobs: chunk %d failed after %d attempts: %w", chunk, attempt+1, err)
 		}
 		l.retries++
 		m.retriesTot.Add(1)
 		m.log.Warn("jobs: chunk attempt failed; retrying",
 			"job", l.j.id, "chunk", chunk, "attempt", attempt+1, "err", err)
 	}
-	return nil, 0, ctx.Err()
+	return 0, ctx.Err()
 }
 
-// attemptChunk is one attempt at a chunk: execute, then fold — the same
-// two halves a fabric peer and the coordinator split between them.
-func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt int, rows *bytes.Buffer) (stream []byte, n uint64, err error) {
+// attemptChunk is one attempt at a chunk: execute, then fold into l.buf —
+// the same two halves a fabric peer and the coordinator split between
+// them, with the records passed as Go values instead of JSON.
+func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt int) (n uint64, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("panic: %v", p)
@@ -895,12 +897,12 @@ func (m *Manager) attemptChunk(ctx context.Context, l *resultLog, chunk, attempt
 	if hook := m.cfg.beforeAttempt; hook != nil {
 		hook(l.j.id, chunk, attempt)
 	}
-	res, err := l.r.execute(cctx, chunk, rows)
+	res, err := l.r.execute(cctx, chunk)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	res.Chunk = chunk
-	return l.r.fold(res)
+	return l.r.fold(res, &l.buf)
 }
 
 func (m *Manager) persistStatus(j *job) {

@@ -38,22 +38,21 @@ const (
 type kindRunner interface {
 	// chunks returns the fixed number of chunks.
 	chunks() int
-	// execute runs one chunk and returns it in portable form (see
-	// api.ChunkResult).  Row kinds append the chunk's NDJSON records to
-	// rows, a caller-owned buffer that Rows aliases, and carry the
-	// chunk's own aggregate delta in Agg, in the checkpoint encoding;
-	// plancensus returns position-independent plan entries.  execute
-	// never reads or writes the running aggregate, so a fresh runner, a
-	// mid-job runner and a peer all return the same bytes for a chunk.
-	execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error)
-	// fold merges an executed chunk into the running aggregate and returns
-	// the chunk's stream bytes and shape count: row kinds return res.Rows
-	// itself, plancensus the chunk record it encodes.  The bytes are the
-	// caller's to write before the next execute reuses the rows buffer.
-	// It validates before it mutates: a failed fold leaves the aggregate
-	// exactly as it was, so the chunk can be retried or resumed without
-	// double counting.
-	fold(res *api.ChunkResult) ([]byte, uint64, error)
+	// execute runs one chunk and returns its typed records (see
+	// api.ChunkResult): census its shard record, epsilon its row,
+	// plansweep its plan records (the sweep pool's result slots),
+	// plancensus its position-independent plan entries.  execute never
+	// reads or writes the running aggregate, so a fresh runner, a mid-job
+	// runner and a peer all return the same records for a chunk.
+	execute(ctx context.Context, chunk int) (*api.ChunkResult, error)
+	// fold checks res's records against the chunk res.Chunk names,
+	// tallies the running aggregate from them, appends the NDJSON bytes
+	// the chunk commits to buf and returns its shape count.  A refusal
+	// names the kind and the chunk.  It validates before it mutates: a
+	// failed fold leaves the aggregate exactly as it was (buf holds
+	// whatever it had appended, for the caller to discard), so the chunk
+	// can be retried or resumed without double counting.
+	fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error)
 	// finish appends the final records (cumulative rows, summary) after the
 	// last chunk; shapes is the job-wide shape count.
 	finish(buf *bytes.Buffer, shapes uint64) error
@@ -178,88 +177,74 @@ type censusRunner struct {
 
 func (r *censusRunner) chunks() int { return 1 << uint(r.maxN) }
 
-func (r *censusRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
+func (r *censusRunner) execute(ctx context.Context, chunk int) (*api.ChunkResult, error) {
 	a := chunk + 1
 	part, err := stats.CensusShard(ctx, a, r.maxN, r.workers)
 	if err != nil {
 		return nil, err
 	}
-	k := 0
-	for _, t := range part {
-		if t.Total != 0 {
-			k++
-		}
-	}
-	rec := api.CensusShardRecord{Type: api.RecordCensusShard, A: a, Buckets: make([]api.CensusBucket, 0, k)}
-	var shapes uint64
+	rec := &api.CensusShardRecord{Type: api.RecordCensusShard, A: a}
 	for n, t := range part {
-		if t.Total == 0 {
-			continue
+		if t.Total != 0 {
+			rec.Buckets = append(rec.Buckets, api.CensusBucket{N: n, Count: t.Count, Eps2: t.Eps2, Total: t.Total})
 		}
-		rec.Buckets = append(rec.Buckets, api.CensusBucket{N: n, Count: t.Count, Eps2: t.Eps2, Total: t.Total})
-		shapes += t.Total
 	}
-	if err := writeRecord(rows, rec); err != nil {
-		return nil, err
-	}
-	agg, err := json.Marshal(part)
-	if err != nil {
-		return nil, err
-	}
-	return &api.ChunkResult{Shapes: shapes, Rows: rows.Bytes(), Agg: agg}, nil
+	return &api.ChunkResult{Census: rec}, nil
 }
 
-func (r *censusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
-	part, err := r.decodeAgg(res.Agg)
+func (r *censusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	part, shapes, err := r.shard(res.Chunk+1, res.Census)
 	if err != nil {
-		return nil, 0, fmt.Errorf("jobs: census chunk %d aggregate: %w", res.Chunk, err)
+		return 0, fmt.Errorf("jobs: census chunk %d: %w", res.Chunk, err)
 	}
-	var shapes uint64
-	for _, t := range part {
-		shapes += t.Total
+	if err := writeRecord(buf, res.Census); err != nil {
+		return 0, err
 	}
-	if err := checkCounts(api.JobCensus, res, shapes, 1); err != nil {
-		return nil, 0, err
-	}
-	// Element-wise integer addition of the chunk's delta — associative, so
-	// folding deltas in index order equals the sequential aggregate exactly.
+	// Element-wise integer addition of the chunk's tally — associative, so
+	// folding chunks in index order equals the sequential aggregate exactly.
 	r.agg = stats.MergeCensusTallies(r.agg, part)
-	return res.Rows, shapes, nil
+	return shapes, nil
 }
 
-// checkCounts refuses a row kind's chunk result unless it reports the
-// shapes its aggregate counts, in the lines NDJSON lines that count
-// implies.  A peer's result is input from outside the process: an
-// unchecked count would reach the job's status and summary line.
-func checkCounts(kind api.JobKind, res *api.ChunkResult, shapes uint64, lines int) error {
-	if res.Shapes != shapes {
-		return fmt.Errorf("jobs: %s chunk %d reports %d shapes, its aggregate counts %d", kind, res.Chunk, res.Shapes, shapes)
+// shard checks that rec is the census shard of first axis a and returns its
+// tally, indexed by bucket, and its shape count.  Each bucket must be a
+// nonempty slice of its domain: buckets strictly ascending in 1..maxN, a
+// positive total of at most the 8^n ordered triples of the 2^n domain,
+// method counts summing to it and eps2 within it.  Those bounds keep a run
+// of chunks from wrapping the running tally.
+func (r *censusRunner) shard(a int, rec *api.CensusShardRecord) ([]stats.CensusTally, uint64, error) {
+	if rec == nil || rec.Type != api.RecordCensusShard || rec.A != a || len(rec.Buckets) == 0 {
+		return nil, 0, fmt.Errorf("no %s record with buckets for a=%d", api.RecordCensusShard, a)
 	}
-	if n := bytes.Count(res.Rows, []byte{'\n'}); n != lines {
-		return fmt.Errorf("jobs: %s chunk %d carries %d NDJSON lines, want %d", kind, res.Chunk, n, lines)
+	part := make([]stats.CensusTally, r.maxN+1)
+	var shapes uint64
+	prev := 0
+	for _, b := range rec.Buckets {
+		if b.N <= prev || b.N > r.maxN {
+			return nil, 0, fmt.Errorf("bucket n=%d after n=%d, want ascending in 1..%d", b.N, prev, r.maxN)
+		}
+		prev = b.N
+		if b.Total == 0 || b.Total > 1<<uint(3*b.N) || b.Eps2 > b.Total {
+			return nil, 0, fmt.Errorf("bucket n=%d totals %d with eps2 %d, want 1..8^%d and eps2 at most the total",
+				b.N, b.Total, b.Eps2, b.N)
+		}
+		var sum uint64
+		for _, c := range b.Count {
+			sum += min(c, b.Total+1) // a count above the total cannot wrap the sum
+		}
+		if sum != b.Total {
+			return nil, 0, fmt.Errorf("bucket n=%d counts %v, which do not sum to its total %d", b.N, b.Count, b.Total)
+		}
+		part[b.N] = stats.CensusTally{Count: b.Count, Eps2: b.Eps2, Total: b.Total}
+		shapes += b.Total
 	}
-	return nil
+	return part, shapes, nil
 }
 
-// decodeAgg decodes a census aggregate, a chunk's delta or a checkpoint's
-// running tally: one tally per bucket, in decodeExact's encoding.
-func (r *censusRunner) decodeAgg(b []byte) ([]stats.CensusTally, error) {
-	var t []stats.CensusTally
-	if err := decodeExact(b, &t); err != nil {
-		return nil, err
-	}
-	if len(t) != r.maxN+1 {
-		return nil, fmt.Errorf("%d buckets, want %d", len(t), r.maxN+1)
-	}
-	return t, nil
-}
-
-// decodeExact decodes an aggregate of any kind — a chunk's delta or a
-// checkpoint's running aggregate — into v.  It accepts b only when it is
-// json.Marshal's encoding of what it decoded, up to insignificant
-// whitespace (a fabric peer's response carries the delta indented, a
-// checkpoint the aggregate), so a missing, unknown, reordered or miscased
-// key is refused instead of read as zero.
+// decodeExact decodes a checkpoint's running aggregate of any kind into v.
+// It accepts b only when it is json.Marshal's encoding of what it decoded,
+// up to insignificant whitespace, so a missing, unknown, reordered or
+// miscased key is refused instead of read as zero.
 func decodeExact(b []byte, v any) error {
 	if err := json.Unmarshal(b, v); err != nil {
 		return err
@@ -299,9 +284,12 @@ func (r *censusRunner) finish(buf *bytes.Buffer, shapes uint64) error {
 func (r *censusRunner) snapshot() (json.RawMessage, error) { return json.Marshal(r.agg) }
 
 func (r *censusRunner) restore(agg json.RawMessage) error {
-	t, err := r.decodeAgg(agg)
-	if err != nil {
+	var t []stats.CensusTally
+	if err := decodeExact(agg, &t); err != nil {
 		return fmt.Errorf("jobs: census checkpoint: %w", err)
+	}
+	if len(t) != r.maxN+1 {
+		return fmt.Errorf("jobs: census checkpoint: %d buckets, want %d", len(t), r.maxN+1)
 	}
 	r.agg = t
 	return nil
@@ -316,31 +304,30 @@ type epsilonRunner struct {
 
 func (r *epsilonRunner) chunks() int { return r.maxN }
 
-func (r *epsilonRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
+func (r *epsilonRunner) execute(ctx context.Context, chunk int) (*api.ChunkResult, error) {
 	n := chunk + 1
 	d, err := stats.Figure2EpsilonCtx(ctx, n, r.workers)
 	if err != nil {
 		return nil, err
 	}
-	rec := api.EpsilonRowRecord{
+	return &api.ChunkResult{Epsilon: &api.EpsilonRowRecord{
 		Type: api.RecordEpsilonRow, N: n,
 		Eps1: d.Eps1, Eps2: d.Eps2, Eps4: d.Eps4, EpsWorse: d.EpsWorse,
-	}
-	if err := writeRecord(rows, rec); err != nil {
-		return nil, err
-	}
-	// Shapes counts the ordered triples in the 2^n domain.
-	return &api.ChunkResult{Shapes: uint64(1) << uint(3*n), Rows: rows.Bytes()}, nil
+	}}, nil
 }
 
-// fold for epsilon passes the rows through: they are independent, there
-// is no aggregate.  The chunk's domain fixes its count, 8^(chunk+1).
-func (r *epsilonRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
-	shapes := uint64(1) << uint(3*(res.Chunk+1))
-	if err := checkCounts(api.JobEpsilon, res, shapes, 1); err != nil {
-		return nil, 0, err
+// fold for epsilon renders the chunk's row: rows are independent, there is
+// no aggregate.  The chunk's domain fixes its count, the 8^n ordered
+// triples of the 2^n domain.
+func (r *epsilonRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	n := res.Chunk + 1
+	if rec := res.Epsilon; rec == nil || rec.Type != api.RecordEpsilonRow || rec.N != n {
+		return 0, fmt.Errorf("jobs: epsilon chunk %d: no %s record for n=%d", res.Chunk, api.RecordEpsilonRow, n)
 	}
-	return res.Rows, shapes, nil
+	if err := writeRecord(buf, res.Epsilon); err != nil {
+		return 0, err
+	}
+	return uint64(1) << uint(3*n), nil
 }
 
 func (r *epsilonRunner) finish(buf *bytes.Buffer, shapes uint64) error {
@@ -356,7 +343,7 @@ func (r *epsilonRunner) restore(json.RawMessage) error      { return nil }
 // planTally is the aggregate plansweep and plancensus share: the dilation
 // histogram and the minimal-cube count of the summary line.  Both kinds
 // embed it in their aggregate, so its keys keep their place in the
-// checkpoint and chunk-delta JSON.
+// checkpoint JSON.
 type planTally struct {
 	Hist    map[string]uint64 `json:"hist"`
 	Minimal uint64            `json:"minimal"`
@@ -412,60 +399,67 @@ type plansweepAgg struct {
 
 func (r *plansweepRunner) chunks() int { return r.params.MaxAxis }
 
-func (r *plansweepRunner) execute(ctx context.Context, chunk int, rows *bytes.Buffer) (*api.ChunkResult, error) {
+// shapes is the chunk's enumeration: the shapes of first axis chunk+1, in
+// the order execute plans them and fold expects their records.
+func (r *plansweepRunner) shapes(chunk int) []mesh.Shape {
 	p := r.params
-	shapes := core.FamilyShapesFrom(r.family, chunk+1, p.Dims, p.MaxAxis, p.MaxNodes)
+	return core.FamilyShapesFrom(r.family, chunk+1, p.Dims, p.MaxAxis, p.MaxNodes)
+}
+
+func (r *plansweepRunner) execute(ctx context.Context, chunk int) (*api.ChunkResult, error) {
+	shapes := r.shapes(chunk)
 	recs, err := sweep.MapCtx(ctx, len(shapes), r.workers,
 		func(_ context.Context, i int) api.PlanRecord { return r.planRecord(shapes[i]) })
 	if err != nil {
 		return nil, err
 	}
+	return &api.ChunkResult{PlanSweep: recs}, nil
+}
+
+// fold for plansweep takes exactly the chunk's shapes, in enumeration
+// order, each a plan record of the job's family; the record count is the
+// chunk's count.
+func (r *plansweepRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
+	shapes, recs := r.shapes(res.Chunk), res.PlanSweep
+	if len(recs) != len(shapes) {
+		return 0, fmt.Errorf("jobs: plansweep chunk %d carries %d records, want %d", res.Chunk, len(recs), len(shapes))
+	}
+	fam := r.familyName()
 	// One encoder and pointer arguments: no allocation per record.
-	enc := json.NewEncoder(rows)
+	enc := json.NewEncoder(buf)
 	delta := plansweepAgg{planTally: newPlanTally()}
 	for i := range recs {
 		rec := &recs[i]
+		if want := shapes[i].String(); rec.Type != api.RecordPlan || rec.Shape != want || rec.Family != fam {
+			return 0, fmt.Errorf("jobs: plansweep chunk %d record %d is %q %q of family %q, want %q %q of family %q",
+				res.Chunk, i, rec.Type, rec.Shape, rec.Family, api.RecordPlan, want, fam)
+		}
 		if err := enc.Encode(rec); err != nil {
-			return nil, err
+			return 0, err
 		}
 		delta.add(rec.DilationBound, rec.Minimal)
 		if rec.Optimal {
 			delta.Optimal++
 		}
 	}
-	agg, err := json.Marshal(delta)
-	if err != nil {
-		return nil, err
-	}
-	return &api.ChunkResult{Shapes: uint64(len(shapes)), Rows: rows.Bytes(), Agg: agg}, nil
+	r.agg.merge(delta.planTally)
+	r.agg.Optimal += delta.Optimal
+	return uint64(len(recs)), nil
 }
 
-func (r *plansweepRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
-	var a plansweepAgg
-	if err := decodeExact(res.Agg, &a); err != nil {
-		return nil, 0, fmt.Errorf("jobs: plansweep chunk %d aggregate: %w", res.Chunk, err)
+// familyName is the family field of the job's records: empty for mesh.
+func (r *plansweepRunner) familyName() string {
+	if r.family == guest.Mesh {
+		return ""
 	}
-	var shapes uint64
-	for _, n := range a.Hist {
-		shapes += n
-	}
-	if err := checkCounts(api.JobPlanSweep, res, shapes, int(shapes)); err != nil {
-		return nil, 0, err
-	}
-	r.agg.merge(a.planTally)
-	r.agg.Optimal += a.Optimal
-	return res.Rows, shapes, nil
+	return r.family.String()
 }
 
 func (r *plansweepRunner) planRecord(s mesh.Shape) api.PlanRecord {
 	p := r.planner.PlanGuest(r.family, s)
 	dil := p.DilationBound()
-	fam := ""
-	if r.family != guest.Mesh {
-		fam = r.family.String()
-	}
 	rec := api.PlanRecord{
-		Type: api.RecordPlan, Shape: s.String(), Family: fam, Nodes: s.Nodes(),
+		Type: api.RecordPlan, Shape: s.String(), Family: r.familyName(), Nodes: s.Nodes(),
 		CubeDim: p.CubeDim, Plan: p.String(), Method: p.Method,
 		DilationBound: dil, Minimal: p.Minimal(),
 	}
@@ -565,7 +559,7 @@ func (r *plancensusRunner) ensureBuilder() error {
 // position-independent PlanEntry per shape in rank order instead; fold
 // replays them through the runner's builder, which assigns the cursor and
 // emits the chunk record.
-func (r *plancensusRunner) execute(ctx context.Context, chunk int, _ *bytes.Buffer) (*api.ChunkResult, error) {
+func (r *plancensusRunner) execute(ctx context.Context, chunk int) (*api.ChunkResult, error) {
 	c, dims := chunk+1, r.params.Dims
 	lo, hi := artifact.ChunkRange(dims, c)
 	// The chunk's shapes back to back in one buffer of axis lengths.  No
@@ -580,18 +574,18 @@ func (r *plancensusRunner) execute(ctx context.Context, chunk int, _ *bytes.Buff
 	if err != nil {
 		return nil, err
 	}
-	return &api.ChunkResult{Shapes: hi - lo, Plans: plans}, nil
+	return &api.ChunkResult{Plans: plans}, nil
 }
 
-func (r *plancensusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
+func (r *plancensusRunner) fold(res *api.ChunkResult, buf *bytes.Buffer) (uint64, error) {
 	if err := r.ensureBuilder(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	c := res.Chunk + 1
 	lo, hi := artifact.ChunkRange(r.params.Dims, c)
 	if uint64(len(res.Plans)) != hi-lo {
-		return nil, 0, fmt.Errorf("jobs: plancensus chunk %d carries %d plans, want %d",
-			c, len(res.Plans), hi-lo)
+		return 0, fmt.Errorf("jobs: plancensus chunk %d carries %d plans, want %d",
+			res.Chunk, len(res.Plans), hi-lo)
 	}
 	delta := newPlanTally()
 	i := 0
@@ -601,13 +595,13 @@ func (r *plancensusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 			return
 		}
 		if i >= len(res.Plans) {
-			foldErr = fmt.Errorf("jobs: plancensus chunk %d ran out of plans at rank %d", c, i)
+			foldErr = fmt.Errorf("jobs: plancensus chunk %d ran out of plans at rank %d", res.Chunk, i)
 			return
 		}
 		pe := res.Plans[i]
 		i++
 		if err := r.b.Add(s, pe); err != nil {
-			foldErr = fmt.Errorf("jobs: plancensus chunk %d: %w", c, err)
+			foldErr = fmt.Errorf("jobs: plancensus chunk %d: %w", res.Chunk, err)
 			return
 		}
 		delta.add(pe.Dilation, pe.Minimal)
@@ -616,25 +610,24 @@ func (r *plancensusRunner) fold(res *api.ChunkResult) ([]byte, uint64, error) {
 	// from the aggregate; ensureBuilder reopens it at the checkpointed
 	// position on the next attempt.
 	if foldErr != nil {
-		return nil, 0, foldErr
+		return 0, foldErr
 	}
 	if err := r.b.Flush(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	next, cursor := r.b.Pos()
 	if next != hi {
-		return nil, 0, fmt.Errorf("jobs: plancensus chunk %d wrote to rank %d, want %d", c, next, hi)
+		return 0, fmt.Errorf("jobs: plancensus chunk %d wrote to rank %d, want %d", res.Chunk, next, hi)
 	}
-	rec, err := json.Marshal(api.PlanCensusChunkRecord{
+	if err := writeRecord(buf, api.PlanCensusChunkRecord{
 		Type: api.RecordPlanCensusChunk, MaxAxisValue: c,
 		Records: hi - lo, RankLo: lo, RankHi: hi, StringBytes: cursor,
-	})
-	if err != nil {
-		return nil, 0, err
+	}); err != nil {
+		return 0, err
 	}
 	r.agg.NextRank, r.agg.Cursor = next, cursor
 	r.agg.merge(delta)
-	return append(rec, '\n'), hi - lo, nil
+	return hi - lo, nil
 }
 
 func (r *plancensusRunner) finish(buf *bytes.Buffer, shapes uint64) error {

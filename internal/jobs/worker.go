@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -54,7 +53,7 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 		span.SetAttr("chunk", req.Chunk)
 		span.SetAttr("kind", string(req.Job.Kind))
 	}
-	out, err := r.execute(ctx, req.Chunk, new(bytes.Buffer))
+	out, err := r.execute(ctx, req.Chunk)
 	span.End()
 	if err != nil {
 		return nil, err

@@ -84,9 +84,8 @@ func TestFabricChunkExecute(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != api.Version || res.Chunk != 1 || res.Shapes == 0 || len(res.Rows) == 0 {
-		t.Fatalf("chunk result: version %d chunk %d shapes %d rows %d bytes",
-			res.Version, res.Chunk, res.Shapes, len(res.Rows))
+	if res.Version != api.Version || res.Chunk != 1 || res.Census == nil || res.Census.A != 2 || len(res.Census.Buckets) == 0 {
+		t.Fatalf("chunk result: version %d chunk %d census %+v", res.Version, res.Chunk, res.Census)
 	}
 
 	bad := censusChunkReq(3, 0)

@@ -30,21 +30,28 @@ func TestMapCtxMatchesMap(t *testing.T) {
 // TestMapCtxCancelMidRun cancels from inside an item: MapCtx must return
 // no results with ctx.Err(), and start at most one item per worker once
 // the cancel has happened (each worker checks ctx between items, so only
-// an item pulled just before the check can still start).
+// an item pulled just before the check can still start).  Items after the
+// cancelling one wait until the cancel has fired, so a worker descheduled
+// before item 100 cannot let the others run every other item first.
 func TestMapCtxCancelMidRun(t *testing.T) {
 	const n, workers = 10000, 4
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var calls, late atomic.Int64
 	var cancelled atomic.Bool
+	fired := make(chan struct{})
 	out, err := MapCtx(ctx, n, workers, func(_ context.Context, i int) int {
 		calls.Add(1)
 		if cancelled.Load() {
 			late.Add(1)
 		}
-		if i == 100 {
+		switch {
+		case i == 100:
 			cancel()
 			cancelled.Store(true)
+			close(fired)
+		case i > 100:
+			<-fired
 		}
 		return i
 	})

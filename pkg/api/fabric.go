@@ -9,11 +9,12 @@ import "encoding/json"
 // result stream and aggregate are byte-identical to a single-node run of the
 // same job.
 //
-// ChunkResult is portable by construction: it carries only chunk-local data
-// (NDJSON rows, an aggregate *delta*, or position-independent plan entries),
-// never anything that depends on which chunks ran before it.  That is what
-// lets the coordinator fold chunks computed by any peer, in any completion
-// order, behind the reorder buffer.
+// ChunkResult is portable by construction: it carries only the chunk's own
+// typed records, never anything that depends on which chunks ran before it.
+// That is what lets the coordinator fold chunks computed by any peer, in any
+// completion order, behind the reorder buffer.  The coordinator renders
+// every committed byte itself, from the records, after checking that they
+// are the chunk's.
 //
 // The peer-admin schema (GET/POST /v1/peers) covers discovery: a static
 // -peers list on the coordinator, or workers self-registering with -join.
@@ -48,33 +49,30 @@ type TraceContext struct {
 	ParentSpanID string `json:"parent_span_id,omitempty"`
 }
 
-// ChunkResult is the reply: the chunk's deterministic output.  Exactly one
-// of (Rows+Agg) or Plans is populated, by job kind:
+// ChunkResult is the reply: the chunk's deterministic records, in the field
+// of its job kind.  The coordinator (and the local job loop, which passes
+// the same Go values without JSON) folds them: it refuses records that are
+// not the chunk's, tallies the running aggregate from them and encodes the
+// NDJSON lines it commits, so a chunk's shape count and stream bytes follow
+// from its records alone.
 //
-//   - census / epsilon / plansweep: Rows holds the chunk's NDJSON records
-//     verbatim (identical bytes to a local run) and Agg the aggregate delta
-//     of just this chunk (e.g. the census tally of one shard), which the
-//     coordinator merges in index order — integer merges are associative, so
-//     fold-of-deltas equals the sequential aggregate exactly.
-//   - plancensus: Rows would not be portable (the chunk record and the
-//     artifact records embed the cumulative string-section cursor), so the
-//     worker returns one PlanEntry per shape in rank order and the
-//     coordinator replays them into its own artifact builder, emitting the
-//     chunk record itself.
+//   - census: Census, the shard record of first axis a = chunk+1; its
+//     bucket totals are the chunk's count.
+//   - epsilon: Epsilon, the row of domain exponent n = chunk+1; the chunk
+//     counts the 8^n ordered triples of its domain.
+//   - plansweep: PlanSweep, one plan record per shape of the chunk, in
+//     enumeration order.
+//   - plancensus: Plans, one PlanEntry per shape in rank order.  The chunk
+//     record and the artifact records embed the cumulative string-section
+//     cursor, so the coordinator replays the entries into its own artifact
+//     builder and emits the chunk record itself.
 type ChunkResult struct {
-	Version int `json:"version"`
-	Chunk   int `json:"chunk"`
-	// Shapes is the chunk's shape count.  The coordinator checks it: a
-	// census, epsilon or plansweep result whose Shapes, or whose number of
-	// Rows lines, is not what Agg (epsilon: the chunk's domain) implies is
-	// refused; a plancensus chunk counts its rank range.
-	Shapes uint64 `json:"shapes"`
-	Rows   []byte `json:"rows,omitempty"`
-	// Agg is the kind runner's aggregate snapshot over this chunk alone
-	// (same encoding as the checkpoint aggregate); absent for stateless
-	// kinds and for plancensus.
-	Agg   json.RawMessage `json:"agg,omitempty"`
-	Plans []PlanEntry     `json:"plans,omitempty"`
+	Version   int                `json:"version"`
+	Chunk     int                `json:"chunk"`
+	Census    *CensusShardRecord `json:"census,omitempty"`
+	Epsilon   *EpsilonRowRecord  `json:"epsilon,omitempty"`
+	PlanSweep []PlanRecord       `json:"plansweep,omitempty"`
+	Plans     []PlanEntry        `json:"plans,omitempty"`
 	// Span is the worker's obs.SpanJSON snapshot of this chunk's execution,
 	// present only when the request carried a TraceContext.  It is opaque
 	// bytes at this layer; the coordinator unmarshals and stitches it into

@@ -215,7 +215,10 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	// To EOF with no cap: the request bounds a 2xx body (an include_map
+	// embed, a plansweep chunk can pass 16 MiB), and reading it whole lets
+	// the keep-alive connection be reused.
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
@@ -343,7 +346,7 @@ func (c *Client) RawMetrics(ctx context.Context) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
+	data, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return "", err
 	}

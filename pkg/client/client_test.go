@@ -8,8 +8,10 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -298,5 +300,55 @@ func TestClientCancelJob(t *testing.T) {
 	}
 	if fin.State != api.JobCancelled {
 		t.Fatalf("state = %s", fin.State)
+	}
+}
+
+// TestLargeBodiesDecodeWhole: a 2xx body over 16 MiB — an include_map embed
+// of 2^21 nodes, a plansweep chunk of 50k shapes — decodes whole, and each
+// call reuses the one keep-alive connection.
+func TestLargeBodiesDecodeWhole(t *testing.T) {
+	plan := strings.Repeat("x", 17<<20)
+	var conns atomic.Int64
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var v any
+		switch r.URL.Path {
+		case "/v1/embed":
+			v = api.EmbedResponse{Version: api.Version, Plan: plan}
+		case "/v1/internal/chunks":
+			v = api.ChunkResult{Version: api.Version, Plans: []api.PlanEntry{{Plan: plan}}}
+		default:
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(v)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	c := New(ts.URL)
+	ctx := context.Background()
+	for range 2 {
+		emb, err := c.Embed(ctx, api.EmbedRequest{Shape: "128x128x128", IncludeMap: true})
+		if err != nil {
+			t.Fatalf("Embed: %v", err)
+		}
+		if len(emb.Plan) != len(plan) {
+			t.Fatalf("Embed decoded a %d-byte plan, want %d", len(emb.Plan), len(plan))
+		}
+		res, err := c.ExecuteChunk(ctx, api.ChunkRequest{Version: api.Version})
+		if err != nil {
+			t.Fatalf("ExecuteChunk: %v", err)
+		}
+		if len(res.Plans) != 1 || len(res.Plans[0].Plan) != len(plan) {
+			t.Fatalf("ExecuteChunk decoded %d plans, want one of %d bytes", len(res.Plans), len(plan))
+		}
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("4 calls opened %d connections, want 1 reused", n)
 	}
 }

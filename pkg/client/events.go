@@ -121,14 +121,9 @@ func (s *EventStream) Close() error { return s.body.Close() }
 // root, covering coordinator and worker spans for a distributed run).  409
 // not_ready until the run has written one.
 func (c *Client) JobTrace(ctx context.Context, id string) (json.RawMessage, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, nil)
-	if err != nil {
+	var out json.RawMessage
+	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id+"/trace", nil, &out); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, err
-	}
-	return json.RawMessage(data), nil
+	return out, nil
 }
