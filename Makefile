@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race bench bench-short bench-check bench-json bounds-check figures figures-check fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check lines
+.PHONY: check fmt-check vet build test race fuzz-smoke bench bench-short bench-check bench-json bounds-check figures figures-check fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check lines
 
-check: fmt-check vet build gen-check test race bounds-check figures-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
+check: fmt-check vet build gen-check test race fuzz-smoke bounds-check figures-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -47,6 +47,29 @@ test:
 # registration), and the root facade's shared default planner.
 race:
 	$(GO) test -race ./internal/core ./internal/embed ./internal/fabric ./internal/jobs ./internal/obs ./internal/server ./internal/simnet ./internal/stats ./internal/sweep ./pkg/client .
+
+# The fuzz targets, as package:name.  `make test` runs only their seed
+# corpora, as unit tests.
+FUZZ_TARGETS = \
+	internal/artifact:FuzzDecodeRecord \
+	internal/artifact:FuzzArtifactOpen \
+	internal/embed:FuzzRead \
+	internal/embed:FuzzFromSerial \
+	internal/jobs:FuzzFold \
+	internal/server:FuzzJobStreamOffset \
+	internal/server:FuzzParseGuest
+
+# Fuzz each target for 5 s past its seed corpus; go test -fuzz takes one
+# package and one target per run.  Minimizing a new input may take 60 s by
+# default, which would leave FuzzArtifactOpen ~100 executions in its 5 s
+# (~17,000 with 1 s).  A failing input is written under the package's
+# testdata/fuzz/, where it joins the seed corpus.
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*} name=$${t#*:}; \
+		echo "fuzz-smoke: $$name (./$$pkg)"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 5s -fuzzminimizetime 1s ./$$pkg || exit 1; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .

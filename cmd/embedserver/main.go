@@ -5,65 +5,62 @@
 //
 // Usage:
 //
-//	embedserver -addr :8080 -workers 0 -cache-size 1024 -max-inflight 256 -timeout 30s
+//	embedserver -addr :8080 -workers 0
 //
 // -workers bounds the parallelism of any one computation: a measurement, a
 // compare, or a job chunk, whether this server runs the job or executes
 // the chunk for a fabric coordinator (<1: GOMAXPROCS).  A job request's own
-// "workers" overrides it for that job's chunks.
+// "workers" overrides it for that job's chunks.  The serving limits are
+// fixed (internal/server): a 1,024-entry result cache, 256 requests in
+// flight before shedding with 429, and 30 s per request.
 //
 // Observability:
 //
-//	-log-level debug|info|warn|error   access-log verbosity (default info)
-//	-log-format text|json              access-log encoding (default text)
-//	-no-log                            disable the access log entirely
-//	-debug-addr HOST:PORT              opt-in second listener serving
-//	                                   net/http/pprof and expvar; kept off
-//	                                   the API listener so profiling is
-//	                                   never exposed by accident
+//	-log-format text|json  access-log encoding (default text); the log
+//	                       records info level and above
+//	-no-log                disable the access log entirely
+//	-debug-addr HOST:PORT  opt-in second listener serving net/http/pprof and
+//	                       expvar; kept off the API listener so profiling
+//	                       is never exposed by accident
 //
 // The span tracer behind ?debug=trace / X-Debug-Trace is always armed; a
 // request that does not ask for a trace allocates nothing for it.
 //
 // Plan tiers:
 //
-//	-plan-artifact FILE                load a precomputed plan-census
-//	                                   artifact (internal/artifact) as the
-//	                                   O(1) L1 plan tier; the artifact's
-//	                                   planner-option fingerprint must match
-//	                                   this server's, or startup fails
+//	-plan-artifact FILE    load a precomputed plan-census artifact
+//	                       (internal/artifact) as the O(1) L1 plan tier; its
+//	                       planner-option fingerprint must match this
+//	                       server's, or startup fails
 //
 // Batch jobs:
 //
-//	-data-dir DIR                      enable the /v1/jobs batch subsystem,
-//	                                   persisting job state, checkpoints and
-//	                                   NDJSON results under DIR; on restart
-//	                                   unfinished jobs resume from their
-//	                                   last checkpoint with byte-identical
-//	                                   result streams
-//	-job-queue N                       bounded submission queue (429 beyond)
-//	-checkpoint-every N                chunks between checkpoints
+//	-data-dir DIR          enable the /v1/jobs batch subsystem, persisting
+//	                       job state, checkpoints and NDJSON results under
+//	                       DIR; on restart unfinished jobs resume from their
+//	                       last checkpoint with byte-identical result
+//	                       streams.  The queue holds 8 jobs (429 beyond).
+//	-checkpoint-every N    chunks between checkpoints
 //
 // Distributed sweep fabric:
 //
-//	-fabric-secret S                   join the fabric trust domain: serve
-//	                                   POST /v1/internal/chunks (worker mode)
-//	                                   and accept peer registrations, all
-//	                                   guarded by the shared secret
-//	-peers URL,URL,...                 coordinator mode: dispatch distributed
-//	                                   job chunks to these embedserver peers
-//	-join URL                          register this server with a running
-//	                                   coordinator (requires -advertise)
-//	-advertise URL                     the base URL peers should dial to
-//	                                   reach this server
+//	-fabric-secret S       join the fabric trust domain: serve POST
+//	                       /v1/internal/chunks (worker mode) and accept peer
+//	                       registrations, all guarded by the shared secret
+//	-peers URL,URL,...     coordinator mode: dispatch distributed job chunks
+//	                       to these embedserver peers
+//	-join URL              register this server with a running coordinator
+//	                       (requires -advertise)
+//	-advertise URL         the base URL peers should dial to reach this
+//	                       server
 //
 // A coordinator runs at most two chunks at a time on each peer, the fabric
 // pool's default.
 //
 // The server prints "embedserver: listening on HOST:PORT" once the listener
-// is bound (so -addr :0 is scriptable) and drains in-flight requests on
-// SIGINT/SIGTERM before exiting; running jobs checkpoint and park as queued
-// so the next start picks them up.
+// is bound (so -addr :0 is scriptable) and on SIGINT/SIGTERM drains
+// in-flight requests for up to 15 s before exiting; running jobs checkpoint
+// and park as queued so the next start picks them up.
 package main
 
 import (
@@ -78,10 +75,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
-
-	"strings"
 
 	"repro/internal/artifact"
 	"repro/internal/fabric"
@@ -95,26 +91,22 @@ import (
 // headers or parks an idle keep-alive connection cannot hold a slot
 // forever.  ReadTimeout and WriteTimeout stay unset on purpose: the job
 // /results, /events and /artifact streams stay open for a job's lifetime.
+// drainTimeout is the shutdown grace period for in-flight requests.
 const (
 	readHeaderTimeout = 10 * time.Second
 	idleTimeout       = 2 * time.Minute
 	maxHeaderBytes    = 64 << 10
+	drainTimeout      = 15 * time.Second
 )
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	workers := flag.Int("workers", 0, "workers per computation: a measurement, a compare or a job chunk (<1: GOMAXPROCS)")
-	cacheSize := flag.Int("cache-size", 1024, "fully-measured result LRU entries (negative disables)")
-	maxInflight := flag.Int("max-inflight", 256, "concurrently served API requests before shedding with 429")
-	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline")
-	drain := flag.Duration("drain", 15*time.Second, "shutdown grace period for in-flight requests")
-	logLevel := flag.String("log-level", "info", "minimum access-log level: debug, info, warn or error")
 	logFormat := flag.String("log-format", "text", "access-log encoding: text or json")
 	noLog := flag.Bool("no-log", false, "disable the structured access log")
 	debugAddr := flag.String("debug-addr", "", "optional debug listener serving net/http/pprof and expvar (empty: off)")
 	planArtifact := flag.String("plan-artifact", "", "plan-census artifact file served as the O(1) L1 plan tier (build one with a plancensus job or embedctl artifact build)")
 	dataDir := flag.String("data-dir", "", "enable /v1/jobs, persisting job state and results under this directory (empty: jobs disabled)")
-	jobQueue := flag.Int("job-queue", 8, "bounded job submission queue; full submissions get 429")
 	checkpointEvery := flag.Int("checkpoint-every", 8, "chunks between job checkpoints")
 	fabricSecret := flag.String("fabric-secret", "", "shared secret enabling the fabric endpoints (worker chunk execution and peer registration)")
 	peersFlag := flag.String("peers", "", "comma-separated embedserver base URLs to dispatch distributed job chunks to")
@@ -124,17 +116,12 @@ func main() {
 
 	var logger *slog.Logger
 	if !*noLog {
-		var lvl slog.Level
-		if err := lvl.UnmarshalText([]byte(*logLevel)); err != nil {
-			fmt.Fprintf(os.Stderr, "embedserver: bad -log-level %q: %v\n", *logLevel, err)
-			os.Exit(2)
-		}
-		opts := &slog.HandlerOptions{Level: lvl}
+		// nil options: slog's default level, info.
 		switch *logFormat {
 		case "text":
-			logger = slog.New(slog.NewTextHandler(os.Stderr, opts))
+			logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 		case "json":
-			logger = slog.New(slog.NewJSONHandler(os.Stderr, opts))
+			logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 		default:
 			fmt.Fprintf(os.Stderr, "embedserver: bad -log-format %q (want text or json)\n", *logFormat)
 			os.Exit(2)
@@ -143,9 +130,6 @@ func main() {
 
 	s := server.New(server.Config{
 		Workers:      *workers,
-		CacheSize:    *cacheSize,
-		MaxInflight:  *maxInflight,
-		Timeout:      *timeout,
 		Logger:       logger,
 		FabricSecret: *fabricSecret,
 	})
@@ -198,7 +182,6 @@ func main() {
 		var err error
 		jobMgr, err = jobs.Open(jobs.Config{
 			DataDir:         *dataDir,
-			QueueDepth:      *jobQueue,
 			DefaultWorkers:  *workers,
 			CheckpointEvery: *checkpointEvery,
 			Planner:         s.Planner(), // jobs warm the serving path's plan cache
@@ -273,8 +256,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "embedserver:", err)
 		os.Exit(1)
 	case sig := <-stop:
-		fmt.Printf("embedserver: %v, draining for up to %s\n", sig, *drain)
-		ctx, cancel := context.WithTimeout(context.Background(), *drain)
+		fmt.Printf("embedserver: %v, draining for up to %s\n", sig, drainTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "embedserver: shutdown:", err)

@@ -126,9 +126,9 @@ func decodeHeader(b []byte) (*Header, error) {
 	if h.Dims < 1 || h.MaxAxis < 1 {
 		return nil, fmt.Errorf("artifact: degenerate bounds dims=%d max_axis=%d", h.Dims, h.MaxAxis)
 	}
-	if want := TotalRecords(h.Dims, h.MaxAxis); h.RecordCount != want {
-		return nil, fmt.Errorf("artifact: record count %d does not match dims=%d max_axis=%d (want %d)",
-			h.RecordCount, h.Dims, h.MaxAxis, want)
+	if want := TotalRecords(h.Dims, h.MaxAxis); h.RecordCount != want || want > MaxRecords {
+		return nil, fmt.Errorf("artifact: record count %d, want %d for dims=%d max_axis=%d (at most %d)",
+			h.RecordCount, want, h.Dims, h.MaxAxis, MaxRecords)
 	}
 	return h, nil
 }
@@ -403,10 +403,13 @@ func Open(path string) (*Artifact, error) {
 		f.Close()
 		return nil, fmt.Errorf("artifact: %s: build did not finalize (torn or in progress)", path)
 	}
-	want := HeaderSize + hdr.RecordCount*RecordSize + hdr.StringBytes
-	if size != want {
+	// Subtracted, so a string-section size near 2^64 cannot wrap the total
+	// around to the file's length (the capped record count cannot wrap).
+	records := HeaderSize + hdr.RecordCount*RecordSize
+	if size < records || size-records != hdr.StringBytes {
 		f.Close()
-		return nil, fmt.Errorf("artifact: %s: file is %d bytes, header describes %d", path, size, want)
+		return nil, fmt.Errorf("artifact: %s: file is %d bytes, header describes %d records and %d string bytes",
+			path, size, hdr.RecordCount, hdr.StringBytes)
 	}
 	crc := crc32.NewIEEE()
 	if _, err := io.Copy(crc, f); err != nil {

@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // buildSmall builds a dims×maxAxis mesh artifact through the real planner
 // and returns its path.
-func buildSmall(t *testing.T, dims, maxAxis int) string {
+func buildSmall(t testing.TB, dims, maxAxis int) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "plans.art")
 	pl := core.NewPlanner(core.DefaultOptions)
@@ -171,11 +172,7 @@ func TestGoldenRoundTrip(t *testing.T) {
 // magic/version/checksum damage, body bit-flips, and a torn (unfinalized)
 // build.
 func TestOpenRejectsCorruption(t *testing.T) {
-	path := buildSmall(t, 2, 6)
-	good, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := readSmall(t)
 	write := func(t *testing.T, b []byte) string {
 		p := filepath.Join(t.TempDir(), "bad.art")
 		if err := os.WriteFile(p, b, 0o644); err != nil {
@@ -183,24 +180,7 @@ func TestOpenRejectsCorruption(t *testing.T) {
 		}
 		return p
 	}
-	mutate := func(f func([]byte)) []byte {
-		b := bytes.Clone(good)
-		f(b)
-		return b
-	}
-	cases := map[string][]byte{
-		"empty":            {},
-		"short header":     good[:HeaderSize-1],
-		"truncated body":   good[:len(good)-1],
-		"bad magic":        mutate(func(b []byte) { b[0] = 'X' }),
-		"bad version":      mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 99) }),
-		"header bit flip":  mutate(func(b []byte) { b[17] ^= 1 }),
-		"body bit flip":    mutate(func(b []byte) { b[HeaderSize+3] ^= 0x04 }),
-		"string bit flip":  mutate(func(b []byte) { b[len(b)-1] ^= 1 }),
-		"not finalized":    mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[44:48], 0); binary.LittleEndian.PutUint32(b[56:60], 0) }),
-		"trailing garbage": append(bytes.Clone(good), 0),
-	}
-	for name, b := range cases {
+	for name, b := range corruptions(good) {
 		t.Run(name, func(t *testing.T) {
 			if _, err := Open(write(t, b)); err == nil {
 				t.Fatalf("Open accepted a %s artifact", name)
@@ -221,6 +201,101 @@ func TestOpenRejectsCorruption(t *testing.T) {
 	if _, err := Open(write(t, b)); err == nil {
 		t.Fatal("Open accepted an unfinalized artifact with a valid header checksum")
 	}
+}
+
+// readSmall returns the bytes of a 2-D artifact with axes ≤ 6.
+func readSmall(t testing.TB) []byte {
+	good, err := os.ReadFile(buildSmall(t, 2, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return good
+}
+
+// corruptions returns the damaged copies of a good artifact that Open must
+// reject: truncation, magic/version/checksum damage, body bit-flips, a torn
+// (unfinalized) build, and section sizes that wrap.
+func corruptions(good []byte) map[string][]byte {
+	mutate := func(f func([]byte)) []byte {
+		b := bytes.Clone(good)
+		f(b)
+		return b
+	}
+	return map[string][]byte{
+		"empty":            {},
+		"short header":     good[:HeaderSize-1],
+		"truncated body":   good[:len(good)-1],
+		"bad magic":        mutate(func(b []byte) { b[0] = 'X' }),
+		"bad version":      mutate(func(b []byte) { binary.LittleEndian.PutUint16(b[6:8], 99) }),
+		"header bit flip":  mutate(func(b []byte) { b[17] ^= 1 }),
+		"body bit flip":    mutate(func(b []byte) { b[HeaderSize+3] ^= 0x04 }),
+		"string bit flip":  mutate(func(b []byte) { b[len(b)-1] ^= 1 }),
+		"not finalized":    mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[44:48], 0); binary.LittleEndian.PutUint32(b[56:60], 0) }),
+		"trailing garbage": append(bytes.Clone(good), 0),
+		// One record and no strings, under a string-section size that wraps
+		// the header's total around to the file's length.
+		"sections that wrap": func() []byte {
+			b := bytes.Clone(good[:HeaderSize+RecordSize])
+			records := binary.LittleEndian.Uint64(b[24:32])
+			binary.LittleEndian.PutUint64(b[32:40], RecordSize-records*RecordSize)
+			reseal(b)
+			return b
+		}(),
+	}
+}
+
+// reseal stamps b's header with the checksums of its own bytes: the body
+// CRC, then the header CRC over it.
+func reseal(b []byte) {
+	binary.LittleEndian.PutUint32(b[40:44], crc32.ChecksumIEEE(b[HeaderSize:]))
+	binary.LittleEndian.PutUint32(b[56:60], crc32.ChecksumIEEE(b[:56]))
+}
+
+// FuzzArtifactOpen: for any file bytes, Open returns an error or an
+// artifact whose header describes exactly the file's sections and whose
+// Header, At and Lookup do not panic.  With resealed set the
+// bytes first get the checksums of their own contents, so that mutations
+// reach the section-size checks and the records behind the CRCs.  Seeds:
+// the good artifact and each of its corruptions, plain and resealed, and
+// in testdata/fuzz/FuzzArtifactOpen inputs that fuzzing runs found to reach
+// new code.
+func FuzzArtifactOpen(f *testing.F) {
+	good := readSmall(f)
+	f.Add(good, false)
+	for _, b := range corruptions(good) {
+		f.Add(b, false)
+		f.Add(b, true)
+	}
+	path := filepath.Join(f.TempDir(), "fuzz.art")
+	f.Fuzz(func(t *testing.T, b []byte, resealed bool) {
+		if resealed && len(b) >= HeaderSize {
+			b = bytes.Clone(b)
+			reseal(b)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		a, err := Open(path)
+		if err != nil {
+			return
+		}
+		defer a.Close()
+		h := a.Header()
+		if n := uint64(len(b)); (n-HeaderSize)/RecordSize < h.RecordCount || n-HeaderSize-h.RecordCount*RecordSize != h.StringBytes {
+			t.Fatalf("accepted a %d-byte file whose header describes %d records and %d string bytes", n, h.RecordCount, h.StringBytes)
+		}
+		for rank := uint64(0); rank < min(h.RecordCount, 1<<10); rank++ {
+			a.At(rank)
+		}
+		a.At(h.RecordCount - 1)
+		a.At(h.RecordCount)
+		ones, top := make(mesh.Shape, h.Dims), make(mesh.Shape, h.Dims)
+		for i := range ones {
+			ones[i], top[i] = 1, h.MaxAxis
+		}
+		a.Lookup(ones)
+		a.Lookup(top)
+	})
 }
 
 // decodeHeaderLoose decodes without the checksum gate, for tests that

@@ -18,6 +18,9 @@ import (
 // (e.g. a worker-side panic), not a transport flake.
 const maxAttempts = 5
 
+// errChunkSchema marks a result in another chunk schema; it fails the job.
+var errChunkSchema = errors.New("fabric: result in chunk schema")
+
 // Dispatch shards one job's chunk range across a Pool's peers and folds
 // the results strictly in chunk-index order.
 //
@@ -161,7 +164,7 @@ func (d *Dispatch) Run(ctx context.Context, start int, fold func(*api.ChunkResul
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				req := api.ChunkRequest{Version: api.Version, Job: d.job, Chunk: chunk}
+				req := api.ChunkRequest{Version: api.ChunkSchemaVersion, Job: d.job, Chunk: chunk}
 				dspan := d.span.StartChild(fmt.Sprintf("dispatch chunk %d", chunk))
 				if dspan != nil {
 					dspan.SetAttr("peer", pr.addr)
@@ -258,8 +261,8 @@ func (d *Dispatch) finish(ctx context.Context, r execDone) {
 		switch {
 		case r.res == nil:
 			r.err = fmt.Errorf("fabric: peer %s returned no result for chunk %d", r.pr.addr, r.chunk)
-		case r.res.Version != api.Version:
-			r.err = fmt.Errorf("fabric: peer %s speaks schema v%d, want v%d", r.pr.addr, r.res.Version, api.Version)
+		case r.res.Version != api.ChunkSchemaVersion:
+			r.err = fmt.Errorf("%w v%d, want v%d", errChunkSchema, r.res.Version, api.ChunkSchemaVersion)
 		case r.res.Chunk != r.chunk:
 			r.err = fmt.Errorf("fabric: peer %s answered chunk %d for chunk %d", r.pr.addr, r.res.Chunk, r.chunk)
 		}
@@ -280,14 +283,14 @@ func (d *Dispatch) finish(ctx context.Context, r execDone) {
 	d.done[r.pr.addr]++
 }
 
-// failChunk handles one failed execution: deterministic rejections and
-// local-executor failures are fatal (re-running cannot change them);
-// transport-level failures demote the peer and requeue the chunk for a
-// survivor, up to maxAttempts executions.
+// failChunk handles one failed execution: deterministic rejections, results
+// in another chunk schema and local-executor failures are fatal
+// (re-running cannot change them); transport-level failures demote the
+// peer and requeue the chunk for a survivor, up to maxAttempts executions.
 func (d *Dispatch) failChunk(r execDone) {
 	d.pool.fail(r.pr, r.err)
 	var apiErr *api.Error
-	deterministic := errors.As(r.err, &apiErr) &&
+	deterministic := errors.Is(r.err, errChunkSchema) || errors.As(r.err, &apiErr) &&
 		(apiErr.Code == api.CodeBadRequest || apiErr.Code == api.CodeShapeTooLarge ||
 			apiErr.Code == api.CodeUnauthorized || apiErr.Code == api.CodeNotFound)
 	if deterministic || r.pr.local {

@@ -15,7 +15,7 @@ import (
 // must return: the record is a pure function of the index.
 func chunkResult(chunk int) *api.ChunkResult {
 	return &api.ChunkResult{
-		Version: api.Version,
+		Version: api.ChunkSchemaVersion,
 		Chunk:   chunk,
 		Epsilon: &api.EpsilonRowRecord{Type: api.RecordEpsilonRow, N: chunk + 1},
 	}

@@ -46,13 +46,11 @@ var chunkWireCases = []struct {
 }
 
 // encodeChunk renders a chunk result exactly as POST /v1/internal/chunks
-// writes it.
+// writes it: compact, one line.
 func encodeChunk(t testing.TB, res *api.ChunkResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(res); err != nil {
+	if err := json.NewEncoder(&buf).Encode(res); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -79,7 +77,7 @@ func executeChunk(t testing.TB, r kindRunner, chunk int) *api.ChunkResult {
 	if err != nil {
 		t.Fatalf("execute(%d): %v", chunk, err)
 	}
-	res.Version, res.Chunk = api.Version, chunk
+	res.Version, res.Chunk = api.ChunkSchemaVersion, chunk
 	return res
 }
 
@@ -110,7 +108,7 @@ func TestChunkWire(t *testing.T) {
 	for _, tc := range chunkWireCases {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := ExecuteChunk(context.Background(),
-				api.ChunkRequest{Version: api.Version, Job: tc.req, Chunk: tc.chunk}, 2, nil)
+				api.ChunkRequest{Version: api.ChunkSchemaVersion, Job: tc.req, Chunk: tc.chunk}, 2, nil)
 			if err != nil {
 				t.Fatalf("ExecuteChunk: %v", err)
 			}
@@ -462,7 +460,7 @@ func FuzzFold(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var hostile api.ChunkResult
 		_ = json.Unmarshal(body, &hostile) // an undecodable body folds what it decoded
-		hostile.Version, hostile.Chunk = api.Version, 1
+		hostile.Version, hostile.Chunk = api.ChunkSchemaVersion, 1
 		for i, k := range foldKinds {
 			r := newRunner(t, k.req)
 			foldChunk(t, r, genuine[i].first)
@@ -500,7 +498,7 @@ func FuzzFold(f *testing.F) {
 // and zero shapes with the aggregate untouched.
 func TestPlanSweepEmptyChunk(t *testing.T) {
 	req := plansweepReq()
-	res, err := ExecuteChunk(context.Background(), api.ChunkRequest{Version: api.Version, Job: req, Chunk: 7}, 2, nil)
+	res, err := ExecuteChunk(context.Background(), api.ChunkRequest{Version: api.ChunkSchemaVersion, Job: req, Chunk: 7}, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -317,6 +317,7 @@ func (m *Manager) Submit(req api.JobSubmitRequest) (api.JobStatus, error) {
 		return api.JobStatus{}, err
 	}
 	m.persistStatus(j)
+	st := j.status() // before the runner can start, or even finish, the job
 	select {
 	case m.queue <- j:
 	default:
@@ -325,7 +326,7 @@ func (m *Manager) Submit(req api.JobSubmitRequest) (api.JobStatus, error) {
 		return api.JobStatus{}, ErrQueueFull
 	}
 	m.log.Info("jobs: submitted", "job", id, "kind", req.Kind)
-	return j.status(), nil
+	return st, nil
 }
 
 func (m *Manager) forget(id string) {

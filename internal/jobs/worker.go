@@ -23,12 +23,9 @@ import (
 // set workers (< 1 means GOMAXPROCS); planner should be the server's own
 // so worker-side planning warms the shared plan cache (nil builds a
 // default one).  Validation failures wrap ErrBadRequest; a panicking chunk
-// is recovered into an error, failing only this request.
+// is recovered into an error, failing only this request.  The caller
+// checks req.Version: the server's fabric entry does, for a peer's request.
 func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int, planner *core.Planner) (res *api.ChunkResult, err error) {
-	if req.Version != api.Version {
-		return nil, fmt.Errorf("%w: chunk request schema v%d, this server speaks v%d",
-			ErrBadRequest, req.Version, api.Version)
-	}
 	if planner == nil {
 		planner = core.NewPlanner(core.DefaultOptions)
 	}
@@ -58,7 +55,7 @@ func ExecuteChunk(ctx context.Context, req api.ChunkRequest, defaultWorkers int,
 	if err != nil {
 		return nil, err
 	}
-	out.Version, out.Chunk = api.Version, req.Chunk
+	out.Version, out.Chunk = api.ChunkSchemaVersion, req.Chunk
 	if span != nil {
 		snap := span.Snapshot()
 		snap.TraceID = req.Trace.TraceID

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"crypto/subtle"
+	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"repro/internal/jobs"
@@ -45,8 +47,13 @@ func (s *Server) fabricAuthed(w http.ResponseWriter, r *http.Request) bool {
 
 // ExecuteChunk runs one chunk of a job spec with the server's Workers and
 // planner.  The worker endpoint and a coordinator's loopback peer both call
-// it, so every node runs a job's chunks at its one -workers width.
+// it, so every node runs a job's chunks at its one -workers width.  A
+// request of another chunk schema is refused by number, a 400 on the route.
 func (s *Server) ExecuteChunk(ctx context.Context, req api.ChunkRequest) (*api.ChunkResult, error) {
+	if req.Version != api.ChunkSchemaVersion {
+		return nil, fmt.Errorf("%w: chunk request schema v%d, this server speaks chunk schema v%d",
+			jobs.ErrBadRequest, req.Version, api.ChunkSchemaVersion)
+	}
 	return jobs.ExecuteChunk(ctx, req, s.cfg.Workers, s.planner)
 }
 
@@ -69,7 +76,9 @@ func (s *Server) handleChunkExecute(w http.ResponseWriter, r *http.Request) {
 		respondErr(w, r, jobsError(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	// Compact, unlike /v1: indentation is ~40% of a plansweep chunk.
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(res)
 }
 
 // handlePeersList reports the fabric pool's peers.  Read-only and

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -30,7 +31,7 @@ func chunkBody(t *testing.T, req api.ChunkRequest) string {
 
 func censusChunkReq(maxN, chunk int) api.ChunkRequest {
 	return api.ChunkRequest{
-		Version: api.Version,
+		Version: api.ChunkSchemaVersion,
 		Job:     api.JobSubmitRequest{Kind: api.JobCensus, Census: &api.CensusParams{MaxN: maxN}},
 		Chunk:   chunk,
 	}
@@ -84,7 +85,7 @@ func TestFabricChunkExecute(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	if res.Version != api.Version || res.Chunk != 1 || res.Census == nil || res.Census.A != 2 || len(res.Census.Buckets) == 0 {
+	if res.Version != api.ChunkSchemaVersion || res.Chunk != 1 || res.Census == nil || res.Census.A != 2 || len(res.Census.Buckets) == 0 {
 		t.Fatalf("chunk result: version %d chunk %d census %+v", res.Version, res.Chunk, res.Census)
 	}
 
@@ -218,5 +219,56 @@ func TestFabricDistributedOverHTTP(t *testing.T) {
 		if ps.Dispatched == 0 {
 			t.Errorf("peer %s executed no chunks", ps.Addr)
 		}
+	}
+}
+
+// olderSchema stands in for a fabric node of the chunk schema before
+// api.ChunkSchemaVersion, which stamped api.Version (2): it relays chunks
+// to a real peer, stamping either its requests (a coordinator of that
+// schema) or the peer's results (a peer of it) with the older number.
+type olderSchema struct {
+	fabric.Transport
+	peer bool
+}
+
+func (o olderSchema) Execute(ctx context.Context, req api.ChunkRequest) (*api.ChunkResult, error) {
+	if !o.peer {
+		req.Version = api.Version
+	}
+	res, err := o.Transport.Execute(ctx, req)
+	if err == nil && o.peer {
+		res.Version = api.Version
+	}
+	return res, err
+}
+
+// TestFabricRefusesOtherChunkSchema: a coordinator and a peer of different
+// chunk schemas refuse each other in both directions.  The peer answers a
+// request of another schema with a 400, and the coordinator refuses a
+// result of another schema; either way the distributed job fails, naming
+// both schema numbers, instead of folding records it cannot read.
+func TestFabricRefusesOtherChunkSchema(t *testing.T) {
+	worker := httptest.NewServer(New(Config{FabricSecret: testSecret}).Handler())
+	t.Cleanup(worker.Close)
+	for name, peer := range map[string]bool{"older_coordinator": false, "older_peer": true} {
+		t.Run(name, func(t *testing.T) {
+			pool := fabric.NewPool(fabric.Config{
+				Dial: func(addr string) fabric.Transport {
+					return olderSchema{fabrichttp.Dialer(testSecret)(addr), peer}
+				},
+				HealthEvery: -1,
+			})
+			t.Cleanup(pool.Close)
+			if err := pool.Add(worker.URL); err != nil {
+				t.Fatal(err)
+			}
+			_, h := newJobServer(t, jobs.Config{Fabric: pool})
+			st := submitJob(t, h, `{"kind":"census","census":{"max_n":3},"distributed":true}`)
+			fin := waitJobDone(t, h, st.ID)
+			older, current := fmt.Sprintf("v%d", api.Version), fmt.Sprintf("v%d", api.ChunkSchemaVersion)
+			if fin.State != api.JobFailed || !strings.Contains(fin.Error, older) || !strings.Contains(fin.Error, current) {
+				t.Fatalf("job ended %s (error %q), want failed naming %s and %s", fin.State, fin.Error, older, current)
+			}
+		})
 	}
 }

@@ -72,9 +72,11 @@ import (
 // get 422.  maxCompareNodes bounds the guests /v1/compare accepts: a
 // compare builds several embeddings and optionally simulates a stencil
 // exchange, so it is far more expensive per node than /v1/embed.
+// resultCacheSize bounds L0, the LRU of fully-measured results.
 const (
 	maxNodes        = 1 << 24
 	maxCompareNodes = 1 << 20
+	resultCacheSize = 1024
 )
 
 // Config tunes a Server.  The zero value is usable: defaults are filled in
@@ -84,9 +86,6 @@ type Config struct {
 	// measurement, a compare, or a job chunk this server executes for the
 	// fabric (values below one mean GOMAXPROCS, as in internal/sweep).
 	Workers int
-	// CacheSize bounds the LRU of fully-measured results (default 1024;
-	// negative disables caching).
-	CacheSize int
 	// MaxInflight bounds concurrently served API requests; excess load is
 	// shed with 429 (default 256).
 	MaxInflight int
@@ -105,9 +104,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CacheSize == 0 {
-		c.CacheSize = 1024
-	}
 	if c.MaxInflight == 0 {
 		c.MaxInflight = 256
 	}
@@ -137,7 +133,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		planner: core.NewPlanner(core.DefaultOptions),
-		cache:   newResultCache(cfg.CacheSize),
+		cache:   newResultCache(resultCacheSize),
 		sem:     make(chan struct{}, cfg.MaxInflight),
 		m:       newMetrics(),
 	}

@@ -3,17 +3,20 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/embed"
+	"repro/internal/guest"
 	"repro/pkg/api"
 )
 
@@ -222,6 +225,34 @@ func TestOversizedShape422(t *testing.T) {
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("overflow shape: %d %s", rec.Code, rec.Body.String())
 	}
+}
+
+// FuzzParseGuest: parseGuest, the one prelude of /v1/plan, /v1/embed and
+// /v1/compare, never panics and refuses with a 4xx; every guest it accepts
+// passes guest.Validate, has at most maxNodes nodes, and parses back to
+// itself from its own family and shape strings.  The corpus
+// (testdata/fuzz/FuzzParseGuest) holds the guests of the bad-request tests
+// above and a valid guest of each family.
+func FuzzParseGuest(f *testing.F) {
+	f.Fuzz(func(t *testing.T, family, shape string) {
+		fam, sh, err := parseGuest(family, shape, maxNodes)
+		if err != nil {
+			var ae *apiError
+			if !errors.As(err, &ae) || ae.status/100 != 4 {
+				t.Fatalf("%q %q: refused with %v, want a 4xx", family, shape, err)
+			}
+			return
+		}
+		if err := guest.Validate(fam, sh); err != nil {
+			t.Fatalf("%q %q: accepted %s %s: %v", family, shape, fam, sh, err)
+		}
+		if _, ok := sh.NodesWithin(maxNodes); !ok {
+			t.Fatalf("%q %q: accepted %s above %d nodes", family, shape, sh, maxNodes)
+		}
+		if fam2, sh2, err := parseGuest(fam.String(), sh.String(), maxNodes); err != nil || fam2 != fam || !slices.Equal(sh2, sh) {
+			t.Fatalf("%q %q: accepted %s %s, which parses back to %s %s, %v", family, shape, fam, sh, fam2, sh2, err)
+		}
+	})
 }
 
 func TestTimeout504(t *testing.T) {

@@ -13,7 +13,8 @@
 // change that re-types, renames or removes a served field must bump it.
 // JobSchemaVersion covers the on-disk job artifacts (checkpoints, job
 // state) and the NDJSON result records, which must stay stable across
-// server restarts for resume to work.
+// server restarts for resume to work.  ChunkSchemaVersion covers the
+// fabric's internal chunk wire (fabric.go).
 package api
 
 import "fmt"

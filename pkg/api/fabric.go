@@ -19,6 +19,12 @@ import "encoding/json"
 // The peer-admin schema (GET/POST /v1/peers) covers discovery: a static
 // -peers list on the coordinator, or workers self-registering with -join.
 
+// ChunkSchemaVersion is the version of ChunkRequest and ChunkResult: 3 since
+// a chunk is its typed records, sent compactly.  It moves apart from
+// Version, so a coordinator and a peer of different chunk schemas refuse
+// each other's chunks by number.
+const ChunkSchemaVersion = 3
+
 // FabricSecretHeader carries the shared fabric secret on the internal
 // endpoints (chunk execution, peer join).  A server started with
 // -fabric-secret refuses requests whose header does not match; without a

@@ -315,7 +315,7 @@ func TestLargeBodiesDecodeWhole(t *testing.T) {
 		case "/v1/embed":
 			v = api.EmbedResponse{Version: api.Version, Plan: plan}
 		case "/v1/internal/chunks":
-			v = api.ChunkResult{Version: api.Version, Plans: []api.PlanEntry{{Plan: plan}}}
+			v = api.ChunkResult{Version: api.ChunkSchemaVersion, Plans: []api.PlanEntry{{Plan: plan}}}
 		default:
 			http.NotFound(w, r)
 			return
@@ -340,7 +340,7 @@ func TestLargeBodiesDecodeWhole(t *testing.T) {
 		if len(emb.Plan) != len(plan) {
 			t.Fatalf("Embed decoded a %d-byte plan, want %d", len(emb.Plan), len(plan))
 		}
-		res, err := c.ExecuteChunk(ctx, api.ChunkRequest{Version: api.Version})
+		res, err := c.ExecuteChunk(ctx, api.ChunkRequest{Version: api.ChunkSchemaVersion})
 		if err != nil {
 			t.Fatalf("ExecuteChunk: %v", err)
 		}
