@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke bench bench-short bench-check bench-json bounds-check figures figures-check fmt gen gen-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check lines
+.PHONY: check fmt-check vet build test race fuzz-smoke bench bench-short bench-check bench-json bounds-check figures figures-check fmt serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash dash-check lines
 
-check: fmt-check vet build gen-check test race fuzz-smoke bounds-check figures-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
+check: fmt-check vet build test race fuzz-smoke bounds-check figures-check bench-short bench-check serve-smoke obs-smoke jobs-smoke artifact-smoke fabric-smoke dash-check
 
 # The optimality gate: the golden known-optimal table of internal/bounds,
 # run on its own so a strategy regression (a planner change that stops
@@ -10,25 +10,6 @@ check: fmt-check vet build gen-check test race fuzz-smoke bounds-check figures-c
 # shape, not a buried test diff.
 bounds-check:
 	$(GO) test -count=1 -run 'TestKnownOptimalFloors|TestPlannerAchievesKnownOptimal|TestGrayBaselineStaysOptimalOnGrayMinimalMeshes' ./internal/bounds
-
-# Regenerate the enumgen boilerplate (strategy names, plan kinds, guest
-# families).
-gen:
-	$(GO) generate ./...
-
-# Fail when a generated file drifted from its enum declaration — the wire
-# names of strategies, plan kinds and guest families are locked by
-# generated code, so forgetting `make gen` is a CI failure, not a silent
-# skew.
-gen-check:
-	@before=$$(find . -name '*_enumgen.go' | sort | xargs cksum); \
-	$(GO) generate ./... || exit 1; \
-	after=$$(find . -name '*_enumgen.go' | sort | xargs cksum); \
-	if [ "$$before" != "$$after" ]; then \
-		echo "gen-check: generated files drifted from their enum declarations;"; \
-		echo "gen-check: the regenerated files are now on disk - review and commit them."; \
-		exit 1; \
-	fi
 
 vet:
 	$(GO) vet ./...
@@ -56,8 +37,10 @@ FUZZ_TARGETS = \
 	internal/embed:FuzzRead \
 	internal/embed:FuzzFromSerial \
 	internal/jobs:FuzzFold \
+	internal/jobs:FuzzCheckpointResume \
 	internal/server:FuzzJobStreamOffset \
-	internal/server:FuzzParseGuest
+	internal/server:FuzzParseGuest \
+	internal/server:FuzzRequestBody
 
 # Fuzz each target for 5 s past its seed corpus; go test -fuzz takes one
 # package and one target per run.  Minimizing a new input may take 60 s by
@@ -164,9 +147,9 @@ figures-check:
 fmt:
 	gofmt -l -w .
 
-# The size of the program: lines of non-test Go outside bench/ (generated
-# *_enumgen.go included), then the same per package.  It counts the files
-# git tracks, so untracked files never count.
+# The size of the program: lines of non-test Go outside bench/, then the
+# same per package.  It counts the files git tracks, so untracked files
+# never count.
 lines:
 	@git ls-files -- '*.go' ':(exclude)*_test.go' ':(exclude)bench/*' | xargs wc -l | awk ' \
 		$$2 == "total" { next } \

@@ -85,7 +85,7 @@ func TestPairsWithinSaturates(t *testing.T) {
 // classes, and the disjoint odd rings — from the materialized edge list,
 // on every shape with at most 64 nodes per family.
 func TestGraphParametersNaive(t *testing.T) {
-	for _, f := range guest.FamilyValues() {
+	for f := guest.Family(0); f.IsValid(); f++ {
 		for _, s := range shapesUpTo(f, 64) {
 			edges := edgeList(f, s)
 			m := s.Nodes()
@@ -267,7 +267,7 @@ func bruteOptimum(edges [][2]int, m, n int) (minDil int, minWL int64, minCong in
 // on this entire set; congestion is checked for soundness against the best
 // e-cube-routed map.
 func TestBoundsExhaustiveSmall(t *testing.T) {
-	for _, f := range guest.FamilyValues() {
+	for f := guest.Family(0); f.IsValid(); f++ {
 		for _, s := range shapesUpTo(f, 8) {
 			edges := edgeList(f, s)
 			if len(edges) == 0 {
@@ -296,7 +296,7 @@ func TestBoundsExhaustiveSmall(t *testing.T) {
 // TestBoundsMonotoneInCube checks that a roomier cube never raises a
 // bound: every criterion weakens as n grows.
 func TestBoundsMonotoneInCube(t *testing.T) {
-	for _, f := range guest.FamilyValues() {
+	for f := guest.Family(0); f.IsValid(); f++ {
 		for _, s := range shapesUpTo(f, 64) {
 			n := s.MinCubeDim()
 			b0 := For(f, s, n)

@@ -63,14 +63,16 @@ func TestGoldenMeshPlansUnchanged(t *testing.T) {
 }
 
 // TestGoldenTorusMetricsUnchanged pins the torus construction choice and
-// fused metrics against the pre-refactor wrap.Embed output.
+// fused metrics against the pre-refactor wrap.Embed output, except 5x6x7:
+// its snake base has an even inner axis, and it is pinned to the snake
+// order that is a mesh path.
 func TestGoldenTorusMetricsUnchanged(t *testing.T) {
 	cases := []struct {
 		shape   string
 		metrics string
 	}{
 		{"6x10", "6x10 (wraparound) -> 6-cube: exp=1.0667 minimal=true dil=2 avgdil=1.1000 wl=132 cong=2 avgcong=0.6875 load=1"},
-		{"5x6x7", "5x6x7 (wraparound) -> 8-cube: exp=1.2190 minimal=true dil=7 avgdil=2.5143 wl=1584 cong=7 avgcong=1.5469 load=1"},
+		{"5x6x7", "5x6x7 (wraparound) -> 8-cube: exp=1.2190 minimal=true dil=6 avgdil=2.4127 wl=1520 cong=8 avgcong=1.4844 load=1"},
 		{"16x16", "16x16 (wraparound) -> 8-cube: exp=1.0000 minimal=true dil=1 avgdil=1.0000 wl=512 cong=1 avgcong=0.5000 load=1"},
 	}
 	for _, tc := range cases {

@@ -15,11 +15,8 @@ import (
 	"repro/pkg/api"
 )
 
-//go:generate go run repro/cmd/enumgen -type Kind,StrategyID
-
-// Kind enumerates the constructions a Plan node can take.  The String/Set
-// and text-marshalling boilerplate is generated (kind_enumgen.go) from this
-// constant block, so the wire names track the declarations.
+// Kind enumerates the constructions a Plan node can take.  Its wire names
+// (plan strings, artifact records) are kindNames, keyed by constant.
 type Kind int
 
 const (
@@ -33,6 +30,33 @@ const (
 	KindRing                // Section 6 strip construction of the wrapped axes
 	KindTree                // inorder labeling of the complete binary tree
 )
+
+var kindNames = [...]string{
+	KindGray: "gray", KindDirect: "direct", KindProduct: "product",
+	KindSubMesh: "submesh", KindSolver: "solver", KindSnake: "snake",
+	KindFold: "fold", KindRing: "ring", KindTree: "tree",
+}
+
+// String returns the wire name of k ("unknown" out of range).
+func (k Kind) String() string {
+	if !k.IsValid() {
+		return "unknown"
+	}
+	return kindNames[k]
+}
+
+// IsValid reports whether k is one of the declared constants.
+func (k Kind) IsValid() bool { return k >= 0 && int(k) < len(kindNames) }
+
+// ParseKind returns the Kind whose wire name is s.
+func ParseKind(s string) (Kind, error) {
+	for k, name := range kindNames {
+		if name == s {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown Kind %q (want one of %v)", s, kindNames[:])
+}
 
 // DilationUnknown marks constructions with no a-priori dilation bound.
 const DilationUnknown = 1 << 20

@@ -6,6 +6,43 @@ import (
 	"repro/internal/mesh"
 )
 
+// TestEnumNames: each constant of Kind and StrategyID has a nonempty wire
+// name distinct from the others', ParseKind inverts Kind.String, and out of
+// range values print "unknown" and do not parse.
+func TestEnumNames(t *testing.T) {
+	distinct := func(enum string, names []string) {
+		seen := map[string]bool{}
+		for i, name := range names {
+			if name == "" || seen[name] {
+				t.Errorf("%s %d: wire name %q is empty or repeated", enum, i, name)
+			}
+			seen[name] = true
+		}
+	}
+	distinct("Kind", kindNames[:])
+	distinct("StrategyID", strategyNames[:])
+	if !KindTree.IsValid() || StrategyFold.String() != "fold" {
+		t.Errorf("the last constants lack names: %s %s", KindTree, StrategyFold)
+	}
+	for k := Kind(0); k.IsValid(); k++ {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %d", k, got, err, int(k))
+		}
+	}
+	for _, k := range []Kind{-1, Kind(len(kindNames))} {
+		if k.IsValid() || k.String() != "unknown" {
+			t.Errorf("Kind(%d) is valid or prints %q", int(k), k)
+		}
+	}
+	if s := StrategyID(len(strategyNames)).String(); s != "unknown" {
+		t.Errorf("StrategyID out of range prints %q", s)
+	}
+	_, err := ParseKind("moebius")
+	if want := `unknown Kind "moebius" (want one of [gray direct product submesh solver snake fold ring tree])`; err == nil || err.Error() != want {
+		t.Errorf("ParseKind(\"moebius\") error %v, want %s", err, want)
+	}
+}
+
 // buildAndCheck plans the shape, builds it, verifies, and returns measured
 // metrics via the embedding.
 func buildAndCheck(t *testing.T, s mesh.Shape) (*Plan, int) {

@@ -1,10 +1,10 @@
 package core
 
-// StrategyID enumerates the planner's strategies.  The wire names — the
-// keys of provenance traces and `embedctl explain` output — are generated
-// from this constant block (strategyid_enumgen.go), so adding a strategy
-// means adding a constant here, a case in planContext.search and a stage
-// in a pipeline (see strategy.go).
+// StrategyID enumerates the planner's strategies.  Their wire names, the
+// keys of provenance traces and `embedctl explain` output, are
+// strategyNames, keyed by constant, so adding a strategy means adding a
+// constant and its name here, a case in planContext.search and a stage in
+// a pipeline (see strategy.go).
 type StrategyID int
 
 const (
@@ -13,8 +13,22 @@ const (
 	StrategyFactor
 	StrategyExtend
 	StrategyHighDim
-	StrategyPairGray // pair+gray
+	StrategyPairGray
 	StrategySplit2D
 	StrategySplit3D
 	StrategyFold
 )
+
+var strategyNames = [...]string{
+	StrategyDirect: "direct", StrategySolver: "solver", StrategyFactor: "factor",
+	StrategyExtend: "extend", StrategyHighDim: "highdim", StrategyPairGray: "pair+gray",
+	StrategySplit2D: "split2d", StrategySplit3D: "split3d", StrategyFold: "fold",
+}
+
+// String returns the wire name of id ("unknown" out of range).
+func (id StrategyID) String() string {
+	if id < 0 || int(id) >= len(strategyNames) {
+		return "unknown"
+	}
+	return strategyNames[id]
+}

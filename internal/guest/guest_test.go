@@ -42,7 +42,7 @@ func collectRange(d Desc, s mesh.Shape, lo, hi int) []int {
 // family: Edges(s) equals the number of edges the full
 // enumeration emits, and every emitted edge has in-range distinct endpoints.
 func TestConformanceEdgeCount(t *testing.T) {
-	for _, f := range FamilyValues() {
+	for f := Family(0); f.IsValid(); f++ {
 		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			if err := Validate(d.Family, s); err != nil {
@@ -77,7 +77,7 @@ func TestConformanceEdgeCount(t *testing.T) {
 // several split points, the union of the edges of the parts equals the full
 // enumeration (disjointness falls out of the equal counts).
 func TestConformancePartition(t *testing.T) {
-	for _, f := range FamilyValues() {
+	for f := Family(0); f.IsValid(); f++ {
 		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			n := s.Nodes()
@@ -152,7 +152,7 @@ func sortPairs(p [][2]int) {
 // reference both enumerate through the same code, so this is what keeps
 // their shared edge set honest.
 func TestConformanceEdgesMatchOracle(t *testing.T) {
-	for _, f := range FamilyValues() {
+	for f := Family(0); f.IsValid(); f++ {
 		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			var got [][2]int
@@ -182,7 +182,7 @@ func TestConformanceEdgesMatchOracle(t *testing.T) {
 // the axis map is a permutation reconstructing the original shape, the
 // canonical shape is a fixed point of Canonical, and it validates.
 func TestConformanceCanonical(t *testing.T) {
-	for _, f := range FamilyValues() {
+	for f := Family(0); f.IsValid(); f++ {
 		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			canon, axmap := d.Canonical(s)
@@ -221,7 +221,7 @@ func TestConformanceCanonical(t *testing.T) {
 // relabeling preserves the edge count — a cheap proxy for isomorphism that
 // catches families whose Canonical sorts an axis it should not.
 func TestConformanceEdgeCountInvariantUnderCanonical(t *testing.T) {
-	for _, f := range FamilyValues() {
+	for f := Family(0); f.IsValid(); f++ {
 		d := Get(f)
 		for _, s := range conformanceShapes(d.Family) {
 			canon, _ := d.Canonical(s)
@@ -233,10 +233,39 @@ func TestConformanceEdgeCountInvariantUnderCanonical(t *testing.T) {
 	}
 }
 
+// TestFamilyNames: each Family has a nonempty wire name distinct from the
+// others', ParseFamily inverts String, and out of range values print
+// "unknown".  The error text is a served 400 message.
+func TestFamilyNames(t *testing.T) {
+	seen := map[string]bool{}
+	for f := Family(0); f.IsValid(); f++ {
+		name := f.String()
+		if name == "" || seen[name] {
+			t.Errorf("Family %d: wire name %q is empty or repeated", int(f), name)
+		}
+		seen[name] = true
+		if got, err := ParseFamily(name); err != nil || got != f {
+			t.Errorf("ParseFamily(%q) = %v, %v; want %d", name, got, err, int(f))
+		}
+	}
+	if len(seen) != 4 || !Tree.IsValid() {
+		t.Errorf("%d named families, want mesh, torus, cylinder and tree", len(seen))
+	}
+	for _, f := range []Family{-1, Family(len(familyNames))} {
+		if f.IsValid() || f.String() != "unknown" {
+			t.Errorf("Family(%d) is valid or prints %q", int(f), f)
+		}
+	}
+	_, err := ParseFamily("foo")
+	if want := `unknown Family "foo" (want one of [mesh torus cylinder tree])`; err == nil || err.Error() != want {
+		t.Errorf("ParseFamily(\"foo\") error %v, want %s", err, want)
+	}
+}
+
 // TestByName checks wire-name resolution including the empty-string default
 // and rejection of unknown names.
 func TestByName(t *testing.T) {
-	for _, f := range FamilyValues() {
+	for f := Family(0); f.IsValid(); f++ {
 		d := Get(f)
 		got, err := ByName(d.Family.String())
 		if err != nil || got.Family != d.Family {

@@ -255,14 +255,19 @@ func TestPlanAggCodec(t *testing.T) {
 	}
 }
 
-// foldKinds are the runners FuzzFold attacks, one per job kind.
+// foldKinds are the runners FuzzFold attacks, one per job kind.  Their
+// chunk 1 is a handful of records (the plansweep one six 3-D shapes), so a
+// fuzzed result decodes and a genuine one folds in little time.
 var foldKinds = []struct {
 	name string
 	req  api.JobSubmitRequest
 }{
 	{"census", censusReq(4)},
 	{"epsilon", epsilonReq(3)},
-	{"plansweep", plansweepReq()},
+	{"plansweep", api.JobSubmitRequest{
+		Kind:      api.JobPlanSweep,
+		PlanSweep: &api.PlanSweepParams{Dims: 3, MaxAxis: 4, MaxNodes: 64},
+	}},
 	{"plancensus", plancensusReq(3, 6, "")},
 }
 
@@ -383,31 +388,38 @@ func b2u(b bool) uint64 {
 
 // FuzzFold folds hostile peer results.  A fabric peer's ChunkResult is
 // input from outside the process, and every local chunk passes through
-// fold too.  For each kind, a runner that folded chunk 0 folds the fuzzed
-// JSON, decoded as a ChunkResult, at chunk 1: it must fail or succeed,
-// never panic.  A result it accepts must be chunk 1's, and fold must have
-// rendered exactly its records and grown the count and the aggregate by
-// exactly their tally (foldOracle).  A failed fold must leave the snapshot
-// byte-identical, and the genuine chunk 1 must then fold to the bytes and
-// snapshot of a clean run — the retry a failed attempt gets.
+// fold too.  The runner of the fuzzed kind (taken modulo the four), having
+// folded chunk 0, folds the fuzzed JSON, decoded as a ChunkResult, at
+// chunk 1: it must fail or succeed, never panic.  A result it accepts must
+// be chunk 1's, and fold must have rendered exactly its records and grown
+// the count and the aggregate by exactly their tally (foldOracle).  A
+// failed fold must leave the snapshot byte-identical, and the genuine
+// chunk 1 must then fold to the bytes and snapshot of a clean run — the
+// retry a failed attempt gets.  Each kind's runner is built once; every
+// input restores it to its chunk-0 snapshot, as a resumed job restores its
+// checkpoint.  Seeds are edits of each kind's genuine chunk 1, and every
+// kind's genuine chunk 1 and an empty result for each runner.
 func FuzzFold(f *testing.F) {
 	type chunkPair struct {
-		first, second *api.ChunkResult
-		stream        []byte // fold output of the genuine second chunk
-		snap          []byte // snapshot after both genuine chunks
+		r      kindRunner
+		after0 []byte // snapshot after the genuine first chunk
+		second *api.ChunkResult
+		stream []byte // fold output of the genuine second chunk
+		snap   []byte // snapshot after both genuine chunks
 	}
 	genuine := make([]chunkPair, len(foldKinds))
 	for i, k := range foldKinds {
 		r := newRunner(f, k.req)
-		p := chunkPair{first: executeChunk(f, r, 0), second: executeChunk(f, r, 1)}
-		foldChunk(f, r, p.first)
+		p := chunkPair{r: r, second: executeChunk(f, r, 1)}
+		foldChunk(f, r, executeChunk(f, r, 0))
+		p.after0 = snapshotOf(f, r)
 		p.stream = foldChunk(f, r, p.second)
 		p.snap = snapshotOf(f, r)
 		genuine[i] = p
 	}
-	// Each seed is one edit of a genuine chunk-1 result, applied to a deep
-	// copy (a JSON round trip).
-	seed := func(i int, edit func(res *api.ChunkResult)) {
+	// edited is kind i's genuine chunk-1 result after edit, applied to a
+	// deep copy (a JSON round trip).
+	edited := func(i int, edit func(res *api.ChunkResult)) []byte {
 		var res api.ChunkResult
 		b, err := json.Marshal(genuine[i].second)
 		if err == nil {
@@ -420,12 +432,18 @@ func FuzzFold(f *testing.F) {
 		if b, err = json.Marshal(&res); err != nil {
 			f.Fatal(err)
 		}
-		f.Add(b)
+		return b
 	}
+	// Every runner is seeded with each kind's genuine chunk 1 and an empty
+	// result; each edit below goes to its own kind's runner.
+	for kind := range foldKinds {
+		for i := range genuine {
+			f.Add(uint8(kind), edited(i, func(*api.ChunkResult) {}))
+		}
+		f.Add(uint8(kind), edited(kind, func(res *api.ChunkResult) { *res = api.ChunkResult{} }))
+	}
+	seed := func(i int, edit func(res *api.ChunkResult)) { f.Add(uint8(i), edited(i, edit)) }
 	const census, epsilon, plansweep, plancensus = 0, 1, 2, 3
-	for i := range genuine {
-		seed(i, func(*api.ChunkResult) {})
-	}
 	bucket := func(edit func(bs []api.CensusBucket) []api.CensusBucket) func(*api.ChunkResult) {
 		return func(res *api.ChunkResult) { res.Census.Buckets = edit(res.Census.Buckets) }
 	}
@@ -455,39 +473,40 @@ func FuzzFold(f *testing.F) {
 	seed(plancensus, func(res *api.ChunkResult) { res.Plans = res.Plans[1:] })
 	seed(plancensus, func(res *api.ChunkResult) { res.Plans[len(res.Plans)-1].Kind = "moebius" })
 	seed(plancensus, func(res *api.ChunkResult) { res.Plans[len(res.Plans)-1].Dilation = 255 })
-	seed(census, func(res *api.ChunkResult) { *res = api.ChunkResult{} })
 
-	f.Fuzz(func(t *testing.T, body []byte) {
+	f.Fuzz(func(t *testing.T, kind uint8, body []byte) {
 		var hostile api.ChunkResult
 		_ = json.Unmarshal(body, &hostile) // an undecodable body folds what it decoded
 		hostile.Version, hostile.Chunk = api.ChunkSchemaVersion, 1
-		for i, k := range foldKinds {
-			r := newRunner(t, k.req)
-			foldChunk(t, r, genuine[i].first)
-			before := snapshotOf(t, r)
-			var buf bytes.Buffer
-			if n, err := r.fold(&hostile, &buf); err == nil {
-				stream, want, snap := foldOracle(t, k.req, &hostile, before, snapshotOf(t, r))
-				if n != want {
-					t.Fatalf("%s: accepted a result counting %d shapes; its records count %d", k.name, n, want)
-				}
-				if !bytes.Equal(buf.Bytes(), stream) {
-					t.Fatalf("%s: accepted result rendered\n%s\nnot its records\n%s", k.name, buf.Bytes(), stream)
-				}
-				if got := snapshotOf(t, r); !bytes.Equal(got, snap) {
-					t.Fatalf("%s: accepted result left snapshot %s, its records tally to %s", k.name, got, snap)
-				}
-				continue
+		i := int(kind) % len(foldKinds)
+		k, g := foldKinds[i], genuine[i]
+		r := g.r
+		if err := r.restore(g.after0); err != nil {
+			t.Fatalf("%s: restoring the chunk-0 snapshot: %v", k.name, err)
+		}
+		before := snapshotOf(t, r)
+		var buf bytes.Buffer
+		if n, err := r.fold(&hostile, &buf); err == nil {
+			stream, want, snap := foldOracle(t, k.req, &hostile, before, snapshotOf(t, r))
+			if n != want {
+				t.Fatalf("%s: accepted a result counting %d shapes; its records count %d", k.name, n, want)
 			}
-			if after := snapshotOf(t, r); !bytes.Equal(after, before) {
-				t.Fatalf("%s: failed fold moved the snapshot:\nbefore %s\nafter  %s", k.name, before, after)
+			if !bytes.Equal(buf.Bytes(), stream) {
+				t.Fatalf("%s: accepted result rendered\n%s\nnot its records\n%s", k.name, buf.Bytes(), stream)
 			}
-			if stream := foldChunk(t, r, genuine[i].second); !bytes.Equal(stream, genuine[i].stream) {
-				t.Fatalf("%s: retried chunk 1 folded to other bytes:\n%s", k.name, stream)
+			if got := snapshotOf(t, r); !bytes.Equal(got, snap) {
+				t.Fatalf("%s: accepted result left snapshot %s, its records tally to %s", k.name, got, snap)
 			}
-			if got := snapshotOf(t, r); !bytes.Equal(got, genuine[i].snap) {
-				t.Fatalf("%s: retried chunk 1 left snapshot %s, want %s", k.name, got, genuine[i].snap)
-			}
+			return
+		}
+		if after := snapshotOf(t, r); !bytes.Equal(after, before) {
+			t.Fatalf("%s: failed fold moved the snapshot:\nbefore %s\nafter  %s", k.name, before, after)
+		}
+		if stream := foldChunk(t, r, g.second); !bytes.Equal(stream, g.stream) {
+			t.Fatalf("%s: retried chunk 1 folded to other bytes:\n%s", k.name, stream)
+		}
+		if got := snapshotOf(t, r); !bytes.Equal(got, g.snap) {
+			t.Fatalf("%s: retried chunk 1 left snapshot %s, want %s", k.name, got, g.snap)
 		}
 	})
 }

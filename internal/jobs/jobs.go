@@ -805,7 +805,7 @@ func (l *resultLog) checkpoint() error {
 	if err != nil {
 		return err
 	}
-	return writeJSONAtomic(filepath.Join(l.j.dir, checkpointFile), checkpoint{
+	return writeCheckpoint(l.j.dir, checkpoint{
 		Version: api.JobSchemaVersion, JobID: l.j.id,
 		NextChunk: l.next, Offset: l.offset, Shapes: l.shapes, Retries: l.retries, Agg: agg,
 	})

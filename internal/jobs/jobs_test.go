@@ -12,6 +12,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,7 @@ func plansweepReq() api.JobSubmitRequest {
 	}
 }
 
-func waitFor(t *testing.T, timeout time.Duration, what string, pred func() bool) {
+func waitFor(t testing.TB, timeout time.Duration, what string, pred func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
@@ -57,7 +58,7 @@ func waitFor(t *testing.T, timeout time.Duration, what string, pred func() bool)
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-func waitTerminal(t *testing.T, m *Manager, id string) api.JobStatus {
+func waitTerminal(t testing.TB, m *Manager, id string) api.JobStatus {
 	t.Helper()
 	var st api.JobStatus
 	waitFor(t, 60*time.Second, "job "+id+" to finish", func() bool {
@@ -71,7 +72,7 @@ func waitTerminal(t *testing.T, m *Manager, id string) api.JobStatus {
 	return st
 }
 
-func closeManager(t *testing.T, m *Manager) {
+func closeManager(t testing.TB, m *Manager) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -80,7 +81,7 @@ func closeManager(t *testing.T, m *Manager) {
 	}
 }
 
-func resultsBytes(t *testing.T, dataDir, id string) []byte {
+func resultsBytes(t testing.TB, dataDir, id string) []byte {
 	t.Helper()
 	b, err := os.ReadFile(filepath.Join(dataDir, id, resultsFile))
 	if err != nil {
@@ -91,7 +92,7 @@ func resultsBytes(t *testing.T, dataDir, id string) []byte {
 
 // runToCompletion runs one job on a fresh manager and returns its final
 // status and result stream.
-func runToCompletion(t *testing.T, req api.JobSubmitRequest) (api.JobStatus, []byte) {
+func runToCompletion(t testing.TB, req api.JobSubmitRequest) (api.JobStatus, []byte) {
 	t.Helper()
 	dir := t.TempDir()
 	m, err := Open(testConfig(dir))
@@ -241,6 +242,121 @@ func TestKillAndResumeByteIdentical(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzCheckpointResume: a Manager reopened over a killed job's directory
+// finishes the job, never panics, and streams the bytes of an uninterrupted
+// run, whatever checkpoint.json holds and however long the results file is.
+// The job is a census (max_n 3) killed after chunk 4, whose checkpoint
+// covers chunks 0..2; it is moved to a fixed ID, so inputs mean the same in
+// every fuzz worker.  The fuzzer supplies the checkpoint's bytes and the
+// results file's length; the file holds that prefix of the uninterrupted
+// stream, as a killed run's file does.  Seeds: the genuine checkpoint over
+// the killed file, a truncated checkpoint, non-JSON, another job's ID, an
+// offset past the end of the file (sealed, and over a file cut short), and
+// an aggregate missing a field.
+func FuzzCheckpointResume(f *testing.F) {
+	const id = "j-fuzz-000001"
+	req := censusReq(3)
+	_, want := runToCompletion(f, req)
+
+	dir := f.TempDir()
+	cfg := testConfig(dir)
+	killed := make(chan struct{})
+	cfg.afterChunk = func(_ string, chunk int) error {
+		if chunk == 4 {
+			close(killed)
+			return errAbandoned
+		}
+		return nil
+	}
+	m, err := Open(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	st, err := m.Submit(req)
+	if err != nil {
+		f.Fatal(err)
+	}
+	<-killed
+	closeManager(f, m)
+	killedDir := filepath.Join(dir, st.ID)
+	killedLen := uint(len(resultsBytes(f, dir, st.ID)))
+	if st, err = readStatusFile(killedDir); err != nil {
+		f.Fatal(err)
+	}
+	st.ID = id
+	status, err := json.Marshal(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ck, err := readCheckpoint(killedDir)
+	if err != nil || ck == nil || ck.NextChunk != 3 {
+		f.Fatalf("killed run left checkpoint %+v, %v; want one at chunk 3", ck, err)
+	}
+	ck.JobID = id
+	// sealed renders a checkpoint as the manager writes it.
+	sealed := func(ck checkpoint) []byte {
+		d := f.TempDir()
+		if err := writeCheckpoint(d, ck); err != nil {
+			f.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(d, checkpointFile))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	genuine := sealed(*ck)
+	f.Add(genuine, killedLen)
+	f.Add(genuine[:len(genuine)/2], killedLen)
+	f.Add([]byte("not json"), killedLen)
+	other := *ck
+	other.JobID = "j-fuzz-000002"
+	f.Add(sealed(other), killedLen)
+	past := *ck
+	past.Offset = int64(len(want)) + 1
+	f.Add(sealed(past), killedLen)
+	f.Add(genuine, uint(ck.Offset-1))
+	var agg bytes.Buffer
+	if err := json.Compact(&agg, ck.Agg); err != nil {
+		f.Fatal(err)
+	}
+	eps2 := regexp.MustCompile(`"eps2":[0-9]+,`)
+	if !eps2.Match(agg.Bytes()) {
+		f.Fatalf("census aggregate %s has no eps2 key", agg.Bytes())
+	}
+	missing := *ck
+	missing.Agg = eps2.ReplaceAll(agg.Bytes(), nil)
+	f.Add(sealed(missing), killedLen)
+
+	f.Fuzz(func(t *testing.T, ckFile []byte, size uint) {
+		dir := t.TempDir()
+		jobDir := filepath.Join(dir, id)
+		if err := os.Mkdir(jobDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, b := range map[string][]byte{
+			statusFile:     status,
+			checkpointFile: ckFile,
+			resultsFile:    want[:size%uint(len(want)+1)],
+		} {
+			if err := os.WriteFile(filepath.Join(jobDir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m, err := Open(testConfig(dir))
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		defer closeManager(t, m)
+		if fin := waitTerminal(t, m, id); fin.State != api.JobDone {
+			t.Fatalf("resumed job ended %s (error %q)", fin.State, fin.Error)
+		}
+		if got := resultsBytes(t, dir, id); !bytes.Equal(got, want) {
+			t.Fatalf("resumed stream differs from the uninterrupted run:\n got %q\nwant %q", got, want)
+		}
+	})
 }
 
 // TestGracefulShutdownResume: Close interrupts a running job, which must be

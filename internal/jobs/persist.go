@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -39,6 +40,20 @@ type checkpoint struct {
 	Shapes    uint64          `json:"shapes"`
 	Retries   int             `json:"retries"`
 	Agg       json.RawMessage `json:"agg,omitempty"`
+	// Sum seals the fields above: see sum.  A checkpoint that does not
+	// match its sum was not written whole by writeCheckpoint (a flipped
+	// bit, a renamed key, an edited count) and is not resumed from.
+	Sum uint32 `json:"sum"`
+}
+
+// sum is the CRC-32 (IEEE) of ck's JSON encoding with Sum zero.  It is
+// taken over the decoded values, so the file's key order and whitespace do
+// not enter it.  ck.Agg is valid JSON (snapshot's encoding, or what a
+// decode accepted), so the encoding cannot fail.
+func (ck checkpoint) sum() uint32 {
+	ck.Sum = 0
+	b, _ := json.Marshal(ck)
+	return crc32.ChecksumIEEE(b)
 }
 
 // writeFileAtomic writes data to path via a same-directory temp file, fsync
@@ -72,8 +87,16 @@ func writeJSONAtomic(path string, v any) error {
 	return writeFileAtomic(path, append(b, '\n'))
 }
 
+// writeCheckpoint seals ck with its sum and atomically replaces dir's
+// checkpoint with it.
+func writeCheckpoint(dir string, ck checkpoint) error {
+	ck.Sum = ck.sum()
+	return writeJSONAtomic(filepath.Join(dir, checkpointFile), ck)
+}
+
 // readCheckpoint loads a job directory's checkpoint; (nil, nil) when none
-// was ever written.
+// was ever written, an error when it is not JSON or does not match its
+// sum.
 func readCheckpoint(dir string) (*checkpoint, error) {
 	b, err := os.ReadFile(filepath.Join(dir, checkpointFile))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -85,6 +108,9 @@ func readCheckpoint(dir string) (*checkpoint, error) {
 	var ck checkpoint
 	if err := json.Unmarshal(b, &ck); err != nil {
 		return nil, err
+	}
+	if ck.Sum != ck.sum() {
+		return nil, errors.New("checksum mismatch")
 	}
 	return &ck, nil
 }

@@ -316,7 +316,7 @@ func TestPlanCensusResumeRejectsEditedAggregate(t *testing.T) {
 		t.Fatalf("checkpoint aggregate %s has no nonzero cursor", agg.Bytes())
 	}
 	ck.Agg = cursor.ReplaceAll(agg.Bytes(), nil)
-	if err := writeJSONAtomic(filepath.Join(jobDir, checkpointFile), ck); err != nil {
+	if err := writeCheckpoint(jobDir, *ck); err != nil {
 		t.Fatal(err)
 	}
 

@@ -302,11 +302,10 @@ func (s Shape) Neighbors(idx int, dst []int) []int {
 }
 
 // SnakeOrder returns the node indices in reflected mixed-radix
-// (boustrophedon) order: digit j of the odometer is reflected when the sum
-// of the higher digits is odd.  Consecutive entries are mesh neighbors
-// when every axis strictly between the first and the last has odd length,
-// which covers every shape of one or two axes; otherwise the order can
-// jump (3x4x5 does after its twelfth node).
+// (boustrophedon) order, a Hamiltonian path of the mesh: entry i is the
+// odometer reading of i (axis 0 fastest) with digit j reflected when the
+// higher digits' own mixed-radix ordinal, digit j+1 least significant, is
+// odd.  Consecutive entries are mesh neighbors for every shape.
 func (s Shape) SnakeOrder() []int {
 	n := s.Nodes()
 	out := make([]int, n)
@@ -318,16 +317,15 @@ func (s Shape) SnakeOrder() []int {
 			digits[j] = rem % s[j]
 			rem /= s[j]
 		}
-		for j := 0; j < s.Dims(); j++ {
-			parity := 0
-			for k := j + 1; k < s.Dims(); k++ {
-				parity += digits[k]
-			}
-			if parity&1 == 1 {
+		// One pass from the top digit down: odd is the parity of the
+		// ordinal of the digits above j.
+		odd := 0
+		for j := s.Dims() - 1; j >= 0; j-- {
+			coord[j] = digits[j]
+			if odd == 1 {
 				coord[j] = s[j] - 1 - digits[j]
-			} else {
-				coord[j] = digits[j]
 			}
+			odd = (digits[j] + odd*(s[j]&1)) & 1
 		}
 		out[i] = s.Index(coord)
 	}

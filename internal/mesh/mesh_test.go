@@ -3,6 +3,7 @@ package mesh
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +242,50 @@ func TestNeighborsMatchEdges(t *testing.T) {
 	for idx := 0; idx < s.Nodes(); idx++ {
 		if got := len(s.Neighbors(idx, nil)); got != deg[idx] {
 			t.Errorf("node %d: Neighbors %d, edge degree %d", idx, got, deg[idx])
+		}
+	}
+}
+
+// TestSnakeOrderIsMeshPath: for every shape of one to four axes, each of
+// length at most 5 (780 shapes), the snake order visits every node once
+// and each step moves to a mesh neighbor.  Shapes with an even axis
+// strictly between the first and the last (3x4x5) are the ones a parity of
+// the digit sum, instead of the ordinal, gets wrong.
+func TestSnakeOrderIsMeshPath(t *testing.T) {
+	shapes := 0
+	var each func(s Shape)
+	each = func(s Shape) {
+		if len(s) > 0 {
+			shapes++
+			checkSnake(t, s)
+		}
+		if len(s) < 4 {
+			for l := 1; l <= 5; l++ {
+				each(append(s[:len(s):len(s)], l))
+			}
+		}
+	}
+	each(nil)
+	if shapes != 780 {
+		t.Fatalf("checked %d shapes, want 780", shapes)
+	}
+}
+
+func checkSnake(t *testing.T, s Shape) {
+	t.Helper()
+	order := s.SnakeOrder()
+	if len(order) != s.Nodes() {
+		t.Fatalf("%v: snake has %d entries, want %d", s, len(order), s.Nodes())
+	}
+	seen := make([]bool, s.Nodes())
+	var nb []int
+	for i, v := range order {
+		if v < 0 || v >= len(seen) || seen[v] {
+			t.Fatalf("%v: entry %d is node %d, out of range or repeated", s, i, v)
+		}
+		seen[v] = true
+		if i > 0 && !slices.Contains(s.Neighbors(order[i-1], nb[:0]), v) {
+			t.Fatalf("%v: step %d jumps from %v to %v", s, i, s.Coord(order[i-1]), s.Coord(v))
 		}
 	}
 }

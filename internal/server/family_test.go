@@ -165,6 +165,11 @@ func TestPlanFamilyValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("unknown family: %d", rec.Code)
 	}
+	rec, _ = post(t, h, "/v1/plan", `{"shape":"4x4","family":"foo"}`)
+	env := decodeEnvelope(t, rec, http.StatusBadRequest, api.CodeBadRequest)
+	if want := `unknown Family "foo" (want one of [mesh torus cylinder tree])`; env.Error.Message != want {
+		t.Fatalf("unknown family message %q, want %q", env.Error.Message, want)
+	}
 	rec, _ = post(t, h, "/v1/plan", `{"shape":"6","family":"tree"}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("invalid tree shape: %d", rec.Code)

@@ -17,6 +17,8 @@ import (
 
 	"repro/internal/embed"
 	"repro/internal/guest"
+	"repro/internal/jobs"
+	"repro/internal/mesh"
 	"repro/pkg/api"
 )
 
@@ -253,6 +255,68 @@ func FuzzParseGuest(f *testing.F) {
 			t.Fatalf("%q %q: accepted %s %s, which parses back to %s %s, %v", family, shape, fam, sh, fam2, sh2, err)
 		}
 	})
+}
+
+// FuzzRequestBody posts each fuzzed body to /v1/plan, /v1/embed,
+// /v1/compare and /v1/jobs on a server with a job manager attached: every
+// answer is a 2xx or a 4xx, never a 5xx or a panic.  To keep a run short
+// it leaves out a route whose request the body decodes to when that
+// request asks for more than a little work: a guest of more than 4,096
+// nodes, or a job beyond a tiny domain (census or epsilon max_n above 2,
+// plansweep or plancensus dims above 3 or max_axis above 8).  A body the
+// route cannot decode is never left out.  The corpus
+// (testdata/fuzz/FuzzRequestBody) holds the bodies of the bad-request
+// tests and a valid request of each route.
+func FuzzRequestBody(f *testing.F) {
+	_, h := newJobServer(f, jobs.Config{})
+	f.Fuzz(func(t *testing.T, body string) {
+		for _, path := range []string{"/v1/plan", "/v1/embed", "/v1/compare", "/v1/jobs"} {
+			if costly(path, body) {
+				continue
+			}
+			if rec := doReq(t, h, http.MethodPost, path, body, nil); rec.Code/100 != 2 && rec.Code/100 != 4 {
+				t.Fatalf("%s %q: answered %d %s", path, body, rec.Code, rec.Body)
+			}
+		}
+	})
+}
+
+// costly reports whether body decodes, as the route at path decodes it, to
+// a request FuzzRequestBody leaves out: a guest of more than 4,096 nodes or
+// a job beyond a tiny domain.
+func costly(path, body string) bool {
+	decodes := func(v any) bool {
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v) == nil && !dec.More()
+	}
+	bigGuest := func(shape string) bool {
+		sh, err := mesh.ParseShape(shape)
+		if err != nil {
+			return false
+		}
+		_, ok := sh.NodesWithin(1 << 12)
+		return !ok
+	}
+	switch path {
+	case "/v1/plan":
+		var req api.PlanRequest
+		return decodes(&req) && bigGuest(req.Shape)
+	case "/v1/embed":
+		var req api.EmbedRequest
+		return decodes(&req) && bigGuest(req.Shape)
+	case "/v1/compare":
+		var req api.CompareRequest
+		return decodes(&req) && bigGuest(req.Shape)
+	}
+	var req api.JobSubmitRequest
+	if !decodes(&req) {
+		return false
+	}
+	return req.Census != nil && req.Census.MaxN > 2 ||
+		req.Epsilon != nil && req.Epsilon.MaxN > 2 ||
+		req.PlanSweep != nil && (req.PlanSweep.Dims > 3 || req.PlanSweep.MaxAxis > 8) ||
+		req.PlanCensus != nil && (req.PlanCensus.Dims > 3 || req.PlanCensus.MaxAxis > 8)
 }
 
 func TestTimeout504(t *testing.T) {

@@ -8,8 +8,7 @@ import (
 )
 
 // TestSnakeOrderAdjacent: startGray seeds the search along the snake order,
-// so on these shapes (every axis strictly between the first and the last
-// odd) consecutive entries must be mesh neighbors.
+// so consecutive entries must be mesh neighbors.
 func TestSnakeOrderAdjacent(t *testing.T) {
 	for _, s := range []mesh.Shape{{5}, {3, 5}, {4, 4}, {2, 3, 4}, {3, 3, 3}, {1, 7, 2}} {
 		order := s.SnakeOrder()

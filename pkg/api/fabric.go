@@ -89,7 +89,7 @@ type ChunkResult struct {
 // PlanEntry is one plancensus plan in a position-independent form: exactly
 // the fields of an artifact record, minus the string-section offsets the
 // coordinator's builder assigns on replay.  Kind is the plan-node wire name
-// locked by enumgen (core.Kind).
+// (core.Kind's names table).
 type PlanEntry struct {
 	Kind   string `json:"kind"`
 	Method int    `json:"method"`
