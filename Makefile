@@ -81,7 +81,7 @@ bench-json:
 	@{ $(GO) test -run '^$$' -bench 'BenchmarkMeasure|BenchmarkLinkLoads' -benchmem -count 5 ./internal/embed; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkEmbedHandler|BenchmarkPlanTier' -benchmem -count 5 ./internal/server; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkCensusJob|BenchmarkPlanSweepJob' -benchmem -count 5 ./internal/jobs; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkClassify|BenchmarkPlan3D|BenchmarkPlanWithFold' -benchmem -count 5 ./internal/core; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkClassify|BenchmarkPlan3D|BenchmarkPlanWithFold|BenchmarkPlanFresh' -benchmem -count 5 ./internal/core; \
 	  $(GO) test -run '^$$' -bench 'BenchmarkDispatch' -count 5 ./internal/fabric; \
 	  $(GO) test -run '^$$' -bench . -benchmem -count 5 ./internal/artifact; } \
 	  | $(GO) run ./cmd/benchjson

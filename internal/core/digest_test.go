@@ -22,7 +22,7 @@ import (
 // plan_trace bytes and has to say so.
 const (
 	planDigestWant  = "df77201f28443f3c5379568d0b4645e0c0c34e84cf4f79227774264008c75dfa"
-	traceDigestWant = "c27d2569631310cbd7c8336c170df38ab786c2939acfca5c6b02e6e6efd2bf98"
+	traceDigestWant = "2b87b8c005f45e193bc73f3c9c71c235f9a0471a082df23a9c67ea39d897ece3"
 )
 
 // digestGuest is one (family, shape) point of the digest domain.
@@ -157,8 +157,8 @@ func TestPlanAllocs(t *testing.T) {
 		run    func()
 	}{
 		{"cached 5x6x7", 17, func() { cached.Plan(s567) }},
-		{"uncached 5x6x7", 149, func() { NewUncachedPlanner(DefaultOptions).Plan(s567) }},
-		{"uncached 21x9x5", 254, func() { NewUncachedPlanner(DefaultOptions).Plan(s2195) }},
+		{"uncached 5x6x7", 125, func() { NewUncachedPlanner(DefaultOptions).Plan(s567) }},
+		{"uncached 21x9x5", 206, func() { NewUncachedPlanner(DefaultOptions).Plan(s2195) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.run); got > c.budget {
 			t.Errorf("%s: %v allocs/op, budget %v", c.name, got, c.budget)

@@ -273,14 +273,14 @@ func snakePlan(s mesh.Shape) *Plan {
 
 // Options tunes the planner.
 type Options struct {
-	// SolverBudget enables a solver search for shapes with at most this
-	// many nodes when the structured methods fail (0 disables).  The
-	// search is deterministic (fixed seed) but costs time.
+	// SolverBudget enables a solver search for factoring residuals with
+	// at most this many nodes (0 disables).  The search is deterministic
+	// (fixed seed) but costs time.
 	SolverBudget int
 }
 
-// DefaultOptions enables a small solver budget: shapes up to 36 nodes are
-// searched directly when no structured plan applies.
+// DefaultOptions enables a small solver budget: factoring residuals up to
+// 36 nodes are searched directly.
 var DefaultOptions = Options{SolverBudget: 36}
 
 // PlanShape returns a minimal-expansion plan for the shape, choosing the

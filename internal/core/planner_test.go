@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -314,11 +315,16 @@ func TestBetterTotalOrder(t *testing.T) {
 
 // TestPipelinesRunEveryStrategy: every StrategyID has a stage in some
 // pipeline, so search's switch has no dead case and every wire name can
-// show up in a trace.
+// show up in a trace; and every stage of every pipeline is chosen for some
+// mesh shape of the digest domain, so no stage only runs and loses.
 func TestPipelinesRunEveryStrategy(t *testing.T) {
+	pipelines := []struct {
+		name   string
+		stages []stage
+	}{{"2d", pipeline2D}, {"3d", pipeline3D}, {"highd", pipelineHighD}}
 	run := map[StrategyID]bool{}
-	for _, pipe := range [][]stage{pipeline2D, pipeline3D, pipelineHighD} {
-		for _, st := range pipe {
+	for _, pipe := range pipelines {
+		for _, st := range pipe.stages {
 			run[st.id] = true
 		}
 	}
@@ -329,6 +335,32 @@ func TestPipelinesRunEveryStrategy(t *testing.T) {
 	}
 	if len(run) != len(strategyNames) {
 		t.Errorf("pipelines run %d strategies, want %d", len(run), len(strategyNames))
+	}
+
+	chosen := map[string]int{}
+	pl := NewUncachedPlanner(DefaultOptions)
+	for _, g := range planDigestDomain() {
+		if g.f != guest.Mesh {
+			continue
+		}
+		_, pt, err := pl.PlanTraced(context.Background(), g.s)
+		if err != nil {
+			t.Fatalf("%v: %v", g.s, err)
+		}
+		pt.Walk(func(n *PlanTrace) {
+			for _, a := range n.Attempts {
+				if a.Status == "chosen" {
+					chosen[n.Pipeline+"/"+a.Strategy]++
+				}
+			}
+		})
+	}
+	for _, pipe := range pipelines {
+		for _, st := range pipe.stages {
+			if chosen[pipe.name+"/"+st.id.String()] == 0 {
+				t.Errorf("stage %s/%s is never chosen on the digest domain's meshes", pipe.name, st.id)
+			}
+		}
 	}
 }
 
@@ -345,5 +377,53 @@ func TestCanonicalShape(t *testing.T) {
 		if back := permuteShape(canon, axmap); !back.Equal(s) {
 			t.Errorf("%v: permuteShape(SortCanonical) = %v", s, back)
 		}
+	}
+}
+
+// freshGuests draws n distinct guests (by family and canonical shape) from
+// a fixed seed, as the benchmark's plan-cold workload draws its guests: 3D,
+// axes uniform on 2..96, at most 2^18 nodes, the family uniform over fams.
+func freshGuests(fams []guest.Family, n int) []digestGuest {
+	rng := rand.New(rand.NewSource(31))
+	seen := map[string]bool{}
+	var out []digestGuest
+	for len(out) < n {
+		s := mesh.Shape{2 + rng.Intn(95), 2 + rng.Intn(95), 2 + rng.Intn(95)}
+		f := fams[rng.Intn(len(fams))]
+		if s.Nodes() > 1<<18 {
+			continue
+		}
+		canon, _ := guest.Get(f).Canonical(s)
+		if k := f.String() + "|" + canon.String(); !seen[k] {
+			seen[k] = true
+			out = append(out, digestGuest{f, s})
+		}
+	}
+	return out
+}
+
+// BenchmarkPlanFresh plans a fixed list of guests on a fresh
+// NewPlanner(DefaultOptions) per op, as a cold server does, so every op
+// runs the solver on factoring residuals and, for rings, plans and builds
+// the ring bases.  mesh draws meshes; ring draws tori and cylinders.  The
+// list sizes keep one op between 0.1 and 1 s.
+func BenchmarkPlanFresh(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		fams []guest.Family
+		n    int
+	}{
+		{"mesh", []guest.Family{guest.Mesh}, 300},
+		{"ring", []guest.Family{guest.Torus, guest.Cylinder}, 40},
+	} {
+		guests := freshGuests(c.fams, c.n)
+		b.Run(c.name, func(b *testing.B) {
+			for range b.N {
+				pl := NewPlanner(DefaultOptions)
+				for _, g := range guests {
+					pl.PlanGuest(g.f, g.s)
+				}
+			}
+		})
 	}
 }

@@ -9,8 +9,8 @@ import (
 // stage is one step of a strategy pipeline: the strategy it runs, with
 // optional gates replicating the planner's historical short-circuits:
 //
-//   - skip: don't run this strategy given the current best (e.g. the split
-//     and fold searches only run while no dilation-2 plan is in hand);
+//   - skip: don't run this strategy given the current best (e.g. the fold
+//     search only runs while no dilation-2 plan is in hand);
 //   - stop: stop the whole pipeline after this strategy (e.g. a direct
 //     table hit is final).
 //
@@ -27,22 +27,19 @@ type stage struct {
 func whenFound(best *Plan) bool   { return best != nil }
 func whenSettled(best *Plan) bool { return best != nil && best.Dilation <= 2 }
 
-const (
-	reasonFound   = "a plan is already in hand"
-	reasonSettled = "a dilation-2 plan is already in hand"
-)
+const reasonSettled = "a dilation-2 plan is already in hand"
 
 // The strategy pipelines, one per active-axis class, encode the paper's
-// method preferences.
+// method preferences.  Every stage is chosen for some mesh of the plan
+// digest domain (TestPipelinesRunEveryStrategy); the solver is no stage,
+// only planByFactoring's residual planner.
 var (
 	// pipeline2D plans shapes with exactly two axes of length > 1.
 	pipeline2D = []stage{
 		{id: StrategyDirect, stop: whenFound, stopReason: "a direct table hit is final"},
 		{id: StrategyFactor},
 		{id: StrategyExtend},
-		{id: StrategySplit2D, skip: whenSettled, skipReason: reasonSettled},
 		{id: StrategyFold, skip: whenSettled, skipReason: reasonSettled},
-		{id: StrategySolver, skip: whenFound, skipReason: reasonFound},
 	}
 	// pipeline3D plans shapes with exactly three axes of length > 1.
 	pipeline3D = []stage{
@@ -51,7 +48,6 @@ var (
 		{id: StrategySplit3D},
 		{id: StrategyExtend},
 		{id: StrategyFold, skip: whenSettled, skipReason: reasonSettled},
-		{id: StrategySolver, skip: whenFound, skipReason: reasonFound},
 	}
 	// pipelineHighD plans shapes with four or more axes of length > 1.
 	pipelineHighD = []stage{
@@ -66,8 +62,6 @@ func (pc *planContext) search(id StrategyID, s mesh.Shape, foldDepth int) *Plan 
 	switch id {
 	case StrategyDirect:
 		return planDirect(s)
-	case StrategySolver:
-		return pc.planBySolver(s)
 	case StrategyFactor:
 		return pc.planByFactoring(s, 0)
 	case StrategyExtend:
@@ -76,8 +70,6 @@ func (pc *planContext) search(id StrategyID, s mesh.Shape, foldDepth int) *Plan 
 		return pc.planHighDim(s)
 	case StrategyPairGray:
 		return pc.planPairPlusGray(s, foldDepth)
-	case StrategySplit2D:
-		return pc.planBy2DSplit(s)
 	case StrategySplit3D:
 		return pc.planBySplit(s, foldDepth)
 	case StrategyFold:

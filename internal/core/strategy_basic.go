@@ -19,8 +19,9 @@ func planDirect(s mesh.Shape) *Plan {
 }
 
 // planBySolver runs the deterministic annealing solver on shapes within
-// the configured node budget.  Last resort: the pipelines skip it whenever
-// a structured plan exists.
+// the configured node budget.  It is the residual planner of
+// planByFactoring: a residual that is neither Gray-minimal nor factorable
+// goes to the solver.
 func (pc *planContext) planBySolver(s mesh.Shape) *Plan {
 	if pc.opts.SolverBudget <= 0 || s.Nodes() > pc.opts.SolverBudget {
 		return nil

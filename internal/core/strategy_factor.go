@@ -18,27 +18,19 @@ func (pc *planContext) planByFactoring(s mesh.Shape, depth int) *Plan {
 	var best *Plan
 	k := s.Dims()
 	for _, tab := range direct.Tables {
-		// The table's axes of length > 1, to be injected into s's axes.
+		// The table's axes of length > 1, each placed on an axis of s
+		// it divides.
 		var tl []int
 		for _, l := range tab.Shape {
 			if l > 1 {
 				tl = append(tl, l)
 			}
 		}
-		perms := axisInjections(tab.Shape, s)
-		for _, axes := range perms {
+		for _, axes := range axisInjections(tl, s) {
 			residual := s.Clone()
 			tshape := shapeWithAxes(k, axes, tl)
-			ok := true
 			for i := range s {
-				if s[i]%tshape[i] != 0 {
-					ok = false
-					break
-				}
 				residual[i] = s[i] / tshape[i]
-			}
-			if !ok {
-				continue
 			}
 			tdim := tab.Shape.MinCubeDim()
 			rdim := target - tdim
@@ -71,15 +63,9 @@ func (pc *planContext) planByFactoring(s mesh.Shape, depth int) *Plan {
 	return best
 }
 
-// axisInjections lists the ways to assign the axes of t (all of length >1)
-// to distinct axes of s.  Axes of t equal to 1 are dropped.
-func axisInjections(t, s mesh.Shape) [][]int {
-	var tl []int
-	for _, l := range t {
-		if l > 1 {
-			tl = append(tl, l)
-		}
-	}
+// axisInjections lists the ways to assign the lengths tl (all > 1) to
+// distinct axes of s that they divide.
+func axisInjections(tl []int, s mesh.Shape) [][]int {
 	var out [][]int
 	used := make([]bool, s.Dims())
 	cur := make([]int, len(tl))
@@ -101,12 +87,11 @@ func axisInjections(t, s mesh.Shape) [][]int {
 		}
 	}
 	rec(0)
-	// Re-express lengths: caller zips axes with t's >1 lengths.
 	return out
 }
 
 // planByExtension grows one axis of s while ⌈|V|⌉₂ is unchanged, plans
-// the grown shape (Gray, direct, or factoring), and restricts to the guest
+// the grown shape (direct or factoring), and restricts to the guest
 // via a SubMesh node — the paper's extension step.
 func (pc *planContext) planByExtension(s mesh.Shape) *Plan {
 	target := s.MinCubeDim()
@@ -119,20 +104,12 @@ func (pc *planContext) planByExtension(s mesh.Shape) *Plan {
 				rest *= s[j]
 			}
 		}
+		// A grown shape's minimal cube is s's, and it is not Gray-minimal
+		// (else s would be, and the classifier answers those).
 		maxLen := int(total) / rest
 		for l := s[i] + 1; l <= maxLen; l++ {
 			grown := s.Clone()
 			grown[i] = l
-			if grown.MinCubeDim() != target {
-				break
-			}
-			if grown.GrayMinimal() {
-				child := &Plan{Kind: KindGray, Shape: grown, CubeDim: target, Dilation: 1}
-				sub := &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
-					Dilation: 1, Super: grown, Child: child}
-				best = better(best, sub)
-				continue
-			}
 			if _, _, ok := direct.Lookup(grown); ok {
 				child := &Plan{Kind: KindDirect, Shape: grown, CubeDim: target, Dilation: 2}
 				sub := &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
@@ -140,7 +117,7 @@ func (pc *planContext) planByExtension(s mesh.Shape) *Plan {
 				best = better(best, sub)
 				continue
 			}
-			if p := pc.planByFactoring(grown, 1); p != nil && p.CubeDim == target {
+			if p := pc.planByFactoring(grown, 1); p != nil {
 				sub := &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
 					Dilation: p.Dilation, Super: grown, Child: p}
 				best = better(best, sub)

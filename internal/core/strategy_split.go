@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/bits"
-	"repro/internal/direct"
 	"repro/internal/mesh"
 )
 
@@ -45,75 +44,6 @@ func (pc *planContext) planPairPlusGray(s mesh.Shape, foldDepth int) *Plan {
 			Method:   2,
 		}
 		best = better(best, prod)
-	}
-	return best
-}
-
-// planBy2DSplit is the 2D analogue of method 4: it splits one axis of a
-// two-active-axis shape as ℓ'·ℓ” and embeds (ℓa × ℓ') ⊗ Gray(ℓ”),
-// restricting to the guest at the end.
-// Example: 5x6 = (5x3) ⊗ (1x2) — the 3x5 direct table lifts to a
-// dilation-two minimal-expansion embedding of 5x6.
-func (pc *planContext) planBy2DSplit(s mesh.Shape) *Plan {
-	axes := activeAxes(s)
-	if len(axes) != 2 {
-		return nil
-	}
-	target := s.MinCubeDim()
-	total := uint64(1) << uint(target)
-	k := s.Dims()
-	var best *Plan
-	for t := 0; t < 2; t++ {
-		m, a := axes[t], axes[1-t]
-		lm, la := s[m], s[a]
-		for p := 0; p <= target; p++ {
-			P := uint64(1) << uint(p)
-			Q := total / P
-			// ℓ'' is a Gray factor, ⌈ℓ''⌉₂ == Q: method 4's split with ℓb = 1.
-			lp, lpp, ok := splitFactors(lm, la, 1, P, Q)
-			if !ok {
-				continue
-			}
-			if bits.CeilPow2(uint64(la*lp))*bits.CeilPow2(uint64(lpp)) != total {
-				continue
-			}
-			if lp == lm && lpp == 1 {
-				continue // degenerate: no actual split
-			}
-			f1Shape := shapeWithAxes(k, []int{a, m}, []int{la, lp})
-			var f1 *Plan
-			if f1Shape.GrayMinimal() {
-				f1 = &Plan{Kind: KindGray, Shape: f1Shape, CubeDim: f1Shape.MinCubeDim(), Dilation: 1}
-			} else if _, _, ok := direct.Lookup(f1Shape); ok {
-				f1 = &Plan{Kind: KindDirect, Shape: f1Shape, CubeDim: f1Shape.MinCubeDim(), Dilation: 2}
-			} else if p := pc.planByFactoring(f1Shape, 2); p != nil {
-				f1 = p
-			} else if p := pc.planBySolver(f1Shape); p != nil {
-				f1 = p
-			} else {
-				continue
-			}
-			f2Shape := shapeWithAxes(k, []int{m}, []int{lpp})
-			f2 := &Plan{Kind: KindGray, Shape: f2Shape,
-				CubeDim: bits.CeilLog2(uint64(lpp)), Dilation: 1}
-			if f1.CubeDim+f2.CubeDim != target {
-				continue
-			}
-			super := f1Shape.Product(f2Shape)
-			prod := &Plan{Kind: KindProduct, Shape: super, CubeDim: target,
-				Dilation: max(f1.Dilation, 1), Factors: []*Plan{f1, f2}}
-			var cand *Plan
-			if super.Equal(s) {
-				cand = prod
-			} else {
-				cand = &Plan{Kind: KindSubMesh, Shape: s.Clone(), CubeDim: target,
-					Dilation: prod.Dilation, Super: super, Child: prod}
-			}
-			best = better(best, cand)
-			if best.Dilation <= 2 {
-				return best
-			}
-		}
 	}
 	return best
 }

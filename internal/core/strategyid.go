@@ -4,25 +4,23 @@ package core
 // keys of provenance traces and `embedctl explain` output, are
 // strategyNames, keyed by constant, so adding a strategy means adding a
 // constant and its name here, a case in planContext.search and a stage in
-// a pipeline (see strategy.go).
+// a pipeline that some shape chooses (see strategy.go).
 type StrategyID int
 
 const (
 	StrategyDirect StrategyID = iota
-	StrategySolver
 	StrategyFactor
 	StrategyExtend
 	StrategyHighDim
 	StrategyPairGray
-	StrategySplit2D
 	StrategySplit3D
 	StrategyFold
 )
 
 var strategyNames = [...]string{
-	StrategyDirect: "direct", StrategySolver: "solver", StrategyFactor: "factor",
-	StrategyExtend: "extend", StrategyHighDim: "highdim", StrategyPairGray: "pair+gray",
-	StrategySplit2D: "split2d", StrategySplit3D: "split3d", StrategyFold: "fold",
+	StrategyDirect: "direct", StrategyFactor: "factor", StrategyExtend: "extend",
+	StrategyHighDim: "highdim", StrategyPairGray: "pair+gray", StrategySplit3D: "split3d",
+	StrategyFold: "fold",
 }
 
 // String returns the wire name of id ("unknown" out of range).

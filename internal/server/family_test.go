@@ -179,3 +179,36 @@ func TestPlanFamilyValidation(t *testing.T) {
 		t.Fatalf("gray mode with non-mesh family: %d", rec.Code)
 	}
 }
+
+// TestPermutedRingBound: the library plans torus 49x9 and 46x22 in the
+// caller's axis order to ring plans that build above their bounds (7 over
+// 4 and over 5), because a permuted [snake] node builds another snake.
+// What is served stays consistent: /v1/plan serves one bound for both axis
+// orders, and /v1/embed, which builds the canonical plan and relabels it,
+// measures within that bound.
+func TestPermutedRingBound(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, orders := range [][2]string{{"49x9", "9x49"}, {"46x22", "22x46"}} {
+		var bounds [2]int
+		for i, shape := range orders {
+			body := `{"shape":"` + shape + `","family":"torus"}`
+			rec, _ := post(t, h, "/v1/plan", body)
+			var plan api.PlanResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &plan); err != nil || rec.Code != http.StatusOK || plan.DilationBound < 1 {
+				t.Fatalf("plan %s: %d %s", shape, rec.Code, rec.Body)
+			}
+			rec, _ = post(t, h, "/v1/embed", body)
+			var emb api.EmbedResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &emb); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("embed %s: %d %s", shape, rec.Code, rec.Body)
+			}
+			if emb.Metrics.Dilation > plan.DilationBound {
+				t.Errorf("torus %s: embed measures dilation %d, plan serves bound %d", shape, emb.Metrics.Dilation, plan.DilationBound)
+			}
+			bounds[i] = plan.DilationBound
+		}
+		if bounds[0] != bounds[1] {
+			t.Errorf("torus %s serves bound %d, %s bound %d", orders[0], bounds[0], orders[1], bounds[1])
+		}
+	}
+}

@@ -72,10 +72,14 @@ import (
 // get 422.  maxCompareNodes bounds the guests /v1/compare accepts: a
 // compare builds several embeddings and optionally simulates a stencil
 // exchange, so it is far more expensive per node than /v1/embed.
+// maxAxes bounds every guest's axis count, also with a 422: length-1 axes
+// cost no nodes, yet planning and certifying a shape grow with the square
+// of its axes.  Within maxNodes at most 24 axes are longer than 1.
 // resultCacheSize bounds L0, the LRU of fully-measured results.
 const (
 	maxNodes        = 1 << 24
 	maxCompareNodes = 1 << 20
+	maxAxes         = 64
 	resultCacheSize = 1024
 )
 
@@ -299,10 +303,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 }
 
 // parseGuest is the one prelude of the guest endpoints: family name ("" is
-// mesh), shape, node count within limit, then the family's own shape rule,
-// so every guest that reaches the result cache is one the planner accepts.
-// The node count is computed overflow-checked — mesh.Shape.Nodes would wrap
-// silently on absurd axes.
+// mesh), shape, axis count within maxAxes, node count within limit, then
+// the family's own shape rule, so every guest that reaches the result cache
+// is one the planner accepts.  The node count is computed overflow-checked
+// — mesh.Shape.Nodes would wrap silently on absurd axes.
 func parseGuest(family, shape string, limit int) (guest.Family, mesh.Shape, error) {
 	d, err := guest.ByName(family)
 	if err != nil {
@@ -314,6 +318,9 @@ func parseGuest(family, shape string, limit int) (guest.Family, mesh.Shape, erro
 	}
 	if err != nil {
 		return 0, nil, errBadRequest("%v", err)
+	}
+	if sh.Dims() > maxAxes {
+		return 0, nil, errTooLarge("shape has %d axes, above the %d-axis limit", sh.Dims(), maxAxes)
 	}
 	if _, ok := sh.NodesWithin(limit); !ok {
 		return 0, nil, errTooLarge("shape %s exceeds the %d-node limit", sh, limit)

@@ -229,12 +229,37 @@ func TestOversizedShape422(t *testing.T) {
 	}
 }
 
+// TestLongShape422: length-1 axes cost no nodes, so only maxAxes bounds a
+// shape of them.  A body of such axes just under the 1 MiB cap is a 422 on
+// every guest route, whose message names the axis count, not the shape;
+// maxAxes of them still answer 200.
+func TestLongShape422(t *testing.T) {
+	h := New(Config{}).Handler()
+	const prefix, suffix = `{"shape":"1`, `"}`
+	extra := (maxBodyBytes-len(prefix)-len(suffix))/2 - 1 // "x1" per axis after the first
+	long := prefix + strings.Repeat("x1", extra) + suffix
+	ones := `{"shape":"1` + strings.Repeat("x1", maxAxes-1) + `"}`
+	for _, path := range []string{"/v1/plan", "/v1/embed", "/v1/compare"} {
+		rec, fields := post(t, h, path, long)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s, %d axes: %d", path, extra+1, rec.Code)
+		}
+		msg := string(fields["error"])
+		if !strings.Contains(msg, fmt.Sprintf("shape has %d axes, above the %d-axis limit", extra+1, maxAxes)) || len(msg) > 512 {
+			t.Errorf("%s, %d axes: error %.512s", path, extra+1, msg)
+		}
+		if rec, _ := post(t, h, path, ones); rec.Code != http.StatusOK {
+			t.Errorf("%s, %d axes of 1: %d %s", path, maxAxes, rec.Code, rec.Body)
+		}
+	}
+}
+
 // FuzzParseGuest: parseGuest, the one prelude of /v1/plan, /v1/embed and
 // /v1/compare, never panics and refuses with a 4xx; every guest it accepts
-// passes guest.Validate, has at most maxNodes nodes, and parses back to
-// itself from its own family and shape strings.  The corpus
+// passes guest.Validate, has at most maxAxes axes and maxNodes nodes, and
+// parses back to itself from its own family and shape strings.  The corpus
 // (testdata/fuzz/FuzzParseGuest) holds the guests of the bad-request tests
-// above and a valid guest of each family.
+// above, a valid guest of each family and a shape one axis over maxAxes.
 func FuzzParseGuest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, family, shape string) {
 		fam, sh, err := parseGuest(family, shape, maxNodes)
@@ -247,6 +272,9 @@ func FuzzParseGuest(f *testing.F) {
 		}
 		if err := guest.Validate(fam, sh); err != nil {
 			t.Fatalf("%q %q: accepted %s %s: %v", family, shape, fam, sh, err)
+		}
+		if sh.Dims() > maxAxes {
+			t.Fatalf("%q %q: accepted %d axes, above %d", family, shape, sh.Dims(), maxAxes)
 		}
 		if _, ok := sh.NodesWithin(maxNodes); !ok {
 			t.Fatalf("%q %q: accepted %s above %d nodes", family, shape, sh, maxNodes)
@@ -266,7 +294,7 @@ func FuzzParseGuest(f *testing.F) {
 // plansweep or plancensus dims above 3 or max_axis above 8).  A body the
 // route cannot decode is never left out.  The corpus
 // (testdata/fuzz/FuzzRequestBody) holds the bodies of the bad-request
-// tests and a valid request of each route.
+// tests, a valid request of each route and a shape one axis over maxAxes.
 func FuzzRequestBody(f *testing.F) {
 	_, h := newJobServer(f, jobs.Config{})
 	f.Fuzz(func(t *testing.T, body string) {

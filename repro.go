@@ -67,7 +67,7 @@ type Metrics = embed.Metrics
 // Plan is a construction tree produced by the planner.
 type Plan = core.Plan
 
-// Options tunes the planner; the zero value disables the solver fallback.
+// Options tunes the planner; the zero value turns the residual solver off.
 type Options = core.Options
 
 // ParseShape parses "5x6x7"-style shape strings.
