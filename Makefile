@@ -20,8 +20,9 @@ build:
 test:
 	$(GO) test ./...
 
-# Race-check the packages with shared mutable state: the planner cache,
-# the sweep engine, the fused metrics engine (concurrent Measure on a
+# Race-check the packages with shared mutable state: the planner cache and
+# the per-process solver table (8 goroutines re-planning solver forms), the
+# sweep engine, the fused metrics engine (concurrent Measure on a
 # shared Embedding), the HTTP server (result cache + coalescer under a
 # 32-goroutine herd), the job manager (concurrent submit/cancel/watch over
 # checkpointing runners), the client SDK, the span tracer (concurrent child

@@ -18,8 +18,9 @@ import (
 // fallback).
 
 // PlanGuest plans an embedding of the guest (f, s) in the caller's axis
-// order with no memoization, the family analogue of PlanShape.  Sweeps
-// should use Planner.PlanGuest, which adds the canonical-form cache.
+// order with no plan cache (solver searches still share the per-process
+// solver table), the family analogue of PlanShape.  Sweeps should use
+// Planner.PlanGuest, which adds the canonical-form cache.
 func PlanGuest(f guest.Family, s mesh.Shape, opts Options) (*Plan, error) {
 	if err := guest.Validate(f, s); err != nil {
 		return nil, err

@@ -290,8 +290,9 @@ var DefaultOptions = Options{SolverBudget: 36}
 // fallbacks (method 5, beyond the paper).  The returned plan always embeds
 // into the minimal cube.
 //
-// PlanShape plans the shape in its given axis order with no memoization;
-// sweeps that re-plan many (sub-)shapes should use a Planner, which adds a
+// PlanShape plans the shape in its given axis order with no plan cache
+// (its solver searches still share the per-process solver table); sweeps
+// that re-plan many (sub-)shapes should use a Planner, which adds a
 // canonical-shape cache on top of the same strategy pipelines.
 func PlanShape(s mesh.Shape, opts Options) *Plan {
 	if err := s.Validate(); err != nil {

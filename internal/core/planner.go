@@ -19,9 +19,11 @@ type CacheStats struct {
 	Size   uint64
 }
 
-// planCache memoizes planDispatch results keyed by canonical shape and fold
-// context.  Each Planner owns its cache and its options never change, so
-// the options fingerprint is not part of the key.  Stored plans are never
+// planCache memoizes plans under a string key: a Planner's planDispatch
+// results keyed by canonical shape and fold context (each Planner owns its
+// cache and its options never change, so the options fingerprint is not
+// part of the key), and the process's solver searches (solverPlans).
+// Stored plans are never
 // handed out directly — every lookup returns a deep copy via permutePlan —
 // so entries stay immutable and safe to share across goroutines.
 //
@@ -201,9 +203,10 @@ func NewPlanner(opts Options) *Planner {
 	return &Planner{pc: newPlanContext(opts, newPlanCache(), true)}
 }
 
-// NewUncachedPlanner returns a planner with the cache disabled but the
+// NewUncachedPlanner returns a planner with the plan cache disabled but the
 // canonicalization identical to NewPlanner — the reference for cache
-// equivalence tests and benchmarks.
+// equivalence tests and benchmarks.  Its solver searches still go through
+// the per-process solver table, as every planner's do.
 func NewUncachedPlanner(opts Options) *Planner {
 	return &Planner{pc: newPlanContext(opts, nil, true)}
 }

@@ -403,10 +403,11 @@ func freshGuests(fams []guest.Family, n int) []digestGuest {
 }
 
 // BenchmarkPlanFresh plans a fixed list of guests on a fresh
-// NewPlanner(DefaultOptions) per op, as a cold server does, so every op
-// runs the solver on factoring residuals and, for rings, plans and builds
-// the ring bases.  mesh draws meshes; ring draws tori and cylinders.  The
-// list sizes keep one op between 0.1 and 1 s.
+// NewPlanner(DefaultOptions) and an empty solver table per op, as a cold
+// server process does, so every op searches its solver forms once each
+// and, for rings, plans and builds the ring bases.  mesh draws meshes;
+// ring draws tori and cylinders.  The list sizes keep one op between 0.1
+// and 1 s.
 func BenchmarkPlanFresh(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -419,6 +420,7 @@ func BenchmarkPlanFresh(b *testing.B) {
 		guests := freshGuests(c.fams, c.n)
 		b.Run(c.name, func(b *testing.B) {
 			for range b.N {
+				solverPlans = newPlanCache()
 				pl := NewPlanner(DefaultOptions)
 				for _, g := range guests {
 					pl.PlanGuest(g.f, g.s)

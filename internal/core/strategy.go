@@ -88,7 +88,7 @@ const solverSeed = 1
 // trace.go) and is nil on every shared context.
 type planContext struct {
 	opts  Options
-	cache *planCache  // nil: no memoization
+	cache *planCache  // nil: no plan cache
 	canon bool        // canonicalize axis order before searching
 	fp    string      // options fingerprint, stamped on artifacts
 	tr    *planTracer // nil: provenance recording off (the hot path)

@@ -18,6 +18,18 @@ func planDirect(s mesh.Shape) *Plan {
 		Dilation: tab.Dilation, Method: 2}
 }
 
+// solverPlans holds the process's solver searches, keyed by the exact
+// residual form (Find's map depends on the axis order, so 1x3x9 and 3x1x9
+// are two keys); a nil entry is a failed search.  The search is
+// deterministic, so every planner and PlanShape share one search per form.
+// Plan.Build returns a solver node's embedding itself, so each caller gets
+// a deep copy of the entry.
+var solverPlans = newPlanCache()
+
+// solverOptions is every solver search's budget: a dilation-2 target,
+// solverSeed, and 6 restarts of 150k annealing steps.
+var solverOptions = solver.Options{MaxDilation: 2, Seed: solverSeed, Restarts: 6, Iterations: 150_000}
+
 // planBySolver runs the deterministic annealing solver on shapes within
 // the configured node budget.  It is the residual planner of
 // planByFactoring: a residual that is neither Gray-minimal nor factorable
@@ -26,12 +38,13 @@ func (pc *planContext) planBySolver(s mesh.Shape) *Plan {
 	if pc.opts.SolverBudget <= 0 || s.Nodes() > pc.opts.SolverBudget {
 		return nil
 	}
-	e := solver.Find(s, solver.Options{MaxDilation: 2, Seed: solverSeed,
-		Restarts: 6, Iterations: 150_000})
-	if e == nil {
-		return nil
-	}
-	e.RealizeMinCongestion()
-	return &Plan{Kind: KindSolver, Shape: s.Clone(), CubeDim: e.N,
-		Dilation: e.Dilation(), Method: 5, solved: e}
+	return permutePlan(solverPlans.getOrPlan(s.String(), func() *Plan {
+		e := solver.Find(s, solverOptions)
+		if e == nil {
+			return nil
+		}
+		e.RealizeMinCongestion()
+		return &Plan{Kind: KindSolver, Shape: s.Clone(), CubeDim: e.N,
+			Dilation: e.Dilation(), Method: 5, solved: e}
+	}), nil)
 }

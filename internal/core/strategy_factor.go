@@ -43,12 +43,10 @@ func (pc *planContext) planByFactoring(s mesh.Shape, depth int) *Plan {
 			} else if residual.MinCubeDim() == rdim {
 				rplan = pc.planByFactoring(residual, depth+1)
 				if rplan == nil {
-					if p := pc.planBySolver(residual); p != nil && p.CubeDim == rdim {
-						rplan = p
-					}
+					rplan = pc.planBySolver(residual)
 				}
 			}
-			if rplan == nil || rplan.CubeDim != rdim {
+			if rplan == nil {
 				continue
 			}
 			dplan := &Plan{Kind: KindDirect, Shape: tshape, CubeDim: tdim, Dilation: tab.Dilation}

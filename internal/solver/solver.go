@@ -2,8 +2,9 @@
 // small meshes in Boolean cubes.  It is the tool with which the "direct
 // embedding" tables of Section 3.3 (3x5, 7x9, 11x11, 3x3x3, 3x3x7) are
 // re-discovered; the found maps are frozen into package direct and verified
-// by its tests.  The solver combines simulated annealing over node maps with
-// a backtracking placement search, both deterministic for a given seed.
+// by its tests.  The search is simulated annealing over node maps, then a
+// polishing pass that lowers the average dilation (Polish); both are
+// deterministic for a given seed.
 package solver
 
 import (

@@ -3,7 +3,6 @@ package solver
 import (
 	"testing"
 
-	"repro/internal/cube"
 	"repro/internal/mesh"
 )
 
@@ -93,89 +92,6 @@ func BenchmarkFind3x5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if Find(s, Options{MaxDilation: 2, Seed: int64(i + 1)}) == nil {
 			b.Fatal("solver failed")
-		}
-	}
-}
-
-func TestBacktracking3x5(t *testing.T) {
-	e := FindBacktracking(mesh.Shape{3, 5}, Options{MaxDilation: 2, Seed: 1, Restarts: 8})
-	if e == nil {
-		t.Fatal("backtracking failed on 3x5")
-	}
-	if err := e.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Minimal() || e.Dilation() > 2 {
-		t.Errorf("bad: %s", e.Measure())
-	}
-}
-
-func TestBacktracking3x3x3(t *testing.T) {
-	e := FindBacktracking(mesh.Shape{3, 3, 3}, Options{MaxDilation: 2, Seed: 1, Restarts: 16})
-	if e == nil {
-		t.Fatal("backtracking failed on 3x3x3")
-	}
-	if err := e.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Minimal() || e.Dilation() > 2 {
-		t.Errorf("bad: %s", e.Measure())
-	}
-}
-
-func TestBacktrackingGrayShortcut(t *testing.T) {
-	e := FindBacktracking(mesh.Shape{4, 8}, Options{Seed: 1})
-	if e == nil || e.Dilation() != 1 {
-		t.Error("Gray-minimal shortcut broken")
-	}
-}
-
-func TestBallAround(t *testing.T) {
-	// |ball(r)| = Σ_{i≤r} C(n,i)
-	ball := ballAround(0, 6, 2)
-	want := 1 + 6 + 15
-	if len(ball) != want {
-		t.Fatalf("ball size %d, want %d", len(ball), want)
-	}
-	seen := map[cube.Node]bool{}
-	for _, v := range ball {
-		if cube.Dist(0, v) > 2 {
-			t.Errorf("node %d outside ball", v)
-		}
-		if seen[v] {
-			t.Errorf("duplicate %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestBFSOrderConnected(t *testing.T) {
-	s := mesh.Shape{3, 4, 2}
-	el := buildEdges(s)
-	order := bfsOrder(s, el)
-	if len(order) != s.Nodes() {
-		t.Fatalf("order covers %d of %d", len(order), s.Nodes())
-	}
-	placed := map[int]bool{order[0]: true}
-	for _, g := range order[1:] {
-		ok := false
-		for _, w := range el.adj[g] {
-			if placed[int(w)] {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			t.Fatalf("node %d has no placed neighbor", g)
-		}
-		placed[g] = true
-	}
-}
-
-func BenchmarkBacktracking3x5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if FindBacktracking(mesh.Shape{3, 5}, Options{MaxDilation: 2, Seed: int64(i + 1), Restarts: 8}) == nil {
-			b.Fatal("failed")
 		}
 	}
 }

@@ -105,8 +105,8 @@ type Planner struct {
 func NewPlanner(opts Options) *Planner { return &Planner{p: core.NewPlanner(opts)} }
 
 // NewUncachedPlanner returns a planner that plans identically to
-// NewPlanner but memoizes nothing — the reference for cache-equivalence
-// tests and benchmarks.
+// NewPlanner but keeps no plan cache (solver searches are still shared per
+// process) — the reference for cache-equivalence tests and benchmarks.
 func NewUncachedPlanner(opts Options) *Planner {
 	return &Planner{p: core.NewUncachedPlanner(opts)}
 }
